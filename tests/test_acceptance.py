@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The same checks back the ``compfade validate --level full`` command.
 """
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,9 +105,15 @@ def test_criterion_08_monte_carlo():
     assert result["details"]["atom_pull_in_se"] <= 5.0
 
 
+FIGURE_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_goldens" / "figure_sha256.json"
+
+
 def test_criterion_09_figure_reproduction(tmp_path):
     # All four figure families emitted through the CLI; every curve passes
-    # mass, non-negativity, and (frozen) unimodality checks.
+    # mass, non-negativity, and (frozen) unimodality checks, and every file
+    # is byte-identical to its golden (tests/data/make_cli_goldens.py).
+    digests = json.loads(FIGURE_DIGESTS.read_text())
+    seen = set()
     worst_mass = 0.0
     for figure_id in (1, 2, 3, 4):
         out_dir = tmp_path / f"fig{figure_id}"
@@ -116,6 +124,8 @@ def test_criterion_09_figure_reproduction(tmp_path):
         expected = 4 if figure_id == 2 else 5
         assert len(files) == expected
         for path in files:
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[path.name], path.name
+            seen.add(path.name)
             payload = json.loads(path.read_text())
             values = payload["values"]
             xs = payload["abscissae"]
@@ -125,6 +135,7 @@ def test_criterion_09_figure_reproduction(tmp_path):
             worst_mass = max(worst_mass, mass_err)
             assert mass_err <= 1e-6
             assert validation.unimodal_on_grid(values), path.name
+    assert seen == set(digests)
     print(f"ACCEPTANCE  9 figures: PASS (measured {worst_mass:.3e})")
 
 
