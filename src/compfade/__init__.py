@@ -48,6 +48,7 @@ from .models import (
     akm_cdf,
     akm_cdf_series,
     akm_moment,
+    akm_moment_quadrature,
     akm_pdf_envelope,
     akm_pdf_normalized,
     akm_power_pdf,

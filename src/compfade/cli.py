@@ -19,30 +19,23 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, composite, figures, mc, models, validation
-from .composite import CompositeModel, SeriesConfig
+from .composite import FAMILIES, MULTIPATH_FAMILIES, SHADOW, CompositeModel, SeriesConfig
 from .errors import DomainError, NonConvergenceError
 from .numerics import integrate_semi_infinite
-from .models import (
-    AkmParams,
-    AmParams,
-    ExtremeParams,
-    GammaShadowParams,
-    ScaledEnvelope,
-)
+from .models import AkmParams, ScaledEnvelope
 
+# A multipath family over the gamma shadow is "<family>-gamma"; the aliases
+# fix alpha = 2 on a composite.
+_COMPOSITE_SUFFIX = "-gamma"
+_ALPHA_TWO_ALIASES = {"kmu-gamma": "akm-gamma", "kmu-extreme-gamma": "extreme-gamma"}
 MODEL_CHOICES = (
-    "akm",
-    "am",
-    "extreme",
-    "akm-gamma",
-    "am-gamma",
-    "extreme-gamma",
-    "gamma-shadow",
-    "kmu-gamma",
-    "kmu-extreme-gamma",
+    *(f.name for f in MULTIPATH_FAMILIES),
+    *(f.name + _COMPOSITE_SUFFIX for f in MULTIPATH_FAMILIES),
+    SHADOW.name,
+    *_ALPHA_TWO_ALIASES,
 )
 
-_PARAM_FLAGS = ("alpha", "kappa", "mu", "m", "b", "omega", "rhat")
+_PARAM_FLAGS = (*dict.fromkeys(f for family in FAMILIES.values() for f in family.fields), "rhat")
 
 
 class UsageError(Exception):
@@ -144,47 +137,42 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _get_param(cfg: dict, name: str) -> float:
-    value = cfg.get(name)
-    if value is None:
-        raise UsageError(f"missing required parameter --{name}")
-    return float(value)
+def _opt(cfg: dict, key: str, default):
+    # For numeric settings: a given zero is a value, only a missing one
+    # takes the default.
+    value = cfg.get(key)
+    return default if value is None else value
+
+
+def _params(family, cfg: dict):
+    values = []
+    for name in family.fields:
+        value = cfg.get(name)
+        if value is None:
+            raise UsageError(f"missing required parameter --{name}")
+        values.append(float(value))
+    return family.params(*values)
 
 
 def _build_model(cfg: dict):
+    """The model that --model and the parameter flags name, and whether it
+    is a composite."""
     name = cfg.get("model")
     if name is None:
         raise UsageError("missing required flag --model")
-    if name == "kmu-gamma":
+    if name in _ALPHA_TWO_ALIASES:
         if cfg.get("alpha") not in (None, 2.0):
-            raise UsageError("kmu-gamma fixes alpha = 2; drop --alpha or pass 2")
+            raise UsageError(f"{name} fixes alpha = 2; drop --alpha or pass 2")
         cfg = dict(cfg, alpha=2.0)
-        name = "akm-gamma"
-    elif name == "kmu-extreme-gamma":
-        if cfg.get("alpha") not in (None, 2.0):
-            raise UsageError("kmu-extreme-gamma fixes alpha = 2; drop --alpha or pass 2")
-        cfg = dict(cfg, alpha=2.0)
-        name = "extreme-gamma"
-
+        name = _ALPHA_TWO_ALIASES[name]
+    family = FAMILIES.get(name.removesuffix(_COMPOSITE_SUFFIX))
+    if family is None:
+        raise UsageError(f"unknown model {name!r}")
     try:
-        if name == "akm":
-            return AkmParams(_get_param(cfg, "alpha"), _get_param(cfg, "kappa"), _get_param(cfg, "mu"))
-        if name == "am":
-            return AmParams(_get_param(cfg, "alpha"), _get_param(cfg, "mu"))
-        if name == "extreme":
-            return ExtremeParams(_get_param(cfg, "alpha"), _get_param(cfg, "m"))
-        if name == "gamma-shadow":
-            return GammaShadowParams(_get_param(cfg, "b"), _get_param(cfg, "omega"))
-        shadow = GammaShadowParams(_get_param(cfg, "b"), _get_param(cfg, "omega"))
-        if name == "akm-gamma":
-            mp = AkmParams(_get_param(cfg, "alpha"), _get_param(cfg, "kappa"), _get_param(cfg, "mu"))
-        elif name == "am-gamma":
-            mp = AmParams(_get_param(cfg, "alpha"), _get_param(cfg, "mu"))
-        elif name == "extreme-gamma":
-            mp = ExtremeParams(_get_param(cfg, "alpha"), _get_param(cfg, "m"))
-        else:
-            raise UsageError(f"unknown model {name!r}")
-        return CompositeModel(mp, shadow)
+        if family.name == name:
+            return _params(family, cfg), False
+        shadow = _params(SHADOW, cfg)
+        return CompositeModel(_params(family, cfg), shadow), True
     except DomainError as exc:
         raise UsageError(str(exc))
 
@@ -203,30 +191,20 @@ def _parse_grid(cfg: dict) -> np.ndarray:
 
 def _series_config(cfg: dict) -> SeriesConfig:
     return SeriesConfig(
-        max_terms=int(cfg.get("series_n") or 40),
-        rel_tol=float(cfg.get("series_rel_tol") or 1e-8),
-        use_gross=bool(cfg.get("use_gross") or False),
+        max_terms=int(_opt(cfg, "series_n", 40)),
+        rel_tol=float(_opt(cfg, "series_rel_tol", 1e-8)),
+        use_gross=bool(cfg.get("use_gross")),
     )
 
 
-def _rhat(cfg: dict) -> ScaledEnvelope:
-    return ScaledEnvelope(float(cfg.get("rhat") or 1.0))
+def _rhat(cfg: dict) -> float:
+    return ScaledEnvelope(float(_opt(cfg, "rhat", 1.0))).rhat
 
 
-def _density_for(model, cfg: dict, series_cfg: SeriesConfig, oracle: bool) -> models.Density:
-    if isinstance(model, CompositeModel):
+def _density_for(model, is_composite: bool, cfg: dict, series_cfg: SeriesConfig, oracle: bool):
+    if is_composite:
         return composite.composite_density(model, series_cfg, oracle=oracle)
-    if isinstance(model, AkmParams):
-        s = _rhat(cfg)
-        return models.Density(continuous=lambda r: models.akm_pdf_envelope(model, s, r))
-    if isinstance(model, AmParams):
-        s = _rhat(cfg)
-        return models.Density(continuous=lambda r: models.am_pdf(model, s, r))
-    if isinstance(model, ExtremeParams):
-        return models.extreme_density(model)
-    if isinstance(model, GammaShadowParams):
-        return models.Density(continuous=lambda y: models.gamma_shadow_pdf(model, y))
-    raise UsageError(f"cannot build a density for {model!r}")
+    return composite.plain_density(model, _rhat(cfg))
 
 
 def _fmt(value: float) -> str:
@@ -276,11 +254,11 @@ def _base_metadata(series_cfg: SeriesConfig, oracle: bool) -> dict:
 
 
 def cmd_pdf(cfg: dict) -> int:
-    model = _build_model(cfg)
+    model, is_composite = _build_model(cfg)
     xs = _parse_grid(cfg)
     series_cfg = _series_config(cfg)
     oracle = bool(cfg.get("oracle"))
-    density = _density_for(model, cfg, series_cfg, oracle)
+    density = _density_for(model, is_composite, cfg, series_cfg, oracle)
     values = [density.continuous(float(x)) for x in xs]
     metadata = _base_metadata(series_cfg, oracle)
     payload = _curve_payload(mc.model_descriptor(model), xs, values, density.atoms, metadata)
@@ -289,28 +267,22 @@ def cmd_pdf(cfg: dict) -> int:
 
 
 def cmd_cdf(cfg: dict) -> int:
-    model = _build_model(cfg)
+    model, is_composite = _build_model(cfg)
     xs = _parse_grid(cfg)
     series_cfg = _series_config(cfg)
     oracle = bool(cfg.get("oracle"))
-    values = _cdf_values(model, cfg, series_cfg, oracle, xs)
+    values = _cdf_values(model, is_composite, cfg, series_cfg, oracle, xs)
     metadata = _base_metadata(series_cfg, oracle)
     payload = _curve_payload(mc.model_descriptor(model), xs, values, (), metadata)
     _emit_curve(payload, cfg.get("format") or "csv", cfg.get("out"))
     return 0
 
 
-def _cdf_values(model, cfg, series_cfg, oracle, xs) -> list:
-    if isinstance(model, AkmParams):
-        rhat = _rhat(cfg).rhat
-        return [models.akm_cdf(model, float(x) / rhat) for x in xs]
-    if isinstance(model, AmParams):
-        s = _rhat(cfg)
-        return [models.am_cdf(model, s, float(x)) for x in xs]
-    if isinstance(model, ExtremeParams):
-        return [models.extreme_cdf(model, float(x)) for x in xs]
-    if isinstance(model, GammaShadowParams):
-        return [models.gamma_shadow_cdf(model, float(x)) for x in xs]
+def _cdf_values(model, is_composite, cfg, series_cfg, oracle, xs) -> list:
+    if not is_composite:
+        family = composite.family_of(model)
+        rhat = _rhat(cfg)
+        return [family.cdf(model, float(x), rhat) for x in xs]
     # Composite: cumulative quadrature of the density.
     density = composite.composite_density(model, series_cfg, oracle=oracle)
     values = []
@@ -334,7 +306,7 @@ def _cdf_values(model, cfg, series_cfg, oracle, xs) -> list:
 
 
 def cmd_moments(cfg: dict) -> int:
-    model = _build_model(cfg)
+    model, _ = _build_model(cfg)
     if not isinstance(model, AkmParams):
         raise UsageError("moments requires the plain akm model")
     orders_spec = cfg.get("orders") or "0,1,2,3,4"
@@ -346,7 +318,7 @@ def cmd_moments(cfg: dict) -> int:
     worst = 0.0
     for order in orders:
         closed = models.akm_moment(model, order)
-        quad = validation._moment_quadrature(model, order)
+        quad = models.akm_moment_quadrature(model, order)
         rel = abs(closed - quad) / max(abs(quad), 1e-300)
         worst = max(worst, rel)
         rows.append((order, closed, quad, rel))
@@ -376,7 +348,7 @@ def cmd_figure(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = cfg.get("format") or "json"
     xs = _parse_grid(cfg)
-    series_cfg = SeriesConfig(max_terms=int(cfg.get("series_n") or 160), rel_tol=1e-9)
+    series_cfg = SeriesConfig(max_terms=int(_opt(cfg, "series_n", 160)), rel_tol=1e-9)
     paths = []
     for curve in figures.figure_curves(figure_id):
         model = curve["model"]
@@ -409,29 +381,23 @@ def cmd_figure(cfg: dict) -> int:
 
 
 def cmd_sample(cfg: dict) -> int:
-    model = _build_model(cfg)
-    count = int(cfg.get("count") or 100_000)
-    seed = int(cfg.get("seed") or 1)
+    model, is_composite = _build_model(cfg)
+    count = int(_opt(cfg, "count", 100_000))
+    seed = int(_opt(cfg, "seed", 1))
     if count < 1:
         raise UsageError("count must be positive")
+    if seed < 0:
+        raise UsageError("seed must be non-negative")
     series_cfg = _series_config(cfg)
 
-    if isinstance(model, CompositeModel):
-        batch = mc.sample_composite(model, count, seed)
-    elif isinstance(model, AkmParams):
-        batch = mc.sample_akm(model, count, seed)
-    elif isinstance(model, AmParams):
-        batch = mc.sample_am(model, count, seed)
-    elif isinstance(model, ExtremeParams):
-        batch = mc.sample_extreme(model, count, seed)
-    else:
-        batch = mc.sample_gamma_shadow(model, count, seed)
+    sample = mc.sample_composite if is_composite else mc.sample_plain
+    batch = sample(model, count, seed)
 
     out = cfg.get("out") or "samples.txt"
     _write_text(out, "\n".join(_fmt(v) for v in batch.values) + "\n")
 
-    density = _density_for(model, cfg, series_cfg, oracle=False)
-    grid_points = 1200 if isinstance(model, CompositeModel) else 2000
+    density = _density_for(model, is_composite, cfg, series_cfg, oracle=False)
+    grid_points = 1200 if is_composite else 2000
     report = mc.gof_compare(batch, density, grid_points=grid_points)
     critical = mc.ks_critical_value(0.001, max(report.sample_size, 1))
     gof_ok = math.isnan(report.ks_statistic) or report.ks_statistic <= critical

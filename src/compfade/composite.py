@@ -1,4 +1,10 @@
-"""Composite multipath/shadowing densities.
+"""Composite multipath/shadowing densities and the family table.
+
+Every family is described once, in ``FAMILIES``: its parameter class, name
+and fields, its density and cdf at an rms scale, its sampler, its behaviour
+at the origin and, for the multipath families, the data of its series
+route.  The rest of the package reads that table instead of branching on
+parameter types.
 
 Two independent evaluation routes are provided for every composite family:
 
@@ -12,15 +18,13 @@ Two independent evaluation routes are provided for every composite family:
 
   The kernel is computed by validated quadrature (after the substitution
   v = u^(1/alpha) and peak normalization in log space, so it never overflows
-  even for deep series terms).
+  even for deep series terms).  The families differ only in each term's
+  coefficient, the kernel power and the inner scale A.
 
 The zero-LOS composite needs no series at all: a single kernel evaluation is
 exact.  Extreme composites keep the deep-fade atom exp(-2m) at zero, which
-the shadow average cannot touch.
-
-Evaluations are pure given immutable model objects; kernel memoization is
-confined to an explicit per-batch cache, so concurrent curve evaluations on
-one model match serial execution.
+the shadow average cannot touch.  Evaluations are pure given immutable model
+objects.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -41,9 +45,13 @@ from .models import (
     ExtremeParams,
     GammaShadowParams,
     ScaledEnvelope,
+    akm_cdf,
     akm_pdf_normalized,
+    am_cdf,
     am_pdf,
+    extreme_cdf,
     extreme_pdf,
+    gamma_shadow_cdf,
     gamma_shadow_pdf,
 )
 from .numerics import integrate_semi_infinite, sum_adaptive
@@ -53,6 +61,12 @@ __all__ = [
     "SeriesConfig",
     "KernelArgs",
     "MultipathParams",
+    "Family",
+    "FAMILIES",
+    "MULTIPATH_FAMILIES",
+    "SHADOW",
+    "family_of",
+    "plain_density",
     "shadow_kernel_integral",
     "shadow_kernel_integral_ln",
     "mixture_pdf",
@@ -78,7 +92,7 @@ class CompositeModel:
     shadow: GammaShadowParams
 
     def __post_init__(self):
-        if not isinstance(self.multipath, (AkmParams, AmParams, ExtremeParams)):
+        if _BY_PARAMS.get(type(self.multipath)) not in MULTIPATH_FAMILIES:
             raise DomainError(f"unsupported multipath model: {self.multipath!r}")
         if not isinstance(self.shadow, GammaShadowParams):
             raise DomainError(f"shadow must be GammaShadowParams, got {self.shadow!r}")
@@ -244,34 +258,218 @@ def shadow_kernel_integral(
     return math.exp(ln_value)
 
 
-def _kernel_ln_cached(cache: Optional[dict], p, a, alpha, omega) -> float:
-    if cache is None:
-        return shadow_kernel_integral_ln(p, a, alpha, omega)
-    key = (p, a, alpha, omega)
-    value = cache.get(key)
-    if value is None:
-        value = shadow_kernel_integral_ln(p, a, alpha, omega)
-        cache[key] = value
-    return value
+# ----------------------------------------------------------------------
+# The family table
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package needs to know about one distribution family.
+
+    ``name`` is the CLI ``--model`` name and the ``model_descriptor`` tag;
+    ``fields`` are the constructor arguments of ``params`` in order, which
+    double as CLI flags, descriptor keys and ``PARAM_BOX`` keys.
+
+    ``pdf(p, x, scale)`` and ``cdf(p, x, scale)`` evaluate the family at
+    rms scale ``scale``: the CLI's plain curves at ``--rhat`` and the
+    oracle's conditional density at shadow scale y.  ``sample(p, count,
+    rng)`` draws at unit scale.  ``leading_exponent(p)`` is the power of x
+    that governs the density at the origin; ``atom_mass(p)``, when given,
+    is the deep-fade point mass at zero.
+
+    Multipath families also carry the series route.  ``series(p, shadow,
+    x)`` returns ``(ln_coeff, p0, inner)``: term l of the composite density
+    is exp(ln_coeff(l)) times the shadow kernel at power p0 - l and inner
+    scale ``inner``.  ``exact`` marks a family whose term 0 alone is exact.
+    ``route(m, x, cfg)`` calls the family's public series evaluator by its
+    module-level name, so a wrapper installed on that name sees every call.
+    """
+
+    name: str
+    params: type
+    fields: tuple
+    pdf: Callable
+    cdf: Callable
+    sample: Callable
+    leading_exponent: Optional[Callable] = None
+    atom_mass: Optional[Callable] = None
+    series: Optional[Callable] = None
+    exact: bool = False
+    route: Optional[Callable] = None
 
 
-def _conditional_pdf(multipath: MultipathParams, x: float, y: float) -> float:
-    # Multipath density with rms scale y.
-    if isinstance(multipath, AkmParams):
-        return akm_pdf_normalized(multipath, x / y) / y
-    if isinstance(multipath, AmParams):
-        return am_pdf(multipath, ScaledEnvelope(y), x)
-    return extreme_pdf(multipath, x / y) / y
+def _akm_series(p: AkmParams, sh: GammaShadowParams, x: float):
+    alpha, kappa, mu = p.alpha, p.kappa, p.mu
+    b, omega = sh.b, sh.omega
+    ln_x = math.log(x)
+    ln_mu = math.log(mu)
+    ln_kappa = math.log(kappa)
+    ln_1k = math.log1p(kappa)
+    ln_shadow_norm = math.lgamma(b) + b * math.log(omega)
+
+    def ln_coeff(l: int) -> float:
+        return (
+            (alpha * (mu + l) - 1.0) * ln_x
+            + (mu + 2.0 * l) * ln_mu
+            + l * ln_kappa
+            + (mu + l) * ln_1k
+            - math.lgamma(l + 1.0)
+            - math.lgamma(mu + l)
+            - ln_shadow_norm
+            - mu * kappa
+        )
+
+    return ln_coeff, b / alpha - mu, mu * (1.0 + kappa) * x**alpha
 
 
-def _leading_exponent(multipath: MultipathParams) -> float:
-    # Power of x that controls the conditional density near the origin.
-    if isinstance(multipath, AkmParams):
-        return multipath.alpha * multipath.mu - 1.0
-    if isinstance(multipath, AmParams):
-        return multipath.alpha * multipath.mu - 1.0
-    return multipath.alpha - 1.0
+def _am_series(p: AmParams, sh: GammaShadowParams, x: float):
+    alpha, mu = p.alpha, p.mu
+    b, omega = sh.b, sh.omega
+    ln_coeff0 = (
+        mu * math.log(mu)
+        + (alpha * mu - 1.0) * math.log(x)
+        - math.lgamma(mu)
+        - math.lgamma(b)
+        - b * math.log(omega)
+    )
+    return (lambda l: ln_coeff0), b / alpha - mu, mu * x**alpha
 
+
+def _extreme_series(p: ExtremeParams, sh: GammaShadowParams, x: float):
+    alpha, mm = p.alpha, p.m
+    b, omega = sh.b, sh.omega
+    ln_r = math.log(x)
+    ln_2m = math.log(2.0 * mm)
+    ln_shadow_norm = math.lgamma(b) + b * math.log(omega)
+
+    def ln_coeff(l: int) -> float:
+        return (
+            (2.0 + 2.0 * l) * ln_2m
+            + (alpha * (1.0 + l) - 1.0) * ln_r
+            - 2.0 * mm
+            - math.lgamma(l + 1.0)
+            - math.lgamma(l + 2.0)
+            - ln_shadow_norm
+        )
+
+    return ln_coeff, b / alpha - 1.0, 2.0 * mm * x**alpha
+
+
+# Exact unit-scale samplers from the Poisson-gamma mixture structure: for
+# the LOS model N ~ Poisson(mu*kappa), G ~ Gamma(mu + N, 1) and
+# P = (G / (mu*(1+kappa)))^(1/alpha); for the severe-fading model
+# N ~ Poisson(2m), zero when N = 0 (the deep-fade atom), else
+# (G_N / (2m))^(1/alpha) with G_N ~ Gamma(N, 1).
+
+def _akm_draws(p: AkmParams, count: int, rng: np.random.Generator) -> np.ndarray:
+    n = rng.poisson(p.mu * p.kappa, size=count)
+    g = rng.standard_gamma(p.mu + n)
+    return (g / (p.mu * (1.0 + p.kappa))) ** (1.0 / p.alpha)
+
+
+def _am_draws(p: AmParams, count: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_gamma(p.mu, size=count)
+    return (g / p.mu) ** (1.0 / p.alpha)
+
+
+def _extreme_draws(p: ExtremeParams, count: int, rng: np.random.Generator) -> np.ndarray:
+    lam = 2.0 * p.m
+    n = rng.poisson(lam, size=count)
+    values = np.zeros(count)
+    deep = n == 0
+    if np.any(~deep):
+        g = rng.standard_gamma(n[~deep].astype(float))
+        values[~deep] = (g / lam) ** (1.0 / p.alpha)
+    return values
+
+
+# The entries call the model functions by their names in this module, so a
+# wrapper installed on one of those names sees the call.
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family(
+            "akm", AkmParams, ("alpha", "kappa", "mu"),
+            pdf=lambda p, x, s: akm_pdf_normalized(p, x / s) / s,
+            cdf=lambda p, x, s: akm_cdf(p, x / s),
+            sample=_akm_draws,
+            leading_exponent=lambda p: p.alpha * p.mu - 1.0,
+            series=_akm_series,
+            route=lambda m, x, cfg: akm_gamma_pdf_series(m, x, cfg),
+        ),
+        Family(
+            "am", AmParams, ("alpha", "mu"),
+            pdf=lambda p, x, s: am_pdf(p, ScaledEnvelope(s), x),
+            cdf=lambda p, x, s: am_cdf(p, ScaledEnvelope(s), x),
+            sample=_am_draws,
+            leading_exponent=lambda p: p.alpha * p.mu - 1.0,
+            series=_am_series,
+            exact=True,
+            route=lambda m, x, cfg: am_gamma_pdf(m, x),
+        ),
+        Family(
+            "extreme", ExtremeParams, ("alpha", "m"),
+            pdf=lambda p, x, s: extreme_pdf(p, x / s) / s,
+            cdf=lambda p, x, s: extreme_cdf(p, x / s),
+            sample=_extreme_draws,
+            leading_exponent=lambda p: p.alpha - 1.0,
+            atom_mass=lambda p: p.atom_mass,
+            series=_extreme_series,
+            route=lambda m, x, cfg: extreme_gamma_pdf(m, x, cfg),
+        ),
+        Family(
+            "gamma-shadow", GammaShadowParams, ("b", "omega"),
+            pdf=lambda g, y, s: gamma_shadow_pdf(g, y / s) / s,
+            cdf=lambda g, y, s: gamma_shadow_cdf(g, y / s),
+            sample=lambda g, count, rng: rng.gamma(shape=g.b, scale=g.omega, size=count),
+        ),
+    )
+}
+MULTIPATH_FAMILIES = tuple(f for f in FAMILIES.values() if f.series is not None)
+SHADOW = FAMILIES["gamma-shadow"]
+_BY_PARAMS = {f.params: f for f in FAMILIES.values()}
+
+
+def family_of(params) -> Family:
+    """The table entry of a parameter object."""
+    family = _BY_PARAMS.get(type(params))
+    if family is None:
+        raise DomainError(f"unsupported model: {params!r}")
+    return family
+
+
+def _atoms(params) -> tuple:
+    family = family_of(params)
+    if family.atom_mass is None:
+        return ()
+    return ((0.0, family.atom_mass(params)),)
+
+
+def plain_density(params, scale: float = 1.0) -> Density:
+    """Full distribution of an unshadowed model at rms scale ``scale``."""
+    family = family_of(params)
+    return Density(
+        continuous=lambda x: family.pdf(params, x, scale), atoms=_atoms(params)
+    )
+
+
+def _check_argument(x: float) -> None:
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"x must be finite and >= 0, got {x!r}")
+
+
+def _value_at_origin(family: Family, m: CompositeModel) -> float:
+    # Near x = 0 the composite density behaves like x^min(e, b - 1): e is the
+    # multipath leading exponent, and the shadow density goes like y^(b-1).
+    # Only a positive power has a limit (zero) that needs no computation.
+    if min(family.leading_exponent(m.multipath), m.shadow.b - 1.0) > 0.0:
+        return 0.0
+    raise DomainError("composite density is singular at x = 0 for these parameters")
+
+
+# ----------------------------------------------------------------------
+# Mixture-quadrature oracle
+# ----------------------------------------------------------------------
 
 def mixture_pdf(
     m: CompositeModel,
@@ -285,16 +483,15 @@ def mixture_pdf(
     multipath the mode-independent atom exp(-2m) is not part of this value;
     ``mixture_density`` carries it.
     """
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
+    _check_argument(x)
     mp, sh = m.multipath, m.shadow
+    family = family_of(mp)
     if x == 0.0:
-        if _leading_exponent(mp) > 0.0:
-            return 0.0
-        raise DomainError("composite density is singular at x = 0 for these parameters")
+        return _value_at_origin(family, m)
+    conditional_pdf = family.pdf
 
     def integrand(y: float) -> float:
-        return _conditional_pdf(mp, x, y) * gamma_shadow_pdf(sh, y)
+        return conditional_pdf(mp, x, y) * gamma_shadow_pdf(sh, y)
 
     scale = max(x, sh.b * sh.omega)
     res = integrate_semi_infinite(
@@ -305,14 +502,15 @@ def mixture_pdf(
 
 def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_000) -> Density:
     """Full composite distribution on the oracle route (atoms included)."""
-    atoms = ()
-    if isinstance(m.multipath, ExtremeParams):
-        atoms = ((0.0, m.multipath.atom_mass),)
     return Density(
         continuous=lambda x: mixture_pdf(m, x, rel_tol=rel_tol, budget=budget),
-        atoms=atoms,
+        atoms=_atoms(m.multipath),
     )
 
+
+# ----------------------------------------------------------------------
+# Series route
+# ----------------------------------------------------------------------
 
 def _gross_ln_weight(n: int, l: int) -> float:
     # Weight of the degree-n polynomial surrogate relative to the
@@ -320,12 +518,38 @@ def _gross_ln_weight(n: int, l: int) -> float:
     return math.lgamma(n + l) - math.lgamma(n - l + 1.0) + (1.0 - 2.0 * l) * math.log(n)
 
 
-def akm_gamma_pdf_series(
-    m: CompositeModel,
-    x: float,
-    cfg: SeriesConfig = SeriesConfig(),
-    cache: Optional[dict] = None,
+def _series_pdf(
+    family: Family, m: CompositeModel, x: float, cfg: Optional[SeriesConfig]
 ) -> float:
+    # Sum of the family's series terms, or its one exact term (which reads
+    # no series settings).
+    _check_argument(x)
+    if x == 0.0:
+        return _value_at_origin(family, m)
+    alpha, omega = m.multipath.alpha, m.shadow.omega
+    ln_coeff, p0, inner = family.series(m.multipath, m.shadow, x)
+    if family.exact:
+        return math.exp(ln_coeff(0) + shadow_kernel_integral_ln(p0, inner, alpha, omega))
+
+    def term(l: int) -> float:
+        ln_c = ln_coeff(l)
+        if cfg.use_gross:
+            ln_c += _gross_ln_weight(cfg.max_terms, l)
+        return math.exp(ln_c + shadow_kernel_integral_ln(p0 - l, inner, alpha, omega))
+
+    if cfg.use_gross:
+        return sum(term(l) for l in range(cfg.max_terms + 1))
+    return sum_adaptive(term, rel_tol=cfg.rel_tol, max_terms=cfg.max_terms).value
+
+
+def _require(m: CompositeModel, name: str, caller: str) -> Family:
+    family = FAMILIES[name]
+    if not isinstance(m.multipath, family.params):
+        raise DomainError(f"{caller} requires {family.params.__name__} multipath parameters")
+    return family
+
+
+def akm_gamma_pdf_series(m: CompositeModel, x: float, cfg: SeriesConfig = SeriesConfig()) -> float:
     """Series form of the LOS composite density.
 
     Term l couples the coefficient x^(alpha*(mu+l)-1) mu^(mu+2l) kappa^l
@@ -333,87 +557,25 @@ def akm_gamma_pdf_series(
     the shadow kernel at p = b/alpha - mu - l, A = mu*(1+kappa)*x^alpha.
     Vanishing LOS power routes to the exact zero-LOS form.
     """
+    family = _require(m, "akm", "akm_gamma_pdf_series")
     mp = m.multipath
-    if not isinstance(mp, AkmParams):
-        raise DomainError("akm_gamma_pdf_series requires the LOS multipath model")
-    sh = m.shadow
     if mp.kappa < KAPPA_ZERO_THRESHOLD:
         logger.debug("kappa=%g below threshold; using the exact zero-LOS composite", mp.kappa)
-        reduced = CompositeModel(AmParams(mp.alpha, mp.mu), sh)
-        return am_gamma_pdf(reduced, x)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    if x == 0.0:
-        if mp.alpha * mp.mu - 1.0 > 0.0:
-            return 0.0
-        raise DomainError("composite density is singular at x = 0 for these parameters")
-
-    alpha, kappa, mu = mp.alpha, mp.kappa, mp.mu
-    b, omega = sh.b, sh.omega
-    ln_x = math.log(x)
-    ln_mu = math.log(mu)
-    ln_kappa = math.log(kappa)
-    ln_1k = math.log1p(kappa)
-    ln_shadow_norm = math.lgamma(b) + b * math.log(omega)
-    inner = mu * (1.0 + kappa) * x**alpha
-
-    def term(l: int) -> float:
-        ln_coeff = (
-            (alpha * (mu + l) - 1.0) * ln_x
-            + (mu + 2.0 * l) * ln_mu
-            + l * ln_kappa
-            + (mu + l) * ln_1k
-            - math.lgamma(l + 1.0)
-            - math.lgamma(mu + l)
-            - ln_shadow_norm
-            - mu * kappa
-        )
-        if cfg.use_gross:
-            ln_coeff += _gross_ln_weight(cfg.max_terms, l)
-        ln_kernel = _kernel_ln_cached(cache, b / alpha - mu - l, inner, alpha, omega)
-        return math.exp(ln_coeff + ln_kernel)
-
-    if cfg.use_gross:
-        return sum(term(l) for l in range(cfg.max_terms + 1))
-    return sum_adaptive(term, rel_tol=cfg.rel_tol, max_terms=cfg.max_terms).value
+        return am_gamma_pdf(CompositeModel(AmParams(mp.alpha, mp.mu), m.shadow), x)
+    return _series_pdf(family, m, x, cfg)
 
 
-def am_gamma_pdf(m: CompositeModel, r: float, cache: Optional[dict] = None) -> float:
+def am_gamma_pdf(m: CompositeModel, r: float) -> float:
     """Exact single-kernel form of the zero-LOS composite density.
 
     No series truncation is involved: the shadow average of the conditional
     density reduces to one kernel evaluation at p = b/alpha - mu,
     A = mu * r^alpha.
     """
-    mp = m.multipath
-    if not isinstance(mp, AmParams):
-        raise DomainError("am_gamma_pdf requires the zero-LOS multipath model")
-    sh = m.shadow
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"r must be finite and >= 0, got {r!r}")
-    if r == 0.0:
-        if mp.alpha * mp.mu - 1.0 > 0.0:
-            return 0.0
-        raise DomainError("composite density is singular at r = 0 for these parameters")
-    alpha, mu = mp.alpha, mp.mu
-    b, omega = sh.b, sh.omega
-    ln_coeff = (
-        mu * math.log(mu)
-        + (alpha * mu - 1.0) * math.log(r)
-        - math.lgamma(mu)
-        - math.lgamma(b)
-        - b * math.log(omega)
-    )
-    ln_kernel = _kernel_ln_cached(cache, b / alpha - mu, mu * r**alpha, alpha, omega)
-    return math.exp(ln_coeff + ln_kernel)
+    return _series_pdf(_require(m, "am", "am_gamma_pdf"), m, r, None)
 
 
-def extreme_gamma_pdf(
-    m: CompositeModel,
-    r: float,
-    cfg: SeriesConfig = SeriesConfig(),
-    cache: Optional[dict] = None,
-) -> float:
+def extreme_gamma_pdf(m: CompositeModel, r: float, cfg: SeriesConfig = SeriesConfig()) -> float:
     """Series form of the severe-fading composite density (continuous part).
 
     Term l couples (2m)^(2+2l) r^(alpha*(1+l)-1) e^(-2m) / (l! (l+1)!
@@ -421,51 +583,13 @@ def extreme_gamma_pdf(
     A = 2m * r^alpha.  The deep-fade atom exp(-2m) rides along unchanged;
     ``extreme_gamma_density`` carries it.
     """
-    mp = m.multipath
-    if not isinstance(mp, ExtremeParams):
-        raise DomainError("extreme_gamma_pdf requires the extreme multipath model")
-    sh = m.shadow
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"r must be finite and >= 0, got {r!r}")
-    if r == 0.0:
-        if mp.alpha > 1.0 and sh.b > 1.0:
-            return 0.0
-        raise DomainError("composite density is singular at r = 0 for these parameters")
-    alpha, mm = mp.alpha, mp.m
-    b, omega = sh.b, sh.omega
-    ln_r = math.log(r)
-    ln_2m = math.log(2.0 * mm)
-    ln_shadow_norm = math.lgamma(b) + b * math.log(omega)
-    inner = 2.0 * mm * r**alpha
-
-    def term(l: int) -> float:
-        ln_coeff = (
-            (2.0 + 2.0 * l) * ln_2m
-            + (alpha * (1.0 + l) - 1.0) * ln_r
-            - 2.0 * mm
-            - math.lgamma(l + 1.0)
-            - math.lgamma(l + 2.0)
-            - ln_shadow_norm
-        )
-        if cfg.use_gross:
-            ln_coeff += _gross_ln_weight(cfg.max_terms, l)
-        ln_kernel = _kernel_ln_cached(cache, b / alpha - 1.0 - l, inner, alpha, omega)
-        return math.exp(ln_coeff + ln_kernel)
-
-    if cfg.use_gross:
-        return sum(term(l) for l in range(cfg.max_terms + 1))
-    return sum_adaptive(term, rel_tol=cfg.rel_tol, max_terms=cfg.max_terms).value
+    return _series_pdf(_require(m, "extreme", "extreme_gamma_pdf"), m, r, cfg)
 
 
 def extreme_gamma_density(m: CompositeModel, cfg: SeriesConfig = SeriesConfig()) -> Density:
     """Full severe-fading composite distribution on the series route."""
-    if not isinstance(m.multipath, ExtremeParams):
-        raise DomainError("extreme_gamma_density requires the extreme multipath model")
-    cache: dict = {}
-    return Density(
-        continuous=lambda r: extreme_gamma_pdf(m, r, cfg, cache=cache),
-        atoms=((0.0, m.multipath.atom_mass),),
-    )
+    _require(m, "extreme", "extreme_gamma_density")
+    return composite_density(m, cfg)
 
 
 def composite_pdf(
@@ -474,7 +598,6 @@ def composite_pdf(
     cfg: SeriesConfig = SeriesConfig(),
     *,
     oracle: bool = False,
-    cache: Optional[dict] = None,
 ) -> float:
     """Continuous composite density at x, series/exact route by default.
 
@@ -482,11 +605,7 @@ def composite_pdf(
     """
     if oracle:
         return mixture_pdf(m, x)
-    if isinstance(m.multipath, AkmParams):
-        return akm_gamma_pdf_series(m, x, cfg, cache=cache)
-    if isinstance(m.multipath, AmParams):
-        return am_gamma_pdf(m, x, cache=cache)
-    return extreme_gamma_pdf(m, x, cfg, cache=cache)
+    return family_of(m.multipath).route(m, x, cfg)
 
 
 def composite_density(
@@ -495,14 +614,8 @@ def composite_density(
     *,
     oracle: bool = False,
 ) -> Density:
-    """Full composite distribution with a fresh per-batch kernel cache."""
+    """Full composite distribution (atoms included), series/exact route by
+    default and the mixture oracle with ``oracle=True``."""
     if oracle:
         return mixture_density(m)
-    atoms = ()
-    if isinstance(m.multipath, ExtremeParams):
-        atoms = ((0.0, m.multipath.atom_mass),)
-    cache: dict = {}
-    return Density(
-        continuous=lambda x: composite_pdf(m, x, cfg, cache=cache),
-        atoms=atoms,
-    )
+    return Density(continuous=lambda x: composite_pdf(m, x, cfg), atoms=_atoms(m.multipath))

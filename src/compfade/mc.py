@@ -1,12 +1,9 @@
 """Exact samplers and goodness-of-fit machinery.
 
-Sampling exploits the Poisson-gamma mixture structure of the models: for
-the LOS model, draw N ~ Poisson(mu*kappa) and G ~ Gamma(mu + N, 1), then
-P = (G / (mu*(1+kappa)))^(1/alpha); for the severe-fading model, draw
-N ~ Poisson(2m) and return zero when N = 0 (the deep-fade atom) else
-(G_N / (2m))^(1/alpha) with G_N ~ Gamma(N, 1).  Composite draws first pick
-the shadow scale Y ~ Gamma(b, omega) and then the multipath variate at rms
-scale Y.
+Each family's exact unit-scale sampler lives in the family table
+(``composite.FAMILIES``); for the multipath models it exploits their
+Poisson-gamma mixture structure.  Composite draws first pick the shadow
+scale Y ~ Gamma(b, omega) and then the multipath variate at rms scale Y.
 
 Randomness comes from numpy's counter-based Philox bit generator seeded
 through ``SeedSequence``, so batches are bit-reproducible per (seed, model,
@@ -20,19 +17,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .composite import CompositeModel
+from .composite import SHADOW, CompositeModel, family_of
 from .errors import DomainError
-from .models import AkmParams, AmParams, Density, ExtremeParams, GammaShadowParams
+from .models import Density
 from .numerics import integrate_semi_infinite
 
 __all__ = [
     "SampleBatch",
     "GofReport",
     "CdfTable",
+    "sample_plain",
     "sample_akm",
     "sample_am",
     "sample_extreme",
@@ -44,9 +41,6 @@ __all__ = [
     "subsequence_seeds",
     "model_descriptor",
 ]
-
-PlainModel = Union[AkmParams, AmParams, ExtremeParams, GammaShadowParams]
-
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -78,24 +72,19 @@ class GofReport:
 def model_descriptor(model) -> str:
     """Stable JSON tag identifying a model and its parameters."""
 
-    def describe(obj):
-        if isinstance(obj, AkmParams):
-            return {"family": "akm", "alpha": obj.alpha, "kappa": obj.kappa, "mu": obj.mu}
-        if isinstance(obj, AmParams):
-            return {"family": "am", "alpha": obj.alpha, "mu": obj.mu}
-        if isinstance(obj, ExtremeParams):
-            return {"family": "extreme", "alpha": obj.alpha, "m": obj.m}
-        if isinstance(obj, GammaShadowParams):
-            return {"family": "gamma-shadow", "b": obj.b, "omega": obj.omega}
-        if isinstance(obj, CompositeModel):
-            return {
-                "family": "composite",
-                "multipath": describe(obj.multipath),
-                "shadow": describe(obj.shadow),
-            }
-        raise DomainError(f"cannot describe model {obj!r}")
+    def describe(params):
+        family = family_of(params)
+        return {"family": family.name, **{f: getattr(params, f) for f in family.fields}}
 
-    return json.dumps(describe(model), sort_keys=True)
+    if isinstance(model, CompositeModel):
+        tag = {
+            "family": "composite",
+            "multipath": describe(model.multipath),
+            "shadow": describe(model.shadow),
+        }
+    else:
+        tag = describe(model)
+    return json.dumps(tag, sort_keys=True)
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -112,69 +101,24 @@ def _check_count(count: int) -> None:
         raise DomainError(f"count must be a positive integer, got {count!r}")
 
 
-def _akm_values(p: AkmParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    n = rng.poisson(p.mu * p.kappa, size=count)
-    g = rng.standard_gamma(p.mu + n)
-    return (g / (p.mu * (1.0 + p.kappa))) ** (1.0 / p.alpha)
-
-
-def _am_values(p: AmParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_gamma(p.mu, size=count)
-    return (g / p.mu) ** (1.0 / p.alpha)
-
-
-def _extreme_values(p: ExtremeParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    lam = 2.0 * p.m
-    n = rng.poisson(lam, size=count)
-    values = np.zeros(count)
-    deep = n == 0
-    if np.any(~deep):
-        g = rng.standard_gamma(n[~deep].astype(float))
-        values[~deep] = (g / lam) ** (1.0 / p.alpha)
-    return values
-
-
-def sample_akm(p: AkmParams, count: int, seed: int) -> SampleBatch:
-    """Exact draws of the normalized LOS envelope."""
+def sample_plain(p, count: int, seed: int) -> SampleBatch:
+    """Exact draws of a plain (unshadowed) model at unit rms scale, deep-fade
+    zeros included; the gamma shadow draws its own variable."""
     _check_count(count)
     rng = _generator(seed)
-    return SampleBatch(_akm_values(p, count, rng), seed, model_descriptor(p))
+    return SampleBatch(family_of(p).sample(p, count, rng), seed, model_descriptor(p))
 
 
-def sample_am(p: AmParams, count: int, seed: int) -> SampleBatch:
-    """Exact draws of the normalized zero-LOS envelope."""
-    _check_count(count)
-    rng = _generator(seed)
-    return SampleBatch(_am_values(p, count, rng), seed, model_descriptor(p))
-
-
-def sample_extreme(p: ExtremeParams, count: int, seed: int) -> SampleBatch:
-    """Exact draws of the severe-fading envelope, deep-fade zeros included."""
-    _check_count(count)
-    rng = _generator(seed)
-    return SampleBatch(_extreme_values(p, count, rng), seed, model_descriptor(p))
-
-
-def sample_gamma_shadow(g: GammaShadowParams, count: int, seed: int) -> SampleBatch:
-    """Draws of the gamma shadow variable."""
-    _check_count(count)
-    rng = _generator(seed)
-    values = rng.gamma(shape=g.b, scale=g.omega, size=count)
-    return SampleBatch(values, seed, model_descriptor(g))
+# The per-family names of the one plain sampler.
+sample_akm = sample_am = sample_extreme = sample_gamma_shadow = sample_plain
 
 
 def sample_composite(m: CompositeModel, count: int, seed: int) -> SampleBatch:
     """Exact composite draws: shadow scale first, then the multipath variate."""
     _check_count(count)
     rng = _generator(seed)
-    y = rng.gamma(shape=m.shadow.b, scale=m.shadow.omega, size=count)
-    mp = m.multipath
-    if isinstance(mp, AkmParams):
-        values = y * _akm_values(mp, count, rng)
-    elif isinstance(mp, AmParams):
-        values = y * _am_values(mp, count, rng)
-    else:
-        values = y * _extreme_values(mp, count, rng)
+    y = SHADOW.sample(m.shadow, count, rng)
+    values = y * family_of(m.multipath).sample(m.multipath, count, rng)
     return SampleBatch(values, seed, model_descriptor(m))
 
 

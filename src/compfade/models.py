@@ -32,6 +32,7 @@ __all__ = [
     "akm_cdf_series",
     "akm_power_pdf",
     "akm_moment",
+    "akm_moment_quadrature",
     "nakagami_m_equiv",
     "extreme_pdf",
     "extreme_cdf",
@@ -293,6 +294,19 @@ def akm_moment(p: AkmParams, order: float) -> float:
         - la * math.log(p.mu * (1.0 + p.kappa))
     )
     return math.exp(ln_pref) * specfun.kummer_1f1(p.mu + la, p.mu, p.kappa * p.mu)
+
+
+def akm_moment_quadrature(p: AkmParams, order: float) -> float:
+    """The same moment by direct quadrature of the density: the independent
+    check of ``akm_moment``."""
+    res = integrate_semi_infinite(
+        lambda rho: rho**order * akm_pdf_normalized(p, rho),
+        rel_tol=1e-10,
+        abs_tol=1e-14,
+        budget=400_000,
+        scale=1.5,
+    )
+    return res.value
 
 
 def nakagami_m_equiv(kappa: float, mu: float) -> float:

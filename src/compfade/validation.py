@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import composite, figures, mc, models, numerics, specfun
-from .composite import CompositeModel, SeriesConfig
+from .composite import FAMILIES, MULTIPATH_FAMILIES, SHADOW, CompositeModel, SeriesConfig
 from .models import AkmParams, AmParams, ExtremeParams, GammaShadowParams, ScaledEnvelope
 
 __all__ = ["run_validation", "CHECKS", "PARAM_BOX"]
@@ -36,15 +36,21 @@ PARAM_BOX = {
 }
 
 _ACCEPT_CFG = SeriesConfig(max_terms=160, rel_tol=1e-9)
+_AKM = FAMILIES["akm"]
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _draw(rng, key):
-    lo, hi = PARAM_BOX[key]
+def _draw(rng, key, box=PARAM_BOX):
+    lo, hi = box[key]
     return float(rng.uniform(lo, hi))
+
+
+def _random(rng, family, box=PARAM_BOX):
+    # One draw per field, in the family's field order.
+    return family.params(*(_draw(rng, f, box) for f in family.fields))
 
 
 def _check(name, passed, measured, threshold, details=None):
@@ -301,14 +307,6 @@ def check_series_summation() -> dict:
 # Plain model checks
 # ----------------------------------------------------------------------
 
-def _random_akm(rng) -> AkmParams:
-    return AkmParams(_draw(rng, "alpha"), _draw(rng, "kappa"), _draw(rng, "mu"))
-
-
-def _random_shadow(rng) -> GammaShadowParams:
-    return GammaShadowParams(_draw(rng, "b"), _draw(rng, "omega"))
-
-
 def check_normalization(draws: int = 20, seed: int = 23) -> dict:
     """Total probability mass (continuous + atoms) of each density family."""
     rng = _rng(seed)
@@ -322,13 +320,13 @@ def check_normalization(draws: int = 20, seed: int = 23) -> dict:
 
     errs = []
     for _ in range(draws):
-        p = _random_akm(rng)
+        p = _random(rng, _AKM)
         errs.append(abs(mass_of(lambda r: models.akm_pdf_normalized(p, r)) - 1.0))
     worst["akm_normalized"] = max(errs)
 
     errs = []
     for _ in range(draws):
-        p = _random_akm(rng)
+        p = _random(rng, _AKM)
         s = ScaledEnvelope(float(rng.uniform(0.4, 2.5)))
         errs.append(
             abs(mass_of(lambda r: models.akm_pdf_envelope(p, s, r), scale=s.rhat) - 1.0)
@@ -337,20 +335,20 @@ def check_normalization(draws: int = 20, seed: int = 23) -> dict:
 
     errs = []
     for _ in range(draws):
-        p = _random_akm(rng)
+        p = _random(rng, _AKM)
         errs.append(abs(mass_of(lambda w: models.akm_power_pdf(p, w)) - 1.0))
     worst["akm_power"] = max(errs)
 
     errs = []
     for _ in range(draws):
-        p = AmParams(_draw(rng, "alpha"), _draw(rng, "mu"))
+        p = _random(rng, FAMILIES["am"])
         s = ScaledEnvelope(float(rng.uniform(0.4, 2.5)))
         errs.append(abs(mass_of(lambda r: models.am_pdf(p, s, r), scale=s.rhat) - 1.0))
     worst["am"] = max(errs)
 
     errs = []
     for _ in range(draws):
-        p = ExtremeParams(_draw(rng, "alpha"), _draw(rng, "m"))
+        p = _random(rng, FAMILIES["extreme"])
         target = 1.0 - p.atom_mass
         errs.append(abs(mass_of(lambda r: models.extreme_pdf(p, r)) - target))
         p2 = ExtremeParams(2.0, _draw(rng, "m"))
@@ -359,31 +357,23 @@ def check_normalization(draws: int = 20, seed: int = 23) -> dict:
 
     errs = []
     for _ in range(draws):
-        g = _random_shadow(rng)
+        g = _random(rng, SHADOW)
         errs.append(
             abs(mass_of(lambda y: models.gamma_shadow_pdf(g, y), scale=g.b * g.omega) - 1.0)
         )
     worst["gamma_shadow"] = max(errs)
 
-    composite_draws = draws
-    for family in ("akm_gamma", "am_gamma", "extreme_gamma"):
+    for family in MULTIPATH_FAMILIES:
         errs = []
-        for _ in range(composite_draws):
-            shadow = _random_shadow(rng)
-            if family == "akm_gamma":
-                model = CompositeModel(_random_akm(rng), shadow)
-            elif family == "am_gamma":
-                model = CompositeModel(AmParams(_draw(rng, "alpha"), _draw(rng, "mu")), shadow)
-            else:
-                model = CompositeModel(
-                    ExtremeParams(_draw(rng, "alpha"), _draw(rng, "m")), shadow
-                )
+        for _ in range(draws):
+            shadow = _random(rng, SHADOW)
+            model = CompositeModel(_random(rng, family), shadow)
             density = composite.composite_density(model, _ACCEPT_CFG)
             mass = models.density_total_mass(
                 density, rel_tol=1e-7, budget=400_000, scale=shadow.b * shadow.omega
             )
             errs.append(abs(mass - 1.0))
-        worst[family] = max(errs)
+        worst[f"{family.name}_gamma"] = max(errs)
 
     measured = max(worst.values())
     return _check("normalization", measured <= 1e-6, measured, 1e-6, worst)
@@ -400,7 +390,7 @@ def check_cdf_dual_form(points: int = 100, seed: int = 31) -> dict:
     rng = _rng(seed)
     worst = 0.0
     for _ in range(points):
-        p = _random_akm(rng)
+        p = _random(rng, _AKM)
         rho = float(rng.uniform(0.05, 3.0))
         f1 = models.akm_cdf(p, rho)
         f2 = models.akm_cdf_series(p, rho)
@@ -409,17 +399,6 @@ def check_cdf_dual_form(points: int = 100, seed: int = 31) -> dict:
             gap = max(gap, gap / max(f1, f2))
         worst = max(worst, gap)
     return _check("cdf_dual_form", worst <= 1e-9, worst, 1e-9)
-
-
-def _moment_quadrature(p: AkmParams, order: float) -> float:
-    res = numerics.integrate_semi_infinite(
-        lambda rho: rho**order * models.akm_pdf_normalized(p, rho),
-        rel_tol=1e-10,
-        abs_tol=1e-14,
-        budget=400_000,
-        scale=1.5,
-    )
-    return res.value
 
 
 def _moment_alt_form(p: AkmParams, order: float) -> float:
@@ -440,7 +419,7 @@ def check_moments(param_sets=None, seed: int = 37) -> dict:
     rng = _rng(seed)
     if param_sets is None:
         param_sets = [AkmParams(2.0, 1.5, 2.1), AkmParams(3.1, 0.7, 1.3)] + [
-            _random_akm(rng) for _ in range(3)
+            _random(rng, _AKM) for _ in range(3)
         ]
     worst = 0.0
     zeroth_err = 0.0
@@ -448,7 +427,7 @@ def check_moments(param_sets=None, seed: int = 37) -> dict:
     for p in param_sets:
         for order in (0.0, 1.0, 2.0, 3.0, 4.0):
             closed = models.akm_moment(p, order)
-            quad = _moment_quadrature(p, order)
+            quad = models.akm_moment_quadrature(p, order)
             worst = max(worst, _rel_err(closed, quad))
             if order == 0.0:
                 zeroth_err = max(zeroth_err, abs(closed - 1.0))
@@ -535,26 +514,20 @@ def _series_grid(shadow: GammaShadowParams, points: int) -> np.ndarray:
 def check_series_vs_oracle(draws: int = 20, points: int = 25, seed: int = 47) -> dict:
     """Series/exact composite routes against the mixture-quadrature oracle."""
     rng = _rng(seed)
-    worst = {"akm_gamma": 0.0, "am_gamma": 0.0, "extreme_gamma": 0.0}
-    for family in worst:
+    worst = {}
+    for family in MULTIPATH_FAMILIES:
+        key = f"{family.name}_gamma"
+        worst[key] = 0.0
         for _ in range(draws):
-            shadow = _random_shadow(rng)
-            if family == "akm_gamma":
-                model = CompositeModel(_random_akm(rng), shadow)
-            elif family == "am_gamma":
-                model = CompositeModel(AmParams(_draw(rng, "alpha"), _draw(rng, "mu")), shadow)
-            else:
-                model = CompositeModel(
-                    ExtremeParams(_draw(rng, "alpha"), _draw(rng, "m")), shadow
-                )
-            cache: dict = {}
+            shadow = _random(rng, SHADOW)
+            model = CompositeModel(_random(rng, family), shadow)
             for x in _series_grid(shadow, points):
                 x = float(x)
-                series = composite.composite_pdf(model, x, _ACCEPT_CFG, cache=cache)
+                series = composite.composite_pdf(model, x, _ACCEPT_CFG)
                 oracle = composite.mixture_pdf(model, x)
                 if oracle < 1e-290:
                     continue  # both routes underflow in the far tail
-                worst[family] = max(worst[family], _rel_err(series, oracle))
+                worst[key] = max(worst[key], _rel_err(series, oracle))
     passed = (
         worst["akm_gamma"] <= 1e-4
         and worst["extreme_gamma"] <= 1e-4
@@ -727,11 +700,12 @@ def check_monte_carlo(
     critical = mc.ks_critical_value(0.001, count)
     details = {}
     failures = []
+    box = dict(PARAM_BOX, alpha=(1.2, 4.0), mu=(0.9, 4.0), b=(1.1, 5.0))
 
-    def run_family(family, make):
+    def run_family(label, make, family):
         worst = 0.0
         for d in range(draws):
-            model, density, sampler = make()
+            model, density, sampler = make(family)
             batches = [sampler(int(s) + d) for s in seeds]
             x_max = max(float(np.max(b.values)) for b in batches) * 1.05
             table = mc.build_cdf_table(density, x_max, grid_points)
@@ -739,39 +713,23 @@ def check_monte_carlo(
                 report = mc.gof_compare(batch, density, table=table)
                 worst = max(worst, report.ks_statistic)
                 if report.ks_statistic > critical:
-                    failures.append(f"{family} draw={d} seed={batch.seed}")
-        details[family] = worst
+                    failures.append(f"{label} draw={d} seed={batch.seed}")
+        details[label] = worst
 
-    def make_akm():
-        p = AkmParams(
-            float(rng.uniform(1.2, 4.0)), _draw(rng, "kappa"), float(rng.uniform(0.9, 4.0))
-        )
-        density = models.Density(continuous=lambda r: models.akm_pdf_normalized(p, r))
-        return p, density, lambda s: mc.sample_akm(p, count, s)
+    def make_plain(family):
+        p = _random(rng, family, box)
+        return p, composite.plain_density(p), lambda s: mc.sample_plain(p, count, s)
 
-    def make_extreme():
-        p = ExtremeParams(float(rng.uniform(1.2, 4.0)), _draw(rng, "m"))
-        return p, models.extreme_density(p), lambda s: mc.sample_extreme(p, count, s)
-
-    def make_composite(kind):
-        shadow = GammaShadowParams(float(rng.uniform(1.1, 5.0)), _draw(rng, "omega"))
-        if kind == "akm":
-            mp = AkmParams(
-                float(rng.uniform(1.2, 4.0)), _draw(rng, "kappa"), float(rng.uniform(0.9, 4.0))
-            )
-        elif kind == "am":
-            mp = AmParams(float(rng.uniform(1.2, 4.0)), float(rng.uniform(0.9, 4.0)))
-        else:
-            mp = ExtremeParams(float(rng.uniform(1.2, 4.0)), _draw(rng, "m"))
-        model = CompositeModel(mp, shadow)
+    def make_composite(family):
+        shadow = _random(rng, SHADOW, box)
+        model = CompositeModel(_random(rng, family, box), shadow)
         density = composite.composite_density(model, _ACCEPT_CFG)
         return model, density, lambda s: mc.sample_composite(model, count, s)
 
-    run_family("akm", make_akm)
-    run_family("extreme", make_extreme)
-    run_family("akm_gamma", lambda: make_composite("akm"))
-    run_family("am_gamma", lambda: make_composite("am"))
-    run_family("extreme_gamma", lambda: make_composite("extreme"))
+    for family in (_AKM, FAMILIES["extreme"]):
+        run_family(family.name, make_plain, family)
+    for family in MULTIPATH_FAMILIES:
+        run_family(f"{family.name}_gamma", make_composite, family)
 
     # Deep-fade atom frequency within five standard errors.
     atom_ok = True

@@ -114,6 +114,20 @@ class TestPdfCommand:
         code = main(["pdf", "--model", "am", "--alpha", "-2", "--mu", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--rhat", "0"], ["--series-n", "0"], ["--series-rel-tol", "0"]],
+        ids=["rhat", "series-n", "series-rel-tol"],
+    )
+    def test_zero_setting_is_usage_error(self, extra, capsys):
+        # A given zero is a value, not a request for the default.
+        model = "akm" if extra[0] == "--rhat" else "akm-gamma"
+        code = main(
+            ["pdf", "--model", model, "--alpha", "2", "--kappa", "1", "--mu", "1.5",
+             "--b", "1.4", "--omega", "0.9", "--grid", "0.5:2:4"] + extra
+        )
+        assert code == 2
+
     def test_kmu_alias_forces_alpha_two(self, capsys):
         code = main(
             ["pdf", "--model", "kmu-gamma", "--kappa", "4", "--mu", "1",
@@ -247,6 +261,24 @@ class TestSampleCommand:
         se = math.sqrt(expected * (1.0 - expected) / 100_000)
         assert abs(report["atom_frequency_observed"] - expected) <= 5.0 * se
         assert report["ks_statistic"] <= report["ks_critical_0_001"]
+
+    def test_seed_zero_is_its_own_seed(self, tmp_path):
+        args = ["sample", "--model", "am", "--alpha", "2", "--mu", "1.3",
+                "--count", "50", "--report", str(tmp_path / "r.json")]
+        paths = []
+        for seed in ("0", "1"):
+            paths.append(tmp_path / f"s{seed}.txt")
+            assert main(args + ["--seed", seed, "--out", str(paths[-1])]) == 0
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+
+    @pytest.mark.parametrize("extra", [["--count", "0"], ["--seed", "-1"]], ids=["count", "seed"])
+    def test_bad_count_or_seed_is_usage_error(self, extra, tmp_path, capsys):
+        code = main(
+            ["sample", "--model", "am", "--alpha", "2", "--mu", "1.3",
+             "--out", str(tmp_path / "s.txt"), "--report", str(tmp_path / "r.json")] + extra
+        )
+        assert code == 2
+        assert not (tmp_path / "s.txt").exists()
 
     def test_akm_gamma_strict_gof(self, tmp_path):
         code = main(

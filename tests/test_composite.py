@@ -180,11 +180,10 @@ class TestSeriesRoutes:
                 ),
                 GammaShadowParams(float(rng.uniform(0.8, 5.0)), float(rng.uniform(0.3, 3.0))),
             )
-            cache = {}
             scale = model.shadow.b * model.shadow.omega
             for frac in (0.1, 0.6, 1.5, 3.5):
                 x = frac * scale
-                series = akm_gamma_pdf_series(model, x, CFG, cache=cache)
+                series = akm_gamma_pdf_series(model, x, CFG)
                 assert series == pytest.approx(mixture_pdf(model, x), rel=1e-4)
 
     def test_am_gamma_exact_vs_oracle(self):
@@ -206,11 +205,10 @@ class TestSeriesRoutes:
                 ExtremeParams(float(rng.uniform(1.0, 4.0)), float(rng.uniform(0.5, 3.0))),
                 GammaShadowParams(float(rng.uniform(0.8, 5.0)), float(rng.uniform(0.3, 3.0))),
             )
-            cache = {}
             scale = model.shadow.b * model.shadow.omega
             for frac in (0.1, 0.6, 1.5, 3.5):
                 x = frac * scale
-                series = extreme_gamma_pdf(model, x, CFG, cache=cache)
+                series = extreme_gamma_pdf(model, x, CFG)
                 assert series == pytest.approx(mixture_pdf(model, x), rel=1e-4)
 
     def test_kappa_zero_routes_to_exact_form(self):
@@ -249,20 +247,42 @@ class TestSeriesRoutes:
         with pytest.raises(DomainError):
             akm_gamma_pdf_series(singular, 0.0, CFG)
 
-    def test_cache_does_not_change_values(self):
-        model = CompositeModel(AkmParams(1.8, 1.2, 1.4), GammaShadowParams(1.6, 0.9))
-        cache = {}
-        v1 = [akm_gamma_pdf_series(model, x, CFG, cache=cache) for x in (0.5, 1.0, 0.5)]
-        v2 = [akm_gamma_pdf_series(model, x, CFG) for x in (0.5, 1.0, 0.5)]
-        assert v1 == v2
-        assert v1[0] == v1[2]
-
     def test_series_non_convergence_signal(self):
         from compfade import NonConvergenceError
 
         model = CompositeModel(AkmParams(2.0, 5.0, 4.0), GammaShadowParams(1.5, 1.0))
         with pytest.raises(NonConvergenceError):
             akm_gamma_pdf_series(model, 1.0, SeriesConfig(max_terms=5, rel_tol=1e-10))
+
+
+MULTIPATH = {
+    "akm": AkmParams(2.0, 1.0, 1.0),
+    "am": AmParams(2.0, 1.0),
+    "extreme": ExtremeParams(2.0, 1.1),
+}
+
+
+class TestOriginRule:
+    # The composite density behaves like x^min(e, b - 1) at the origin, with
+    # e the multipath leading exponent (1 for all three cases below).
+    @pytest.mark.parametrize("family", sorted(MULTIPATH))
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    def test_shadow_below_one_is_singular(self, family, route):
+        model = CompositeModel(MULTIPATH[family], GammaShadowParams(0.8, 1.0))
+        oracle = route == "oracle"
+        # The density grows without bound towards zero ...
+        assert composite_pdf(model, 1e-4, CFG, oracle=oracle) > composite_pdf(
+            model, 1e-2, CFG, oracle=oracle
+        )
+        # ... so there is no value to return at zero.
+        with pytest.raises(DomainError):
+            composite_pdf(model, 0.0, CFG, oracle=oracle)
+
+    @pytest.mark.parametrize("family", sorted(MULTIPATH))
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    def test_both_exponents_positive_give_zero(self, family, route):
+        model = CompositeModel(MULTIPATH[family], GammaShadowParams(1.5, 1.0))
+        assert composite_pdf(model, 0.0, CFG, oracle=route == "oracle") == 0.0
 
 
 class TestGrossVariant:
