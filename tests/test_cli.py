@@ -128,6 +128,25 @@ class TestPdfCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "model,params",
+        [
+            ("akm", ["--alpha", "2.5", "--kappa", "1.7", "--mu", "1.8"]),
+            ("am", ["--alpha", "2.4", "--mu", "1.3"]),
+            ("extreme", ["--alpha", "2", "--m", "1.1"]),
+            ("gamma-shadow", ["--b", "1.6", "--omega", "0.8"]),
+        ],
+    )
+    def test_rhat_scales_every_plain_model(self, model, params, capsys):
+        # f_rhat(x) = f_1(x / rhat) / rhat and F_rhat(x) = F_1(x / rhat).
+        for command, factor in (("pdf", 0.5), ("cdf", 1.0)):
+            base = [command, "--model", model] + params
+            assert main(base + ["--grid", "0.5:1.5:3", "--rhat", "2"]) == 0
+            _, scaled, _, _ = parse_csv_curve(capsys.readouterr().out)
+            assert main(base + ["--grid", "0.25:0.75:3"]) == 0
+            _, unit, _, _ = parse_csv_curve(capsys.readouterr().out)
+            assert scaled == pytest.approx([v * factor for v in unit], rel=1e-12)
+
     def test_kmu_alias_forces_alpha_two(self, capsys):
         code = main(
             ["pdf", "--model", "kmu-gamma", "--kappa", "4", "--mu", "1",
