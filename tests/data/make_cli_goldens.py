@@ -11,7 +11,9 @@ and criterion 09 compare the program's current output against them, so a
 refactor that must not change numbers can prove it did not.
 
 Regenerate only when an output is meant to change, and say why in the
-commit that does it.
+commit that does it.  The goldens are exact for the platform that wrote
+them (Python 3.11, numpy 2.4 on x86-64): numpy's vectorized exp and log may
+round differently on another CPU or numpy build.
 """
 
 from __future__ import annotations
