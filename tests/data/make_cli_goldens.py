@@ -11,18 +11,31 @@ and criterion 09 compare the program's current output against them, so a
 refactor that must not change numbers can prove it did not.
 
 Regenerate only when an output is meant to change, and say why in the
-commit that does it.  The goldens are exact for the platform that wrote
+commit that does it.  Before regenerating, measure the change:
+
+    PYTHONPATH=src python3 tests/data/make_cli_goldens.py --compare [--figures DIR]
+
+reruns every case and compares each output with its golden: the text with
+every number masked must be identical, and it prints each file's largest
+relative gap between corresponding numbers.  With ``--figures DIR`` it also
+writes the figure files and compares them, number by number, with the
+files of the same names in DIR (written by another commit with
+``compfade figure <id> --out-dir DIR --grid 0.01:4:120``).  It exits 1 if
+any text, exit status or file list differs.  The goldens are exact for the platform that wrote
 them (Python 3.11, numpy 2.4 on x86-64): numpy's vectorized exp and log may
 round differently on another CPU or numpy build.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -112,11 +125,11 @@ def run_case(name: str) -> dict:
     return {"exit": code, "outputs": outputs}
 
 
-def figure_digests(out_root: Path) -> dict:
-    """File name -> SHA-256 of every figure file of the four figures."""
+def write_figures(out_root: Path) -> list:
+    """Write the figure files of the four figures; returns their paths."""
     from compfade.cli import main
 
-    digests = {}
+    paths = []
     for figure_id in (1, 2, 3, 4):
         out_dir = out_root / f"fig{figure_id}"
         with contextlib.redirect_stdout(io.StringIO()):
@@ -124,12 +137,67 @@ def figure_digests(out_root: Path) -> dict:
                          "--grid", FIGURE_GRID])
         if code != 0:
             raise SystemExit(f"figure {figure_id} exited {code}")
-        for path in sorted(out_dir.glob(f"figure{figure_id}_*.json")):
-            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
+        paths += sorted(out_dir.glob(f"figure{figure_id}_*.json"))
+    return paths
 
 
-def main() -> None:
+def figure_digests(out_root: Path) -> dict:
+    """File name -> SHA-256 of every figure file of the four figures."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in write_figures(out_root)}
+
+
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_gap(new: bytes, old: bytes):
+    """(text equal once numbers are masked, largest relative gap between
+    corresponding numbers)."""
+    if NUMBER.sub(b"#", new) != NUMBER.sub(b"#", old):
+        return False, math.inf
+    gap = 0.0
+    for a, b in zip(NUMBER.findall(new), NUMBER.findall(old)):
+        x, y = float(a), float(b)
+        if x != y:
+            gap = max(gap, abs(x - y) / max(abs(x), abs(y)))
+    return True, gap
+
+
+def _report(fname: str, new: bytes, old: bytes) -> bool:
+    """Print one file's comparison; true when its text differs."""
+    if new == old:
+        print(f"{fname}: identical")
+        return False
+    same, gap = number_gap(new, old)
+    print(f"{fname}: max rel gap {gap:.3g}" if same else f"{fname}: TEXT DIFFERS")
+    return not same
+
+
+def compare(figure_dir) -> int:
+    index = json.loads((GOLDEN_DIR / "index.json").read_text())
+    differs = False
+    for name in CASES:
+        result = run_case(name)
+        if result["exit"] != index[name]["exit"] or sorted(result["outputs"]) != index[name]["files"]:
+            print(f"{name}: EXIT STATUS OR FILE LIST DIFFERS")
+            differs = True
+            continue
+        for fname, data in sorted(result["outputs"].items()):
+            differs |= _report(fname, data, (GOLDEN_DIR / fname).read_bytes())
+    if figure_dir is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_figures(Path(tmp))
+            old = {path.name: path for path in Path(figure_dir).rglob("figure*_*.json")}
+            if sorted(old) != sorted(path.name for path in paths):
+                print("figures: FILE LIST DIFFERS")
+                differs = True
+            for path in paths:
+                if path.name in old:
+                    differs |= _report(path.name, path.read_bytes(), old[path.name].read_bytes())
+    return 1 if differs else 0
+
+
+def write_goldens() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     index = {}
     for name, (argv, _files) in CASES.items():
@@ -145,5 +213,20 @@ def main() -> None:
     (GOLDEN_DIR / "figure_sha256.json").write_text(json.dumps(digests, indent=1) + "\n")
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write or compare the CLI goldens.")
+    parser.add_argument("--compare", action="store_true",
+                        help="compare current outputs with the goldens; write nothing")
+    parser.add_argument("--figures", metavar="DIR",
+                        help="with --compare: also compare the figure files with those in DIR")
+    args = parser.parse_args(argv)
+    if args.figures is not None and not args.compare:
+        parser.error("--figures needs --compare")
+    if args.compare:
+        return compare(args.figures)
+    write_goldens()
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -31,3 +31,10 @@ def test_cli_output_matches_golden(name):
     assert sorted(result["outputs"]) == INDEX[name]["files"]
     for fname, data in result["outputs"].items():
         assert data == (goldens.GOLDEN_DIR / fname).read_bytes(), fname
+
+
+def test_compare_masks_numbers_and_measures_their_gap():
+    same, gap = goldens.number_gap(b"x,1.0\n#atom,0,2e-3\n", b"x,1.0000000001\n#atom,0,2e-3\n")
+    assert same and gap == pytest.approx(1e-10, rel=1e-3)
+    same, _ = goldens.number_gap(b'{"route": "series", "v": 1}', b'{"route": "oracle", "v": 1}')
+    assert not same
