@@ -211,11 +211,18 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _unwritable(path, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
+
+
 def _write_text(path, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise _unwritable(path, exc)
 
 
 def _curve_payload(model_desc, xs, values, atoms, metadata) -> dict:
@@ -345,7 +352,10 @@ def cmd_moments(cfg: dict) -> int:
 def cmd_figure(cfg: dict) -> int:
     figure_id = int(cfg["figure_id"])
     out_dir = Path(cfg.get("out_dir") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out_dir, exc)
     fmt = cfg.get("format") or "json"
     xs = _parse_grid(cfg)
     series_cfg = SeriesConfig(max_terms=int(_opt(cfg, "series_n", 160)), rel_tol=1e-9)

@@ -110,6 +110,15 @@ class TestPdfCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["missing-dir", "empty"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        out = str(tmp_path / "missing" / "x.csv") if where == "missing-dir" else ""
+        code = main(["pdf", "--model", "am", "--alpha", "2", "--mu", "1", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out!r}: ")
+        assert len(err.splitlines()) == 1
+
     def test_invalid_parameter_value_is_usage_error(self, capsys):
         code = main(["pdf", "--model", "am", "--alpha", "-2", "--mu", "1"])
         assert code == 2
@@ -251,6 +260,15 @@ class TestFigureCommand:
         payload = json.loads(files[0].read_text())
         assert payload["atoms"] == [[0.0, math.exp(-2.2)]]
         assert abs(payload["metadata"]["total_mass"] - 1.0) <= 1e-6
+
+    def test_out_dir_under_a_file_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        code = main(["figure", "1", "--out-dir", str(blocker / "figs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(blocker / 'figs')!r}: ")
+        assert len(err.splitlines()) == 1
 
     def test_invalid_figure_id(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
