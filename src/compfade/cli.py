@@ -222,7 +222,7 @@ def _write_text(path, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise _unwritable(path, exc)
+        raise _unwritable(path, exc) from exc
 
 
 def _curve_payload(model_desc, xs, values, atoms, metadata) -> dict:
@@ -355,7 +355,7 @@ def cmd_figure(cfg: dict) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _unwritable(out_dir, exc)
+        raise _unwritable(out_dir, exc) from exc
     fmt = cfg.get("format") or "json"
     xs = _parse_grid(cfg)
     series_cfg = SeriesConfig(max_terms=int(_opt(cfg, "series_n", 160)), rel_tol=1e-9)

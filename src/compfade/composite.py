@@ -16,10 +16,9 @@ Two independent evaluation routes are provided for every composite family:
 
       K(p, A) = int_0^inf u^(p-1) exp(-A/u) exp(-u^(1/alpha)/omega) du
 
-  A step-halving trapezoid rule in t = ln(u)/alpha computes it; there the
-  integrand is analytic with double-exponential tails, so the rule converges
-  geometrically.  The families differ only in each term's coefficient, the
-  kernel power and the inner scale A.
+  A step-halving trapezoid rule in t = ln(u)/alpha, where the integrand has
+  double-exponential tails, computes it to geometric accuracy.  The families
+  differ only in each term's coefficient, the kernel power and the inner scale A.
 
 The zero-LOS composite needs no series at all: a single kernel evaluation is
 exact.  Extreme composites keep the deep-fade atom exp(-2m) at zero, which
@@ -159,15 +158,14 @@ def shadow_kernel_integral_ln(
     """Natural log of the shadow-kernel integral.
 
     With u = e^(alpha*t) it is ln(alpha * int exp(phi(t)) dt), phi(t) =
-    alpha*p*t - a*e^(-alpha*t) - e^t/omega: a closed form for a = 0
-    (divergent for p <= 0).  For a > 0, phi is strictly concave with
-    double-exponential tails.  Newton's method finds its peak t* and width
-    sigma = (-phi''(t*))^(-1/2).  The range walks out from t* (4 sigma, then
-    tangent steps) until phi - phi(t*) <= ln(rel_tol) - 5; concavity leaves
-    under rel_tol * e^-5 of the integral beyond.  The trapezoid step, first
+    alpha*p*t - a*e^(-alpha*t) - e^t/omega: closed form for a = 0 (divergent
+    for p <= 0).  For a > 0, phi is strictly concave with double-exponential
+    tails.  Newton's method finds its peak t* and width sigma =
+    (-phi''(t*))^(-1/2); the range walks out from t* (4 sigma, then tangent
+    steps) until phi - phi(t*) <= ln(rel_tol) - 5, past which concavity leaves
+    under rel_tol * e^-5 of the integral; the trapezoid step, first
     min(sigma/2, range/16), is halved, keeping every node, until two sums
-    agree to ``rel_tol``; more than ``budget`` nodes raise
-    ``NonConvergenceError``.  Relative to the peak nothing overflows.
+    agree to ``rel_tol``.  Over ``budget`` nodes raises NonConvergenceError.
     """
     args = KernelArgs(p, a, alpha, omega)
     if not 0.0 < rel_tol < 1.0:
@@ -183,8 +181,9 @@ def shadow_kernel_integral_ln(
     mid = (math.log(alpha) + ln_a + ln_omega) / (alpha + 1.0)
     lo = (ln_a - math.log(math.exp(mid) / (alpha * omega) - min(p, 0.0))) / alpha
     hi = math.log(max(ap, 0.0) * omega + math.exp(mid))
-    t = hi if p > 0.0 else lo
-    for _ in range(200):
+    t_next = hi if p > 0.0 else lo
+    for _ in range(200):  # any anchor near the peak gives the same integral
+        t = t_next
         big_a, big_b = math.exp(ln_a - alpha * t), math.exp(t - ln_omega)
         slope, curvature = ap + alpha * big_a - big_b, alpha * alpha * big_a + big_b
         lo, hi = (t, hi) if slope > 0.0 else (lo, t)
@@ -192,9 +191,6 @@ def shadow_kernel_integral_ln(
         t_next = t_next if lo < t_next < hi else 0.5 * (lo + hi)
         if slope * slope <= 1e-12 * curvature or t_next == t:  # step < 1e-6 sigma
             break
-        t = t_next
-    else:
-        raise NonConvergenceError(f"kernel peak search failed for {args!r}")
     sigma = 1.0 / math.sqrt(curvature)
     ln_big_a, ln_big_b = ln_a - alpha * t, t - ln_omega
 
@@ -208,15 +204,18 @@ def shadow_kernel_integral_ln(
     floor, ends = math.log(rel_tol) - 5.0, []
     for step in (-4.0 * sigma, 4.0 * sigma):
         s = 0.0
-        while (found := drop(s + step)) is None or found[0] > floor:
-            if found is None:
+        for _ in range(200):
+            if (found := drop(s + step)) is None:
                 step *= 0.5
-            else:  # by concavity phi reaches floor no later than its tangent
+            elif found[0] > floor:  # concavity: phi reaches floor by the tangent's root
                 s, step = s + step, (floor - found[0]) / found[1]
-        ends.append(s + step)
+            else:
+                ends.append(s + step)
+                break
+    if len(ends) < 2:
+        raise NonConvergenceError(f"kernel range search failed for {args!r}")
     left, width = ends[0], ends[1] - ends[0]
-    # The first pass gives the sums at steps 2h and h; each later one halves
-    # h and adds the midpoints.
+    # One pass gives the sums at steps 2h and h; later ones add midpoints.
     intervals = 2 * max(16, math.ceil(2.0 * width / sigma))
     h = width / intervals
     nodes, coarse, used = left + h * np.arange(intervals + 1), None, 0

@@ -15,11 +15,11 @@ exp(phi - phi(t*)) on equal panels (the peak width, at most 1/alpha) from
 the peak t* out to where the integrand falls below 1e-(digits + 5).  For
 a = 0 the integral alpha * int v^(alpha*p-1) e^(-v/omega) dv is taken in
 s = v^(alpha*p) up to v = omega and in v beyond.
-Each value is computed at ``DPS`` and ``DPS + 15`` digits (each with ten
-guard digits) and must agree to
-``AGREE`` relative; a = 0 cases must also agree with
-ln(alpha) + alpha*p*ln(omega) + lgamma(alpha*p), and alpha = 1 cases with
-ln(2 (a*omega)^(p/2) K_p(2 sqrt(a/omega))).
+
+Each value is computed at ``DPS`` and at ``DPS + 15`` digits (each with ten
+guard digits), and the two must agree to ``AGREE`` relative.  a = 0 cases
+must also agree with ln(alpha) + alpha*p*ln(omega) + lgamma(alpha*p), and
+alpha = 1 cases with ln(2 (a*omega)^(p/2) K_p(2 sqrt(a/omega))).
 
 ``tests/test_kernel_goldens.py`` reads the JSON; it needs no mpmath.
 """

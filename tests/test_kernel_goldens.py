@@ -30,17 +30,6 @@ def test_kernel_matches_mpmath_golden(case):
     assert abs(math.expm1(got - float(case["ln_value"]))) <= DEFAULT_REL_TOL
 
 
-def test_goldens_span_the_parameter_ranges():
-    ps = [c["p"] for c in GOLDENS]
-    positive_a = [c["a"] for c in GOLDENS if c["a"] > 0.0]
-    assert min(ps) <= -59.0 and max(ps) >= 3.0
-    assert min(positive_a) <= 1e-8 and max(positive_a) >= 1e4
-    assert any(c["a"] == 0.0 and c["alpha"] * c["p"] < 1.0 for c in GOLDENS)
-    assert any(c["a"] == 0.0 and c["alpha"] * c["p"] > 1.0 for c in GOLDENS)
-    assert min(c["alpha"] for c in GOLDENS) == 0.5 and max(c["alpha"] for c in GOLDENS) == 6.0
-    assert min(c["omega"] for c in GOLDENS) == 0.1 and max(c["omega"] for c in GOLDENS) == 10.0
-
-
 def test_tiny_budget_raises_nonconvergence():
     with pytest.raises(NonConvergenceError):
         # A flat-topped kernel that needs about 260 nodes.
