@@ -21,9 +21,11 @@ relative gap between corresponding numbers.  With ``--figures DIR`` it also
 writes the figure files and compares them, number by number, with the
 files of the same names in DIR (written by another commit with
 ``compfade figure <id> --out-dir DIR --grid 0.01:4:120``).  It exits 1 if
-any text, exit status or file list differs.  The goldens are exact for the platform that wrote
-them (Python 3.11, numpy 2.4 on x86-64): numpy's vectorized exp and log may
-round differently on another CPU or numpy build.
+any text, exit status or file list differs.
+
+The goldens are exact for the platform that wrote them (Python 3.11,
+numpy 2.4 on x86-64): numpy's vectorized exp and log may round differently
+on another CPU or numpy build.
 """
 
 from __future__ import annotations
