@@ -21,6 +21,11 @@ guard digits), and the two must agree to ``AGREE`` relative.  a = 0 cases
 must also agree with ln(alpha) + alpha*p*ln(omega) + lgamma(alpha*p), and
 alpha = 1 cases with ln(2 (a*omega)^(p/2) K_p(2 sqrt(a/omega))).
 
+The ``rows`` section holds, for each ``(p0, a, alpha, omega)`` in ``ROWS``,
+ln K at the powers p0 - l, l = 0 .. ``ROW_COUNT`` - 1 (p0 - l taken in
+double precision, as the series route forms it): the terms of one series
+point share a, alpha and omega, and the kernel evaluates them as one block.
+
 ``tests/test_kernel_goldens.py`` reads the JSON; it needs no mpmath.
 """
 
@@ -89,6 +94,26 @@ CASES = [
     (3.0, 40.0, 2.0, 0.1),
     (3.0, 1e4, 0.5, 0.3),
     (3.0, 1e-8, 6.0, 10.0),
+]
+
+# Series points: (p0, a, alpha, omega), read as the powers p0 - l.  The
+# values are formed from the model parameters as the series route does.
+ROW_COUNT = 48
+ROWS = [
+    # Figure 2 at kappa 4, mu 4 (p0 = 1.8/2 - 4, a = 20 x^2): x = 2.86 needs
+    # 50 terms at the figure's settings, x = 0.5 needs 48.
+    (1.8 / 2.0 - 4.0, 4.0 * (1 + 4.0) * 2.86**2.0, 2.0, 0.7),
+    (1.8 / 2.0 - 4.0, 4.0 * (1 + 4.0) * 0.5**2.0, 2.0, 0.7),
+    # Figure 4, extreme-gamma (b 1.2, omega 0.8, m 1.1): alpha 4 at r = 3.8,
+    # deep terms against a large inner scale; alpha 1 at r = 1.25, where
+    # p0 - l crosses zero and the Bessel-K closed form applies.
+    (1.2 / 4.0 - 1.0, 2.0 * 1.1 * 3.8**4.0, 4.0, 0.8),
+    (1.2 / 1.0 - 1.0, 2.0 * 1.1 * 1.25**1.0, 1.0, 0.8),
+    # The akm-gamma CLI curve (alpha 1.5, kappa 1, mu 2.1, b 1.1, omega 0.9)
+    # at x = 1.
+    (1.1 / 1.5 - 2.1, 2.1 * (1 + 1.0) * 1.0**1.5, 1.5, 0.9),
+    # A tiny inner scale: flat-topped kernels around p = 0.
+    (3.0, 1e-6, 0.5, 10.0),
 ]
 
 
@@ -166,21 +191,28 @@ def closed_form(p, a, alpha, omega, dps):
     return None
 
 
+def checked(p, a, alpha, omega):
+    """ln K at DPS digits, checked against DPS + 15 digits and any closed form."""
+    value = ln_kernel(p, a, alpha, omega, DPS)
+    check = ln_kernel(p, a, alpha, omega, DPS + 15)
+    gap = abs(value - check) / max(1, abs(check))
+    if gap > AGREE:
+        raise SystemExit(f"case {(p, a, alpha, omega)}: precisions disagree by {gap}")
+    exact = closed_form(p, a, alpha, omega, DPS + 15)
+    if exact is not None and abs(value - exact) / max(1, abs(exact)) > AGREE:
+        raise SystemExit(f"case {(p, a, alpha, omega)}: closed form disagrees")
+    print(f"p={p} a={a} alpha={alpha} omega={omega}: {mp.nstr(value, 20)}")
+    return mp.nstr(value, 30)
+
+
 def main() -> None:
-    rows = []
-    for p, a, alpha, omega in CASES:
-        value = ln_kernel(p, a, alpha, omega, DPS)
-        check = ln_kernel(p, a, alpha, omega, DPS + 15)
-        gap = abs(value - check) / max(1, abs(check))
-        if gap > AGREE:
-            raise SystemExit(f"case {(p, a, alpha, omega)}: precisions disagree by {gap}")
-        exact = closed_form(p, a, alpha, omega, DPS + 15)
-        if exact is not None and abs(value - exact) / max(1, abs(exact)) > AGREE:
-            raise SystemExit(f"case {(p, a, alpha, omega)}: closed form disagrees")
-        rows.append({"p": p, "a": a, "alpha": alpha, "omega": omega,
-                     "ln_value": mp.nstr(value, 30)})
-        print(f"p={p} a={a} alpha={alpha} omega={omega}: {mp.nstr(value, 20)}")
-    OUT.write_text(json.dumps({"dps": DPS, "cases": rows}, indent=1) + "\n")
+    cases = [{"p": p, "a": a, "alpha": alpha, "omega": omega,
+              "ln_value": checked(p, a, alpha, omega)}
+             for p, a, alpha, omega in CASES]
+    rows = [{"p0": p0, "a": a, "alpha": alpha, "omega": omega,
+             "ln_values": [checked(p0 - l, a, alpha, omega) for l in range(ROW_COUNT)]}
+            for p0, a, alpha, omega in ROWS]
+    OUT.write_text(json.dumps({"dps": DPS, "cases": cases, "rows": rows}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ import pytest
 from compfade import shadow_kernel_integral_ln
 from compfade.errors import NonConvergenceError
 
-GOLDENS = json.loads(
+_DATA = json.loads(
     (Path(__file__).resolve().parent / "data" / "kernel_goldens.json").read_text()
-)["cases"]
+)
+GOLDENS = _DATA["cases"]
+ROWS = _DATA["rows"]
 DEFAULT_REL_TOL = 1e-10
 
 
@@ -28,6 +30,22 @@ def test_kernel_matches_mpmath_golden(case):
     got = shadow_kernel_integral_ln(case["p"], case["a"], case["alpha"], case["omega"])
     # Relative error of K itself, from the gap between the logs.
     assert abs(math.expm1(got - float(case["ln_value"]))) <= DEFAULT_REL_TOL
+
+
+def _rows_id(entry):
+    return f"p0{entry['p0']:g}-a{entry['a']:g}-alpha{entry['alpha']:g}-omega{entry['omega']:g}"
+
+
+@pytest.mark.parametrize("entry", ROWS, ids=_rows_id)
+def test_kernel_matches_mpmath_rows_term_by_term(entry):
+    gaps = [
+        abs(math.expm1(
+            shadow_kernel_integral_ln(entry["p0"] - l, entry["a"], entry["alpha"], entry["omega"])
+            - float(golden)
+        ))
+        for l, golden in enumerate(entry["ln_values"])
+    ]
+    assert max(gaps) <= DEFAULT_REL_TOL, gaps
 
 
 def test_tiny_budget_raises_nonconvergence():
