@@ -17,8 +17,12 @@ Two independent evaluation routes are provided for every composite family:
       K(p, A) = int_0^inf u^(p-1) exp(-A/u) exp(-u^(1/alpha)/omega) du
 
   A step-halving trapezoid rule in t = ln(u)/alpha, where the integrand has
-  double-exponential tails, computes it to geometric accuracy.  The families
-  differ only in each term's coefficient, the kernel power and the inner scale A.
+  double-exponential tails, computes it to geometric accuracy (Trefethen &
+  Weideman, SIAM Review 2014).  The terms of one point share A, alpha and
+  omega and differ only in the power p0 - l, so one kernel call takes a
+  block of powers (rows) on one grid in t that serves them all; the series
+  sum fetches the next block when it reaches it.  The families differ only
+  in each term's coefficient, the kernel power and the inner scale A.
 
 The zero-LOS composite needs no series at all: a single kernel evaluation is
 exact.  Extreme composites keep the deep-fade atom exp(-2m) at zero, which
@@ -145,44 +149,22 @@ class KernelArgs:
 
 _KERNEL_REL_TOL = 1e-10
 _KERNEL_BUDGET = 60_000
+_KERNEL_BLOCK = 24  # series terms per kernel call; most points need 10 to 20
 
 
-def shadow_kernel_integral_ln(
-    p: float,
-    a: float,
-    alpha: float,
-    omega: float,
-    rel_tol: float = _KERNEL_REL_TOL,
-    budget: int = _KERNEL_BUDGET,
-) -> float:
-    """Natural log of the shadow-kernel integral.
-
-    With u = e^(alpha*t) it is ln(alpha * int exp(phi(t)) dt), phi(t) =
-    alpha*p*t - a*e^(-alpha*t) - e^t/omega: closed form for a = 0 (divergent
-    for p <= 0).  For a > 0, phi is strictly concave with double-exponential
-    tails.  Newton's method finds its peak t* and width sigma =
-    (-phi''(t*))^(-1/2); the range walks out from t* (4 sigma, then tangent
-    steps) until phi - phi(t*) <= ln(rel_tol) - 5, past which concavity leaves
-    under rel_tol * e^-5 of the integral; the trapezoid step, first
-    min(sigma/2, range/16), is halved, keeping every node, until two sums
-    agree to ``rel_tol``.  Over ``budget`` nodes raises NonConvergenceError.
-    """
-    args = KernelArgs(p, a, alpha, omega)
-    if not 0.0 < rel_tol < 1.0:
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    ap = alpha * p
-    if a == 0.0:
-        if p <= 0.0:
-            raise DivergentIntegralError(f"kernel integral diverges for a = 0 and p = {p!r} <= 0")
-        return math.log(alpha) + ap * math.log(omega) + math.lgamma(ap)
+def _kernel_cut(k: KernelArgs, floor: float):
+    """Peak t* of phi(t) = alpha*p*t - a*e^(-alpha*t) - e^t/omega, its width
+    sigma = (-phi''(t*))^(-1/2), and the offsets (left, right) from t* where
+    phi - phi(t*) first falls to ``floor``."""
     # phi' = ap + alpha*a*e^(-alpha*t) - e^t/omega falls strictly, from ap at
     # mid on to where one exponential alone cancels ap: the root lies between.
-    ln_a, ln_omega = math.log(a), math.log(omega)
+    p, alpha, omega = k.p, k.alpha, k.omega
+    ap, ln_a, ln_omega = alpha * p, math.log(k.a), math.log(omega)
     mid = (math.log(alpha) + ln_a + ln_omega) / (alpha + 1.0)
     lo = (ln_a - math.log(math.exp(mid) / (alpha * omega) - min(p, 0.0))) / alpha
     hi = math.log(max(ap, 0.0) * omega + math.exp(mid))
     t_next = hi if p > 0.0 else lo
-    for _ in range(200):  # any anchor near the peak gives the same integral
+    for _ in range(200):
         t = t_next
         big_a, big_b = math.exp(ln_a - alpha * t), math.exp(t - ln_omega)
         slope, curvature = ap + alpha * big_a - big_b, alpha * alpha * big_a + big_b
@@ -191,6 +173,10 @@ def shadow_kernel_integral_ln(
         t_next = t_next if lo < t_next < hi else 0.5 * (lo + hi)
         if slope * slope <= 1e-12 * curvature or t_next == t:  # step < 1e-6 sigma
             break
+    # Any anchor within a width of the peak gives the same integral; one
+    # farther off means the peak is narrower than the spacing of doubles.
+    if slope * slope > curvature:
+        raise NonConvergenceError(f"kernel peak cannot be resolved in double precision for {k!r}")
     sigma = 1.0 / math.sqrt(curvature)
     ln_big_a, ln_big_b = ln_a - alpha * t, t - ln_omega
 
@@ -201,37 +187,106 @@ def shadow_kernel_integral_ln(
         da, db = big_a * math.expm1(-alpha * s), big_b * math.expm1(s)
         return ap * s - da - db, ap + alpha * (big_a + da) - (big_b + db)
 
-    floor, ends = math.log(rel_tol) - 5.0, []
+    ends = []
     for step in (-4.0 * sigma, 4.0 * sigma):
         s = 0.0
         for _ in range(200):
-            if (found := drop(s + step)) is None:
+            found = drop(s + step)
+            if found is None:
                 step *= 0.5
-            elif found[0] > floor:  # concavity: phi reaches floor by the tangent's root
-                s, step = s + step, (floor - found[0]) / found[1]
-            else:
+            elif found[0] <= floor:
                 ends.append(s + step)
                 break
+            elif found[1] * step >= 0.0:  # rounding noise: no tangent to follow
+                break
+            else:  # concavity: phi reaches floor by the tangent's root
+                s, step = s + step, (floor - found[0]) / found[1]
     if len(ends) < 2:
-        raise NonConvergenceError(f"kernel range search failed for {args!r}")
-    left, width = ends[0], ends[1] - ends[0]
-    # One pass gives the sums at steps 2h and h; later ones add midpoints.
-    intervals = 2 * max(16, math.ceil(2.0 * width / sigma))
-    h = width / intervals
-    nodes, coarse, used = left + h * np.arange(intervals + 1), None, 0
-    while True:
-        used += nodes.size
+        raise NonConvergenceError(f"kernel range search failed for {k!r}")
+    return t, sigma, ends[0], ends[1]
+
+
+def shadow_kernel_integral_ln(
+    p,
+    a: float,
+    alpha: float,
+    omega: float,
+    rel_tol: float = _KERNEL_REL_TOL,
+    budget: int = _KERNEL_BUDGET,
+):
+    """Natural log of the shadow-kernel integral, for one power or many.
+
+    ``p`` is a float, giving a float, or a 1-D array of powers (rows) that
+    share (a, alpha, omega), giving an array.  With u = e^(alpha*t) a row is
+    ln(alpha * int exp(phi_p(t)) dt), phi_p(t) = alpha*p*t - a*e^(-alpha*t) -
+    e^t/omega: closed form for a = 0 (divergent for p <= 0).  For a > 0 each
+    phi_p is strictly concave with double-exponential tails.  Its peak t*(p)
+    rises with p and its curvature alpha^2*a*e^(-alpha*t) + e^t/omega is
+    convex in t, so the smallest- and largest-power rows bound every peak
+    and include the narrowest row.  For those two, Newton's method finds the
+    peak and width sigma = (-phi''(t*))^(-1/2), and the range walks out (4
+    sigma, then tangent steps) until phi - phi(t*) <= ln(rel_tol) - 5, past
+    which concavity leaves under rel_tol * e^-5 of the integral.  All rows
+    share one uniform grid over both ranges, widened while a row is still
+    above that floor at an end; each row is taken relative to one reference
+    node and shifted by its own maximum, so none overflows or cancels.  The
+    step, first min(sigma/2, range/16), is halved, keeping every node, until
+    every row's two sums agree to ``rel_tol``.  Past ``budget`` nodes per
+    row, or where a peak is narrower than doubles resolve, NonConvergenceError.
+    """
+    given = np.asarray(p, dtype=float)
+    rows = given.reshape(-1)
+    if given.ndim > 1 or rows.size == 0:
+        raise DomainError(f"p must be a float or a nonempty 1-D array, got {p!r}")
+    # The end rows; min and max are NaN if any row is.
+    lo, hi = (KernelArgs(float(q), a, alpha, omega) for q in (rows.min(), rows.max()))
+    if not 0.0 < rel_tol < 1.0:
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
+    ap = alpha * rows
+    if a == 0.0:
+        if lo.p <= 0.0:
+            raise DivergentIntegralError(f"kernel integral diverges for a = 0 and p = {lo.p!r}")
+        ln_k = math.log(alpha) + ap * math.log(omega) + np.array([math.lgamma(v) for v in ap])
+        return ln_k if given.ndim else float(ln_k[0])
+    floor = math.log(rel_tol) - 5.0
+    t0, sigma, left, right = _kernel_cut(lo, floor)
+    if hi.p > lo.p:
+        t1, sigma1, left1, right1 = _kernel_cut(hi, floor)
+        gap = t1 - t0  # from the smallest-power peak to the largest
+        sigma, left, right = min(sigma, sigma1), min(left, gap + left1), max(right, gap + right1)
+    big_a, big_b = math.exp(math.log(a) - alpha * t0), math.exp(t0 - math.log(omega))
+
+    def exponent(s):
+        # phi_p(t0 + s) - phi_p(t0): one row per power, one column per offset.
+        return np.multiply.outer(ap, s) - (big_a * np.expm1(-alpha * s) + big_b * np.expm1(s))
+
+    used = 0
+    while True:  # one pass gives the sums at steps 2h and h
+        width = right - left
+        intervals = 2 * max(16, math.ceil(2.0 * width / sigma))
+        h, used = width / intervals, used + intervals + 1
         if used > budget:
             raise NonConvergenceError(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
-        values = np.exp(ap * nodes - big_a * np.expm1(-alpha * nodes) - big_b * np.expm1(nodes))
-        if coarse is None:
-            coarse, fine = 2.0 * h * float(values[::2].sum()), h * float(values.sum())
-        else:
-            coarse, fine = fine, 0.5 * fine + h * float(values.sum())
-        if abs(fine - coarse) <= rel_tol * fine:
-            return math.log(alpha) + ap * t - big_a - big_b + math.log(fine)
+        ex = exponent(left + h * np.arange(intervals + 1))
+        top = ex.max(axis=1, keepdims=True)
+        ex -= top
+        low, high = (end > floor for end in ex[:, ::intervals].max(axis=0).tolist())
+        if not (low or high):  # no row is still above floor at an end
+            break
+        left, right = left - low * 0.5 * width, right + high * 0.5 * width
+    # With S the node sum at step h, the integral is h*S; the sum at step 2h
+    # is twice the even-node sum, and after halving, twice the last S.
+    values = np.exp(ex)
+    total, coarse = values.sum(axis=1), 2.0 * values[:, ::2].sum(axis=1)
+    while not all(abs(s - c) <= rel_tol * s for s, c in zip(total.tolist(), coarse.tolist())):
         h, intervals = 0.5 * h, 2 * intervals
-        nodes = left + h * np.arange(1, intervals, 2)
+        used += intervals // 2
+        if used > budget:
+            raise NonConvergenceError(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
+        values = np.exp(exponent(left + h * np.arange(1, intervals, 2)) - top)
+        total, coarse = total + values.sum(axis=1), 2.0 * total
+    ln_k = ap * t0 + (math.log(alpha * h) - big_a - big_b) + top[:, 0] + np.log(total)
+    return ln_k if given.ndim else float(ln_k[0])
 
 
 def shadow_kernel_integral(
@@ -518,16 +573,21 @@ def _series_pdf(
     ln_coeff, p0, inner = family.series(m.multipath, m.shadow, x)
     if family.exact:
         return math.exp(ln_coeff(0) + shadow_kernel_integral_ln(p0, inner, alpha, omega))
+    terms = cfg.max_terms + 1 if cfg.use_gross else cfg.max_terms
+    ln_kernels = []
 
     def term(l: int) -> float:
+        if l == len(ln_kernels):  # terms come in order; fetch the next block
+            powers = p0 - np.arange(l, min(l + _KERNEL_BLOCK, terms))
+            ln_kernels.extend(shadow_kernel_integral_ln(powers, inner, alpha, omega).tolist())
         ln_c = ln_coeff(l)
         if cfg.use_gross:
             ln_c += _gross_ln_weight(cfg.max_terms, l)
-        return math.exp(ln_c + shadow_kernel_integral_ln(p0 - l, inner, alpha, omega))
+        return math.exp(ln_c + ln_kernels[l])
 
     if cfg.use_gross:
-        return sum(term(l) for l in range(cfg.max_terms + 1))
-    return sum_adaptive(term, rel_tol=cfg.rel_tol, max_terms=cfg.max_terms).value
+        return sum(term(l) for l in range(terms))
+    return sum_adaptive(term, rel_tol=cfg.rel_tol, max_terms=terms).value
 
 
 def _require(m: CompositeModel, name: str, caller: str) -> Family:

@@ -29,8 +29,11 @@ from compfade import (
     shadow_kernel_integral,
     shadow_kernel_integral_ln,
 )
+from compfade import composite
 from compfade.composite import composite_density, composite_pdf
+from compfade.errors import NonConvergenceError
 from compfade.models import akm_pdf_normalized
+from compfade.numerics import sum_adaptive
 
 CFG = SeriesConfig(max_terms=160, rel_tol=1e-9)
 
@@ -74,6 +77,24 @@ class TestShadowKernelIntegral:
             shadow_kernel_integral(KernelArgs(-0.5, 0.0, 2.0, 1.0))
         with pytest.raises(DivergentIntegralError):
             shadow_kernel_integral(KernelArgs(0.0, 0.0, 2.0, 1.0))
+        with pytest.raises(DivergentIntegralError):
+            shadow_kernel_integral_ln(np.array([1.5, 0.5, -0.5]), 0.0, 2.0, 1.0)
+
+    def test_float_gives_float_and_array_gives_array(self):
+        single = shadow_kernel_integral_ln(-2.1, 1.7, 2.0, 0.9)
+        rows = shadow_kernel_integral_ln(np.array([-2.1]), 1.7, 2.0, 0.9)
+        assert type(single) is float
+        assert isinstance(rows, np.ndarray) and rows.shape == (1,) and rows[0] == single
+        closed = shadow_kernel_integral_ln(np.array([1.3, 0.5]), 0.0, 1.5, 0.8)
+        assert closed[0] == shadow_kernel_integral_ln(1.3, 0.0, 1.5, 0.8)
+
+    @pytest.mark.parametrize(
+        "p", [np.zeros(0), np.ones((2, 2)), np.array([-1.0, np.nan]), np.array([np.inf, 1.0])],
+        ids=["empty", "2-d", "nan", "inf"],
+    )
+    def test_malformed_rows_are_domain_errors(self, p):
+        with pytest.raises(DomainError):
+            shadow_kernel_integral_ln(p, 1.7, 2.0, 0.9)
 
 
 def nested_oracle(model: CompositeModel, x: float) -> float:
@@ -253,6 +274,79 @@ class TestSeriesRoutes:
         model = CompositeModel(AkmParams(2.0, 5.0, 4.0), GammaShadowParams(1.5, 1.0))
         with pytest.raises(NonConvergenceError):
             akm_gamma_pdf_series(model, 1.0, SeriesConfig(max_terms=5, rel_tol=1e-10))
+
+
+def _per_term_reference(model, x, cfg):
+    # The series summed term by term with one scalar kernel call per term.
+    family = composite.family_of(model.multipath)
+    ln_coeff, p0, inner = family.series(model.multipath, model.shadow, x)
+    alpha, omega = model.multipath.alpha, model.shadow.omega
+
+    def term(l):
+        ln_c = ln_coeff(l)
+        if cfg.use_gross:
+            ln_c += composite._gross_ln_weight(cfg.max_terms, l)
+        return math.exp(ln_c + shadow_kernel_integral_ln(p0 - l, inner, alpha, omega))
+
+    if cfg.use_gross:
+        return sum(term(l) for l in range(cfg.max_terms + 1)), cfg.max_terms + 1
+    result = sum_adaptive(term, rel_tol=cfg.rel_tol, max_terms=cfg.max_terms)
+    return result.value, result.terms_used
+
+
+@pytest.fixture
+def kernel_blocks(monkeypatch):
+    """The number of powers in each kernel call the series route makes."""
+    blocks = []
+    kernel = composite.shadow_kernel_integral_ln
+
+    def recording(p, *args, **kwargs):
+        blocks.append(np.size(p))
+        return kernel(p, *args, **kwargs)
+
+    monkeypatch.setattr(composite, "shadow_kernel_integral_ln", recording)
+    return blocks
+
+
+def _figure2(mu):
+    return CompositeModel(AkmParams(2.0, 4.0, mu), GammaShadowParams(1.8, 0.7))
+
+
+class TestSeriesBlocks:
+    # Terms are fetched in blocks of composite._KERNEL_BLOCK (24) powers.
+    @pytest.mark.parametrize(
+        "model, x, cfg, terms",
+        [
+            (_figure2(1.0), 0.2, SeriesConfig(max_terms=160, rel_tol=1e-8), 23),
+            (_figure2(1.0), 1.85, SeriesConfig(max_terms=160, rel_tol=1e-8), 24),
+            (_figure2(1.0), 1.05, CFG, 25),
+            (_figure2(4.0), 0.85, CFG, 49),
+            (CompositeModel(ExtremeParams(2.0, 3.0), GammaShadowParams(1.2, 0.8)), 1.15, CFG, 29),
+            (_figure2(1.0), 1.05, SeriesConfig(max_terms=20, use_gross=True), 21),
+            (_figure2(1.0), 1.05, SeriesConfig(max_terms=160, use_gross=True), 161),
+        ],
+        ids=["before-boundary", "at-boundary", "after-boundary", "49-terms", "extreme-29-terms",
+             "gross-20", "gross-160"],
+    )
+    def test_blocks_match_per_term_reference(self, model, x, cfg, terms, kernel_blocks):
+        ref, ref_terms = _per_term_reference(model, x, cfg)
+        kernel_blocks.clear()
+        got = composite_pdf(model, x, cfg)
+        assert ref_terms == terms
+        assert got == pytest.approx(ref, rel=1e-11)
+        # One call per started block, none past the terms the series may use.
+        cap = cfg.max_terms + 1 if cfg.use_gross else cfg.max_terms
+        starts = range(0, terms, composite._KERNEL_BLOCK)
+        assert kernel_blocks == [min(composite._KERNEL_BLOCK, cap - l) for l in starts]
+
+    def test_default_cap_still_raises_on_a_box_point(self, kernel_blocks):
+        model = CompositeModel(
+            AkmParams(1.0258553347995218, 4.234135282786168, 3.9700298686324484),
+            GammaShadowParams(2.265301394330524, 1.9953489611718256),
+        )
+        with pytest.raises(NonConvergenceError, match="within 40 terms"):
+            composite_pdf(model, 1.1582671133791156)
+        assert kernel_blocks == [24, 16]
 
 
 MULTIPATH = {

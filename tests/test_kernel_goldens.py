@@ -8,6 +8,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from compfade import shadow_kernel_integral_ln
@@ -46,6 +47,30 @@ def test_kernel_matches_mpmath_rows_term_by_term(entry):
         for l, golden in enumerate(entry["ln_values"])
     ]
     assert max(gaps) <= DEFAULT_REL_TOL, gaps
+
+
+@pytest.mark.parametrize("entry", ROWS, ids=_rows_id)
+def test_one_array_call_matches_every_row(entry):
+    powers = entry["p0"] - np.arange(len(entry["ln_values"]))
+    got = shadow_kernel_integral_ln(powers, entry["a"], entry["alpha"], entry["omega"])
+    golden = np.array([float(v) for v in entry["ln_values"]])
+    assert np.max(np.abs(np.expm1(got - golden))) <= DEFAULT_REL_TOL
+
+
+@pytest.mark.parametrize(
+    "p, a, alpha, omega",
+    [
+        # The trapezoid sum underflowed to 0 (ValueError from its log).
+        (-55.83347033582288, 2.4831216657844275e253, 0.0362267498629187, 0.4531338893649425),
+        # A tangent stride with zero slope (ZeroDivisionError).
+        (-153.65497718010266, 1.071854498114845e84, 1.5145914579892554, 11.04491977662344),
+    ],
+    ids=["underflowing-sum", "flat-tangent"],
+)
+def test_unresolvable_peak_raises_nonconvergence(p, a, alpha, omega):
+    # Both peaks are narrower than the spacing of doubles near them.
+    with pytest.raises(NonConvergenceError):
+        shadow_kernel_integral_ln(p, a, alpha, omega)
 
 
 def test_tiny_budget_raises_nonconvergence():
