@@ -191,8 +191,7 @@ def _kernel_cut(k: KernelArgs, floor: float):
     for step in (-4.0 * sigma, 4.0 * sigma):
         s = 0.0
         for _ in range(200):
-            found = drop(s + step)
-            if found is None:
+            if (found := drop(s + step)) is None:
                 step *= 0.5
             elif found[0] <= floor:
                 ends.append(s + step)
