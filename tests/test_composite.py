@@ -328,11 +328,19 @@ class TestSeriesBlocks:
         ids=["before-boundary", "at-boundary", "after-boundary", "49-terms", "extreme-29-terms",
              "gross-20", "gross-160"],
     )
-    def test_blocks_match_per_term_reference(self, model, x, cfg, terms, kernel_blocks):
+    def test_blocks_match_per_term_reference(self, model, x, cfg, terms, kernel_blocks, monkeypatch):
         ref, ref_terms = _per_term_reference(model, x, cfg)
+        sums = []
+
+        def recording_sum(*args, **kwargs):
+            sums.append(sum_adaptive(*args, **kwargs))
+            return sums[-1]
+
+        monkeypatch.setattr(composite, "sum_adaptive", recording_sum)
         kernel_blocks.clear()
         got = composite_pdf(model, x, cfg)
         assert ref_terms == terms
+        assert [r.terms_used for r in sums] == ([] if cfg.use_gross else [terms])
         assert got == pytest.approx(ref, rel=1e-11)
         # One call per started block, none past the terms the series may use.
         cap = cfg.max_terms + 1 if cfg.use_gross else cfg.max_terms
