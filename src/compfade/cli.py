@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help="evaluation grid as min:max:points (default 0.01:4:200)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--series-n", type=int, help="series term cap (default 40)")
+        p.add_argument("--series-n", type=int, help="--use-gross degree n (default 40)")
         p.add_argument("--series-rel-tol", type=float, help="series stopping tolerance")
         p.add_argument(
             "--use-gross", action="store_true", default=None,
@@ -97,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out-dir", default=".", help="directory for the curve files")
     p_fig.add_argument("--format", choices=("csv", "json"), help="output format (default json)")
     p_fig.add_argument("--grid", help="grid as min:max:points (default 0.01:4:200)")
-    p_fig.add_argument("--series-n", type=int, help="series term cap (default 160)")
+    p_fig.add_argument("--series-n", type=int, help="use_gross degree, metadata only (default 160)")
 
     p_samp = sub.add_parser("sample", help="draw reproducible samples and run gof")
     add_model_flags(p_samp)
     p_samp.add_argument("--count", type=int, help="number of samples (default 100000)")
     p_samp.add_argument("--seed", type=int, help="random seed (default 1)")
-    p_samp.add_argument("--series-n", type=int, help="series term cap for the gof density")
+    p_samp.add_argument("--series-n", type=int, help="use_gross degree n (default 40)")
     p_samp.add_argument("--series-rel-tol", type=float, help="series stopping tolerance")
     p_samp.add_argument("--out", help="sample file, one value per line (default samples.txt)")
     p_samp.add_argument("--report", help="gof report path (default stdout)")

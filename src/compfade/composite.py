@@ -105,10 +105,10 @@ class CompositeModel:
 class SeriesConfig:
     """Truncation settings for the Bessel-series composite evaluators.
 
-    With ``use_gross`` false the term weights are the ascending-series ones
-    and the sum stops adaptively; with it true the degree-n polynomial
-    surrogate weights are used and all n+1 terms are summed (the weights
-    depend on n, which rules out incremental stopping).
+    With ``use_gross`` false the ascending-series terms are summed until
+    ``rel_tol`` stops the sum, with no term cap; with it true the degree-n
+    (n = ``max_terms``) polynomial surrogate weights are used and all n+1
+    terms are summed (the weights depend on n: no incremental stopping).
     """
 
     max_terms: int = 40
@@ -253,6 +253,9 @@ def shadow_kernel_integral_ln(
         t1, sigma1, left1, right1 = _kernel_cut(hi, floor)
         gap = t1 - t0  # from the smallest-power peak to the largest
         sigma, left, right = min(sigma, sigma1), min(left, gap + left1), max(right, gap + right1)
+        if right > 700.0:  # e^(t - t0) overflows at the far peak: split the block
+            args, halves = (a, alpha, omega, rel_tol, budget), np.array_split(rows, 2)
+            return np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
     big_a, big_b = math.exp(math.log(a) - alpha * t0), math.exp(t0 - math.log(omega))
 
     def exponent(s):
@@ -572,7 +575,7 @@ def _series_pdf(
     ln_coeff, p0, inner = family.series(m.multipath, m.shadow, x)
     if family.exact:
         return math.exp(ln_coeff(0) + shadow_kernel_integral_ln(p0, inner, alpha, omega))
-    terms = cfg.max_terms + 1 if cfg.use_gross else cfg.max_terms
+    terms = cfg.max_terms + 1 if cfg.use_gross else math.inf
     ln_kernels = []
 
     def term(l: int) -> float:
@@ -586,7 +589,7 @@ def _series_pdf(
 
     if cfg.use_gross:
         return sum(term(l) for l in range(terms))
-    return sum_adaptive(term, rel_tol=cfg.rel_tol, max_terms=terms).value
+    return sum_adaptive(term, rel_tol=cfg.rel_tol).value
 
 
 def _require(m: CompositeModel, name: str, caller: str) -> Family:

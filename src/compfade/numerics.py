@@ -67,6 +67,7 @@ _NODES = np.concatenate([-_XGK[:7], _XGK[7:8], _XGK[6::-1]])
 _WEIGHTS_K = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate([_WG[:3], _WG[3:4], _WG[2::-1]])
+_INITIAL_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -94,42 +95,34 @@ def integrate_semi_infinite(
     budget: int = 200_000,
     *,
     scale: float = 1.0,
-    initial_panels: int = 8,
-    vectorized: bool = False,
 ) -> QuadratureResult:
     """Integrate ``f`` over (0, inf) to max(rel_tol*|I|, abs_tol).
 
     Parameters
     ----------
     f : callable
-        Integrand.  Must accept a positive float (or a numpy array when
-        ``vectorized`` is true) and return finite values.
+        Integrand.  Must accept a positive float and return a finite value.
     scale : float
         Characteristic scale of the integrand; the interior point u = scale
         maps to the middle of the transformed interval.  Choosing it near
         the bulk of the integrand's mass speeds up convergence but any
         positive value is correct.
     budget : int
-        Maximum number of integrand evaluations.  Exhausting it raises
-        ``NonConvergenceError`` with the partial result attached.
+        Maximum number of integrand evaluations.  Exhausting it, or refining
+        up to u = inf, raises ``NonConvergenceError`` with the partial result.
     """
     if not (rel_tol > 0.0 and abs_tol > 0.0):
         raise ValueError("tolerances must be positive")
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    if budget < 15 * initial_panels:
+    if budget < 15 * _INITIAL_PANELS:
         raise ValueError("budget too small for the initial subdivision")
 
-    if vectorized:
-        feval = f
-    else:
-        def feval(us, _f=f):
-            return np.array([_f(float(u)) for u in us], dtype=float)
-
     count = 0
+    total, total_err = 0.0, math.inf  # no estimate before the first panels
 
     def panels(bounds) -> tuple[np.ndarray, np.ndarray]:
-        # Evaluate several panels with one integrand call.
+        # Kronrod and Gauss estimates of each panel in ``bounds``.
         nonlocal count
         ab = np.asarray(bounds, dtype=float)
         c = 0.5 * (ab[:, 0] + ab[:, 1])[:, None]
@@ -138,17 +131,20 @@ def integrate_semi_infinite(
         om = 1.0 - t
         u = scale * t / om
         jac = scale / (om * om)
-        vals = np.asarray(feval(u.ravel()), dtype=float).reshape(t.shape)
+        vals = np.array([f(float(v)) for v in u.ravel()], dtype=float).reshape(t.shape)
         count += u.size
         if not np.all(np.isfinite(vals)):
             bad = u[~np.isfinite(vals)][0]
             raise EvaluationError(f"integrand returned a non-finite value at u={bad!r}")
         g = vals * jac
+        if not np.all(np.isfinite(g)):  # nodes rounded to u = inf, where the Jacobian is
+            partial = QuadratureResult(total, total_err, count)
+            raise NonConvergenceError("quadrature refinement reached u = inf", result=partial)
         kron = h[:, 0] * (g @ _WEIGHTS_K)
         gauss = h[:, 0] * (g @ _WEIGHTS_G)
         return kron, np.abs(kron - gauss)
 
-    edges = np.linspace(0.0, 1.0, initial_panels + 1)
+    edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
     bounds = list(zip(edges[:-1], edges[1:]))
     vals, errs = panels(bounds)
     heap = []
@@ -173,11 +169,11 @@ def integrate_semi_infinite(
                 f"(error estimate {total_err:.3e})",
                 result=partial,
             )
-        total -= val
-        total_err += neg_err  # removes the popped panel's error
         mid = 0.5 * (a + b)
         children = ((a, mid), (mid, b))
         vals2, errs2 = panels(children)
+        total -= val
+        total_err += neg_err  # removes the popped panel's error
         for (lo, hi), val2, err2 in zip(children, vals2, errs2):
             total += float(val2)
             total_err += float(err2)

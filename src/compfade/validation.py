@@ -35,7 +35,7 @@ PARAM_BOX = {
     "omega": (0.3, 3.0),
 }
 
-_ACCEPT_CFG = SeriesConfig(max_terms=160, rel_tol=1e-9)
+_ACCEPT_CFG = SeriesConfig(rel_tol=1e-9)
 _AKM = FAMILIES["akm"]
 
 

@@ -51,7 +51,7 @@ def test_criterion_03_reduction_web():
     # Extra, fully independent route: scipy nested quadrature.
     shadow = GammaShadowParams(1.6, 0.8)
     model = CompositeModel(AkmParams(2.0, 0.0, 1.0), shadow)
-    cfg = SeriesConfig(max_terms=160, rel_tol=1e-9)
+    cfg = SeriesConfig(rel_tol=1e-9)
     for x in (0.4, 1.0, 2.1):
         ref, _ = si.quad(
             lambda y: 2.0 * x / (y * y) * math.exp(-((x / y) ** 2)) * gamma_shadow_pdf(shadow, y),

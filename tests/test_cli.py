@@ -33,7 +33,7 @@ class TestPdfCommand:
             [
                 "pdf", "--model", "akm-gamma", "--alpha", "1.5", "--mu", "2.1",
                 "--kappa", "1", "--b", "1.1", "--omega", "0.9",
-                "--grid", "0.01:4:200", "--series-n", "160", "--out", str(out),
+                "--grid", "0.01:4:200", "--out", str(out),
             ]
         )
         assert code == 0
@@ -66,8 +66,7 @@ class TestPdfCommand:
         code = main(
             [
                 "pdf", "--model", "extreme-gamma", "--alpha", "2", "--m", "1.1",
-                "--b", "1.2", "--omega", "0.8", "--grid", "0.05:3:40",
-                "--series-n", "160", "--out", str(out),
+                "--b", "1.2", "--omega", "0.8", "--grid", "0.05:3:40", "--out", str(out),
             ]
         )
         assert code == 0
@@ -90,7 +89,6 @@ class TestPdfCommand:
         args = [
             "pdf", "--model", "akm-gamma", "--alpha", "2", "--kappa", "1",
             "--mu", "1.5", "--b", "1.4", "--omega", "0.9", "--grid", "0.5:2:4",
-            "--series-n", "160",
         ]
         assert main(args) == 0
         _, series_vals, _, _ = parse_csv_curve(capsys.readouterr().out)
@@ -318,10 +316,11 @@ class TestSampleCommand:
         assert not (tmp_path / "s.txt").exists()
 
     def test_akm_gamma_strict_gof(self, tmp_path):
+        # The README example, with its output paths under tmp_path.
         code = main(
             ["sample", "--model", "akm-gamma", "--alpha", "2.2", "--kappa", "1.3",
              "--mu", "1.7", "--b", "1.6", "--omega", "0.8", "--count", "100000",
-             "--seed", "13", "--series-n", "160",
+             "--seed", "13",
              "--out", str(tmp_path / "s.txt"), "--report", str(tmp_path / "r.json"),
              "--strict"]
         )

@@ -73,6 +73,16 @@ def test_unresolvable_peak_raises_nonconvergence(p, a, alpha, omega):
         shadow_kernel_integral_ln(p, a, alpha, omega)
 
 
+def test_block_with_far_apart_end_rows_matches_one_row_calls():
+    # The end rows' peaks lie about 700 apart in t, too far for one grid
+    # about the smallest-power peak: e^(t - t0) would overflow there.
+    powers = 15.2 - np.arange(24)
+    a, alpha, omega = 6e-82, 0.13, 0.002
+    got = shadow_kernel_integral_ln(powers, a, alpha, omega)
+    rows = [shadow_kernel_integral_ln(float(q), a, alpha, omega) for q in powers]
+    assert np.max(np.abs(np.expm1(got - rows))) <= DEFAULT_REL_TOL
+
+
 def test_tiny_budget_raises_nonconvergence():
     with pytest.raises(NonConvergenceError):
         # A flat-topped kernel that needs about 260 nodes.

@@ -163,7 +163,7 @@ class TestCompositeSampler:
     def test_am_gamma_ks(self):
         model = CompositeModel(AmParams(2.0, 1.0), GammaShadowParams(2.5, 0.6))
         batch = sample_composite(model, COUNT, 31)
-        density = composite_density(model, SeriesConfig(max_terms=160, rel_tol=1e-9))
+        density = composite_density(model, SeriesConfig(rel_tol=1e-9))
         report = gof_compare(batch, density, grid_points=1500)
         assert report.ks_statistic <= ks_critical_value(0.001, COUNT)
 

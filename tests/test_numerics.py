@@ -103,12 +103,21 @@ class TestIntegrateSemiInfinite:
         with pytest.raises(EvaluationError):
             integrate_semi_infinite(f, 1e-9, 1e-12)
 
-    def test_vectorized_matches_scalar(self):
-        fs = lambda u: u * math.exp(-u)
-        fv = lambda u: u * np.exp(-u)
-        r1 = integrate_semi_infinite(fs, 1e-10, 1e-13)
-        r2 = integrate_semi_infinite(fv, 1e-10, 1e-13, vectorized=True)
-        assert r1.value == r2.value
+    def test_refinement_to_infinity_is_never_nan(self):
+        # A peak-shifted shadow-kernel integrand (p 0.02, a 1e-8, alpha 0.5,
+        # omega 10) scaled at its peak near 2.55e-17: its slow v^-0.99 tail
+        # drives refinement to nodes that round to u = inf, where the
+        # Jacobian is infinite too.
+        p, a, alpha, omega = 0.02, 1e-8, 0.5, 10.0
+        q = alpha * p - 1.0
+        peak = (alpha * a / -q) ** (1.0 / alpha)  # the v/omega term is negligible
+        phi = lambda v: q * math.log(v) - a * v**-alpha - v / omega
+        f = lambda v: math.exp(phi(v) - phi(peak))
+        try:
+            res = integrate_semi_infinite(f, abs_tol=1e-280, scale=peak)
+        except NonConvergenceError as exc:
+            res = exc.result
+        assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
