@@ -429,7 +429,9 @@ def _extreme_draws(p: ExtremeParams, count: int, rng: np.random.Generator) -> np
 
 
 # The entries call the model functions by their names in this module, so a
-# wrapper installed on one of those names sees the call.
+# wrapper installed on one of those names sees the call.  Each ``pdf`` takes
+# a float or a 1-D array for x or for the scale, as its model function does.
+_UNIT = ScaledEnvelope(1.0)
 FAMILIES = {
     f.name: f
     for f in (
@@ -444,7 +446,7 @@ FAMILIES = {
         ),
         Family(
             "am", AmParams, ("alpha", "mu"),
-            pdf=lambda p, x, s: am_pdf(p, ScaledEnvelope(s), x),
+            pdf=lambda p, x, s: am_pdf(p, _UNIT, x / s) / s,
             cdf=lambda p, x, s: am_cdf(p, ScaledEnvelope(s), x),
             sample=_am_draws,
             leading_exponent=lambda p: p.alpha * p.mu - 1.0,
@@ -506,9 +508,14 @@ def _check_argument(x: float) -> None:
 def _value_at_origin(family: Family, m: CompositeModel) -> float:
     # Near x = 0 the composite density behaves like x^min(e, b - 1): e is the
     # multipath leading exponent, and the shadow density goes like y^(b-1).
-    # Only a positive power has a limit (zero) that needs no computation.
-    if min(family.leading_exponent(m.multipath), m.shadow.b - 1.0) > 0.0:
+    # A positive power has the limit zero.  With e = 0 and b > 1 the
+    # conditional density tends to its unit-scale origin value c/y, so the
+    # limit is c * E[1/Y] = c / (omega * (b - 1)).
+    e, b = family.leading_exponent(m.multipath), m.shadow.b
+    if min(e, b - 1.0) > 0.0:
         return 0.0
+    if e == 0.0 and b > 1.0:
+        return family.pdf(m.multipath, 0.0, 1.0) / (m.shadow.omega * (b - 1.0))
     raise DomainError("composite density is singular at x = 0 for these parameters")
 
 
@@ -535,12 +542,13 @@ def mixture_pdf(
         return _value_at_origin(family, m)
     conditional_pdf = family.pdf
 
-    def integrand(y: float) -> float:
+    def integrand(y: np.ndarray) -> np.ndarray:
+        # All the quadrature nodes of a refinement step at once.
         return conditional_pdf(mp, x, y) * gamma_shadow_pdf(sh, y)
 
     scale = max(x, sh.b * sh.omega)
     res = integrate_semi_infinite(
-        integrand, rel_tol=rel_tol, abs_tol=1e-280, budget=budget, scale=scale
+        integrand, rel_tol=rel_tol, abs_tol=1e-280, budget=budget, scale=scale, vectorized=True
     )
     return res.value
 

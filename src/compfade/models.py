@@ -3,8 +3,10 @@
 Four multipath families (general non-linear LOS model, its zero-LOS
 reduction, and the two severe-fading "extreme" variants) plus the gamma
 shadow model, with pdf/cdf/moment evaluation and special-case detection.
-Parameter objects are immutable and every evaluation is pure, so the whole
-module is thread-safe.
+The densities ``akm_pdf_normalized``, ``extreme_pdf``, ``am_pdf`` and
+``gamma_shadow_pdf`` take a float, giving a float, or a 1-D array of points,
+giving an array, through one formula.  Parameter objects are immutable and
+every evaluation is pure, so the whole module is thread-safe.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import specfun
 from .errors import DomainError
@@ -177,40 +181,72 @@ def _check_nonneg(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def akm_pdf_normalized(p: AkmParams, rho: float) -> float:
+def _density(name: str, points, at_origin: Callable, formula: Callable):
+    """``formula`` on the positive points and ``at_origin()`` at the zeros.
+
+    ``points`` is a float, giving a float, or a 1-D array, giving an array;
+    each point must be finite and >= 0.  A float reaches ``formula`` as a
+    float, so a Bessel factor takes its float path.
+    """
+    if np.ndim(points) == 0:
+        x = float(points)
+        _check_nonneg(name, x)
+        return at_origin() if x == 0.0 else float(formula(x))
+    xs = np.asarray(points, dtype=float)
+    if xs.ndim > 1:
+        raise DomainError(f"{name} must be a float or a 1-D array, got shape {xs.shape}")
+    lo = xs.min(initial=math.inf)
+    if not (lo >= 0.0 and xs.max(initial=0.0) < math.inf):  # NaN fails too
+        bad = xs[~(np.isfinite(xs) & (xs >= 0.0))]
+        raise DomainError(f"{name} must be finite and >= 0, got {float(bad[0])!r}")
+    if lo > 0.0:
+        return formula(xs)
+    zero = xs == 0.0
+    out = np.empty_like(xs)
+    out[zero] = at_origin()
+    if not zero.all():
+        out[~zero] = formula(xs[~zero])
+    return out
+
+
+def _exp_or_zero(ln_value):
+    # Underflow to an exact zero, as the density's tail does.
+    return np.where(ln_value > -745.0, np.exp(ln_value), 0.0)
+
+
+def akm_pdf_normalized(p: AkmParams, rho):
     """Density of the unit-rms envelope of the non-linear LOS model.
 
     The exponent is assembled as -mu*(sqrt(1+kappa)*rho^(alpha/2) -
     sqrt(kappa))^2 and paired with the exponentially scaled Bessel function,
     which keeps the evaluation stable far into the tail.
     """
-    _check_nonneg("rho", rho)
     a, k, mu = p.alpha, p.kappa, p.mu
-    if k < KAPPA_ZERO_THRESHOLD:
-        c0 = a * mu**mu * (1.0 + k) ** mu * math.exp(-mu * k) / math.gamma(mu)
-        if rho == 0.0:
-            return _origin_limit(a * mu - 1.0, c0)
-        ln_value = math.log(c0) + (a * mu - 1.0) * math.log(rho) - mu * (1.0 + k) * rho**a
-        return math.exp(ln_value) if ln_value > -745.0 else 0.0
-    if rho == 0.0:
-        c0 = a * mu**mu * (1.0 + k) ** mu * math.exp(-mu * k) / math.gamma(mu)
-        return _origin_limit(a * mu - 1.0, c0)
-    s = rho ** (0.5 * a)
-    z = 2.0 * mu * math.sqrt(k * (1.0 + k)) * s
-    scaled_bessel = specfun.bessel_i_scaled(mu - 1.0, z)
-    if scaled_bessel == 0.0:
-        return 0.0
-    # Assembled in log space: the power prefactor can overflow on its own
-    # far in the tail even though the density itself underflows to zero.
-    ln_value = (
-        math.log(a * mu)
-        + 0.5 * (1.0 + mu) * math.log1p(k)
-        - 0.5 * (mu - 1.0) * math.log(k)
-        + (0.5 * a * (1.0 + mu) - 1.0) * math.log(rho)
-        - mu * (math.sqrt(1.0 + k) * s - math.sqrt(k)) ** 2
-        + math.log(scaled_bessel)
-    )
-    return math.exp(ln_value) if ln_value > -745.0 else 0.0
+
+    def c0():
+        return a * mu**mu * (1.0 + k) ** mu * math.exp(-mu * k) / math.gamma(mu)
+
+    def positive(rho):
+        if k < KAPPA_ZERO_THRESHOLD:
+            return _exp_or_zero(
+                math.log(c0()) + (a * mu - 1.0) * np.log(rho) - mu * (1.0 + k) * rho**a
+            )
+        s = rho ** (0.5 * a)
+        z = 2.0 * mu * math.sqrt(k * (1.0 + k)) * s
+        scaled_bessel = specfun.bessel_i_scaled(mu - 1.0, z)
+        # Assembled in log space: the power prefactor can overflow on its own
+        # far in the tail even though the density itself underflows to zero.
+        with np.errstate(divide="ignore"):  # a Bessel factor that underflowed
+            return _exp_or_zero(
+                math.log(a * mu)
+                + 0.5 * (1.0 + mu) * math.log1p(k)
+                - 0.5 * (mu - 1.0) * math.log(k)
+                + (0.5 * a * (1.0 + mu) - 1.0) * np.log(rho)
+                - mu * (math.sqrt(1.0 + k) * s - math.sqrt(k)) ** 2
+                + np.log(scaled_bessel)
+            )
+
+    return _density("rho", rho, lambda: _origin_limit(a * mu - 1.0, c0()), positive)
 
 
 def akm_pdf_envelope(p: AkmParams, s: ScaledEnvelope, r: float) -> float:
@@ -221,36 +257,67 @@ def akm_pdf_envelope(p: AkmParams, s: ScaledEnvelope, r: float) -> float:
 
 
 def akm_cdf(p: AkmParams, rho: float) -> float:
-    """Distribution function of the normalized envelope via the Marcum Q
-    complement."""
+    """Distribution function of the normalized envelope.
+
+    The Marcum Q complement 1 - Q where Q <= 1/2.  Where Q > 1/2, in the
+    lower tail, 1 - Q would lose the digits of a small P, so
+    ``akm_cdf_series`` sums P directly.  Below rho = 1, where the power is
+    below its mean and P is mostly the smaller side, the series goes first.
+    """
     _check_nonneg("rho", rho)
+    if rho < 1.0:
+        lower = akm_cdf_series(p, rho)
+        if lower <= 0.5:
+            return lower
     a = math.sqrt(2.0 * p.mu * p.kappa)
     b = rho ** (0.5 * p.alpha) * math.sqrt(2.0 * p.mu * (1.0 + p.kappa))
-    return 1.0 - specfun.marcum_q(p.mu, a, b)
+    q = specfun.marcum_q(p.mu, a, b)
+    return akm_cdf_series(p, rho) if q > 0.5 else 1.0 - q
 
 
 def akm_cdf_series(p: AkmParams, rho: float, tail_tol: float = 1e-15) -> float:
     """Poisson-weighted incomplete-gamma series for the same cdf.
 
     Reference form kept as an independent arrangement of the computation:
-    sum_i Pois_i(mu*kappa) * P(i + mu, mu*(1+kappa)*rho^alpha).
+    sum_i Pois_i(mu*kappa) * P(mu + i, mu*(1+kappa)*rho^alpha), truncated
+    where the remaining Poisson weight is below ``tail_tol``.  Only the
+    last P(mu + n, x) is an incomplete gamma call; the others follow by
+    adding positive terms, P(a, x) = P(a + 1, x) + x^a e^-x / Gamma(a + 1),
+    so every sum is free of cancellation and suits the lower tail.
     """
     _check_nonneg("rho", rho)
     lam = p.mu * p.kappa
     x = p.mu * (1.0 + p.kappa) * rho**p.alpha
-    weight = math.exp(-lam)
-    total = weight * specfun.reg_lower_gamma(p.mu, x)
-    i = 0
-    while True:
-        weight *= lam / (i + 1.0) if lam > 0.0 else 0.0
-        i += 1
+    weights = [math.exp(-lam)]
+    while lam > 0.0:
+        i = len(weights)
+        weight = weights[-1] * lam / i
         if weight == 0.0:
             break
-        total += weight * specfun.reg_lower_gamma(p.mu + i, x)
+        weights.append(weight)
         if i + 2.0 > lam and weight * (lam / (i + 1.0)) / (1.0 - lam / (i + 2.0)) <= tail_tol:
             break
         if i > 100_000:
             raise DomainError("cdf series failed to terminate")
+    n = len(weights) - 1
+    lower = specfun.reg_lower_gamma(p.mu + n, x)
+    total = weights[n] * lower
+    if x > 0.0 and n:
+        # The terms x^(mu+i) e^-x / Gamma(mu+i+1), i < n, by their ratio
+        # x / (mu+i+1), unless the first would underflow.
+        ln_x = math.log(x)
+        ln_first = p.mu * ln_x - x - math.lgamma(p.mu + 1.0)
+        if ln_first > -700.0:
+            terms = [math.exp(ln_first)]
+            for i in range(1, n):
+                terms.append(terms[-1] * x / (p.mu + i))
+        else:
+            terms = [
+                math.exp((p.mu + i) * ln_x - x - math.lgamma(p.mu + i + 1.0)) for i in range(n)
+            ]
+        for i in range(n - 1, -1, -1):
+            lower += terms[i]
+            total += weights[i] * lower
     return min(total, 1.0)
 
 
@@ -317,28 +384,28 @@ def nakagami_m_equiv(kappa: float, mu: float) -> float:
     return mu * (1.0 + kappa) ** 2 / (1.0 + 2.0 * kappa)
 
 
-def extreme_pdf(p: ExtremeParams, rho: float) -> float:
+def extreme_pdf(p: ExtremeParams, rho):
     """Continuous part of the severe-fading envelope density.
 
     The full distribution also carries the atom (0, exp(-2m)); use
     ``extreme_density`` for the complete object.
     """
-    _check_nonneg("rho", rho)
     a, m = p.alpha, p.m
-    if rho == 0.0:
-        return _origin_limit(a - 1.0, 4.0 * m * m * math.exp(-2.0 * m))
-    s = rho ** (0.5 * a)
-    z = 4.0 * m * s
-    scaled_bessel = specfun.bessel_i_scaled(1.0, z)
-    if scaled_bessel == 0.0:
-        return 0.0
-    ln_value = (
-        math.log(2.0 * a * m)
-        + (0.5 * a - 1.0) * math.log(rho)
-        - 2.0 * m * (1.0 - s) ** 2
-        + math.log(scaled_bessel)
+
+    def positive(rho):
+        s = rho ** (0.5 * a)
+        scaled_bessel = specfun.bessel_i_scaled(1.0, 4.0 * m * s)
+        with np.errstate(divide="ignore"):  # a Bessel factor that underflowed
+            return _exp_or_zero(
+                math.log(2.0 * a * m)
+                + (0.5 * a - 1.0) * np.log(rho)
+                - 2.0 * m * (1.0 - s) ** 2
+                + np.log(scaled_bessel)
+            )
+
+    return _density(
+        "rho", rho, lambda: _origin_limit(a - 1.0, 4.0 * m * m * math.exp(-2.0 * m)), positive
     )
-    return math.exp(ln_value) if ln_value > -745.0 else 0.0
 
 
 def extreme_density(p: ExtremeParams) -> Density:
@@ -370,22 +437,22 @@ def extreme_cdf(p: ExtremeParams, rho: float, tail_tol: float = 1e-15) -> float:
     return min(total, 1.0)
 
 
-def am_pdf(p: AmParams, s: ScaledEnvelope, r: float) -> float:
+def am_pdf(p: AmParams, s: ScaledEnvelope, r):
     """Envelope density of the zero-LOS non-linear model at rms scale s."""
-    _check_nonneg("r", r)
     a, mu, rhat = p.alpha, p.mu, s.rhat
-    if r == 0.0:
-        c0 = a * mu**mu / (rhat * math.gamma(mu))
-        return _origin_limit(a * mu - 1.0, c0)
-    ln_value = (
-        math.log(a)
-        + mu * math.log(mu)
-        + (a * mu - 1.0) * math.log(r)
-        - mu * (r / rhat) ** a
-        - a * mu * math.log(rhat)
-        - specfun.ln_gamma(mu)
+    return _density(
+        "r",
+        r,
+        lambda: _origin_limit(a * mu - 1.0, a * mu**mu / (rhat * math.gamma(mu))),
+        lambda r: _exp_or_zero(
+            math.log(a)
+            + mu * math.log(mu)
+            + (a * mu - 1.0) * np.log(r)
+            - mu * (r / rhat) ** a
+            - a * mu * math.log(rhat)
+            - specfun.ln_gamma(mu)
+        ),
     )
-    return math.exp(ln_value) if ln_value > -745.0 else 0.0
 
 
 def am_cdf(p: AmParams, s: ScaledEnvelope, r: float) -> float:
@@ -394,17 +461,25 @@ def am_cdf(p: AmParams, s: ScaledEnvelope, r: float) -> float:
     return specfun.reg_lower_gamma(p.mu, p.mu * (r / s.rhat) ** p.alpha)
 
 
-def gamma_shadow_pdf(g: GammaShadowParams, y: float) -> float:
+def gamma_shadow_pdf(g: GammaShadowParams, y):
     """Gamma shadow density y^(b-1) exp(-y/omega) / (Gamma(b) omega^b)."""
-    _check_nonneg("y", y)
     b, omega = g.b, g.omega
-    if y == 0.0:
+
+    def at_origin():
         if b > 1.0:
             return 0.0
         if b == 1.0:
             return 1.0 / omega
         raise DomainError("shadow density diverges at y = 0 for b < 1")
-    return math.exp((b - 1.0) * math.log(y) - y / omega - specfun.ln_gamma(b) - b * math.log(omega))
+
+    return _density(
+        "y",
+        y,
+        at_origin,
+        lambda y: np.exp(
+            (b - 1.0) * np.log(y) - y / omega - specfun.ln_gamma(b) - b * math.log(omega)
+        ),
+    )
 
 
 def gamma_shadow_cdf(g: GammaShadowParams, y: float) -> float:

@@ -95,18 +95,26 @@ def integrate_semi_infinite(
     budget: int = 200_000,
     *,
     scale: float = 1.0,
+    vectorized: bool = False,
 ) -> QuadratureResult:
     """Integrate ``f`` over (0, inf) to max(rel_tol*|I|, abs_tol).
 
     Parameters
     ----------
     f : callable
-        Integrand.  Must accept a positive float and return a finite value.
+        Integrand.  Must accept a positive float and return a finite value;
+        with ``vectorized`` true it takes a 1-D array of positive nodes
+        instead and returns an array of the same length.
     scale : float
         Characteristic scale of the integrand; the interior point u = scale
         maps to the middle of the transformed interval.  Choosing it near
         the bulk of the integrand's mass speeds up convergence but any
         positive value is correct.
+    vectorized : bool
+        Evaluate the nodes of each refinement step in one call ``f(u)``
+        rather than one call per node.  Nodes, panels and refinement order
+        are the same either way, so an integrand that does the same
+        floating-point operations gives the same result.
     budget : int
         Maximum number of integrand evaluations.  Exhausting it, or refining
         up to u = inf, raises ``NonConvergenceError`` with the partial result.
@@ -131,10 +139,13 @@ def integrate_semi_infinite(
         om = 1.0 - t
         u = scale * t / om
         jac = scale / (om * om)
-        vals = np.array([f(float(v)) for v in u.ravel()], dtype=float).reshape(t.shape)
+        if vectorized:
+            vals = np.asarray(f(u.ravel()), dtype=float).reshape(t.shape)
+        else:
+            vals = np.array([f(float(v)) for v in u.ravel()], dtype=float).reshape(t.shape)
         count += u.size
         if not np.all(np.isfinite(vals)):
-            bad = u[~np.isfinite(vals)][0]
+            bad = float(u[~np.isfinite(vals)][0])
             raise EvaluationError(f"integrand returned a non-finite value at u={bad!r}")
         g = vals * jac
         if not np.all(np.isfinite(g)):  # nodes rounded to u = inf, where the Jacobian is

@@ -1,10 +1,12 @@
-"""Scalar special functions underlying the fading-model evaluators.
+"""Special functions underlying the fading-model evaluators.
 
-Everything here is a pure scalar map on floats: the modified Bessel function
-of the first kind (plain, exponentially scaled, and a finite polynomial
-surrogate), the regularized incomplete gamma pair, the generalized Marcum Q
-function, and Kummer's confluent hypergeometric 1F1.  All functions are
-stateless and safe to call concurrently.
+The modified Bessel function of the first kind (plain, exponentially
+scaled, and a finite polynomial surrogate), the regularized incomplete
+gamma pair, the generalized Marcum Q function, and Kummer's confluent
+hypergeometric 1F1.  Each is a map on floats; ``bessel_i_scaled`` also takes
+a 1-D array of arguments, which the mixture oracle uses to evaluate its
+quadrature nodes at once.  All functions are stateless and safe to call
+concurrently.
 
 Accuracy targets (enforced by the test suite):
 
@@ -17,7 +19,10 @@ Accuracy targets (enforced by the test suite):
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
@@ -53,7 +58,13 @@ def _check_bessel_args(nu: float, x: float) -> None:
 def _bessel_series_unscaled(nu: float, x: float) -> float:
     # Ascending series; every term is positive so there is no cancellation.
     half = 0.5 * x
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+    # The least subnormal x halves to 0, and for nu < 0 a tiny x can
+    # overflow the first term.
+    ln_term = nu * (math.log(half) if half > 0.0 else math.log(x) - math.log(2.0))
+    ln_term -= math.lgamma(nu + 1.0)
+    if ln_term > _LN_MAX:
+        return math.inf
+    term = math.exp(ln_term)
     total = term
     half2 = half * half
     l = 0
@@ -121,12 +132,104 @@ def _bessel_scaled_series_peak(nu: float, x: float) -> float:
     return math.exp(ln_peak - x + math.log(total))
 
 
-def bessel_i_scaled(nu: float, x: float) -> float:
+_BELOW_700 = math.nextafter(700.0, 0.0)
+_ROWS = 4096  # arguments per term matrix
+
+
+@functools.lru_cache(maxsize=256)
+def _bessel_columns(nu: float, width: int) -> tuple:
+    # Per term column k = 1 .. width, as the float loops form them: the
+    # series ratio's denominator k*(nu+k), and the expansion ratio's
+    # denominator 8k (times x) and numerator (2k-1)^2 - 4nu^2.
+    l = np.arange(float(width))
+    k = l + 1.0
+    columns = (k * (nu + l + 1.0), 8.0 * k, (2.0 * k - 1.0) ** 2 - 4.0 * nu * nu)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _bessel_rows(nu: float, xs: np.ndarray, xa: np.ndarray) -> np.ndarray:
+    # The ascending series (times e^-x) at each of xs > 0 and the asymptotic
+    # expansion at each of xa, one row per argument and one column per term:
+    # the row holds its first term and then the term ratios.  cumprod and
+    # cumsum accumulate in order, so every row repeats the float loop's
+    # roundings.  NaN where the loop does not stop within the columns (the
+    # series stops within x + 16 terms and a converged expansion within 31,
+    # for nu <= 60) or the expansion does not converge.
+    ns = xs.size
+    width = max(math.ceil(xs.max()) + 17 if ns else 0, 32 if xa.size else 0)
+    series_den, asym_den, asym_num = _bessel_columns(nu, width)
+    half = 0.5 * xs
+    # libm's log, as on the float path: an ulp of log(half) would grow nu-fold.
+    ln_half = np.fromiter(map(math.log, half.tolist()), float, ns)
+    terms = np.empty((ns + xa.size, width + 1))
+    terms[:ns, 0] = np.exp(nu * ln_half - math.lgamma(nu + 1.0))
+    ratio = np.divide((half * half)[:, None], series_den, out=terms[:ns, 1:])
+    below = ratio < 1.0
+    terms[ns:, 0] = 1.0
+    np.multiply(asym_den, xa[:, None], out=terms[ns:, 1:])
+    np.divide(asym_num, terms[ns:, 1:], out=terms[ns:, 1:])
+    np.cumprod(terms, axis=1, out=terms)
+    totals = np.cumsum(terms, axis=1)
+    mags = np.abs(terms)
+    stop = mags[:, 1:] <= np.abs(totals[:, 1:]) * 1e-17
+    stop[:ns] &= below
+    grew = mags[ns:, 1:] >= mags[ns:, :-1]
+    stop[ns:] |= grew
+    rows, col = np.arange(terms.shape[0]), stop.argmax(axis=1)
+    end = col + 1
+    end[ns:] -= grew[rows[ns:] - ns, col[ns:]]  # a term that grows is not added
+    value = totals[rows, end]
+    done = stop[rows, col]
+    done[ns:] &= mags[rows[ns:], end[ns:]] <= np.abs(value[ns:]) * 1e-13
+    value[:ns] *= np.exp(-xs)
+    value[ns:] /= np.sqrt(2.0 * math.pi * xa)
+    value[~done] = math.nan
+    return value
+
+
+def _bessel_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
+    # ``_bessel_rows`` on the elements that take the series or the
+    # expansion; the float path on those it leaves NaN, on the peak series'
+    # elements and below 1e-300, where (x/2)^nu may underflow or overflow.
+    if not (math.isfinite(nu) and nu > -1.0):
+        raise DomainError(f"Bessel order must be finite and > -1, got {nu!r}")
+    if not (x.min(initial=math.inf) >= 0.0 and x.max(initial=0.0) < math.inf):  # NaN fails too
+        bad = x[~(np.isfinite(x) & (x >= 0.0))]
+        raise DomainError(f"Bessel argument must be finite and >= 0, got {float(bad[0])!r}")
+    if x.size > _ROWS:  # bounds the term matrix's memory
+        parts = (x[i : i + _ROWS] for i in range(0, x.size, _ROWS))
+        return np.concatenate([_bessel_scaled_array(nu, part) for part in parts])
+    is_series = (x >= _TINY) & (x <= min(nu + 20.0, _BELOW_700))
+    is_asym = x > nu + 20.0
+    xs, xa = x[is_series], x[is_asym]
+    out = np.full_like(x, math.nan)
+    if xs.size or xa.size:
+        value = _bessel_rows(nu, xs, xa)
+        out[is_series] = value[: xs.size]
+        out[is_asym] = value[xs.size :]
+    for i in np.flatnonzero(np.isnan(out)):
+        out[i] = _bessel_scaled_float(nu, float(x[i]))
+    return out
+
+
+def bessel_i_scaled(nu: float, x):
     """Exponentially scaled modified Bessel function exp(-x) * I_nu(x).
 
     Overflow-safe for arbitrarily large x; this is the form the density
-    evaluators use internally.
+    evaluators use internally.  ``x`` is a float, giving a float, or a 1-D
+    array, giving an array: the same branches run element by element, and
+    each element agrees with its float call to 1e-14 relative.
     """
+    if isinstance(x, np.ndarray) and x.ndim:
+        if x.ndim > 1:
+            raise DomainError(f"Bessel argument must be a float or 1-D array, got shape {x.shape}")
+        return _bessel_scaled_array(nu, x.astype(float, copy=False))
+    return _bessel_scaled_float(nu, x)
+
+
+def _bessel_scaled_float(nu: float, x: float) -> float:
     _check_bessel_args(nu, x)
     if x == 0.0:
         if nu == 0.0:

@@ -32,7 +32,7 @@ from compfade import (
 from compfade import composite
 from compfade.composite import composite_density, composite_pdf
 from compfade.models import akm_pdf_normalized
-from compfade.numerics import sum_adaptive
+from compfade.numerics import integrate_semi_infinite, sum_adaptive
 
 CFG = SeriesConfig(rel_tol=1e-9)
 
@@ -446,3 +446,65 @@ class TestCompositeDensityDispatch:
         assert composite_density(ext, CFG).atoms == ((0.0, math.exp(-2.0)),)
         oracle_val = composite_pdf(akm, 1.0, CFG, oracle=True)
         assert oracle_val == pytest.approx(mixture_pdf(akm, 1.0), rel=1e-12)
+
+
+class TestOracleArrayIntegrand:
+    # mixture_pdf evaluates each refinement step's nodes in one array call.
+    MODELS = {
+        "akm": CompositeModel(AkmParams(1.5, 1.0, 2.1), GammaShadowParams(1.1, 0.9)),
+        "akm-kappa4": CompositeModel(AkmParams(2.0, 4.0, 4.0), GammaShadowParams(1.5, 0.8)),
+        "am": CompositeModel(AmParams(2.4, 1.3), GammaShadowParams(1.5, 0.8)),
+        "extreme": CompositeModel(ExtremeParams(1.7, 1.1), GammaShadowParams(1.2, 0.8)),
+    }
+
+    @staticmethod
+    def one_node_at_a_time(m, x):
+        # The same integral with the densities called on one float per node.
+        family = composite.family_of(m.multipath)
+        return integrate_semi_infinite(
+            lambda y: family.pdf(m.multipath, x, y) * gamma_shadow_pdf(m.shadow, y),
+            rel_tol=1e-9,
+            abs_tol=1e-280,
+            budget=200_000,
+            scale=max(x, m.shadow.b * m.shadow.omega),
+        ).value
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_scalar_integrand(self, name):
+        m = self.MODELS[name]
+        for x in (1e-4, 0.05, 0.4, 1.0, 2.2, 6.0):
+            assert mixture_pdf(m, x) == pytest.approx(self.one_node_at_a_time(m, x), rel=1e-14)
+
+
+class TestOriginLimit:
+    # With multipath leading exponent e = 0 and b > 1 the composite density
+    # tends to c * E[1/Y] = c / (omega * (b - 1)), c the conditional
+    # density's value at the origin at unit scale.
+    MULTIPATH = {
+        "akm": AkmParams(2.0, 1.0, 0.5),
+        "am": AmParams(2.0, 0.5),
+        "extreme": ExtremeParams(1.0, 1.1),
+    }
+    SHADOW = GammaShadowParams(2.0, 0.8)
+
+    @pytest.mark.parametrize("family", sorted(MULTIPATH))
+    def test_both_routes_return_the_limit(self, family):
+        mp = self.MULTIPATH[family]
+        assert composite.family_of(mp).leading_exponent(mp) == 0.0
+        m = CompositeModel(mp, self.SHADOW)
+        limit = composite.family_of(mp).pdf(mp, 0.0, 1.0) / (0.8 * (2.0 - 1.0))
+        assert composite_pdf(m, 0.0, CFG) == limit
+        assert composite_pdf(m, 0.0, CFG, oracle=True) == limit
+        # The density approaches it: within O(x) for akm and am, O(x^(1/2)) for extreme.
+        assert composite_pdf(m, 1e-9, CFG) == pytest.approx(limit, rel=1e-7)
+
+    def test_closed_value(self):
+        m = CompositeModel(self.MULTIPATH["akm"], self.SHADOW)
+        assert composite_pdf(m, 0.0) == pytest.approx(0.855495700780, rel=1e-11)
+
+    @pytest.mark.parametrize("b", [0.8, 1.0])
+    def test_shadow_at_or_below_one_stays_singular(self, b):
+        m = CompositeModel(self.MULTIPATH["am"], GammaShadowParams(b, 0.8))
+        for oracle in (False, True):
+            with pytest.raises(DomainError):
+                composite_pdf(m, 0.0, CFG, oracle=oracle)

@@ -333,3 +333,65 @@ class TestSpecialize:
     def test_tolerance(self):
         assert specialize(AkmParams(2.0 + 1e-10, 1e-10, 1.0)).name == "rayleigh"
         assert specialize(AkmParams(2.0 + 1e-6, 0.0, 1.0)).name != "rayleigh"
+
+
+class TestArrayDensities:
+    # Each density takes a 1-D array through the formula its float call uses.
+    POINTS = np.array([0.0, 1e-5, 0.3, 0.0, 1.0, 2.7, 40.0])
+
+    CASES = {
+        "akm": lambda x: akm_pdf_normalized(AkmParams(1.5, 1.0, 2.1), x),
+        "akm-kappa-zero": lambda x: akm_pdf_normalized(AkmParams(2.4, 0.0, 1.3), x),
+        "akm-divergent-origin": lambda x: akm_pdf_normalized(AkmParams(1.0, 1.0, 0.6), x),
+        "extreme": lambda x: extreme_pdf(ExtremeParams(1.7, 1.1), x),
+        "am": lambda x: am_pdf(AmParams(2.4, 1.3), ScaledEnvelope(1.3), x),
+        "gamma-shadow": lambda x: gamma_shadow_pdf(GammaShadowParams(1.0, 0.8), x),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_array_matches_float_calls(self, name):
+        pdf = self.CASES[name]
+        values = pdf(self.POINTS)
+        assert isinstance(values, np.ndarray) and values.shape == self.POINTS.shape
+        for x, value in zip(self.POINTS.tolist(), values.tolist()):
+            single = pdf(x)
+            assert type(single) is float
+            # A float takes the float path of the Bessel factor.
+            assert value == pytest.approx(single, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf])
+    def test_any_bad_element_is_a_domain_error(self, name, bad):
+        with pytest.raises(DomainError):
+            self.CASES[name](np.array([0.5, bad, 1.0]))
+
+    def test_two_dimensional_input_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            extreme_pdf(ExtremeParams(1.7, 1.1), np.ones((2, 2)))
+
+    def test_empty_array(self):
+        assert akm_pdf_normalized(AkmParams(1.5, 1.0, 2.1), np.array([])).shape == (0,)
+
+    def test_shadow_origin_rule_applies_to_arrays(self):
+        with pytest.raises(DomainError):
+            gamma_shadow_pdf(GammaShadowParams(0.8, 1.0), np.array([1.0, 0.0]))
+
+
+class TestAkmCdfLowerTail:
+    # P(rho) = F_ncx2(2 mu (1 + kappa) rho^alpha; 2 mu, 2 mu kappa).
+    @pytest.mark.parametrize(
+        "alpha, kappa, mu", [(2.0, 1.0, 2.0), (1.5, 0.5, 1.2), (3.0, 4.0, 3.5)]
+    )
+    def test_matches_noncentral_chi_square(self, alpha, kappa, mu):
+        stats = pytest.importorskip("scipy.stats")
+        p = AkmParams(alpha, kappa, mu)
+        for rho in (1e-5, 1e-4, 1e-2, 0.3, 0.8, 1.0, 1.5):
+            w = 2.0 * mu * (1.0 + kappa) * rho**alpha
+            ref = float(stats.ncx2.cdf(w, 2.0 * mu, 2.0 * mu * kappa))
+            assert akm_cdf(p, rho) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    def test_deep_tail_values(self):
+        p = AkmParams(2.0, 1.0, 2.0)
+        # Was 6.7e-16 and 4.4e-16 as 1 - Q.
+        assert akm_cdf(p, 1e-4) == pytest.approx(1.0827e-16, rel=1e-4)
+        assert akm_cdf(p, 1e-5) == pytest.approx(1.0827e-20, rel=1e-4)

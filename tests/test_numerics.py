@@ -171,3 +171,38 @@ class TestSumAdaptive:
     def test_non_finite_term_rejected(self):
         with pytest.raises(EvaluationError):
             sum_adaptive(lambda i: math.inf if i == 3 else 0.5**i)
+
+
+class TestVectorizedIntegrand:
+    @staticmethod
+    def rational(u):
+        # Only +, * and /: a float and an array round alike.
+        return 1.0 / ((1.0 + u * u) * (1.0 + u * u))
+
+    def test_same_result_as_one_call_per_node(self):
+        for scale in (0.3, 1.0, 7.0):
+            scalar = integrate_semi_infinite(self.rational, 1e-11, 1e-14, scale=scale)
+            array = integrate_semi_infinite(
+                self.rational, 1e-11, 1e-14, scale=scale, vectorized=True
+            )
+            assert array == scalar
+            assert scalar.value == pytest.approx(math.pi / 4.0, rel=1e-11)
+
+    def test_one_call_per_refinement_step(self):
+        sizes = []
+
+        def f(u):
+            sizes.append(u.shape)
+            return 1.0 / (1e-4 + (u - 1.0) * (u - 1.0))  # a narrow peak at u = 1
+
+        res = integrate_semi_infinite(f, 1e-11, 1e-14, vectorized=True)
+        # The 8 initial panels, then two children per bisection.
+        assert sizes[0] == (120,) and len(sizes) > 1 and set(sizes[1:]) == {(30,)}
+        assert res.evaluations == 120 + 30 * (len(sizes) - 1)
+
+    def test_non_finite_element_names_its_node(self):
+        def f(u):
+            return np.where((u > 0.9) & (u < 1.1), np.nan, np.exp(-u))
+
+        with pytest.raises(EvaluationError, match=r"at u=(0\.9|1\.0)\d*$"):
+            integrate_semi_infinite(f, 1e-9, 1e-12, vectorized=True)
