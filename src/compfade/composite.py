@@ -1,10 +1,11 @@
 """Composite multipath/shadowing densities and the family table.
 
 Every family is described once, in ``FAMILIES``: its parameter class, name
-and fields, its density and cdf at an rms scale, its sampler, its behaviour
-at the origin and, for the multipath families, the data of its series
-route.  The rest of the package reads that table instead of branching on
-parameter types.
+and fields, its density and cdf at an rms scale and its sampler.  The rest
+of the package reads that table instead of branching on parameter types.
+A multipath family's sampler, deep-fade atom, behaviour at the origin and
+series terms all follow from its clustering form ``poisson_gamma`` =
+(lam, shape, rate): P^alpha ~ Gamma(shape + N, rate), N ~ Poisson(lam).
 
 Two independent evaluation routes are provided for every composite family:
 
@@ -21,19 +22,18 @@ Two independent evaluation routes are provided for every composite family:
   Weideman, SIAM Review 2014).  The terms of one point share A, alpha and
   omega and differ only in the power p0 - l, so one kernel call takes a
   block of powers (rows) on one grid in t that serves them all; the series
-  sum fetches the next block when it reaches it.  The families differ only
-  in each term's coefficient, the kernel power and the inner scale A.
+  sum fetches the block of a term when it reaches it.  Term l is the
+  clustering component N = l, or N = l + 1 where component 0 is an atom.
 
-The zero-LOS composite needs no series at all: a single kernel evaluation is
-exact.  Extreme composites keep the deep-fade atom exp(-2m) at zero, which
-the shadow average cannot touch.  Evaluations are pure given immutable model
-objects.
+With lam = 0 (the zero-LOS composite) one kernel evaluation is exact.  A
+zero shape keeps the deep-fade atom exp(-lam) at zero, which the shadow
+average cannot touch.  Evaluations are pure given immutable model objects.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NonConvergenceError
 from .models import (
-    KAPPA_ZERO_THRESHOLD,
     AkmParams,
     AmParams,
     Density,
@@ -81,8 +80,6 @@ __all__ = [
     "composite_pdf",
     "composite_density",
 ]
-
-logger = logging.getLogger(__name__)
 
 MultipathParams = Union[AkmParams, AmParams, ExtremeParams]
 
@@ -307,6 +304,15 @@ def shadow_kernel_integral(
 # The family table
 # ----------------------------------------------------------------------
 
+def _clustering_draws(p: MultipathParams, count: int, rng: np.random.Generator) -> np.ndarray:
+    # Exact unit-scale draws: P = (G / rate)^(1/alpha), G ~ Gamma(shape + N, 1)
+    # and N ~ Poisson(lam).  numpy draws nothing for lam = 0 and returns 0
+    # for a zero shape, the deep-fade atom.
+    lam, shape, rate = p.poisson_gamma
+    g = rng.standard_gamma(shape + rng.poisson(lam, size=count))
+    return (g / rate) ** (1.0 / p.alpha)
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything the package needs to know about one distribution family.
@@ -318,16 +324,10 @@ class Family:
     ``pdf(p, x, scale)`` and ``cdf(p, x, scale)`` evaluate the family at
     rms scale ``scale``: the CLI's plain curves at ``--rhat`` and the
     oracle's conditional density at shadow scale y.  ``sample(p, count,
-    rng)`` draws at unit scale.  ``leading_exponent(p)`` is the power of x
-    that governs the density at the origin; ``atom_mass(p)``, when given,
-    is the deep-fade point mass at zero.
-
-    Multipath families also carry the series route.  ``series(p, shadow,
-    x)`` returns ``(ln_coeff, p0, inner)``: term l of the composite density
-    is exp(ln_coeff(l)) times the shadow kernel at power p0 - l and inner
-    scale ``inner``.  ``exact`` marks a family whose term 0 alone is exact.
-    ``route(m, x, cfg)`` calls the family's public series evaluator by its
-    module-level name, so a wrapper installed on that name sees every call.
+    rng)`` draws at unit scale, by default from the clustering form.
+    Multipath families also carry ``route(m, x, cfg)``, which calls the
+    family's public series evaluator by its module-level name, so a wrapper
+    installed on that name sees every call.
     """
 
     name: str
@@ -335,97 +335,8 @@ class Family:
     fields: tuple
     pdf: Callable
     cdf: Callable
-    sample: Callable
-    leading_exponent: Optional[Callable] = None
-    atom_mass: Optional[Callable] = None
-    series: Optional[Callable] = None
-    exact: bool = False
+    sample: Callable = _clustering_draws
     route: Optional[Callable] = None
-
-
-def _akm_series(p: AkmParams, sh: GammaShadowParams, x: float):
-    alpha, kappa, mu = p.alpha, p.kappa, p.mu
-    b, omega = sh.b, sh.omega
-    ln_x = math.log(x)
-    ln_mu = math.log(mu)
-    ln_kappa = math.log(kappa)
-    ln_1k = math.log1p(kappa)
-    ln_shadow_norm = math.lgamma(b) + b * math.log(omega)
-
-    def ln_coeff(l: int) -> float:
-        return (
-            (alpha * (mu + l) - 1.0) * ln_x
-            + (mu + 2.0 * l) * ln_mu
-            + l * ln_kappa
-            + (mu + l) * ln_1k
-            - math.lgamma(l + 1.0)
-            - math.lgamma(mu + l)
-            - ln_shadow_norm
-            - mu * kappa
-        )
-
-    return ln_coeff, b / alpha - mu, mu * (1.0 + kappa) * x**alpha
-
-
-def _am_series(p: AmParams, sh: GammaShadowParams, x: float):
-    alpha, mu = p.alpha, p.mu
-    b, omega = sh.b, sh.omega
-    ln_coeff0 = (
-        mu * math.log(mu)
-        + (alpha * mu - 1.0) * math.log(x)
-        - math.lgamma(mu)
-        - math.lgamma(b)
-        - b * math.log(omega)
-    )
-    return (lambda l: ln_coeff0), b / alpha - mu, mu * x**alpha
-
-
-def _extreme_series(p: ExtremeParams, sh: GammaShadowParams, x: float):
-    alpha, mm = p.alpha, p.m
-    b, omega = sh.b, sh.omega
-    ln_r = math.log(x)
-    ln_2m = math.log(2.0 * mm)
-    ln_shadow_norm = math.lgamma(b) + b * math.log(omega)
-
-    def ln_coeff(l: int) -> float:
-        return (
-            (2.0 + 2.0 * l) * ln_2m
-            + (alpha * (1.0 + l) - 1.0) * ln_r
-            - 2.0 * mm
-            - math.lgamma(l + 1.0)
-            - math.lgamma(l + 2.0)
-            - ln_shadow_norm
-        )
-
-    return ln_coeff, b / alpha - 1.0, 2.0 * mm * x**alpha
-
-
-# Exact unit-scale samplers from the Poisson-gamma mixture structure: for
-# the LOS model N ~ Poisson(mu*kappa), G ~ Gamma(mu + N, 1) and
-# P = (G / (mu*(1+kappa)))^(1/alpha); for the severe-fading model
-# N ~ Poisson(2m), zero when N = 0 (the deep-fade atom), else
-# (G_N / (2m))^(1/alpha) with G_N ~ Gamma(N, 1).
-
-def _akm_draws(p: AkmParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    n = rng.poisson(p.mu * p.kappa, size=count)
-    g = rng.standard_gamma(p.mu + n)
-    return (g / (p.mu * (1.0 + p.kappa))) ** (1.0 / p.alpha)
-
-
-def _am_draws(p: AmParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_gamma(p.mu, size=count)
-    return (g / p.mu) ** (1.0 / p.alpha)
-
-
-def _extreme_draws(p: ExtremeParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    lam = 2.0 * p.m
-    n = rng.poisson(lam, size=count)
-    values = np.zeros(count)
-    deep = n == 0
-    if np.any(~deep):
-        g = rng.standard_gamma(n[~deep].astype(float))
-        values[~deep] = (g / lam) ** (1.0 / p.alpha)
-    return values
 
 
 # The entries call the model functions by their names in this module, so a
@@ -439,29 +350,18 @@ FAMILIES = {
             "akm", AkmParams, ("alpha", "kappa", "mu"),
             pdf=lambda p, x, s: akm_pdf_normalized(p, x / s) / s,
             cdf=lambda p, x, s: akm_cdf(p, x / s),
-            sample=_akm_draws,
-            leading_exponent=lambda p: p.alpha * p.mu - 1.0,
-            series=_akm_series,
             route=lambda m, x, cfg: akm_gamma_pdf_series(m, x, cfg),
         ),
         Family(
             "am", AmParams, ("alpha", "mu"),
             pdf=lambda p, x, s: am_pdf(p, _UNIT, x / s) / s,
             cdf=lambda p, x, s: am_cdf(p, ScaledEnvelope(s), x),
-            sample=_am_draws,
-            leading_exponent=lambda p: p.alpha * p.mu - 1.0,
-            series=_am_series,
-            exact=True,
             route=lambda m, x, cfg: am_gamma_pdf(m, x),
         ),
         Family(
             "extreme", ExtremeParams, ("alpha", "m"),
             pdf=lambda p, x, s: extreme_pdf(p, x / s) / s,
             cdf=lambda p, x, s: extreme_cdf(p, x / s),
-            sample=_extreme_draws,
-            leading_exponent=lambda p: p.alpha - 1.0,
-            atom_mass=lambda p: p.atom_mass,
-            series=_extreme_series,
             route=lambda m, x, cfg: extreme_gamma_pdf(m, x, cfg),
         ),
         Family(
@@ -472,7 +372,7 @@ FAMILIES = {
         ),
     )
 }
-MULTIPATH_FAMILIES = tuple(f for f in FAMILIES.values() if f.series is not None)
+MULTIPATH_FAMILIES = tuple(f for f in FAMILIES.values() if f.route is not None)
 SHADOW = FAMILIES["gamma-shadow"]
 _BY_PARAMS = {f.params: f for f in FAMILIES.values()}
 
@@ -486,10 +386,11 @@ def family_of(params) -> Family:
 
 
 def _atoms(params) -> tuple:
-    family = family_of(params)
-    if family.atom_mass is None:
+    # Component N = 0 of a zero shape is the deep-fade atom, of mass e^-lam.
+    if family_of(params) is SHADOW:
         return ()
-    return ((0.0, family.atom_mass(params)),)
+    lam, shape, _ = params.poisson_gamma
+    return () if shape else ((0.0, math.exp(-lam)),)
 
 
 def plain_density(params, scale: float = 1.0) -> Density:
@@ -506,12 +407,13 @@ def _check_argument(x: float) -> None:
 
 
 def _value_at_origin(family: Family, m: CompositeModel) -> float:
-    # Near x = 0 the composite density behaves like x^min(e, b - 1): e is the
-    # multipath leading exponent, and the shadow density goes like y^(b-1).
-    # A positive power has the limit zero.  With e = 0 and b > 1 the
-    # conditional density tends to its unit-scale origin value c/y, so the
-    # limit is c * E[1/Y] = c / (omega * (b - 1)).
-    e, b = family.leading_exponent(m.multipath), m.shadow.b
+    # Near x = 0 the composite density behaves like x^min(e, b - 1): e =
+    # alpha * shape - 1 is the leading exponent of the first continuous
+    # component (N = 1 where N = 0 is an atom), and the shadow density goes
+    # like y^(b-1).  A positive power has the limit zero.  With e = 0 and
+    # b > 1 the conditional density tends to its unit-scale origin value
+    # c/y, so the limit is c * E[1/Y] = c / (omega * (b - 1)).
+    e, b = m.multipath.alpha * (m.multipath.poisson_gamma[1] or 1.0) - 1.0, m.shadow.b
     if min(e, b - 1.0) > 0.0:
         return 0.0
     if e == 0.0 and b > 1.0:
@@ -571,33 +473,87 @@ def _gross_ln_weight(n: int, l: int) -> float:
     return math.lgamma(n + l) - math.lgamma(n - l + 1.0) + (1.0 - 2.0 * l) * math.log(n)
 
 
+def _series_terms(mp: MultipathParams, sh: GammaShadowParams, x: float):
+    # (ln_coeff, p0, inner): term l of the density at x > 0, exp(ln_coeff(l))
+    # times the shadow kernel at power p0 - l and inner scale ``inner``, is
+    # the component n = n0 + l (n0 = 1 where component 0 is the atom) of
+    # shape k = shape + n: Pois_n(lam) rate^k x^(alpha k - 1) / (Gamma(k)
+    # Gamma(b) omega^b).
+    lam, shape, rate = mp.poisson_gamma
+    alpha, b = mp.alpha, sh.b
+    k0, n0 = (shape, 0) if shape else (1.0, 1)
+    ln_x, ln_rate = math.log(x), math.log(rate)
+    ln_lam = math.log(lam) if lam else 0.0  # with lam = 0 only n = 0 is read
+    ln_const = -lam - math.lgamma(b) - b * math.log(sh.omega)
+
+    def ln_coeff(l: int) -> float:
+        n, k = n0 + l, k0 + l
+        return (
+            n * ln_lam
+            - math.lgamma(n + 1.0)
+            + k * ln_rate
+            + (alpha * k - 1.0) * ln_x
+            - math.lgamma(k)
+            + ln_const
+        )
+
+    return ln_coeff, b / alpha - k0, rate * x**alpha
+
+
+_LN_TINY = math.log(sys.float_info.min)  # the smallest normal double
+
+
+def _largest_term(ln_term: Callable[[int], float]) -> int:
+    # The l at which ln_term stops rising, by doubling and then bisection:
+    # the terms rise to one peak and then fall.  The peak lies in [lo, hi).
+    lo, hi = 0, 1
+    while ln_term(hi) > ln_term(hi - 1):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ln_term(mid) > ln_term(mid - 1) else (lo, mid)
+    return lo
+
+
 def _series_pdf(
     family: Family, m: CompositeModel, x: float, cfg: Optional[SeriesConfig]
 ) -> float:
-    # Sum of the family's series terms, or its one exact term (which reads
-    # no series settings).
+    # Sum of the series terms, or the one exact term of a single component
+    # (which reads no series settings).
     _check_argument(x)
     if x == 0.0:
         return _value_at_origin(family, m)
     alpha, omega = m.multipath.alpha, m.shadow.omega
-    ln_coeff, p0, inner = family.series(m.multipath, m.shadow, x)
-    if family.exact:
+    ln_coeff, p0, inner = _series_terms(m.multipath, m.shadow, x)
+    if m.multipath.poisson_gamma[0] == 0.0:
         return math.exp(ln_coeff(0) + shadow_kernel_integral_ln(p0, inner, alpha, omega))
     terms = cfg.max_terms + 1 if cfg.use_gross else math.inf
-    ln_kernels = []
+    ln_kernels = {}
 
-    def term(l: int) -> float:
-        if l == len(ln_kernels):  # terms come in order; fetch the next block
-            powers = p0 - np.arange(l, min(l + _KERNEL_BLOCK, terms))
-            ln_kernels.extend(shadow_kernel_integral_ln(powers, inner, alpha, omega).tolist())
+    def ln_term(l: int) -> float:
+        ln_k = ln_kernels.get(l)
+        if ln_k is None:  # fetch the block of powers that holds term l
+            start = l - l % _KERNEL_BLOCK
+            stop = min(start + _KERNEL_BLOCK, terms)
+            block = shadow_kernel_integral_ln(p0 - np.arange(start, stop), inner, alpha, omega)
+            ln_kernels.update(zip(range(start, stop), block.tolist()))
+            ln_k = ln_kernels[l]
         ln_c = ln_coeff(l)
         if cfg.use_gross:
             ln_c += _gross_ln_weight(cfg.max_terms, l)
-        return math.exp(ln_c + ln_kernels[l])
+        return ln_c + ln_k
 
     if cfg.use_gross:
-        return sum(term(l) for l in range(terms))
-    return sum_adaptive(term, rel_tol=cfg.rel_tol).value
+        return sum(math.exp(ln_term(l)) for l in range(terms))
+    # A term 0 below the normal range (e^-lam underflows past lam ~ 745)
+    # would stop the sum on its leading zeros: sum outward from the largest.
+    top = 0 if ln_term(0) >= _LN_TINY else _largest_term(ln_term)
+    value = sum_adaptive(lambda i: math.exp(ln_term(top + i)), rel_tol=cfg.rel_tol).value
+    if top:
+        value += sum_adaptive(
+            lambda i: math.exp(ln_term(top - 1 - i)) if i < top else 0.0, rel_tol=cfg.rel_tol
+        ).value
+    return value
 
 
 def _require(m: CompositeModel, name: str, caller: str) -> Family:
@@ -613,14 +569,9 @@ def akm_gamma_pdf_series(m: CompositeModel, x: float, cfg: SeriesConfig = Series
     Term l couples the coefficient x^(alpha*(mu+l)-1) mu^(mu+2l) kappa^l
     (1+kappa)^(mu+l) / (l! Gamma(mu+l) Gamma(b) omega^b e^(mu*kappa)) with
     the shadow kernel at p = b/alpha - mu - l, A = mu*(1+kappa)*x^alpha.
-    Vanishing LOS power routes to the exact zero-LOS form.
+    With kappa = 0 term 0 alone is exact, the zero-LOS form.
     """
-    family = _require(m, "akm", "akm_gamma_pdf_series")
-    mp = m.multipath
-    if mp.kappa < KAPPA_ZERO_THRESHOLD:
-        logger.debug("kappa=%g below threshold; using the exact zero-LOS composite", mp.kappa)
-        return am_gamma_pdf(CompositeModel(AmParams(mp.alpha, mp.mu), m.shadow), x)
-    return _series_pdf(family, m, x, cfg)
+    return _series_pdf(_require(m, "akm", "akm_gamma_pdf_series"), m, x, cfg)
 
 
 def am_gamma_pdf(m: CompositeModel, r: float) -> float:

@@ -84,6 +84,12 @@ class AkmParams:
         )
         _require(_finite_pos(self.mu), f"mu must be finite and > 0, got {self.mu!r}")
 
+    @property
+    def poisson_gamma(self) -> tuple:
+        """Clustering form (lam, shape, rate): P^alpha ~ Gamma(shape + N, rate)
+        for the unit-rms power, given N ~ Poisson(lam) dominant clusters."""
+        return self.mu * self.kappa, self.mu, self.mu * (1.0 + self.kappa)
+
 
 @dataclass(frozen=True)
 class AmParams:
@@ -96,6 +102,11 @@ class AmParams:
         _require(_finite_pos(self.alpha), f"alpha must be finite and > 0, got {self.alpha!r}")
         _require(_finite_pos(self.mu), f"mu must be finite and > 0, got {self.mu!r}")
 
+    @property
+    def poisson_gamma(self) -> tuple:
+        """Clustering form (lam, shape, rate), as for ``AkmParams``."""
+        return 0.0, self.mu, self.mu
+
 
 @dataclass(frozen=True)
 class ExtremeParams:
@@ -107,6 +118,11 @@ class ExtremeParams:
     def __post_init__(self):
         _require(_finite_pos(self.alpha), f"alpha must be finite and > 0, got {self.alpha!r}")
         _require(_finite_pos(self.m), f"m must be finite and > 0, got {self.m!r}")
+
+    @property
+    def poisson_gamma(self) -> tuple:
+        """Clustering form (lam, shape, rate); N = 0 is the deep-fade atom."""
+        return 2.0 * self.m, 0.0, 2.0 * self.m
 
     @property
     def atom_mass(self) -> float:
@@ -280,45 +296,17 @@ def akm_cdf_series(p: AkmParams, rho: float, tail_tol: float = 1e-15) -> float:
 
     Reference form kept as an independent arrangement of the computation:
     sum_i Pois_i(mu*kappa) * P(mu + i, mu*(1+kappa)*rho^alpha), truncated
-    where the remaining Poisson weight is below ``tail_tol``.  Only the
-    last P(mu + n, x) is an incomplete gamma call; the others follow by
-    adding positive terms, P(a, x) = P(a + 1, x) + x^a e^-x / Gamma(a + 1),
-    so every sum is free of cancellation and suits the lower tail.
+    where the remaining Poisson weight is below ``tail_tol``
+    (``specfun.poisson_gamma_cdf``).  Every sum is free of cancellation and
+    suits the lower tail.
     """
+    return _mixture_cdf(p, rho, tail_tol)
+
+
+def _mixture_cdf(p, rho: float, tail_tol: float) -> float:
     _check_nonneg("rho", rho)
-    lam = p.mu * p.kappa
-    x = p.mu * (1.0 + p.kappa) * rho**p.alpha
-    weights = [math.exp(-lam)]
-    while lam > 0.0:
-        i = len(weights)
-        weight = weights[-1] * lam / i
-        if weight == 0.0:
-            break
-        weights.append(weight)
-        if i + 2.0 > lam and weight * (lam / (i + 1.0)) / (1.0 - lam / (i + 2.0)) <= tail_tol:
-            break
-        if i > 100_000:
-            raise DomainError("cdf series failed to terminate")
-    n = len(weights) - 1
-    lower = specfun.reg_lower_gamma(p.mu + n, x)
-    total = weights[n] * lower
-    if x > 0.0 and n:
-        # The terms x^(mu+i) e^-x / Gamma(mu+i+1), i < n, by their ratio
-        # x / (mu+i+1), unless the first would underflow.
-        ln_x = math.log(x)
-        ln_first = p.mu * ln_x - x - math.lgamma(p.mu + 1.0)
-        if ln_first > -700.0:
-            terms = [math.exp(ln_first)]
-            for i in range(1, n):
-                terms.append(terms[-1] * x / (p.mu + i))
-        else:
-            terms = [
-                math.exp((p.mu + i) * ln_x - x - math.lgamma(p.mu + i + 1.0)) for i in range(n)
-            ]
-        for i in range(n - 1, -1, -1):
-            lower += terms[i]
-            total += weights[i] * lower
-    return min(total, 1.0)
+    lam, shape, rate = p.poisson_gamma
+    return specfun.poisson_gamma_cdf(lam, shape, rate * rho**p.alpha, tail_tol)
 
 
 def akm_power_pdf(p: AkmParams, w: float) -> float:
@@ -418,23 +406,10 @@ def extreme_cdf(p: ExtremeParams, rho: float, tail_tol: float = 1e-15) -> float:
     """Distribution function including the atom at zero.
 
     Poisson-mixture form: F(rho) = e^(-2m) + sum_{j>=1} Pois_j(2m) *
-    P(j, 2m rho^alpha).
+    P(j, 2m rho^alpha), truncated where the remaining Poisson weight is
+    below ``tail_tol``.
     """
-    _check_nonneg("rho", rho)
-    lam = 2.0 * p.m
-    x = lam * rho**p.alpha
-    weight = math.exp(-lam)
-    total = weight
-    j = 0
-    while True:
-        weight *= lam / (j + 1.0)
-        j += 1
-        total += weight * specfun.reg_lower_gamma(float(j), x)
-        if j + 2.0 > lam and weight * (lam / (j + 1.0)) / (1.0 - lam / (j + 2.0)) <= tail_tol:
-            break
-        if j > 100_000:
-            raise DomainError("extreme cdf series failed to terminate")
-    return min(total, 1.0)
+    return _mixture_cdf(p, rho, tail_tol)
 
 
 def am_pdf(p: AmParams, s: ScaledEnvelope, r):

@@ -2,18 +2,22 @@
 
 The modified Bessel function of the first kind (plain, exponentially
 scaled, and a finite polynomial surrogate), the regularized incomplete
-gamma pair, the generalized Marcum Q function, and Kummer's confluent
-hypergeometric 1F1.  Each is a map on floats; ``bessel_i_scaled`` also takes
-a 1-D array of arguments, which the mixture oracle uses to evaluate its
-quadrature nodes at once.  All functions are stateless and safe to call
-concurrently.
+gamma pair, the generalized Marcum Q function and its complement
+``poisson_gamma_cdf`` (a Poisson mixture of lower incomplete gammas), and
+Kummer's confluent hypergeometric 1F1.  Both Poisson mixtures take their
+weights from one helper that starts at the mode, in Loader's saddle-point
+form, so they hold where e^-lam underflows.  Each function is a map on
+floats; ``bessel_i_scaled`` also takes a 1-D array of arguments, which the
+mixture oracle uses to evaluate its quadrature nodes at once.  All
+functions are stateless and safe to call concurrently.
 
 Accuracy targets (enforced by the test suite):
 
 * ``ln_gamma``         relative error <= 1e-13
 * ``bessel_i``         relative error <= 1e-12 for x in [0, 700]
 * ``reg_upper_gamma``  relative error <= 1e-12
-* ``marcum_q``         truncation bounded below 1e-12 (proven Poisson tail)
+* ``marcum_q``         truncation below 1e-15 (geometric bound on the Poisson tail)
+* ``poisson_gamma_cdf`` relative error <= 1e-10, absolute 1e-12 below 1e-3
 * ``kummer_1f1``       relative error <= 1e-10 in the supported regime
 """
 
@@ -34,6 +38,7 @@ __all__ = [
     "reg_upper_gamma",
     "reg_lower_gamma",
     "marcum_q",
+    "poisson_gamma_cdf",
     "kummer_1f1",
 ]
 
@@ -278,7 +283,8 @@ def bessel_i_gross(nu: float, x: float, n: int) -> float:
         if nu == 0.0:
             return 1.0
         return 0.0 if nu > 0.0 else math.inf
-    ln_half = math.log(0.5 * x)
+    half = 0.5 * x  # rounds to 0 at the least subnormal x
+    ln_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
     ln_n = math.log(n)
     total = 0.0
     for l in range(n + 1):
@@ -366,14 +372,70 @@ def reg_lower_gamma(a: float, x: float) -> float:
     return 1.0 - _upper_gamma_cf(a, x, ln_fac)
 
 
+def _poisson_term(n: float, x: float) -> float:
+    # x^n e^-x / Gamma(n + 1) for n >= 0 and x > 0.  Past n = 15 in Loader's
+    # saddle-point form (2000): Stirling's remainder and the deviance
+    # n ln(n/x) - (n - x) are formed apart, so no digits cancel between
+    # n ln x and ln Gamma(n + 1) at large n and x.
+    if n <= 15.0:
+        if x < 700.0:
+            return x**n * math.exp(-x) / math.gamma(n + 1.0)
+        return math.exp(n * math.log(x) - x - math.lgamma(n + 1.0))
+    nn = n * n
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+    d = n - x
+    ln_ratio = math.log1p(d / x) if abs(d) < 0.5 * x else math.log(n / x)
+    return math.exp(-stirling - (n * ln_ratio - d) - 0.5 * math.log(2.0 * math.pi * n))
+
+
+def _poisson_weights(lam: float, tail_tol: float) -> tuple[int, list]:
+    # (lo, w): the Poisson(lam) weights w[i - lo], from the mode in logs,
+    # where e^-lam may underflow, and outward by the ratios lam / i and
+    # i / lam: up to where a geometric bound on the weights past i is within
+    # tail_tol, and down to i = 0 or to an underflowed weight.
+    if lam > 1e6:  # about 5e4 weights
+        raise NonConvergenceError(f"Poisson mean {lam!r} needs too many weights")
+    i = mode = int(lam)
+    w = _poisson_term(float(mode), lam)
+    upper = [w]
+    while w > 0.0 and not (i + 2.0 > lam and w * lam / (i + 1.0) / (1.0 - lam / (i + 2.0)) <= tail_tol):
+        i += 1
+        w *= lam / i
+        upper.append(w)
+    i, w, lower = mode, upper[0], []
+    while i > 0 and w > 0.0:
+        w *= i / lam
+        i -= 1
+        lower.append(w)
+    return i, lower[::-1] + upper
+
+
+def _gamma_terms(a: float, x: float, count: int) -> list:
+    # x^(a+i) e^-x / Gamma(a+i+1) for i < count >= 1: the largest in logs,
+    # the others outward from it by the ratios x / (a+i+1), so none is
+    # formed from an underflowed or subnormal neighbour.
+    terms = [0.0] * count
+    k = min(max(int(x - a), 0), count - 1)
+    terms[k] = t = _poisson_term(a + k, x)
+    for i in range(k + 1, count):
+        t *= x / (a + i)
+        terms[i] = t
+    t = terms[k]
+    for i in range(k, 0, -1):
+        t *= (a + i) / x
+        terms[i - 1] = t
+    return terms
+
+
 def marcum_q(mu: float, a: float, b: float) -> float:
     """Generalized Marcum Q function Q_mu(a, b) for mu > 0, a, b >= 0.
 
     Computed as the Poisson-weighted sum of regularized upper incomplete
-    gamma values, sum_i exp(-a^2/2) (a^2/2)^i / i! * Q(i + mu, b^2/2).
-    Truncation is controlled by the exact geometric bound on the Poisson
-    tail (successive weight ratios are at most lam/(i+2) < 1), which keeps
-    the neglected mass below 1e-15.
+    gamma values, sum_i exp(-a^2/2) (a^2/2)^i / i! * Q(i + mu, b^2/2): one
+    incomplete gamma call at the lowest i, then Q(c + 1, y) = Q(c, y) +
+    y^c e^-y / Gamma(c + 1).  The weights start at their mode and stop where
+    a geometric bound on the rest falls below 1e-15; as Q <= 1, so does the
+    truncation error.
     """
     if not (mu > 0.0 and math.isfinite(mu)):
         raise DomainError(f"Marcum order must be finite and > 0, got {mu!r}")
@@ -381,31 +443,39 @@ def marcum_q(mu: float, a: float, b: float) -> float:
         raise DomainError(f"Marcum argument a must be finite and >= 0, got {a!r}")
     if not (b >= 0.0 and math.isfinite(b)):
         raise DomainError(f"Marcum argument b must be finite and >= 0, got {b!r}")
-    if b == 0.0:
-        return 1.0
-    lam = 0.5 * a * a
     y = 0.5 * b * b
-    q = reg_upper_gamma(mu, y)
-    if lam == 0.0:
-        return q
-    ln_t = mu * math.log(y) - y - math.lgamma(mu + 1.0)
-    t = math.exp(ln_t) if ln_t > -745.0 else 0.0
-    weight = math.exp(-lam)
-    total = weight * q
-    i = 0
-    while True:
-        q += t  # Q(mu + i + 1, y) from the order recurrence
-        t *= y / (mu + i + 1.0)
-        weight *= lam / (i + 1.0)
-        i += 1
-        total += weight * q
-        if i + 2.0 > lam:
-            ratio = lam / (i + 2.0)
-            tail = weight * (lam / (i + 1.0)) / (1.0 - ratio)
-            if tail <= 1e-15:
-                break
-        if i > 100_000:
-            raise NonConvergenceError("Marcum Q series stalled")
+    if y == 0.0:
+        return 1.0
+    lo, weights = _poisson_weights(0.5 * a * a, 1e-15)
+    q = reg_upper_gamma(mu + lo, y)
+    total = weights[0] * q
+    for w, t in zip(weights[1:], _gamma_terms(mu + lo, y, len(weights))):
+        q += t
+        total += w * q
+    return min(total, 1.0)
+
+
+def poisson_gamma_cdf(lam: float, shape: float, x: float, tail_tol: float) -> float:
+    """Distribution function sum_n e^-lam lam^n / n! * P(shape + n, x) of a
+    Gamma(shape + N, 1) variable, N ~ Poisson(lam), for lam, shape, x >= 0.
+
+    P(0, x) = 1 is the point mass at zero of a zero shape.  With shape > 0
+    this is 1 - Q_shape(sqrt(2 lam), sqrt(2 x)), summed directly with the
+    weights of ``marcum_q`` cut at ``tail_tol``: one incomplete gamma call at
+    the top n, then P(c, x) = P(c + 1, x) + x^c e^-x / Gamma(c + 1), positive
+    terms that suit the lower tail.
+    """
+    if not (min(lam, shape, x) >= 0.0 and math.isfinite(lam + shape + x)):
+        raise DomainError(f"lam, shape and x must be finite and >= 0, got {lam, shape, x!r}")
+    lo, weights = _poisson_weights(lam, tail_tol)
+    if x == 0.0:
+        return weights[0] if lo == 0 and shape == 0.0 else 0.0
+    top = shape + lo + len(weights) - 1
+    lower = reg_lower_gamma(top, x) if top > 0.0 else 1.0
+    total = weights[-1] * lower
+    for w, t in zip(weights[-2::-1], _gamma_terms(shape + lo, x, len(weights))[-2::-1]):
+        lower += t
+        total += w * lower
     return min(total, 1.0)
 
 

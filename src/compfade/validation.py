@@ -382,17 +382,19 @@ def check_normalization(draws: int = 20, seed: int = 23) -> dict:
 def check_cdf_dual_form(points: int = 100, seed: int = 31) -> dict:
     """Incomplete-gamma series cdf vs Marcum-Q cdf on random points.
 
-    Agreement is absolute (both are probabilities); where the cdf is not
-    minuscule the relative gap is held to the same level.  Below ~1e-3 the
-    complement route's floating floor of ~1e-16 makes a relative comparison
-    meaningless.
+    The series against 1 - Q_mu(sqrt(2 mu kappa), rho^(alpha/2) sqrt(2 mu
+    (1 + kappa))) on every point.  Agreement is absolute (both are
+    probabilities); where the cdf is not minuscule the relative gap is held
+    to the same level.  Below ~1e-3 the complement route's floating floor of
+    ~1e-16 makes a relative comparison meaningless.
     """
     rng = _rng(seed)
     worst = 0.0
     for _ in range(points):
         p = _random(rng, _AKM)
         rho = float(rng.uniform(0.05, 3.0))
-        f1 = models.akm_cdf(p, rho)
+        b = rho ** (0.5 * p.alpha) * math.sqrt(2.0 * p.mu * (1.0 + p.kappa))
+        f1 = 1.0 - specfun.marcum_q(p.mu, math.sqrt(2.0 * p.mu * p.kappa), b)
         f2 = models.akm_cdf_series(p, rho)
         gap = abs(f1 - f2)
         if max(f1, f2) >= 1e-3:

@@ -1,0 +1,139 @@
+"""High-precision goldens for the Poisson-gamma mixture cdfs.
+
+    python3 tests/data/make_mixture_goldens.py
+
+writes ``tests/data/mixture_goldens.json``: reference values of
+``marcum_q``, ``akm_cdf`` / ``akm_cdf_series`` and ``extreme_cdf`` with a
+mean number of dominant clusters lam from 1 to 2,500, computed with mpmath
+at ``DPS`` decimal digits, independently of compfade.  All three are the
+mixture
+
+    F = sum_n Pois_n(lam) P(shape + n, x),   S = 1 - F = sum_n Pois_n(lam) Q(shape + n, x)
+
+of regularized incomplete gamma functions: Q_mu(a, b) is S with shape mu,
+lam = a^2/2 and x = b^2/2; the akm cdf is F with (lam, shape, x) = (mu
+kappa, mu, mu (1 + kappa) rho^alpha); the extreme cdf is F with (2m, 0,
+2m rho^alpha), where P(0, x) = 1 is the deep-fade atom.  Both sides are
+summed directly, so a tail of either is exact to every digit: the weights
+from e^-lam (no underflow in mpmath) by the ratio lam / (n + 1), P down
+from one ``gammainc`` call at the top n by P(c, x) = P(c + 1, x) +
+x^c e^-x / Gamma(c + 1), and Q up from one call at n = 0 by the same
+terms.  The sum runs to lam + 60 sqrt(lam) + 200, past which the weights
+are below e^-1800.
+
+Each value is computed at ``DPS`` and at ``DPS + 15`` digits (each with ten
+guard digits); the two must agree to ``AGREE`` relative and F + S to 1.
+The arguments are doubles (rho, a, b, kappa, mu, m), taken exactly.
+
+``tests/test_mixture_goldens.py`` reads the JSON; it needs no mpmath.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import mpmath as mp
+
+HERE = Path(__file__).resolve().parent
+OUT = HERE / "mixture_goldens.json"
+DPS = 30
+AGREE = mp.mpf("1e-25")
+LAMBDAS = (1.0, 10.0, 100.0, 800.0, 2500.0)
+# Standard scores of x about the mixture's mean shape + lam: both tails.
+SCORES = (-8.0, -3.0, 0.0, 3.0, 8.0)
+
+
+def mixture(lam, shape, x, dps):
+    """(F, S) of the Poisson-gamma mixture at ``dps`` digits."""
+    with mp.workdps(dps + 10):
+        lam, shape, x = mp.mpf(lam), mp.mpf(shape), mp.mpf(x)
+        count = int(lam + 60 * mp.sqrt(lam) + 200)
+        weights = [mp.exp(-lam)]
+        for n in range(1, count):
+            weights.append(weights[-1] * lam / n)
+        terms = [x ** (shape + n) * mp.exp(-x) / mp.gamma(shape + n + 1) for n in range(count)]
+        p = mp.gammainc(shape + count, 0, x, regularized=True)
+        f = mp.mpf(0)
+        for n in range(count - 1, -1, -1):
+            p += terms[n]
+            f += weights[n] * p
+        q = mp.gammainc(shape, x, mp.inf, regularized=True) if shape > 0 else mp.mpf(0)
+        s = weights[0] * q
+        for n in range(1, count):
+            q += terms[n - 1]
+            s += weights[n] * q
+        assert abs(f + s - 1) < mp.mpf(10) ** (-dps)
+        return +f, +s
+
+
+def checked(lam, shape, x):
+    """(F, S) at DPS, each agreeing with its value at DPS + 15 digits."""
+    low, high = mixture(lam, shape, x, DPS), mixture(lam, shape, x, DPS + 15)
+    for a, b in zip(low, high):
+        assert abs(a - b) <= AGREE * abs(b), (lam, shape, x)
+    return tuple(mp.nstr(v, DPS) for v in low)
+
+
+def grid_x(lam, shape):
+    # x at the standard scores, about the mean shape + lam, with
+    # variance shape + 2 lam; a score below zero is replaced by mean / 20.
+    mean, sd = shape + lam, (shape + 2.0 * lam) ** 0.5
+    return [mean + z * sd if mean + z * sd > 0.0 else mean / 20.0 for z in SCORES]
+
+
+def _round(value):
+    return float(f"{value:.6g}")
+
+
+def marcum_cases():
+    mu = 2.5
+    for lam in LAMBDAS:
+        a = (2.0 * lam) ** 0.5
+        for x in grid_x(lam, mu):
+            b = _round((2.0 * x) ** 0.5)
+            with mp.workdps(DPS + 25):
+                y = mp.mpf(b) ** 2 / 2
+                _, s = checked(mp.mpf(a) ** 2 / 2, mu, y)
+            yield {"mu": mu, "a": a, "b": b, "value": s}
+
+
+def akm_cases():
+    for i, lam in enumerate(LAMBDAS):
+        for mu in (1.0, 20.0):
+            alpha = (2.0, 1.5)[i % 2]
+            kappa = lam / mu
+            for x in grid_x(lam, mu):
+                rho = _round((x / (mu * (1.0 + kappa))) ** (1.0 / alpha))
+                with mp.workdps(DPS + 25):
+                    mu_, kappa_ = mp.mpf(mu), mp.mpf(kappa)
+                    xx = mu_ * (1 + kappa_) * mp.mpf(rho) ** mp.mpf(alpha)
+                    cdf, sf = checked(mu_ * kappa_, mu_, xx)
+                yield {"alpha": alpha, "kappa": kappa, "mu": mu, "rho": rho, "cdf": cdf, "sf": sf}
+
+
+def extreme_cases():
+    for i, lam in enumerate(LAMBDAS):
+        alpha, m = (2.0, 1.0)[i % 2], lam / 2.0
+        rhos = [0.0] if lam <= 10.0 else []  # the atom, while it is not negligible
+        rhos += [_round((x / lam) ** (1.0 / alpha)) for x in grid_x(lam, 0.0)]
+        for rho in rhos:
+            with mp.workdps(DPS + 25):
+                lam_ = 2 * mp.mpf(m)
+                cdf, _ = checked(lam_, 0, lam_ * mp.mpf(rho) ** mp.mpf(alpha))
+            yield {"alpha": alpha, "m": m, "rho": rho, "cdf": cdf}
+
+
+def main() -> None:
+    data = {
+        "dps": DPS,
+        "marcum_q": list(marcum_cases()),
+        "akm_cdf": list(akm_cases()),
+        "extreme_cdf": list(extreme_cases()),
+    }
+    OUT.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"wrote {OUT} ({sum(len(v) for v in data.values() if isinstance(v, list))} values)")
+
+
+if __name__ == "__main__":
+    main()

@@ -272,21 +272,28 @@ class TestSeriesRoutes:
         model = CompositeModel(AkmParams(2.0, 20.0, 10.0), GammaShadowParams(2.0, 0.5))
         assert akm_gamma_pdf_series(model, 1.0) == pytest.approx(mixture_pdf(model, 1.0), rel=1e-6)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="mu*kappa >= ~745: the first terms underflow through e^(-mu*kappa), and "
-        "sum_adaptive stops on three zero terms, so the series returns 0.0",
-    )
     @pytest.mark.parametrize("kappa, mu, x", [(50.0, 20.0, 1.0), (25.0, 30.0, 2.0)])
     def test_head_underflow_matches_oracle(self, kappa, mu, x):
         model = CompositeModel(AkmParams(2.0, kappa, mu), GammaShadowParams(2.0, 0.5))
         assert akm_gamma_pdf_series(model, x) == pytest.approx(mixture_pdf(model, x), rel=1e-6)
 
+    # The Poisson weight of term 0, e^-(mu*kappa) or e^-2m, underflows: a
+    # sum started at term 0 would return 0.0 at both points.
+    @pytest.mark.parametrize(
+        "multipath, x, approx_value",
+        [(AkmParams(2.0, 50.0, 20.0), 1.0, 0.5411), (ExtremeParams(2.0, 400.0), 0.5, 0.7362)],
+        ids=["akm", "extreme"],
+    )
+    def test_head_underflow_to_ten_digits(self, multipath, x, approx_value):
+        model = CompositeModel(multipath, GammaShadowParams(2.0, 0.5))
+        series = composite_pdf(model, x, SeriesConfig(rel_tol=1e-13))
+        assert series == pytest.approx(mixture_pdf(model, x, rel_tol=1e-12), rel=1e-10)
+        assert series == pytest.approx(approx_value, abs=1e-4)
+
 
 def _per_term_reference(model, x, cfg):
     # The series summed term by term with one scalar kernel call per term.
-    family = composite.family_of(model.multipath)
-    ln_coeff, p0, inner = family.series(model.multipath, model.shadow, x)
+    ln_coeff, p0, inner = composite._series_terms(model.multipath, model.shadow, x)
     alpha, omega = model.multipath.alpha, model.shadow.omega
 
     def term(l):
@@ -490,7 +497,7 @@ class TestOriginLimit:
     @pytest.mark.parametrize("family", sorted(MULTIPATH))
     def test_both_routes_return_the_limit(self, family):
         mp = self.MULTIPATH[family]
-        assert composite.family_of(mp).leading_exponent(mp) == 0.0
+        assert mp.alpha * (mp.poisson_gamma[1] or 1.0) - 1.0 == 0.0  # the leading exponent
         m = CompositeModel(mp, self.SHADOW)
         limit = composite.family_of(mp).pdf(mp, 0.0, 1.0) / (0.8 * (2.0 - 1.0))
         assert composite_pdf(m, 0.0, CFG) == limit

@@ -1,0 +1,58 @@
+"""The Poisson-gamma mixture cdfs against mpmath goldens.
+
+``tests/data/make_mixture_goldens.py`` wrote ``mixture_goldens.json`` with
+mpmath at 30 digits for a mean number of dominant clusters from 1 to 2,500,
+both tails included; only ``test_goldens_regenerate`` needs mpmath.  A
+value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3.
+"""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from compfade import AkmParams, ExtremeParams, akm_cdf, akm_cdf_series, extreme_cdf, marcum_q
+
+_DATA_DIR = Path(__file__).resolve().parent / "data"
+_DATA = json.loads((_DATA_DIR / "mixture_goldens.json").read_text())
+
+
+def _close(got, golden):
+    ref = float(golden)
+    return math.isfinite(got) and abs(got - ref) <= max(1e-10 * ref, 1e-12 if ref < 1e-3 else 0.0)
+
+
+@pytest.mark.parametrize("case", _DATA["marcum_q"], ids=lambda c: f"a{c['a']:.4g}-b{c['b']:g}")
+def test_marcum_q(case):
+    assert _close(marcum_q(case["mu"], case["a"], case["b"]), case["value"])
+
+
+@pytest.mark.parametrize(
+    "case", _DATA["akm_cdf"], ids=lambda c: f"kappa{c['kappa']:g}-mu{c['mu']:g}-rho{c['rho']:g}"
+)
+def test_akm_cdf_both_tails(case):
+    p = AkmParams(case["alpha"], case["kappa"], case["mu"])
+    assert _close(akm_cdf(p, case["rho"]), case["cdf"])
+    assert _close(akm_cdf_series(p, case["rho"]), case["cdf"])
+    # The upper tail, directly.
+    a = math.sqrt(2.0 * p.mu * p.kappa)
+    b = case["rho"] ** (0.5 * p.alpha) * math.sqrt(2.0 * p.mu * (1.0 + p.kappa))
+    assert _close(marcum_q(p.mu, a, b), case["sf"])
+
+
+@pytest.mark.parametrize("case", _DATA["extreme_cdf"], ids=lambda c: f"m{c['m']:g}-rho{c['rho']:g}")
+def test_extreme_cdf(case):
+    assert _close(extreme_cdf(ExtremeParams(case["alpha"], case["m"]), case["rho"]), case["cdf"])
+
+
+def test_goldens_regenerate():
+    # One golden of each section, recomputed by the generator.
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("gen", _DATA_DIR / "make_mixture_goldens.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert [next(gen.marcum_cases()), next(gen.akm_cases()), next(gen.extreme_cases())] == [
+        _DATA["marcum_q"][0], _DATA["akm_cdf"][0], _DATA["extreme_cdf"][0]
+    ]

@@ -28,6 +28,7 @@ from compfade import (
     extreme_pdf,
     gamma_shadow_cdf,
     gamma_shadow_pdf,
+    marcum_q,
     nakagami_m_equiv,
     specialize,
 )
@@ -136,7 +137,8 @@ class TestAkmCdf:
                 float(rng.uniform(0.5, 4.0)),
             )
             rho = float(rng.uniform(0.05, 3.0))
-            f1 = akm_cdf(p, rho)
+            b = rho ** (0.5 * p.alpha) * math.sqrt(2.0 * p.mu * (1.0 + p.kappa))
+            f1 = 1.0 - marcum_q(p.mu, math.sqrt(2.0 * p.mu * p.kappa), b)
             f2 = akm_cdf_series(p, rho)
             assert abs(f1 - f2) <= 1e-9
             if max(f1, f2) >= 1e-3:
@@ -235,6 +237,15 @@ class TestExtreme:
         ref = p.atom_mass + quad_mass(lambda r: extreme_pdf(p, r), upper=1.3)
         assert extreme_cdf(p, 1.3) == pytest.approx(ref, abs=1e-8)
         assert extreme_cdf(p, 25.0) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "rho, ref",
+        [(0.9, 3.3481205668838065e-05), (1.0, 0.5049871682341438), (1.1, 0.9999698858954844)],
+    )
+    def test_cdf_large_severity(self, rho, ref):
+        # 2m = 800: e^-800 underflows, so a sum started at n = 0 gives 0.
+        # The references sum the mixture with mpmath at 40 digits.
+        assert extreme_cdf(ExtremeParams(2.0, 400.0), rho) == pytest.approx(ref, rel=1e-10)
 
 
 class TestAmAndShadow:
@@ -389,6 +400,16 @@ class TestAkmCdfLowerTail:
             w = 2.0 * mu * (1.0 + kappa) * rho**alpha
             ref = float(stats.ncx2.cdf(w, 2.0 * mu, 2.0 * mu * kappa))
             assert akm_cdf(p, rho) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("rho", [0.8, 1.0, 1.2])
+    def test_large_noncentrality(self, rho):
+        # mu*kappa = 1000: e^-1000 underflows, so sums started at n = 0 give
+        # 0 / 1 / 1 from akm_cdf.  P(0.8) is 5.8e-20.
+        stats = pytest.importorskip("scipy.stats")
+        p = AkmParams(2.0, 50.0, 20.0)
+        ref = float(stats.ncx2.cdf(2.0 * 20.0 * 51.0 * rho**2, 40.0, 2000.0))
+        assert akm_cdf(p, rho) == pytest.approx(ref, rel=1e-10)
+        assert akm_cdf_series(p, rho) == pytest.approx(ref, rel=1e-10)
 
     def test_deep_tail_values(self):
         p = AkmParams(2.0, 1.0, 2.0)

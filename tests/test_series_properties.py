@@ -1,5 +1,8 @@
-"""Property test: the series route at its default settings against the
-mixture oracle over the whole validation box."""
+"""Property tests: the series route at its default settings against the
+mixture oracle over the whole validation box and past it, and the plain
+cdfs past it."""
+
+import math
 
 import pytest
 
@@ -8,7 +11,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from compfade import CompositeModel, GammaShadowParams, SeriesConfig  # noqa: E402
-from compfade.composite import FAMILIES, composite_pdf, mixture_pdf  # noqa: E402
+from compfade.composite import FAMILIES, composite_pdf, family_of, mixture_pdf  # noqa: E402
+from compfade.models import AkmParams, akm_cdf_series  # noqa: E402
+from compfade.specfun import marcum_q  # noqa: E402
 from compfade.validation import PARAM_BOX  # noqa: E402
 
 
@@ -32,3 +37,37 @@ def box_points(draw):
 def test_default_series_matches_oracle_in_the_box(point):
     model, x = point
     assert composite_pdf(model, x, SeriesConfig()) == pytest.approx(mixture_pdf(model, x), rel=1e-6)
+
+
+# Past the box: a mean number of dominant clusters mu*kappa or 2m up to
+# 2,500, where the Poisson weight e^-lam of the first term underflows.
+_PAST_BOX = {**PARAM_BOX, "kappa": (0.01, 50.0), "mu": (0.5, 50.0), "m": (0.5, 400.0)}
+
+
+@st.composite
+def past_box_multipath(draw):
+    family = FAMILIES[draw(st.sampled_from(["akm", "extreme"]))]
+    return family.params(*(draw(st.floats(*_PAST_BOX[name])) for name in family.fields))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(past_box_multipath(), st.floats(0.05, 5.0), _box("b"), _box("omega"))
+def test_series_matches_oracle_past_the_box(multipath, frac, b, omega):
+    model = CompositeModel(multipath, GammaShadowParams(b, omega))
+    x = frac * b * omega
+    assert composite_pdf(model, x, SeriesConfig()) == pytest.approx(mixture_pdf(model, x), rel=1e-6)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(past_box_multipath(), st.lists(st.floats(0.0, 3.0), min_size=2, max_size=8))
+def test_cdfs_past_the_box(multipath, rhos):
+    rhos = sorted(rhos)
+    values = [family_of(multipath).cdf(multipath, rho, 1.0) for rho in rhos]
+    assert all(0.0 <= v <= 1.0 for v in values)  # NaN fails too
+    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    if isinstance(multipath, AkmParams):
+        alpha, kappa, mu = multipath.alpha, multipath.kappa, multipath.mu
+        for rho in rhos:
+            b = rho ** (0.5 * alpha) * math.sqrt(2.0 * mu * (1.0 + kappa))
+            q = marcum_q(mu, math.sqrt(2.0 * mu * kappa), b)
+            assert akm_cdf_series(multipath, rho) + q == pytest.approx(1.0, abs=1e-12)

@@ -133,6 +133,10 @@ class TestBesselGross:
         with pytest.raises(DomainError):
             bessel_i_gross(0.0, 1.0, 0)
 
+    def test_least_subnormal_argument(self):
+        # Half of 5e-324 rounds to 0; the log of the half-argument must not.
+        assert bessel_i_gross(0.0, 5e-324, 3) == pytest.approx(1.0, rel=1e-15)
+
 
 class TestRegGamma:
     def test_goldens(self):
@@ -230,6 +234,11 @@ class TestMarcumQ:
             avals = np.sort(rng.uniform(0.0, 4.0, size=6))
             qs = [marcum_q(mu, float(a_), b) for a_ in avals]
             assert all(q2 >= q1 - 1e-12 for q1, q2 in zip(qs, qs[1:]))
+
+    def test_large_noncentrality(self):
+        # a^2/2 = 800: e^-800 underflows, so a sum started at i = 0 gives 0.
+        # Reference: the mixture summed with mpmath at 40 digits.
+        assert marcum_q(1.0, 40.0, 40.0) == pytest.approx(0.5049871682341438, rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
