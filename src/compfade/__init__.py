@@ -15,6 +15,7 @@ from .composite import (
     composite_pdf,
     extreme_gamma_density,
     extreme_gamma_pdf,
+    mixture_cdf,
     mixture_density,
     mixture_pdf,
     shadow_kernel_integral,

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, composite, figures, mc, models, validation
 from .composite import FAMILIES, MULTIPATH_FAMILIES, SHADOW, CompositeModel, SeriesConfig
 from .errors import DomainError, NonConvergenceError
-from .numerics import integrate_semi_infinite
+from .numerics import integrate_semi_infinite  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .models import AkmParams, ScaledEnvelope
 
 # A multipath family over the gamma shadow is "<family>-gamma"; the aliases
@@ -65,15 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help="evaluation grid as min:max:points (default 0.01:4:200)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--series-n", type=int, help="--use-gross degree n (default 40)")
-        p.add_argument("--series-rel-tol", type=float, help="series stopping tolerance")
+        pdf_only = "; sets the pdf route and leaves a composite cdf unchanged"
+        p.add_argument("--series-n", type=int, help="--use-gross degree n (default 40)" + pdf_only)
+        p.add_argument("--series-rel-tol", type=float, help="series stopping tolerance" + pdf_only)
         p.add_argument(
             "--use-gross", action="store_true", default=None,
-            help="use the degree-n polynomial Bessel weights",
+            help="use the degree-n polynomial Bessel weights" + pdf_only,
         )
         p.add_argument(
             "--oracle", action="store_true", default=None,
-            help="force the mixture-quadrature route for composites",
+            help="force the mixture-quadrature route for composites" + pdf_only,
         )
 
     p_pdf = sub.add_parser("pdf", help="evaluate a density on a grid")
@@ -260,56 +261,27 @@ def _base_metadata(series_cfg: SeriesConfig, oracle: bool) -> dict:
     }
 
 
-def cmd_pdf(cfg: dict) -> int:
+def cmd_curve(cfg: dict, cdf: bool) -> int:
+    # The body of ``pdf`` and ``cdf``: they differ in the value at each point
+    # and in the atom trailer, which a cdf value already holds.
     model, is_composite = _build_model(cfg)
     xs = _parse_grid(cfg)
     series_cfg = _series_config(cfg)
     oracle = bool(cfg.get("oracle"))
-    density = _density_for(model, is_composite, cfg, series_cfg, oracle)
-    values = [density.continuous(float(x)) for x in xs]
     metadata = _base_metadata(series_cfg, oracle)
-    payload = _curve_payload(mc.model_descriptor(model), xs, values, density.atoms, metadata)
+    if not cdf:
+        density = _density_for(model, is_composite, cfg, series_cfg, oracle)
+        value, atoms = density.continuous, density.atoms
+    elif is_composite:  # one route, whatever the pdf-route flags say
+        value, atoms = (lambda x: composite.mixture_cdf(model, x)), ()
+        metadata["route"] = "mixture-cdf"
+    else:
+        family, rhat = composite.family_of(model), _rhat(cfg)
+        value, atoms = (lambda x: family.cdf(model, x, rhat)), ()
+    values = [value(float(x)) for x in xs]
+    payload = _curve_payload(mc.model_descriptor(model), xs, values, atoms, metadata)
     _emit_curve(payload, cfg.get("format") or "csv", cfg.get("out"))
     return 0
-
-
-def cmd_cdf(cfg: dict) -> int:
-    model, is_composite = _build_model(cfg)
-    xs = _parse_grid(cfg)
-    series_cfg = _series_config(cfg)
-    oracle = bool(cfg.get("oracle"))
-    values = _cdf_values(model, is_composite, cfg, series_cfg, oracle, xs)
-    metadata = _base_metadata(series_cfg, oracle)
-    payload = _curve_payload(mc.model_descriptor(model), xs, values, (), metadata)
-    _emit_curve(payload, cfg.get("format") or "csv", cfg.get("out"))
-    return 0
-
-
-def _cdf_values(model, is_composite, cfg, series_cfg, oracle, xs) -> list:
-    if not is_composite:
-        family = composite.family_of(model)
-        rhat = _rhat(cfg)
-        return [family.cdf(model, float(x), rhat) for x in xs]
-    # Composite: cumulative quadrature of the density.
-    density = composite.composite_density(model, series_cfg, oracle=oracle)
-    values = []
-    total = density.atom_mass
-    prev = 0.0
-    for x in xs:
-        x = float(x)
-        seg = integrate_semi_infinite(
-            lambda w: density.continuous(prev + (x - prev) * w / (1.0 + w))
-            * (x - prev)
-            / (1.0 + w) ** 2,
-            rel_tol=1e-8,
-            abs_tol=1e-12,
-            budget=200_000,
-            scale=1.0,
-        ).value
-        total += seg
-        prev = x
-        values.append(min(total, 1.0))
-    return values
 
 
 def cmd_moments(cfg: dict) -> int:
@@ -438,8 +410,8 @@ def cmd_validate(cfg: dict) -> int:
 
 
 _COMMANDS = {
-    "pdf": cmd_pdf,
-    "cdf": cmd_cdf,
+    "pdf": lambda cfg: cmd_curve(cfg, cdf=False),
+    "cdf": lambda cfg: cmd_curve(cfg, cdf=True),
     "moments": cmd_moments,
     "figure": cmd_figure,
     "sample": cmd_sample,

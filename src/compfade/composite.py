@@ -10,7 +10,8 @@ series terms all follow from its clustering form ``poisson_gamma`` =
 Two independent evaluation routes are provided for every composite family:
 
 * ``mixture_pdf`` integrates the conditional multipath density against the
-  gamma shadow density.  It is the ground-truth oracle.
+  gamma shadow density.  It is the ground-truth oracle; ``mixture_cdf``,
+  the composite cdf, does the same with the conditional cdf.
 * The series evaluators expand the Bessel factor of the conditional density
   and push the shadow average through term by term, which leaves one
   shadow-kernel integral per term:
@@ -72,6 +73,7 @@ __all__ = [
     "shadow_kernel_integral",
     "shadow_kernel_integral_ln",
     "mixture_pdf",
+    "mixture_cdf",
     "mixture_density",
     "akm_gamma_pdf_series",
     "am_gamma_pdf",
@@ -323,7 +325,7 @@ class Family:
 
     ``pdf(p, x, scale)`` and ``cdf(p, x, scale)`` evaluate the family at
     rms scale ``scale``: the CLI's plain curves at ``--rhat`` and the
-    oracle's conditional density at shadow scale y.  ``sample(p, count,
+    oracle's conditional density and cdf at shadow scale y.  ``sample(p, count,
     rng)`` draws at unit scale, by default from the clustering form.
     Multipath families also carry ``route(m, x, cfg)``, which calls the
     family's public series evaluator by its module-level name, so a wrapper
@@ -425,12 +427,33 @@ def _value_at_origin(family: Family, m: CompositeModel) -> float:
 # Mixture-quadrature oracle
 # ----------------------------------------------------------------------
 
-def mixture_pdf(
-    m: CompositeModel,
-    x: float,
-    rel_tol: float = 1e-9,
-    budget: int = 200_000,
-) -> float:
+# integrate_semi_infinite's smallest initial node, as a fraction of its scale.
+_FIRST_NODE = 5.3e-4
+
+
+def _shadow_average(conditional: Callable, m: CompositeModel, x: float, rel_tol, budget, vectorized):
+    # int_0^inf conditional(mp, x, y) f_Y(y) dy with no absolute floor.  The
+    # integrand changes over y ~ x; for x below the first initial node,
+    # (0, cut) takes its own quadrature and budget, with nodes about y ~ x.
+    mp, sh = m.multipath, m.shadow
+
+    def integrand(y):
+        return conditional(mp, x, y) * gamma_shadow_pdf(sh, y)
+
+    def quad(f, scale: float) -> float:
+        return integrate_semi_infinite(
+            f, rel_tol=rel_tol, abs_tol=1e-300, budget=budget, scale=scale, vectorized=vectorized
+        ).value
+
+    scale = max(x, sh.b * sh.omega)
+    cut = _FIRST_NODE * scale
+    if x >= cut:
+        return quad(integrand, scale)
+    head = quad(lambda w: integrand(cut * w / (1.0 + w)) * cut / (1.0 + w) ** 2, x / cut)
+    return head + quad(lambda v: integrand(cut + v), scale)
+
+
+def mixture_pdf(m: CompositeModel, x: float, rel_tol: float = 1e-9, budget: int = 200_000) -> float:
     """Continuous composite density at x by direct shadow averaging.
 
     This is the ground-truth oracle for the series evaluators.  For extreme
@@ -438,21 +461,24 @@ def mixture_pdf(
     ``mixture_density`` carries it.
     """
     _check_argument(x)
-    mp, sh = m.multipath, m.shadow
-    family = family_of(mp)
+    family = family_of(m.multipath)
     if x == 0.0:
         return _value_at_origin(family, m)
-    conditional_pdf = family.pdf
+    return _shadow_average(family.pdf, m, x, rel_tol, budget, vectorized=True)
 
-    def integrand(y: np.ndarray) -> np.ndarray:
-        # All the quadrature nodes of a refinement step at once.
-        return conditional_pdf(mp, x, y) * gamma_shadow_pdf(sh, y)
 
-    scale = max(x, sh.b * sh.omega)
-    res = integrate_semi_infinite(
-        integrand, rel_tol=rel_tol, abs_tol=1e-280, budget=budget, scale=scale, vectorized=True
-    )
-    return res.value
+def mixture_cdf(m: CompositeModel, x: float, rel_tol: float = 1e-9, budget: int = 200_000) -> float:
+    """Composite distribution function F(x) = E_Y[F_mp(x / Y)], atoms included.
+
+    The family's closed multipath cdf averaged on ``mixture_pdf``'s
+    quadrature; every F_mp(0) holds the deep-fade atom.  With no absolute
+    floor the lower tail keeps ``rel_tol`` relative accuracy.
+    """
+    _check_argument(x)
+    family = family_of(m.multipath)
+    if x == 0.0:
+        return family.cdf(m.multipath, 0.0, 1.0)
+    return min(_shadow_average(family.cdf, m, x, rel_tol, budget, vectorized=False), 1.0)
 
 
 def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_000) -> Density:

@@ -17,11 +17,13 @@ commit that does it.  Before regenerating, measure the change:
 
 reruns every case and compares each output with its golden: the text with
 every number masked must be identical, and it prints each file's largest
-relative gap between corresponding numbers.  With ``--figures DIR`` it also
-writes the figure files and compares them, number by number, with the
-files of the same names in DIR (written by another commit with
-``compfade figure <id> --out-dir DIR --grid 0.01:4:120``).  It exits 1 if
-any text, exit status or file list differs.
+relative gap between corresponding numbers, or else the first line whose
+text differs, from each side.  A case with no golden yet is reported as
+NEW.  With ``--figures DIR`` it also writes the figure files and compares
+them, number by number, with the files of the same names in DIR (written
+by another commit with ``compfade figure <id> --out-dir DIR --grid
+0.01:4:120``).  It exits 1 if any text, exit status or file list differs,
+or a case is NEW.
 
 The goldens are exact for the platform that wrote them (Python 3.11,
 numpy 2.4 on x86-64): numpy's vectorized exp and log may round differently
@@ -90,8 +92,9 @@ def _cases() -> dict:
         cases[f"pdf-{model}-rhat"] = (
             ["pdf"] + _model_args(model) + ["--grid", GRID, "--rhat", "1.7"], ()
         )
-    for model in PLAIN + ("am-gamma",):
+    for model in PLAIN + COMPOSITES:
         cases[f"cdf-{model}"] = (["cdf"] + _model_args(model) + ["--grid", GRID], ())
+    cases["cdf-am-gamma-oracle"] = (cases["cdf-am-gamma"][0] + ["--oracle"], ())
     for model in ("extreme", "am-gamma"):
         cases[f"sample-{model}"] = (
             ["sample"] + _model_args(model)
@@ -165,20 +168,40 @@ def number_gap(new: bytes, old: bytes):
     return True, gap
 
 
+def first_differing_lines(new: bytes, old: bytes):
+    """The first line, numbers masked, at which ``new`` and ``old`` differ,
+    unmasked from each side (b"" past the end of one)."""
+    new_lines, old_lines = new.splitlines(), old.splitlines()
+    for i in range(max(len(new_lines), len(old_lines))):
+        a = new_lines[i] if i < len(new_lines) else b""
+        b = old_lines[i] if i < len(old_lines) else b""
+        if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+            return a, b
+    return b"", b""
+
+
 def _report(fname: str, new: bytes, old: bytes) -> bool:
     """Print one file's comparison; true when its text differs."""
     if new == old:
         print(f"{fname}: identical")
         return False
     same, gap = number_gap(new, old)
-    print(f"{fname}: max rel gap {gap:.3g}" if same else f"{fname}: TEXT DIFFERS")
-    return not same
+    if same:
+        print(f"{fname}: max rel gap {gap:.3g}")
+        return False
+    new_line, old_line = first_differing_lines(new, old)
+    print(f"{fname}: TEXT DIFFERS\n  new: {new_line.decode()}\n  old: {old_line.decode()}")
+    return True
 
 
 def compare(figure_dir) -> int:
     index = json.loads((GOLDEN_DIR / "index.json").read_text())
     differs = False
     for name in CASES:
+        if name not in index:
+            print(f"{name}: NEW")
+            differs = True
+            continue
         result = run_case(name)
         if result["exit"] != index[name]["exit"] or sorted(result["outputs"]) != index[name]["files"]:
             print(f"{name}: EXIT STATUS OR FILE LIST DIFFERS")

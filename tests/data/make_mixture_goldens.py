@@ -25,6 +25,15 @@ Each value is computed at ``DPS`` and at ``DPS + 15`` digits (each with ten
 guard digits); the two must agree to ``AGREE`` relative and F + S to 1.
 The arguments are doubles (rho, a, b, kappa, mu, m), taken exactly.
 
+The composite cdf of each family over a gamma shadow Y ~ Gamma(b, omega),
+
+    F(x) = int_0^inf F_mp(x / y) y^(b-1) e^(-y/omega) / (Gamma(b) omega^b) dy,
+
+is an mpmath quadrature over y, with breakpoints at x and b omega, of the
+same Poisson-gamma F at rate rho^alpha, rho = x / y (``mixture_cdf``, which
+is cheaper per node than ``mixture``).  It is computed at ``QUAD_DPS`` and
+``QUAD_DPS + 10`` digits, which must agree to ``AGREE_QUAD`` relative.
+
 ``tests/test_mixture_goldens.py`` reads the JSON; it needs no mpmath.
 """
 
@@ -39,6 +48,8 @@ HERE = Path(__file__).resolve().parent
 OUT = HERE / "mixture_goldens.json"
 DPS = 30
 AGREE = mp.mpf("1e-25")
+QUAD_DPS = 20  # the composite cdf's quadratures, checked at QUAD_DPS + 10
+AGREE_QUAD = mp.mpf("1e-15")
 LAMBDAS = (1.0, 10.0, 100.0, 800.0, 2500.0)
 # Standard scores of x about the mixture's mean shape + lam: both tails.
 SCORES = (-8.0, -3.0, 0.0, 3.0, 8.0)
@@ -124,12 +135,85 @@ def extreme_cases():
             yield {"alpha": alpha, "m": m, "rho": rho, "cdf": cdf}
 
 
+def mixture_cdf(lam, shape, x):
+    """F of the Poisson-gamma mixture at the working precision, from one
+    ``gammainc`` call.  With d_n = x^(shape+n) e^-x / Gamma(shape + n + 1),
+    P(shape + n, x) = P(shape + n + 1, x) + d_n and Q(shape + n + 1, x) =
+    Q(shape + n, x) + d_n.  At or below the mean shape + lam, F = sum_n
+    Pois_n(lam) P(shape + n, x) with P summed down from the top n; above it,
+    F = 1 - sum_n Pois_n(lam) Q(shape + n, x) with Q summed up from n = 0.
+    Past n = 2 lam + 1 the weights fall at least twofold, and past shape + n
+    = 2x, P(shape + n, x) <= 2 d_n: the first sum stops once its remainder
+    is below the working epsilon of F >= Pois_0 d_0, the second once the
+    remaining weight is below the working epsilon."""
+    lower = x <= shape + lam
+    weights, gaps = [mp.exp(-lam)], [x**shape * mp.exp(-x) / mp.gamma(shape + 1)]
+    floor = mp.eps * weights[0] * gaps[0] / 4 if lower else mp.eps / 2
+    while (len(weights) <= 2 * lam + 1 or (lower and shape + len(weights) <= 2 * x)
+           or weights[-1] * (gaps[-1] if lower else 1) > floor):
+        n = len(weights)
+        weights.append(weights[-1] * lam / n)
+        gaps.append(gaps[-1] * x / (shape + n))
+    total = mp.mpf(0)
+    if lower:
+        p = mp.gammainc(shape + len(weights), 0, x, regularized=True)
+        for weight, gap in zip(reversed(weights), reversed(gaps)):
+            p += gap
+            total += weight * p
+        return total
+    q = mp.gammainc(shape, x, mp.inf, regularized=True) if shape else mp.mpf(0)
+    for weight, gap in zip(weights, gaps):
+        total += weight * q
+        q += gap
+    return 1 - total
+
+
+def composite_cdf(alpha, lam, shape, rate, b, omega, x, dps):
+    """The composite cdf at x of multipath (alpha, lam, shape, rate) over a
+    Gamma(b, omega) shadow, at ``dps`` digits."""
+    with mp.workdps(dps + 10):
+        alpha, lam, shape, rate = (mp.mpf(v) for v in (alpha, lam, shape, rate))
+        b, omega, x = mp.mpf(b), mp.mpf(omega), mp.mpf(x)
+        norm = mp.gamma(b) * omega**b
+
+        def integrand(y):
+            cdf = mixture_cdf(lam, shape, rate * (x / y) ** alpha)
+            return cdf * y ** (b - 1) * mp.exp(-y / omega) / norm
+
+        return +mp.quad(integrand, [0] + sorted({x, b * omega}) + [mp.inf])
+
+
+# The multipath families by their Poisson-gamma form (alpha, lam, shape,
+# rate); each is swept over x with one shadow of b < 1 and one of b > 1.
+COMPOSITES = (
+    ("am", {"alpha": 2.0, "mu": 0.5}, (2.0, 0.0, 0.5, 0.5)),
+    ("am", {"alpha": 1.2, "mu": 2.5}, (1.2, 0.0, 2.5, 2.5)),
+    ("akm", {"alpha": 1.5, "kappa": 2.0, "mu": 1.3}, (1.5, 2.6, 1.3, 3.9)),
+    ("akm", {"alpha": 2.0, "kappa": 1.0, "mu": 0.5}, (2.0, 0.5, 0.5, 1.0)),
+    ("extreme", {"alpha": 2.0, "m": 1.5}, (2.0, 3.0, 0.0, 3.0)),
+)
+SHADOWS = ({"b": 0.6, "omega": 1.5}, {"b": 2.0, "omega": 0.8})
+COMPOSITE_X = (1e-8, 1e-5, 1e-2, 0.5, 2.0, 6.0)
+
+
+def composite_cdf_cases():
+    for family, multipath, form in COMPOSITES:
+        for shadow in SHADOWS:
+            for x in COMPOSITE_X:
+                low, high = (composite_cdf(*form, shadow["b"], shadow["omega"], x, dps)
+                             for dps in (QUAD_DPS, QUAD_DPS + 10))
+                assert abs(low - high) <= AGREE_QUAD * abs(high), (family, multipath, shadow, x)
+                yield {"family": family, "multipath": multipath, "shadow": shadow,
+                       "x": x, "cdf": mp.nstr(low, QUAD_DPS)}
+
+
 def main() -> None:
     data = {
         "dps": DPS,
         "marcum_q": list(marcum_cases()),
         "akm_cdf": list(akm_cases()),
         "extreme_cdf": list(extreme_cases()),
+        "composite_cdf": list(composite_cdf_cases()),
     }
     OUT.write_text(json.dumps(data, indent=1) + "\n")
     print(f"wrote {OUT} ({sum(len(v) for v in data.values() if isinstance(v, list))} values)")

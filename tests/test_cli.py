@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from compfade import CompositeModel, ExtremeParams, GammaShadowParams, mixture_cdf
 from compfade.cli import main
 
 
@@ -211,6 +212,20 @@ class TestCdfCommand:
         _, vs, _, _ = parse_csv_curve(capsys.readouterr().out)
         assert all(v2 >= v1 for v1, v2 in zip(vs, vs[1:]))
         assert 0.97 <= vs[-1] <= 1.0
+
+
+    def test_composite_cdf_has_one_route(self, capsys):
+        # The pdf-route flags leave a composite cdf unchanged.
+        base = ["cdf", "--model", "extreme-gamma", "--alpha", "1.7", "--m", "1.1",
+                "--b", "1.2", "--omega", "0.8", "--grid", "0.02:2:4", "--format", "json"]
+        model = CompositeModel(ExtremeParams(1.7, 1.1), GammaShadowParams(1.2, 0.8))
+        for flags in ([], ["--oracle"], ["--use-gross", "--series-n", "20"],
+                      ["--series-rel-tol", "1e-4"]):
+            assert main(base + flags) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["metadata"]["route"] == "mixture-cdf"
+            assert payload["atoms"] == []
+            assert payload["values"] == [mixture_cdf(model, x) for x in payload["abscissae"]]
 
 
 class TestMomentsCommand:

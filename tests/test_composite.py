@@ -29,7 +29,7 @@ from compfade import (
     shadow_kernel_integral,
     shadow_kernel_integral_ln,
 )
-from compfade import composite
+from compfade import composite, numerics
 from compfade.composite import composite_density, composite_pdf
 from compfade.models import akm_pdf_normalized
 from compfade.numerics import integrate_semi_infinite, sum_adaptive
@@ -504,6 +504,20 @@ class TestOriginLimit:
         assert composite_pdf(m, 0.0, CFG, oracle=True) == limit
         # The density approaches it: within O(x) for akm and am, O(x^(1/2)) for extreme.
         assert composite_pdf(m, 1e-9, CFG) == pytest.approx(limit, rel=1e-7)
+
+    @pytest.mark.parametrize("family", ["akm", "am"])
+    def test_oracle_resolves_the_change_near_the_origin(self, family):
+        # The density moves by O(x) over y ~ x, below the oracle's first
+        # initial node; the routes agree there to their tolerance.
+        m = CompositeModel(self.MULTIPATH[family], self.SHADOW)
+        for x in (1e-7, 1e-5):
+            series = composite_pdf(m, x, SeriesConfig(rel_tol=1e-12))
+            assert mixture_pdf(m, x, rel_tol=1e-12) == pytest.approx(series, rel=1e-11)
+            assert mixture_pdf(m, x) == pytest.approx(series, rel=1e-9)
+
+    def test_split_point_is_the_first_initial_node(self):
+        t = (1.0 - numerics._XGK[0]) / (2 * numerics._INITIAL_PANELS)
+        assert composite._FIRST_NODE == pytest.approx(t / (1.0 - t), rel=0.01)
 
     def test_closed_value(self):
         m = CompositeModel(self.MULTIPATH["akm"], self.SHADOW)

@@ -3,7 +3,9 @@
 ``tests/data/make_mixture_goldens.py`` wrote ``mixture_goldens.json`` with
 mpmath at 30 digits for a mean number of dominant clusters from 1 to 2,500,
 both tails included; only ``test_goldens_regenerate`` needs mpmath.  A
-value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3.
+value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3.  The
+composite cdf (an mpmath quadrature over the shadow, at 20 digits) matches
+to 1e-9 relative from x = 1e-8 to its upper tail.
 """
 
 import importlib.util
@@ -13,7 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from compfade import AkmParams, ExtremeParams, akm_cdf, akm_cdf_series, extreme_cdf, marcum_q
+from compfade import (
+    AkmParams,
+    CompositeModel,
+    ExtremeParams,
+    GammaShadowParams,
+    akm_cdf,
+    akm_cdf_series,
+    extreme_cdf,
+    marcum_q,
+    mixture_cdf,
+)
+from compfade.composite import FAMILIES
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 _DATA = json.loads((_DATA_DIR / "mixture_goldens.json").read_text())
@@ -47,12 +60,24 @@ def test_extreme_cdf(case):
     assert _close(extreme_cdf(ExtremeParams(case["alpha"], case["m"]), case["rho"]), case["cdf"])
 
 
+@pytest.mark.parametrize(
+    "case",
+    _DATA["composite_cdf"],
+    ids=lambda c: "-".join(f"{k}{v:g}" for k, v in (*c["multipath"].items(), *c["shadow"].items()))
+    + f"-x{c['x']:g}",
+)
+def test_mixture_cdf(case):
+    family = FAMILIES[case["family"]]
+    model = CompositeModel(family.params(**case["multipath"]), GammaShadowParams(**case["shadow"]))
+    assert mixture_cdf(model, case["x"]) == pytest.approx(float(case["cdf"]), rel=1e-9)
+
+
 def test_goldens_regenerate():
     # One golden of each section, recomputed by the generator.
     pytest.importorskip("mpmath")
     spec = importlib.util.spec_from_file_location("gen", _DATA_DIR / "make_mixture_goldens.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    assert [next(gen.marcum_cases()), next(gen.akm_cases()), next(gen.extreme_cases())] == [
-        _DATA["marcum_q"][0], _DATA["akm_cdf"][0], _DATA["extreme_cdf"][0]
-    ]
+    cases = (gen.marcum_cases, gen.akm_cases, gen.extreme_cases, gen.composite_cdf_cases)
+    sections = ("marcum_q", "akm_cdf", "extreme_cdf", "composite_cdf")
+    assert [next(c()) for c in cases] == [_DATA[name][0] for name in sections]

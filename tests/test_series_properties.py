@@ -1,17 +1,25 @@
 """Property tests: the series route at its default settings against the
-mixture oracle over the whole validation box and past it, and the plain
-cdfs past it."""
+mixture oracle over the whole validation box and past it, the plain cdfs
+past it, and the composite cdf against the series density past it."""
 
 import math
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+integrate = pytest.importorskip("scipy.integrate")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from compfade import CompositeModel, GammaShadowParams, SeriesConfig  # noqa: E402
-from compfade.composite import FAMILIES, composite_pdf, family_of, mixture_pdf  # noqa: E402
+from compfade.composite import (  # noqa: E402
+    FAMILIES,
+    composite_density,
+    composite_pdf,
+    family_of,
+    mixture_cdf,
+    mixture_pdf,
+)
 from compfade.models import AkmParams, akm_cdf_series  # noqa: E402
 from compfade.specfun import marcum_q  # noqa: E402
 from compfade.validation import PARAM_BOX  # noqa: E402
@@ -71,3 +79,31 @@ def test_cdfs_past_the_box(multipath, rhos):
             b = rho ** (0.5 * alpha) * math.sqrt(2.0 * mu * (1.0 + kappa))
             q = marcum_q(mu, math.sqrt(2.0 * mu * kappa), b)
             assert akm_cdf_series(multipath, rho) + q == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def past_box_composites(draw):
+    family = FAMILIES[draw(st.sampled_from(["akm", "am", "extreme"]))]
+    multipath = family.params(*(draw(st.floats(*_PAST_BOX[name])) for name in family.fields))
+    return CompositeModel(multipath, GammaShadowParams(draw(_box("b")), draw(_box("omega"))))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(past_box_composites(), st.lists(st.floats(-8.0, 1.0), min_size=2, max_size=4))
+def test_composite_cdf_integrates_the_series_pdf(model, exponents):
+    # x from 1e-8 to 10 mean shadow scales b*omega.
+    scale = model.shadow.b * model.shadow.omega
+    xs = sorted({10.0**e * scale for e in exponents})
+    values = [mixture_cdf(model, x) for x in xs]
+    atom = composite_density(model).atom_mass
+    assert mixture_cdf(model, 0.0) == pytest.approx(atom, rel=1e-15)
+    assert all(atom * (1.0 - 1e-9) <= v <= 1.0 for v in values)  # NaN fails too
+    assert all(b >= a * (1.0 - 1e-9) for a, b in zip(values, values[1:]))
+    cfg = SeriesConfig(rel_tol=1e-10)
+    for (x1, f1), (x2, f2) in zip(zip(xs, values), zip(xs[1:], values[1:])):
+        # In t = ln x the series density is smooth however wide (x1, x2) is.
+        mass, _ = integrate.quad(
+            lambda t: composite_pdf(model, math.exp(t), cfg) * math.exp(t),
+            math.log(x1), math.log(x2), epsabs=1e-11, epsrel=1e-10, limit=200,
+        )
+        assert f2 - f1 == pytest.approx(mass, abs=1e-8)
