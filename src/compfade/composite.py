@@ -3,8 +3,8 @@
 Every family is described once, in ``FAMILIES``: its parameter class, name
 and fields, its density and cdf at an rms scale and its sampler.  The rest
 of the package reads that table instead of branching on parameter types.
-A multipath family's sampler, deep-fade atom, behaviour at the origin and
-series terms all follow from its clustering form ``poisson_gamma`` =
+A multipath family's cdf, sampler, deep-fade atom, behaviour at the origin
+and series terms all follow from its clustering form ``poisson_gamma`` =
 (lam, shape, rate): P^alpha ~ Gamma(shape + N, rate), N ~ Poisson(lam).
 
 Two independent evaluation routes are provided for every composite family:
@@ -48,11 +48,9 @@ from .models import (
     ExtremeParams,
     GammaShadowParams,
     ScaledEnvelope,
-    akm_cdf,
+    _mixture_cdf,
     akm_pdf_normalized,
-    am_cdf,
     am_pdf,
-    extreme_cdf,
     extreme_pdf,
     gamma_shadow_cdf,
     gamma_shadow_pdf,
@@ -117,8 +115,8 @@ class SeriesConfig:
     def __post_init__(self):
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -149,6 +147,7 @@ class KernelArgs:
 _KERNEL_REL_TOL = 1e-10
 _KERNEL_BUDGET = 60_000
 _KERNEL_BLOCK = 24  # series terms per kernel call; most points need 10 to 20
+_LN_MAX = math.log(sys.float_info.max)  # exp overflows past it
 
 
 def _kernel_cut(k: KernelArgs, floor: float):
@@ -299,7 +298,7 @@ def shadow_kernel_integral(
     ln_value = shadow_kernel_integral_ln(
         k.p, k.a, k.alpha, k.omega, rel_tol=rel_tol, budget=budget
     )
-    return math.exp(ln_value) if ln_value <= 709.0 else math.inf
+    return math.exp(ln_value) if ln_value <= _LN_MAX else math.inf
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +324,8 @@ class Family:
 
     ``pdf(p, x, scale)`` and ``cdf(p, x, scale)`` evaluate the family at
     rms scale ``scale``: the CLI's plain curves at ``--rhat`` and the
-    oracle's conditional density and cdf at shadow scale y.  ``sample(p, count,
-    rng)`` draws at unit scale, by default from the clustering form.
+    oracle's conditional density and cdf at shadow scale y.  ``cdf`` and the
+    unit-scale sampler ``sample(p, count, rng)`` default to the clustering form.
     Multipath families also carry ``route(m, x, cfg)``, which calls the
     family's public series evaluator by its module-level name, so a wrapper
     installed on that name sees every call.
@@ -336,7 +335,7 @@ class Family:
     params: type
     fields: tuple
     pdf: Callable
-    cdf: Callable
+    cdf: Callable = lambda p, x, scale: _mixture_cdf(p, x / scale)
     sample: Callable = _clustering_draws
     route: Optional[Callable] = None
 
@@ -351,19 +350,16 @@ FAMILIES = {
         Family(
             "akm", AkmParams, ("alpha", "kappa", "mu"),
             pdf=lambda p, x, s: akm_pdf_normalized(p, x / s) / s,
-            cdf=lambda p, x, s: akm_cdf(p, x / s),
             route=lambda m, x, cfg: akm_gamma_pdf_series(m, x, cfg),
         ),
         Family(
             "am", AmParams, ("alpha", "mu"),
             pdf=lambda p, x, s: am_pdf(p, _UNIT, x / s) / s,
-            cdf=lambda p, x, s: am_cdf(p, ScaledEnvelope(s), x),
             route=lambda m, x, cfg: am_gamma_pdf(m, x),
         ),
         Family(
             "extreme", ExtremeParams, ("alpha", "m"),
             pdf=lambda p, x, s: extreme_pdf(p, x / s) / s,
-            cdf=lambda p, x, s: extreme_cdf(p, x / s),
             route=lambda m, x, cfg: extreme_gamma_pdf(m, x, cfg),
         ),
         Family(

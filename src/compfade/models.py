@@ -275,20 +275,11 @@ def akm_pdf_envelope(p: AkmParams, s: ScaledEnvelope, r: float) -> float:
 def akm_cdf(p: AkmParams, rho: float) -> float:
     """Distribution function of the normalized envelope.
 
-    The Marcum Q complement 1 - Q where Q <= 1/2.  Where Q > 1/2, in the
-    lower tail, 1 - Q would lose the digits of a small P, so
-    ``akm_cdf_series`` sums P directly.  Below rho = 1, where the power is
-    below its mean and P is mostly the smaller side, the series goes first.
+    The Poisson-gamma cdf of the clustering form: P summed directly up to
+    rho = 1, where rho^alpha reaches its mean, and 1 - Q above it, with the
+    Marcum Q function summed directly, so either tail keeps its digits.
     """
-    _check_nonneg("rho", rho)
-    if rho < 1.0:
-        lower = akm_cdf_series(p, rho)
-        if lower <= 0.5:
-            return lower
-    a = math.sqrt(2.0 * p.mu * p.kappa)
-    b = rho ** (0.5 * p.alpha) * math.sqrt(2.0 * p.mu * (1.0 + p.kappa))
-    q = specfun.marcum_q(p.mu, a, b)
-    return akm_cdf_series(p, rho) if q > 0.5 else 1.0 - q
+    return _mixture_cdf(p, rho)
 
 
 def akm_cdf_series(p: AkmParams, rho: float, tail_tol: float = 1e-15) -> float:
@@ -296,14 +287,15 @@ def akm_cdf_series(p: AkmParams, rho: float, tail_tol: float = 1e-15) -> float:
 
     Reference form kept as an independent arrangement of the computation:
     sum_i Pois_i(mu*kappa) * P(mu + i, mu*(1+kappa)*rho^alpha), truncated
-    where the remaining Poisson weight is below ``tail_tol``
-    (``specfun.poisson_gamma_cdf``).  Every sum is free of cancellation and
-    suits the lower tail.
+    where the remaining Poisson weight is below ``tail_tol``, at every rho.
+    Every sum is free of cancellation and suits the lower tail.
     """
-    return _mixture_cdf(p, rho, tail_tol)
+    _check_nonneg("rho", rho)
+    lam, shape, rate = p.poisson_gamma
+    return specfun._poisson_gamma_side(lam, shape, rate * rho**p.alpha, tail_tol, upper=False)
 
 
-def _mixture_cdf(p, rho: float, tail_tol: float) -> float:
+def _mixture_cdf(p, rho: float, tail_tol: float = 1e-15) -> float:
     _check_nonneg("rho", rho)
     lam, shape, rate = p.poisson_gamma
     return specfun.poisson_gamma_cdf(lam, shape, rate * rho**p.alpha, tail_tol)
@@ -405,9 +397,9 @@ def extreme_density(p: ExtremeParams) -> Density:
 def extreme_cdf(p: ExtremeParams, rho: float, tail_tol: float = 1e-15) -> float:
     """Distribution function including the atom at zero.
 
-    Poisson-mixture form: F(rho) = e^(-2m) + sum_{j>=1} Pois_j(2m) *
-    P(j, 2m rho^alpha), truncated where the remaining Poisson weight is
-    below ``tail_tol``.
+    Poisson-mixture form F(rho) = e^(-2m) + sum_{j>=1} Pois_j(2m) P(j, 2m
+    rho^alpha), with the weights cut at ``tail_tol``; above rho = 1 it is
+    summed as 1 - sum_j Pois_j(2m) Q(j, 2m rho^alpha).
     """
     return _mixture_cdf(p, rho, tail_tol)
 
@@ -433,7 +425,7 @@ def am_pdf(p: AmParams, s: ScaledEnvelope, r):
 def am_cdf(p: AmParams, s: ScaledEnvelope, r: float) -> float:
     """Distribution function of the zero-LOS model."""
     _check_nonneg("r", r)
-    return specfun.reg_lower_gamma(p.mu, p.mu * (r / s.rhat) ** p.alpha)
+    return _mixture_cdf(p, r / s.rhat)
 
 
 def gamma_shadow_pdf(g: GammaShadowParams, y):

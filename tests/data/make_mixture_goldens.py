@@ -4,9 +4,10 @@
 
 writes ``tests/data/mixture_goldens.json``: reference values of
 ``marcum_q``, ``akm_cdf`` / ``akm_cdf_series`` and ``extreme_cdf`` with a
-mean number of dominant clusters lam from 1 to 2,500, computed with mpmath
-at ``DPS`` decimal digits, independently of compfade.  All three are the
-mixture
+mean number of dominant clusters lam from 1 to 2,500, and of ``extreme_cdf``
+far above its mean (``extreme_cdf_upper``: 1 - F from 1e-3 to 1e-9 with m
+up to 500), computed with mpmath at ``DPS`` decimal digits, independently
+of compfade.  All three are the mixture
 
     F = sum_n Pois_n(lam) P(shape + n, x),   S = 1 - F = sum_n Pois_n(lam) Q(shape + n, x)
 
@@ -135,6 +136,29 @@ def extreme_cases():
             yield {"alpha": alpha, "m": m, "rho": rho, "cdf": cdf}
 
 
+# Severities and the standard normal scores of the tails 1e-3, 1e-6 and
+# 1e-9 for ``extreme_upper_cases``.
+UPPER_M = (70.0, 200.0, 500.0)
+UPPER_SCORES = (3.0902, 4.7534, 5.9978)
+
+
+def extreme_upper_cases():
+    # alpha = 2 and x = 2m rho^2 at a score z of Gamma(N, 1), N ~ Poisson(lam
+    # = 2m), with mean lam, variance 2 lam and skewness 3 / sqrt(2 lam), by
+    # the Cornish-Fisher expansion: 1 - F comes within a few percent of the
+    # normal tail of z.  There a sum of P loses the digits of 1 - F.
+    for m in UPPER_M:
+        lam = 2.0 * m
+        skew = 3.0 / (2.0 * lam) ** 0.5
+        for z in UPPER_SCORES:
+            x = lam + (z + (z * z - 1.0) * skew / 6.0) * (2.0 * lam) ** 0.5
+            rho = _round((x / lam) ** 0.5)
+            with mp.workdps(DPS + 25):
+                lam_ = 2 * mp.mpf(m)
+                cdf, sf = checked(lam_, 0, lam_ * mp.mpf(rho) ** 2)
+            yield {"alpha": 2.0, "m": m, "rho": rho, "cdf": cdf, "sf": sf}
+
+
 def mixture_cdf(lam, shape, x):
     """F of the Poisson-gamma mixture at the working precision, from one
     ``gammainc`` call.  With d_n = x^(shape+n) e^-x / Gamma(shape + n + 1),
@@ -213,6 +237,7 @@ def main() -> None:
         "marcum_q": list(marcum_cases()),
         "akm_cdf": list(akm_cases()),
         "extreme_cdf": list(extreme_cases()),
+        "extreme_cdf_upper": list(extreme_upper_cases()),
         "composite_cdf": list(composite_cdf_cases()),
     }
     OUT.write_text(json.dumps(data, indent=1) + "\n")

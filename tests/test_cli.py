@@ -136,6 +136,15 @@ class TestPdfCommand:
         )
         assert code == 2
 
+    def test_series_rel_tol_of_one_or_more_is_usage_error(self, capsys):
+        # A tolerance of 1 or more would stop the series after three terms.
+        code = main(
+            ["pdf", "--model", "akm-gamma", "--alpha", "1.5", "--kappa", "1", "--mu", "2.1",
+             "--b", "1.1", "--omega", "0.9", "--series-rel-tol", "2"]
+        )
+        assert code == 2
+        assert "rel_tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "model,params",
         [

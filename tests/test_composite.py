@@ -47,6 +47,13 @@ class TestShadowKernelIntegral:
         ref = 1.4 * math.exp(ln_gamma(0.7)) * 1.2**0.7
         assert value == pytest.approx(ref, rel=1e-9)
 
+    def test_finite_up_to_the_largest_double(self):
+        # ln K = lgamma(171.55) = 709.4, between 709 and ln(max double).
+        assert shadow_kernel_integral(KernelArgs(171.55, 0.0, 1.0, 1.0)) == pytest.approx(
+            math.gamma(171.55), rel=1e-12
+        )
+        assert shadow_kernel_integral(KernelArgs(171.7, 0.0, 1.0, 1.0)) == math.inf
+
     def test_alpha_one_bessel_k_closed_form(self):
         p, a, omega = -0.7, 2.0, 1.5
         value = shadow_kernel_integral(KernelArgs(p, a, 1.0, omega))
@@ -259,6 +266,11 @@ class TestSeriesRoutes:
         assert density_total_mass(density, rel_tol=1e-7, scale=1.4) == pytest.approx(
             1.0, abs=1e-6
         )
+
+    def test_series_rel_tol_must_lie_below_one(self):
+        # A tolerance of 1 or more would stop the series after three terms.
+        with pytest.raises(DomainError):
+            SeriesConfig(rel_tol=1.0)
 
     def test_series_zero_argument_rules(self):
         model = CompositeModel(AkmParams(2.0, 1.0, 1.5), GammaShadowParams(1.5, 1.0))

@@ -5,7 +5,9 @@ mpmath at 30 digits for a mean number of dominant clusters from 1 to 2,500,
 both tails included; only ``test_goldens_regenerate`` needs mpmath.  A
 value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3.  The
 composite cdf (an mpmath quadrature over the shadow, at 20 digits) matches
-to 1e-9 relative from x = 1e-8 to its upper tail.
+to 1e-9 relative from x = 1e-8 to its upper tail.  Far above its mean,
+where 1 - F falls from 1e-3 to 1e-9 and m reaches 500, ``extreme_cdf``
+matches to 2e-15 absolute.
 """
 
 import importlib.util
@@ -61,6 +63,14 @@ def test_extreme_cdf(case):
 
 
 @pytest.mark.parametrize(
+    "case", _DATA["extreme_cdf_upper"], ids=lambda c: f"m{c['m']:g}-rho{c['rho']:g}"
+)
+def test_extreme_cdf_upper_side(case):
+    got = extreme_cdf(ExtremeParams(case["alpha"], case["m"]), case["rho"])
+    assert abs(got - float(case["cdf"])) <= 2e-15
+
+
+@pytest.mark.parametrize(
     "case",
     _DATA["composite_cdf"],
     ids=lambda c: "-".join(f"{k}{v:g}" for k, v in (*c["multipath"].items(), *c["shadow"].items()))
@@ -78,6 +88,7 @@ def test_goldens_regenerate():
     spec = importlib.util.spec_from_file_location("gen", _DATA_DIR / "make_mixture_goldens.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    cases = (gen.marcum_cases, gen.akm_cases, gen.extreme_cases, gen.composite_cdf_cases)
-    sections = ("marcum_q", "akm_cdf", "extreme_cdf", "composite_cdf")
+    cases = (gen.marcum_cases, gen.akm_cases, gen.extreme_cases, gen.extreme_upper_cases,
+             gen.composite_cdf_cases)
+    sections = ("marcum_q", "akm_cdf", "extreme_cdf", "extreme_cdf_upper", "composite_cdf")
     assert [next(c()) for c in cases] == [_DATA[name][0] for name in sections]

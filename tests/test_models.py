@@ -32,6 +32,7 @@ from compfade import (
     nakagami_m_equiv,
     specialize,
 )
+from compfade import specfun
 
 UNIT = ScaledEnvelope(1.0)
 
@@ -127,6 +128,21 @@ class TestAkmCdf:
         for rho in (0.5, 1.0, 1.8):
             deriv = (akm_cdf(p, rho + h) - akm_cdf(p, rho - h)) / (2.0 * h)
             assert deriv == pytest.approx(akm_pdf_normalized(p, rho), rel=1e-5)
+
+    def test_one_side_summed_per_call(self, monkeypatch):
+        # P at or below the mean power (rho = 1), Q above it; never marcum_q.
+        sides, side = [], specfun._poisson_gamma_side
+
+        def counted(*args, upper):
+            sides.append(upper)
+            return side(*args, upper=upper)
+
+        monkeypatch.setattr(specfun, "_poisson_gamma_side", counted)
+        monkeypatch.delattr(specfun, "marcum_q")
+        p = AkmParams(1.5, 2.0, 1.3)
+        for rho in (1e-3, 0.99, 1.01, 3.0):
+            akm_cdf(p, rho)
+        assert sides == [False, False, True, True]
 
     def test_dual_form_identity(self):
         rng = np.random.default_rng(13)
