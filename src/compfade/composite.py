@@ -3,9 +3,10 @@
 Every family is described once, in ``FAMILIES``: its parameter class, name
 and fields, its density and cdf at an rms scale and its sampler.  The rest
 of the package reads that table instead of branching on parameter types.
-A multipath family's cdf, sampler, deep-fade atom, behaviour at the origin
-and series terms all follow from its clustering form ``poisson_gamma`` =
-(lam, shape, rate): P^alpha ~ Gamma(shape + N, rate), N ~ Poisson(lam).
+A multipath family's density, cdf, sampler, deep-fade atom, behaviour at
+the origin and series terms all follow from its clustering form
+``poisson_gamma`` = (lam, shape, rate): P^alpha ~ Gamma(shape + N, rate),
+N ~ Poisson(lam).
 
 Two independent evaluation routes are provided for every composite family:
 
@@ -49,6 +50,7 @@ from .models import (
     GammaShadowParams,
     ScaledEnvelope,
     _mixture_cdf,
+    _origin,
     akm_pdf_normalized,
     am_pdf,
     extreme_pdf,
@@ -404,18 +406,16 @@ def _check_argument(x: float) -> None:
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
 
 
-def _value_at_origin(family: Family, m: CompositeModel) -> float:
-    # Near x = 0 the composite density behaves like x^min(e, b - 1): e =
-    # alpha * shape - 1 is the leading exponent of the first continuous
-    # component (N = 1 where N = 0 is an atom), and the shadow density goes
-    # like y^(b-1).  A positive power has the limit zero.  With e = 0 and
-    # b > 1 the conditional density tends to its unit-scale origin value
-    # c/y, so the limit is c * E[1/Y] = c / (omega * (b - 1)).
-    e, b = m.multipath.alpha * (m.multipath.poisson_gamma[1] or 1.0) - 1.0, m.shadow.b
+def _value_at_origin(m: CompositeModel) -> float:
+    # Near x = 0 the composite density behaves like x^min(e, b - 1): the
+    # conditional density goes like c * (x/y)^e / y (``models._origin``) and
+    # the shadow density like y^(b-1).  A positive power has the limit zero.
+    # With e = 0 and b > 1 the limit is c * E[1/Y] = c / (omega * (b - 1)).
+    (e, ln_c), b = _origin(m.multipath), m.shadow.b
     if min(e, b - 1.0) > 0.0:
         return 0.0
     if e == 0.0 and b > 1.0:
-        return family.pdf(m.multipath, 0.0, 1.0) / (m.shadow.omega * (b - 1.0))
+        return math.exp(ln_c) / (m.shadow.omega * (b - 1.0))
     raise DomainError("composite density is singular at x = 0 for these parameters")
 
 
@@ -457,10 +457,9 @@ def mixture_pdf(m: CompositeModel, x: float, rel_tol: float = 1e-9, budget: int 
     ``mixture_density`` carries it.
     """
     _check_argument(x)
-    family = family_of(m.multipath)
     if x == 0.0:
-        return _value_at_origin(family, m)
-    return _shadow_average(family.pdf, m, x, rel_tol, budget, vectorized=True)
+        return _value_at_origin(m)
+    return _shadow_average(family_of(m.multipath).pdf, m, x, rel_tol, budget, vectorized=True)
 
 
 def mixture_cdf(m: CompositeModel, x: float, rel_tol: float = 1e-9, budget: int = 200_000) -> float:
@@ -537,14 +536,12 @@ def _largest_term(ln_term: Callable[[int], float]) -> int:
     return lo
 
 
-def _series_pdf(
-    family: Family, m: CompositeModel, x: float, cfg: Optional[SeriesConfig]
-) -> float:
+def _series_pdf(m: CompositeModel, x: float, cfg: Optional[SeriesConfig]) -> float:
     # Sum of the series terms, or the one exact term of a single component
     # (which reads no series settings).
     _check_argument(x)
     if x == 0.0:
-        return _value_at_origin(family, m)
+        return _value_at_origin(m)
     alpha, omega = m.multipath.alpha, m.shadow.omega
     ln_coeff, p0, inner = _series_terms(m.multipath, m.shadow, x)
     if m.multipath.poisson_gamma[0] == 0.0:
@@ -578,11 +575,11 @@ def _series_pdf(
     return value
 
 
-def _require(m: CompositeModel, name: str, caller: str) -> Family:
-    family = FAMILIES[name]
-    if not isinstance(m.multipath, family.params):
-        raise DomainError(f"{caller} requires {family.params.__name__} multipath parameters")
-    return family
+def _require(m: CompositeModel, name: str, caller: str) -> CompositeModel:
+    params = FAMILIES[name].params
+    if not isinstance(m.multipath, params):
+        raise DomainError(f"{caller} requires {params.__name__} multipath parameters")
+    return m
 
 
 def akm_gamma_pdf_series(m: CompositeModel, x: float, cfg: SeriesConfig = SeriesConfig()) -> float:
@@ -593,7 +590,7 @@ def akm_gamma_pdf_series(m: CompositeModel, x: float, cfg: SeriesConfig = Series
     the shadow kernel at p = b/alpha - mu - l, A = mu*(1+kappa)*x^alpha.
     With kappa = 0 term 0 alone is exact, the zero-LOS form.
     """
-    return _series_pdf(_require(m, "akm", "akm_gamma_pdf_series"), m, x, cfg)
+    return _series_pdf(_require(m, "akm", "akm_gamma_pdf_series"), x, cfg)
 
 
 def am_gamma_pdf(m: CompositeModel, r: float) -> float:
@@ -603,7 +600,7 @@ def am_gamma_pdf(m: CompositeModel, r: float) -> float:
     density reduces to one kernel evaluation at p = b/alpha - mu,
     A = mu * r^alpha.
     """
-    return _series_pdf(_require(m, "am", "am_gamma_pdf"), m, r, None)
+    return _series_pdf(_require(m, "am", "am_gamma_pdf"), r, None)
 
 
 def extreme_gamma_pdf(m: CompositeModel, r: float, cfg: SeriesConfig = SeriesConfig()) -> float:
@@ -614,7 +611,7 @@ def extreme_gamma_pdf(m: CompositeModel, r: float, cfg: SeriesConfig = SeriesCon
     A = 2m * r^alpha.  The deep-fade atom exp(-2m) rides along unchanged;
     ``extreme_gamma_density`` carries it.
     """
-    return _series_pdf(_require(m, "extreme", "extreme_gamma_pdf"), m, r, cfg)
+    return _series_pdf(_require(m, "extreme", "extreme_gamma_pdf"), r, cfg)
 
 
 def extreme_gamma_density(m: CompositeModel, cfg: SeriesConfig = SeriesConfig()) -> Density:

@@ -1,12 +1,14 @@
 """Multipath and shadow fading distributions as first-class objects.
 
-Four multipath families (general non-linear LOS model, its zero-LOS
-reduction, and the two severe-fading "extreme" variants) plus the gamma
-shadow model, with pdf/cdf/moment evaluation and special-case detection.
-The densities ``akm_pdf_normalized``, ``extreme_pdf``, ``am_pdf`` and
-``gamma_shadow_pdf`` take a float, giving a float, or a 1-D array of points,
-giving an array, through one formula.  Parameter objects are immutable and
-every evaluation is pure, so the whole module is thread-safe.
+Three multipath families (the general non-linear LOS model, its zero-LOS
+reduction and the severe-fading "extreme" model) plus the gamma shadow
+model, with pdf/cdf/moment evaluation and special-case detection.  Each
+multipath density, its limit at the origin and its cdf follow from the
+family's clustering form ``poisson_gamma``.  The densities
+``akm_pdf_normalized``, ``extreme_pdf``, ``am_pdf`` and ``gamma_shadow_pdf``
+take a float, giving a float, or a 1-D array of points, giving an array,
+through one formula.  Parameter objects are immutable and every evaluation
+is pure, so the whole module is thread-safe.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "ScaledEnvelope",
     "Density",
     "SpecialCase",
-    "KAPPA_ZERO_THRESHOLD",
     "akm_pdf_normalized",
     "akm_pdf_envelope",
     "akm_cdf",
@@ -48,12 +49,6 @@ __all__ = [
     "specialize",
     "density_total_mass",
 ]
-
-# Below this the LOS power ratio is treated as exactly zero: the Bessel
-# small-argument behaviour then cancels the kappa^((mu-1)/2) denominator
-# only analytically, so the closed limit form must be used.
-KAPPA_ZERO_THRESHOLD = 1e-8
-
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -183,15 +178,6 @@ class SpecialCase:
     params: dict
 
 
-def _origin_limit(exponent: float, constant: float) -> float:
-    # Leading-power behaviour c * rho^exponent at the origin.
-    if exponent > 0.0:
-        return 0.0
-    if exponent == 0.0:
-        return constant
-    return math.inf
-
-
 def _check_nonneg(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0.0):
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
@@ -230,39 +216,63 @@ def _exp_or_zero(ln_value):
     return np.where(ln_value > -745.0, np.exp(ln_value), 0.0)
 
 
-def akm_pdf_normalized(p: AkmParams, rho):
-    """Density of the unit-rms envelope of the non-linear LOS model.
+def _origin(p) -> tuple:
+    # (e, ln c): the unit-scale density behaves as c * rho^e at 0.  Its first
+    # continuous component (N = 0, or N = 1 where N = 0 is the deep-fade atom)
+    # has shape k = shape or 1: e = alpha k - 1, c = alpha rate^k e^-lam
+    # lam^[shape = 0] / Gamma(k).
+    lam, shape, rate = p.poisson_gamma
+    k = shape or 1.0
+    ln_c = math.log(p.alpha * (1.0 if shape else lam)) + k * math.log(rate) - lam - math.lgamma(k)
+    return p.alpha * k - 1.0, ln_c
 
-    The exponent is assembled as -mu*(sqrt(1+kappa)*rho^(alpha/2) -
-    sqrt(kappa))^2 and paired with the exponentially scaled Bessel function,
-    which keeps the evaluation stable far into the tail.
+
+def _origin_limit(p, shift: float = 0.0) -> float:
+    # The limit at 0 of rho^-shift times the unit-scale density: zero, c or
+    # infinite as e lies above, at or below ``shift``.
+    e, ln_c = _origin(p)
+    if e != shift:
+        return 0.0 if e > shift else math.inf
+    return math.exp(ln_c)
+
+
+def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
+    """Density at rms scale ``scale`` (the unit-scale density at x / scale,
+    divided by scale) of a multipath family with clustering form (lam, s,
+    rate).  The Poisson sum of the gamma densities of u = rho^alpha is
+
+        f(rho) = alpha rho^(alpha (1 + s)/2 - 1) rate^((1 + s)/2)
+                 lam^((1 - s)/2) e^(-(sqrt(rate u) - sqrt(lam))^2) Ie_{s-1}(z)
+
+    with z = 2 sqrt(lam rate u), Ie the exponentially scaled Bessel function
+    and I_-1 = I_1; lam = 0 leaves alpha rate^s rho^(alpha s - 1) e^(-rate
+    u) / Gamma(s).  It is assembled in log space: the power prefactor can
+    overflow on its own far in the tail, where the density underflows, and
+    Ie itself underflows at a large order and a small z, where ln Ie does not.
     """
-    a, k, mu = p.alpha, p.kappa, p.mu
+    lam, s, rate = p.poisson_gamma
+    a, ln_a = p.alpha, math.log(p.alpha / scale)
 
-    def c0():
-        return a * mu**mu * (1.0 + k) ** mu * math.exp(-mu * k) / math.gamma(mu)
+    def positive(x):
+        rho = x if scale == 1.0 else x / scale
+        ln_rho = np.log(rho)
+        if not lam:
+            ln_f = ln_a + s * math.log(rate) + (a * s - 1.0) * ln_rho - rate * rho**a
+            return _exp_or_zero(ln_f - math.lgamma(s))
+        half = rho ** (0.5 * a)  # sqrt(u)
+        return _exp_or_zero(
+            ln_a + 0.5 * (1.0 + s) * math.log(rate) + 0.5 * (1.0 - s) * math.log(lam)
+            + (0.5 * a * (1.0 + s) - 1.0) * ln_rho - rate * (half - math.sqrt(lam / rate)) ** 2
+            + specfun._ln_bessel_i_scaled(s - 1.0 if s else 1.0, 2.0 * math.sqrt(lam * rate) * half)
+        )
 
-    def positive(rho):
-        if k < KAPPA_ZERO_THRESHOLD:
-            return _exp_or_zero(
-                math.log(c0()) + (a * mu - 1.0) * np.log(rho) - mu * (1.0 + k) * rho**a
-            )
-        s = rho ** (0.5 * a)
-        z = 2.0 * mu * math.sqrt(k * (1.0 + k)) * s
-        scaled_bessel = specfun.bessel_i_scaled(mu - 1.0, z)
-        # Assembled in log space: the power prefactor can overflow on its own
-        # far in the tail even though the density itself underflows to zero.
-        with np.errstate(divide="ignore"):  # a Bessel factor that underflowed
-            return _exp_or_zero(
-                math.log(a * mu)
-                + 0.5 * (1.0 + mu) * math.log1p(k)
-                - 0.5 * (mu - 1.0) * math.log(k)
-                + (0.5 * a * (1.0 + mu) - 1.0) * np.log(rho)
-                - mu * (math.sqrt(1.0 + k) * s - math.sqrt(k)) ** 2
-                + np.log(scaled_bessel)
-            )
+    return _density(name, x, lambda: _origin_limit(p) / scale, positive)
 
-    return _density("rho", rho, lambda: _origin_limit(a * mu - 1.0, c0()), positive)
+
+def akm_pdf_normalized(p: AkmParams, rho):
+    """Density of the unit-rms envelope of the non-linear LOS model: the
+    clustering form's Bessel formula, or its gamma form when kappa = 0."""
+    return _multipath_pdf(p, rho)
 
 
 def akm_pdf_envelope(p: AkmParams, s: ScaledEnvelope, r: float) -> float:
@@ -304,23 +314,16 @@ def _mixture_cdf(p, rho: float, tail_tol: float = 1e-15) -> float:
 def akm_power_pdf(p: AkmParams, w: float) -> float:
     """Density of the normalized power W = P^2.
 
-    At exactly w = 0 the prefactor exponent alpha*(1+mu)/4 - 1 decides:
-    positive gives 0, negative is out of domain (the density diverges).
+    At exactly w = 0 it is the limit of c/2 * w^((e - 1)/2), where the
+    envelope density behaves as c * rho^e at the origin: 0 for e > 1 and
+    c/2 for e = 1; for e < 1 the density diverges, which is out of domain.
     """
     _check_nonneg("w", w)
     if w == 0.0:
-        lead = 0.25 * p.alpha * (1.0 + p.mu) - 1.0
-        if lead > 0.0:
-            return 0.0
-        if lead < 0.0:
+        value = 0.5 * _origin_limit(p, shift=1.0)
+        if value == math.inf:
             raise DomainError("power density diverges at w = 0 for these parameters")
-        # Constant prefactor; the Bessel factor still contributes
-        # w^(alpha*(mu-1)/4), so the limit depends on mu.
-        if p.mu > 1.0:
-            return 0.0
-        if p.mu < 1.0:
-            raise DomainError("power density diverges at w = 0 for these parameters")
-        return 0.5 * p.alpha * (1.0 + p.kappa) * math.exp(-p.kappa)
+        return value
     root = math.sqrt(w)
     return akm_pdf_normalized(p, root) / (2.0 * root)
 
@@ -370,22 +373,7 @@ def extreme_pdf(p: ExtremeParams, rho):
     The full distribution also carries the atom (0, exp(-2m)); use
     ``extreme_density`` for the complete object.
     """
-    a, m = p.alpha, p.m
-
-    def positive(rho):
-        s = rho ** (0.5 * a)
-        scaled_bessel = specfun.bessel_i_scaled(1.0, 4.0 * m * s)
-        with np.errstate(divide="ignore"):  # a Bessel factor that underflowed
-            return _exp_or_zero(
-                math.log(2.0 * a * m)
-                + (0.5 * a - 1.0) * np.log(rho)
-                - 2.0 * m * (1.0 - s) ** 2
-                + np.log(scaled_bessel)
-            )
-
-    return _density(
-        "rho", rho, lambda: _origin_limit(a - 1.0, 4.0 * m * m * math.exp(-2.0 * m)), positive
-    )
+    return _multipath_pdf(p, rho)
 
 
 def extreme_density(p: ExtremeParams) -> Density:
@@ -406,20 +394,7 @@ def extreme_cdf(p: ExtremeParams, rho: float, tail_tol: float = 1e-15) -> float:
 
 def am_pdf(p: AmParams, s: ScaledEnvelope, r):
     """Envelope density of the zero-LOS non-linear model at rms scale s."""
-    a, mu, rhat = p.alpha, p.mu, s.rhat
-    return _density(
-        "r",
-        r,
-        lambda: _origin_limit(a * mu - 1.0, a * mu**mu / (rhat * math.gamma(mu))),
-        lambda r: _exp_or_zero(
-            math.log(a)
-            + mu * math.log(mu)
-            + (a * mu - 1.0) * np.log(r)
-            - mu * (r / rhat) ** a
-            - a * mu * math.log(rhat)
-            - specfun.ln_gamma(mu)
-        ),
-    )
+    return _multipath_pdf(p, r, "r", s.rhat)
 
 
 def am_cdf(p: AmParams, s: ScaledEnvelope, r: float) -> float:

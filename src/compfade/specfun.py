@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
 
 _LN_MAX = 709.782712893384  # log of the largest finite double
 _TINY = 1e-300
+_NORMAL = sys.float_info.min  # the smallest normal double
 
 
 def ln_gamma(x: float) -> float:
@@ -105,10 +107,10 @@ def _bessel_asym_scaled(nu: float, x: float) -> tuple[float, bool]:
     return value, smallest <= abs(total) * 1e-13
 
 
-def _bessel_scaled_series_peak(nu: float, x: float) -> float:
-    # Peak-normalized positive series for exp(-x) I_nu(x).  Valid for any
-    # (nu, x) but slower than the asymptotic branch; used as a fallback when
-    # the order is comparable to the argument.
+def _ln_bessel_scaled_peak(nu: float, x: float) -> float:
+    # Peak-normalized positive series for ln(exp(-x) I_nu(x)).  Valid for
+    # any (nu, x) but slower than the asymptotic branch; used as a fallback
+    # when the order is comparable to the argument or the value underflows.
     half = 0.5 * x
     half2 = half * half
     lpk = int(max(0.0, 0.5 * (math.hypot(nu, x) - nu)))
@@ -135,7 +137,7 @@ def _bessel_scaled_series_peak(nu: float, x: float) -> float:
         l -= 1
         if term <= total * 1e-18:
             break
-    return math.exp(ln_peak - x + math.log(total))
+    return ln_peak - x + math.log(total)
 
 
 _BELOW_700 = math.nextafter(700.0, 0.0)
@@ -244,11 +246,28 @@ def _bessel_scaled_float(nu: float, x: float) -> float:
     if x <= nu + 20.0:
         if x < 700.0:
             return _bessel_series_unscaled(nu, x) * math.exp(-x)
-        return _bessel_scaled_series_peak(nu, x)
+        return math.exp(_ln_bessel_scaled_peak(nu, x))
     value, converged = _bessel_asym_scaled(nu, x)
     if converged:
         return value
-    return _bessel_scaled_series_peak(nu, x)
+    return math.exp(_ln_bessel_scaled_peak(nu, x))
+
+
+def _ln_bessel_i_scaled(nu: float, x):
+    # ln of ``bessel_i_scaled`` (float or 1-D array); below the normal range,
+    # where x >= _TINY, the peak series' logarithm instead.
+    value = bessel_i_scaled(nu, x)
+    if isinstance(value, float):
+        if value >= _NORMAL or x < _TINY:
+            return math.log(value) if value else -math.inf
+        return _ln_bessel_scaled_peak(nu, x)
+    if value.min(initial=_NORMAL) >= _NORMAL:
+        return np.log(value)
+    with np.errstate(divide="ignore"):
+        ln_value = np.log(value)
+    for i in np.flatnonzero((value < _NORMAL) & (x >= _TINY)):
+        ln_value[i] = _ln_bessel_scaled_peak(nu, float(x[i]))
+    return ln_value
 
 
 def bessel_i(nu: float, x: float) -> float:

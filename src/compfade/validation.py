@@ -577,19 +577,18 @@ def check_reduction_web(seed: int = 53) -> dict:
             worst = max(worst, _rel_err(models.extreme_pdf(p, rho), direct))
     details["extreme_alpha2"] = worst
 
-    # kappa -> 0 limit equals the zero-LOS model.
+    # kappa -> 0 limit equals the zero-LOS model: kappa = 0 runs the zero-LOS
+    # model's gamma form, kappa = 1e-12 the Bessel form.
     worst = 0.0
     for _ in range(8):
         alpha = _draw(rng, "alpha")
         mu = _draw(rng, "mu")
-        p = AkmParams(alpha, 0.0, mu)
         am = AmParams(alpha, mu)
         unit = ScaledEnvelope(1.0)
-        for rho in (0.3, 0.9, 1.6):
-            worst = max(
-                worst,
-                _rel_err(models.akm_pdf_normalized(p, rho), models.am_pdf(am, unit, rho)),
-            )
+        for kappa in (0.0, 1e-12):
+            for rho in (0.3, 0.9, 1.6):
+                akm = models.akm_pdf_normalized(AkmParams(alpha, kappa, mu), rho)
+                worst = max(worst, _rel_err(akm, models.am_pdf(am, unit, rho)))
     details["kappa0_zero_los"] = worst
 
     # Rayleigh/gamma composite against a nested-quadrature oracle coded

@@ -35,6 +35,19 @@ same Poisson-gamma F at rate rho^alpha, rho = x / y (``mixture_cdf``, which
 is cheaper per node than ``mixture``).  It is computed at ``QUAD_DPS`` and
 ``QUAD_DPS + 10`` digits, which must agree to ``AGREE_QUAD`` relative.
 
+The plain multipath densities (``pdf``) are the Poisson mixture of gamma
+densities of u = rho^alpha, times alpha rho^(alpha-1), summed in closed
+form by the Bessel series I_nu(z) = sum_n (z/2)^(2n+nu) / (n! Gamma(n+nu+1)):
+
+    f(rho) = alpha rho^(alpha (1+shape)/2 - 1) rate^((1+shape)/2)
+             lam^((1-shape)/2) e^(-lam - rate u) I_{shape-1}(2 sqrt(lam rate u)),
+
+and the gamma density alpha rate^shape rho^(alpha shape - 1) e^(-rate u) /
+Gamma(shape) when lam = 0, at ``DPS`` and ``DPS + 15`` digits, which must
+agree to ``AGREE``.  They run from rho = 1e-6 into the far tail, with kappa
+from 1e-12 to 50 and m up to 500; a value below ``PDF_FLOOR``, out of the
+normal double range, is left out.
+
 ``tests/test_mixture_goldens.py`` reads the JSON; it needs no mpmath.
 """
 
@@ -231,6 +244,59 @@ def composite_cdf_cases():
                        "x": x, "cdf": mp.nstr(low, QUAD_DPS)}
 
 
+# Plain densities: (family, parameters), each at every PDF_RHO whose value
+# is at least PDF_FLOOR.
+PDF_FLOOR = mp.mpf("1e-300")
+PDF_RHO = (1e-6, 0.01, 0.5, 1.0, 1.3, 2.0, 4.0, 10.0)
+PDF_MODELS = (
+    *(("akm", {"alpha": alpha, "kappa": kappa, "mu": mu})
+      for kappa in (1e-12, 9e-9, 1e-3, 1.0, 50.0)
+      for alpha, mu in ((2.0, 20.0), (0.7, 2.5), (3.3, 0.6))),
+    ("akm", {"alpha": 2.0, "kappa": 1e-4, "mu": 300.0}),
+    ("am", {"alpha": 2.0, "mu": 1.0}),
+    ("am", {"alpha": 0.5, "mu": 0.6}),
+    ("am", {"alpha": 4.0, "mu": 20.0}),
+    ("extreme", {"alpha": 2.0, "m": 0.5}),
+    ("extreme", {"alpha": 1.0, "m": 3.0}),
+    ("extreme", {"alpha": 3.5, "m": 70.0}),
+    ("extreme", {"alpha": 2.0, "m": 500.0}),
+)
+
+
+def clustering_form(family, params):
+    """(lam, shape, rate) of a multipath family, in the parameter class's
+    double arithmetic."""
+    if family == "akm":
+        mu, kappa = params["mu"], params["kappa"]
+        return mu * kappa, mu, mu * (1.0 + kappa)
+    if family == "am":
+        return 0.0, params["mu"], params["mu"]
+    return 2.0 * params["m"], 0.0, 2.0 * params["m"]
+
+
+def plain_pdf(alpha, lam, shape, rate, rho, dps):
+    """The multipath density at rho at ``dps`` digits."""
+    with mp.workdps(dps + 10):
+        alpha, lam, shape, rate, rho = (mp.mpf(v) for v in (alpha, lam, shape, rate, rho))
+        u = rho**alpha
+        if lam == 0:
+            return +(alpha * rate**shape * rho ** (alpha * shape - 1) * mp.exp(-rate * u)
+                     / mp.gamma(shape))
+        return +(alpha * rho ** (alpha * (1 + shape) / 2 - 1) * rate ** ((1 + shape) / 2)
+                 * lam ** ((1 - shape) / 2) * mp.exp(-lam - rate * u)
+                 * mp.besseli(shape - 1, 2 * mp.sqrt(lam * rate * u)))
+
+
+def pdf_cases():
+    for family, params in PDF_MODELS:
+        form = clustering_form(family, params)  # in doubles, then taken exactly
+        for rho in PDF_RHO:
+            low, high = (plain_pdf(params["alpha"], *form, rho, dps) for dps in (DPS, DPS + 15))
+            assert abs(low - high) <= AGREE * abs(high), (family, params, rho)
+            if low >= PDF_FLOOR:
+                yield {"family": family, "params": params, "rho": rho, "pdf": mp.nstr(low, DPS)}
+
+
 def main() -> None:
     data = {
         "dps": DPS,
@@ -239,6 +305,7 @@ def main() -> None:
         "extreme_cdf": list(extreme_cases()),
         "extreme_cdf_upper": list(extreme_upper_cases()),
         "composite_cdf": list(composite_cdf_cases()),
+        "pdf": list(pdf_cases()),
     }
     OUT.write_text(json.dumps(data, indent=1) + "\n")
     print(f"wrote {OUT} ({sum(len(v) for v in data.values() if isinstance(v, list))} values)")

@@ -7,7 +7,9 @@ value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3.  The
 composite cdf (an mpmath quadrature over the shadow, at 20 digits) matches
 to 1e-9 relative from x = 1e-8 to its upper tail.  Far above its mean,
 where 1 - F falls from 1e-3 to 1e-9 and m reaches 500, ``extreme_cdf``
-matches to 2e-15 absolute.
+matches to 2e-15 absolute.  The plain densities match to 1e-12 relative
+from rho = 1e-6 into the far tail, with kappa from 1e-12 to 50 and m up to
+500.
 """
 
 import importlib.util
@@ -22,9 +24,13 @@ from compfade import (
     CompositeModel,
     ExtremeParams,
     GammaShadowParams,
+    ScaledEnvelope,
     akm_cdf,
     akm_cdf_series,
+    akm_pdf_normalized,
+    am_pdf,
     extreme_cdf,
+    extreme_pdf,
     marcum_q,
     mixture_cdf,
 )
@@ -82,6 +88,25 @@ def test_mixture_cdf(case):
     assert mixture_cdf(model, case["x"]) == pytest.approx(float(case["cdf"]), rel=1e-9)
 
 
+_PDFS = {
+    "akm": akm_pdf_normalized,
+    "am": lambda p, rho: am_pdf(p, ScaledEnvelope(1.0), rho),
+    "extreme": extreme_pdf,
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    _DATA["pdf"],
+    ids=lambda c: c["family"] + "-" + "-".join(f"{k}{v:g}" for k, v in c["params"].items())
+    + f"-rho{c['rho']:g}",
+)
+def test_plain_pdf(case):
+    p = FAMILIES[case["family"]].params(**case["params"])
+    got = _PDFS[case["family"]](p, case["rho"])
+    assert got == pytest.approx(float(case["pdf"]), rel=1e-12, abs=0.0)
+
+
 def test_goldens_regenerate():
     # One golden of each section, recomputed by the generator.
     pytest.importorskip("mpmath")
@@ -89,6 +114,6 @@ def test_goldens_regenerate():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     cases = (gen.marcum_cases, gen.akm_cases, gen.extreme_cases, gen.extreme_upper_cases,
-             gen.composite_cdf_cases)
-    sections = ("marcum_q", "akm_cdf", "extreme_cdf", "extreme_cdf_upper", "composite_cdf")
+             gen.composite_cdf_cases, gen.pdf_cases)
+    sections = ("marcum_q", "akm_cdf", "extreme_cdf", "extreme_cdf_upper", "composite_cdf", "pdf")
     assert [next(c()) for c in cases] == [_DATA[name][0] for name in sections]

@@ -80,7 +80,8 @@ class TestAkmPdf:
             assert mine == pytest.approx(direct, rel=1e-12)
 
     def test_small_kappa_limit_branch_continuity(self):
-        # Values just above and below the limit threshold agree closely.
+        # Values either side of kappa = 1e-8 agree closely: one formula
+        # holds every kappa.
         mu, alpha = 1.7, 2.6
         rho = 0.9
         above = akm_pdf_normalized(AkmParams(alpha, 1.1e-8, mu), rho)
@@ -178,6 +179,55 @@ class TestAkmPowerPdf:
         assert akm_power_pdf(AkmParams(2.0, 1.0, 2.0), 0.0) == 0.0
         with pytest.raises(DomainError):
             akm_power_pdf(AkmParams(1.0, 1.0, 0.6), 0.0)
+
+    def test_origin_limit_of_the_clustering_form(self):
+        # The envelope density goes as c * rho^e with e = alpha*mu - 1, so the
+        # power density goes as c/2 * w^((e - 1)/2): finite at e = 1, where
+        # c = alpha (mu (1 + kappa))^mu e^(-mu kappa) / Gamma(mu) = 16 e^-2.
+        p = AkmParams(1.0, 1.0, 2.0)
+        assert akm_power_pdf(p, 0.0) == pytest.approx(8.0 * math.exp(-2.0), rel=1e-14)
+        assert akm_power_pdf(p, 1e-12) == pytest.approx(8.0 * math.exp(-2.0), rel=1e-5)
+        assert akm_power_pdf(AkmParams(1.0, 1.0, 2.5), 0.0) == 0.0
+        # e = 0.8: the density grows like w^-0.1, out of domain at w = 0.
+        with pytest.raises(DomainError):
+            akm_power_pdf(AkmParams(3.0, 1.0, 0.6), 0.0)
+
+
+class TestPdfAgainstScipy:
+    # 2 rate P^alpha is noncentral chi-square with 2 shape degrees of freedom
+    # and noncentrality 2 lam, (lam, shape, rate) the clustering form; with
+    # lam = 0, P^alpha is Gamma(shape, rate).  scipy loses its digits where
+    # the density falls below about 1e-60, so the far tails are left to the
+    # mpmath goldens.
+    GRID = [
+        (alpha, mu, rho)
+        for alpha in (0.5, 1.3, 2.0, 4.0)
+        for mu in (0.6, 2.5, 20.0)
+        for rho in (0.05, 0.4, 1.0, 1.5, 3.0)
+    ]
+
+    @pytest.mark.parametrize("kappa", [1e-12, 9e-9, 1e-4, 0.5, 3.0, 50.0])
+    def test_akm_matches_noncentral_chi_square(self, kappa):
+        stats = pytest.importorskip("scipy.stats")
+        compared = 0
+        for alpha, mu, rho in self.GRID:
+            p = AkmParams(alpha, kappa, mu)
+            lam, shape, rate = p.poisson_gamma
+            w = 2.0 * rate * rho**alpha
+            ref = float(stats.ncx2.pdf(w, 2.0 * shape, 2.0 * lam)) * w * alpha / rho
+            if ref >= 1e-30:
+                assert akm_pdf_normalized(p, rho) == pytest.approx(ref, rel=1e-12, abs=0.0)
+                compared += 1
+        assert compared >= 30
+
+    def test_am_matches_gamma(self):
+        stats = pytest.importorskip("scipy.stats")
+        s = ScaledEnvelope(0.8)
+        for alpha, mu, rho in self.GRID:
+            u = rho**alpha
+            ref = float(stats.gamma.pdf(u, mu, scale=1.0 / mu)) * alpha * u / rho
+            got = am_pdf(AmParams(alpha, mu), s, rho * s.rhat) * s.rhat
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestAkmMoments:

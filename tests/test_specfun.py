@@ -20,7 +20,7 @@ from compfade import (
     reg_lower_gamma,
     reg_upper_gamma,
 )
-from compfade.specfun import _bessel_asym_scaled, _bessel_series_unscaled
+from compfade.specfun import _bessel_asym_scaled, _bessel_series_unscaled, _ln_bessel_i_scaled
 
 
 class TestLnGamma:
@@ -83,6 +83,20 @@ class TestBesselI:
     def test_overflow_signal(self):
         with pytest.raises(OverflowError):
             bessel_i(0.0, 800.0)
+
+    def test_log_below_the_normal_range(self):
+        # A large order at a small argument underflows exp(-x) I_nu(x); its
+        # logarithm still holds every digit, on the float and the array path.
+        mpmath = pytest.importorskip("mpmath")
+        xs = [1e-250, 2e-4, 0.6, 3.0, 40.0]
+        for nu in (299.0, 60.5):
+            with mpmath.workdps(30):
+                refs = [float(mpmath.log(mpmath.besseli(nu, x)) - x) for x in xs]
+            array = _ln_bessel_i_scaled(nu, np.array(xs))
+            for x, ref, value in zip(xs, refs, array.tolist()):
+                assert _ln_bessel_i_scaled(nu, x) == pytest.approx(ref, rel=1e-14)
+                assert value == pytest.approx(ref, rel=1e-14)
+        assert _ln_bessel_i_scaled(1.0, 0.0) == -math.inf
 
     def test_domain(self):
         with pytest.raises(DomainError):
