@@ -26,6 +26,9 @@ Two independent evaluation routes are provided for every composite family:
   block of powers (rows) on one grid in t that serves them all; the series
   sum fetches the block of a term when it reaches it.  Term l is the
   clustering component N = l, or N = l + 1 where component 0 is an atom.
+  The sum runs outward from the Poisson mode on both sides.  Integrating
+  the kernel by parts bounds the terms each side has left by a geometric
+  series, and the sum stops once both bounds are within rel_tol of it.
 
 With lam = 0 (the zero-LOS composite) one kernel evaluation is exact.  A
 zero shape keeps the deep-fade atom exp(-lam) at zero, which the shadow
@@ -49,6 +52,7 @@ from .models import (
     ExtremeParams,
     GammaShadowParams,
     ScaledEnvelope,
+    _check_nonneg,
     _mixture_cdf,
     _origin,
     akm_pdf_normalized,
@@ -57,7 +61,8 @@ from .models import (
     gamma_shadow_cdf,
     gamma_shadow_pdf,
 )
-from .numerics import integrate_semi_infinite, sum_adaptive
+from .numerics import integrate_semi_infinite
+from .numerics import sum_adaptive  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
     "CompositeModel",
@@ -104,8 +109,9 @@ class CompositeModel:
 class SeriesConfig:
     """Truncation settings for the Bessel-series composite evaluators.
 
-    With ``use_gross`` false the ascending-series terms are summed until
-    ``rel_tol`` stops the sum, with no term cap; with it true the degree-n
+    With ``use_gross`` false the ascending-series terms are summed, with no
+    term cap, until a proven bound on the terms left is within ``rel_tol``
+    of the sum (see the module docstring); with it true the degree-n
     (n = ``max_terms``) polynomial surrogate weights are used and all n+1
     terms are summed (the weights depend on n: no incremental stopping).
     """
@@ -401,11 +407,6 @@ def plain_density(params, scale: float = 1.0) -> Density:
     )
 
 
-def _check_argument(x: float) -> None:
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-
-
 def _value_at_origin(m: CompositeModel) -> float:
     # Near x = 0 the composite density behaves like x^min(e, b - 1): the
     # conditional density goes like c * (x/y)^e / y (``models._origin``) and
@@ -456,7 +457,7 @@ def mixture_pdf(m: CompositeModel, x: float, rel_tol: float = 1e-9, budget: int 
     multipath the mode-independent atom exp(-2m) is not part of this value;
     ``mixture_density`` carries it.
     """
-    _check_argument(x)
+    _check_nonneg("x", x)
     if x == 0.0:
         return _value_at_origin(m)
     return _shadow_average(family_of(m.multipath).pdf, m, x, rel_tol, budget, vectorized=True)
@@ -469,7 +470,7 @@ def mixture_cdf(m: CompositeModel, x: float, rel_tol: float = 1e-9, budget: int 
     quadrature; every F_mp(0) holds the deep-fade atom.  With no absolute
     floor the lower tail keeps ``rel_tol`` relative accuracy.
     """
-    _check_argument(x)
+    _check_nonneg("x", x)
     family = family_of(m.multipath)
     if x == 0.0:
         return family.cdf(m.multipath, 0.0, 1.0)
@@ -495,11 +496,12 @@ def _gross_ln_weight(n: int, l: int) -> float:
 
 
 def _series_terms(mp: MultipathParams, sh: GammaShadowParams, x: float):
-    # (ln_coeff, p0, inner): term l of the density at x > 0, exp(ln_coeff(l))
-    # times the shadow kernel at power p0 - l and inner scale ``inner``, is
-    # the component n = n0 + l (n0 = 1 where component 0 is the atom) of
-    # shape k = shape + n: Pois_n(lam) rate^k x^(alpha k - 1) / (Gamma(k)
-    # Gamma(b) omega^b).
+    # (ln_coeff, g, p0, inner, mode): term l of the density at x > 0,
+    # exp(ln_coeff(l)) times the shadow kernel at power p0 - l and inner
+    # scale ``inner``, is the component n = n0 + l (n0 = 1 where component 0
+    # is the atom) of shape k = shape + n: Pois_n(lam) rate^k x^(alpha k - 1)
+    # / (Gamma(k) Gamma(b) omega^b).  Consecutive coefficients differ by
+    # lam*inner/g(l); term ``mode`` holds the Poisson mode, or is 0 below it.
     lam, shape, rate = mp.poisson_gamma
     alpha, b = mp.alpha, sh.b
     k0, n0 = (shape, 0) if shape else (1.0, 1)
@@ -518,60 +520,61 @@ def _series_terms(mp: MultipathParams, sh: GammaShadowParams, x: float):
             + ln_const
         )
 
-    return ln_coeff, b / alpha - k0, rate * x**alpha
-
-
-_LN_TINY = math.log(sys.float_info.min)  # the smallest normal double
-
-
-def _largest_term(ln_term: Callable[[int], float]) -> int:
-    # The l at which ln_term stops rising, by doubling and then bisection:
-    # the terms rise to one peak and then fall.  The peak lies in [lo, hi).
-    lo, hi = 0, 1
-    while ln_term(hi) > ln_term(hi - 1):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if ln_term(mid) > ln_term(mid - 1) else (lo, mid)
-    return lo
+    g = lambda l: (n0 + l + 1.0) * (k0 + l)  # noqa: E731
+    return ln_coeff, g, b / alpha - k0, rate * x**alpha, max(math.floor(lam) - n0, 0)
 
 
 def _series_pdf(m: CompositeModel, x: float, cfg: Optional[SeriesConfig]) -> float:
     # Sum of the series terms, or the one exact term of a single component
     # (which reads no series settings).
-    _check_argument(x)
+    _check_nonneg("x", x)
     if x == 0.0:
         return _value_at_origin(m)
-    alpha, omega = m.multipath.alpha, m.shadow.omega
-    ln_coeff, p0, inner = _series_terms(m.multipath, m.shadow, x)
-    if m.multipath.poisson_gamma[0] == 0.0:
+    alpha, omega, lam = m.multipath.alpha, m.shadow.omega, m.multipath.poisson_gamma[0]
+    ln_coeff, g, p0, inner, top = _series_terms(m.multipath, m.shadow, x)
+    if lam == 0.0:
         return math.exp(ln_coeff(0) + shadow_kernel_integral_ln(p0, inner, alpha, omega))
     terms = cfg.max_terms + 1 if cfg.use_gross else math.inf
     ln_kernels = {}
 
-    def ln_term(l: int) -> float:
-        ln_k = ln_kernels.get(l)
-        if ln_k is None:  # fetch the block of powers that holds term l
+    def ln_kernel(l: int) -> float:
+        if l not in ln_kernels:  # fetch the block of powers that holds term l
             start = l - l % _KERNEL_BLOCK
             stop = min(start + _KERNEL_BLOCK, terms)
             block = shadow_kernel_integral_ln(p0 - np.arange(start, stop), inner, alpha, omega)
             ln_kernels.update(zip(range(start, stop), block.tolist()))
-            ln_k = ln_kernels[l]
-        ln_c = ln_coeff(l)
-        if cfg.use_gross:
-            ln_c += _gross_ln_weight(cfg.max_terms, l)
-        return ln_c + ln_k
+        return ln_kernels[l]
 
     if cfg.use_gross:
-        return sum(math.exp(ln_term(l)) for l in range(terms))
-    # A term 0 below the normal range (e^-lam underflows past lam ~ 745)
-    # would stop the sum on its leading zeros: sum outward from the largest.
-    top = 0 if ln_term(0) >= _LN_TINY else _largest_term(ln_term)
-    value = sum_adaptive(lambda i: math.exp(ln_term(top + i)), rel_tol=cfg.rel_tol).value
-    if top:
-        value += sum_adaptive(
-            lambda i: math.exp(ln_term(top - 1 - i)) if i < top else 0.0, rel_tol=cfg.rel_tol
-        ).value
+        ln_w = [_gross_ln_weight(cfg.max_terms, l) for l in range(terms)]
+        return sum(math.exp(ln_coeff(l) + ln_w[l] + ln_kernel(l)) for l in range(terms))
+    # By parts, t(l+1)/t(l) = lam (l - p0 + c_l) / g(l) with c_l the mean of
+    # u^(1/alpha) / (alpha omega) under kernel row l, which falls as l rises
+    # (a monotone likelihood ratio in u).  So a ratio r seen at l bounds every
+    # later ratio from above, and every earlier one from below, by R(j) =
+    # (r g(l) + lam (j - l)) / g(j).  While R > 0 the condition that R falls
+    # at j is a quadratic rising in j: once R falls it falls on, and R is
+    # least at an end of any range.  A side then has at most t q / (1 - q)
+    # left, q the bound on its next ratio.
+    rel_tol, ln_top = cfg.rel_tol, ln_coeff(top) + ln_kernel(top)
+    value, rest = math.exp(ln_top), 0.0
+    for step in (1, -1):
+        l, ln_last = top + step, ln_top
+        while l >= 0:
+            ln_t = ln_coeff(l) + ln_kernel(l)
+            value += (t := math.exp(ln_t))
+            if l and t <= rel_tol * value:  # only then can the bound stop the sum
+                r = math.exp(step * (ln_t - ln_last))  # t(j+1)/t(j), j = l - 1 or l
+                if step > 0:  # q = R(l), and R falls from l on
+                    num, den = r * g(l - 1) + lam, g(l)
+                    falls = lam * den <= num * (g(l + 1) - den)
+                else:  # q = 1/R(l - 1), the least R below l where R(0) >= R(l - 1)
+                    num, den = g(l - 1), r * g(l) - lam
+                    falls = (den - lam * (l - 1)) * num >= g(0) * den
+                if falls and num < den and rest + t * num / (den - num) <= rel_tol * value:
+                    rest += t * num / (den - num)
+                    break
+            l, ln_last = l + step, ln_t
     return value
 
 

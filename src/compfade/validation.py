@@ -39,10 +39,6 @@ _ACCEPT_CFG = SeriesConfig(rel_tol=1e-9)
 _AKM = FAMILIES["akm"]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def _draw(rng, key, box=PARAM_BOX):
     lo, hi = box[key]
     return float(rng.uniform(lo, hi))
@@ -119,7 +115,7 @@ def check_specfun_goldens() -> dict:
 
 def check_specfun_properties(n_draws: int = 60, seed: int = 11) -> dict:
     """Monotonicity and recurrence properties on random grids."""
-    rng = _rng(seed)
+    rng = mc._generator(seed)
     failures = []
 
     for _ in range(n_draws):
@@ -309,7 +305,7 @@ def check_series_summation() -> dict:
 
 def check_normalization(draws: int = 20, seed: int = 23) -> dict:
     """Total probability mass (continuous + atoms) of each density family."""
-    rng = _rng(seed)
+    rng = mc._generator(seed)
     worst = {}
 
     def mass_of(fn, scale=1.0, budget=200_000):
@@ -388,7 +384,7 @@ def check_cdf_dual_form(points: int = 100, seed: int = 31) -> dict:
     to the same level.  Below ~1e-3 the complement route's floating floor of
     ~1e-16 makes a relative comparison meaningless.
     """
-    rng = _rng(seed)
+    rng = mc._generator(seed)
     worst = 0.0
     for _ in range(points):
         p = _random(rng, _AKM)
@@ -418,7 +414,7 @@ def _moment_alt_form(p: AkmParams, order: float) -> float:
 
 def check_moments(param_sets=None, seed: int = 37) -> dict:
     """Closed-form moments vs quadrature, plus the alternate-form record."""
-    rng = _rng(seed)
+    rng = mc._generator(seed)
     if param_sets is None:
         param_sets = [AkmParams(2.0, 1.5, 2.1), AkmParams(3.1, 0.7, 1.3)] + [
             _random(rng, _AKM) for _ in range(3)
@@ -454,7 +450,7 @@ def check_power_variance_identity(draws: int = 20, seed: int = 41) -> dict:
 
     The general-alpha behaviour is measured and reported, not asserted.
     """
-    rng = _rng(seed)
+    rng = mc._generator(seed)
     worst = 0.0
     for _ in range(draws):
         kappa = _draw(rng, "kappa")
@@ -515,7 +511,7 @@ def _series_grid(shadow: GammaShadowParams, points: int) -> np.ndarray:
 
 def check_series_vs_oracle(draws: int = 20, points: int = 25, seed: int = 47) -> dict:
     """Series/exact composite routes against the mixture-quadrature oracle."""
-    rng = _rng(seed)
+    rng = mc._generator(seed)
     worst = {}
     for family in MULTIPATH_FAMILIES:
         key = f"{family.name}_gamma"
@@ -540,7 +536,7 @@ def check_series_vs_oracle(draws: int = 20, points: int = 25, seed: int = 47) ->
 
 def check_reduction_web(seed: int = 53) -> dict:
     """Special-case collapses across the model web."""
-    rng = _rng(seed)
+    rng = mc._generator(seed)
     details = {}
 
     # alpha = 2 LOS model against a directly coded linear-LOS density.
@@ -697,7 +693,7 @@ def check_monte_carlo(
     grid_points: int = 1200,
 ) -> dict:
     """Sampler-vs-density KS tests plus the deep-fade atom frequency."""
-    rng = _rng(seed)
+    rng = mc._generator(seed)
     critical = mc.ks_critical_value(0.001, count)
     details = {}
     failures = []

@@ -32,7 +32,7 @@ from compfade import (
 from compfade import composite, numerics
 from compfade.composite import composite_density, composite_pdf
 from compfade.models import akm_pdf_normalized
-from compfade.numerics import integrate_semi_infinite, sum_adaptive
+from compfade.numerics import integrate_semi_infinite
 
 CFG = SeriesConfig(rel_tol=1e-9)
 
@@ -284,10 +284,13 @@ class TestSeriesRoutes:
         model = CompositeModel(AkmParams(2.0, 20.0, 10.0), GammaShadowParams(2.0, 0.5))
         assert akm_gamma_pdf_series(model, 1.0) == pytest.approx(mixture_pdf(model, 1.0), rel=1e-6)
 
+    # Slowly decaying terms: a stop after three terms below rel_tol left
+    # 3.4e-8 at the first point.  The series holds its default rel_tol.
     @pytest.mark.parametrize("kappa, mu, x", [(50.0, 20.0, 1.0), (25.0, 30.0, 2.0)])
     def test_head_underflow_matches_oracle(self, kappa, mu, x):
         model = CompositeModel(AkmParams(2.0, kappa, mu), GammaShadowParams(2.0, 0.5))
-        assert akm_gamma_pdf_series(model, x) == pytest.approx(mixture_pdf(model, x), rel=1e-6)
+        oracle = mixture_pdf(model, x, rel_tol=1e-12)
+        assert akm_gamma_pdf_series(model, x) == pytest.approx(oracle, rel=SeriesConfig().rel_tol)
 
     # The Poisson weight of term 0, e^-(mu*kappa) or e^-2m, underflows: a
     # sum started at term 0 would return 0.0 at both points.
@@ -303,9 +306,9 @@ class TestSeriesRoutes:
         assert series == pytest.approx(approx_value, abs=1e-4)
 
 
-def _per_term_reference(model, x, cfg):
-    # The series summed term by term with one scalar kernel call per term.
-    ln_coeff, p0, inner = composite._series_terms(model.multipath, model.shadow, x)
+def _per_term_reference(model, x, cfg, used):
+    # The terms ``used`` summed with one scalar kernel call per term.
+    ln_coeff, _, p0, inner, _ = composite._series_terms(model.multipath, model.shadow, x)
     alpha, omega = model.multipath.alpha, model.shadow.omega
 
     def term(l):
@@ -314,10 +317,26 @@ def _per_term_reference(model, x, cfg):
             ln_c += composite._gross_ln_weight(cfg.max_terms, l)
         return math.exp(ln_c + shadow_kernel_integral_ln(p0 - l, inner, alpha, omega))
 
-    if cfg.use_gross:
-        return sum(term(l) for l in range(cfg.max_terms + 1)), cfg.max_terms + 1
-    result = sum_adaptive(term, rel_tol=cfg.rel_tol)
-    return result.value, result.terms_used
+    return math.fsum(term(l) for l in used)
+
+
+@pytest.fixture
+def series_terms(monkeypatch):
+    """The index of each term the series route sums, in the order summed."""
+    used = []
+    terms = composite._series_terms
+
+    def recording(*args):
+        ln_coeff, *rest = terms(*args)
+
+        def counted(l):
+            used.append(l)
+            return ln_coeff(l)
+
+        return (counted, *rest)
+
+    monkeypatch.setattr(composite, "_series_terms", recording)
+    return used
 
 
 @pytest.fixture
@@ -339,38 +358,39 @@ def _figure2(mu):
 
 
 class TestSeriesBlocks:
-    # Terms are fetched in blocks of composite._KERNEL_BLOCK (24) powers.
+    # Terms are fetched in blocks of composite._KERNEL_BLOCK (24) powers, and
+    # summed outward from the Poisson mode (term 0 below lam = 1).
     @pytest.mark.parametrize(
-        "model, x, cfg, terms",
+        "model, x, cfg, span",
         [
-            (_figure2(1.0), 0.2, SeriesConfig(), 23),
-            (_figure2(1.0), 1.85, SeriesConfig(), 24),
-            (_figure2(1.0), 1.05, CFG, 25),
-            (_figure2(4.0), 0.85, CFG, 49),
-            (CompositeModel(ExtremeParams(2.0, 3.0), GammaShadowParams(1.2, 0.8)), 1.15, CFG, 29),
-            (_figure2(1.0), 1.05, SeriesConfig(max_terms=20, use_gross=True), 21),
-            (_figure2(1.0), 1.05, SeriesConfig(max_terms=160, use_gross=True), 161),
+            (_figure2(1.0), 1.05, CFG, (0, 22)),
+            (_figure2(1.0), 1.85, SeriesConfig(rel_tol=1e-10), (0, 23)),
+            (_figure2(1.0), 1.05, SeriesConfig(rel_tol=1e-11), (0, 24)),
+            (_figure2(4.0), 0.85, SeriesConfig(rel_tol=1e-10), (0, 48)),
+            (CompositeModel(ExtremeParams(2.0, 3.0), GammaShadowParams(1.2, 0.8)), 2.0,
+             SeriesConfig(rel_tol=1e-10), (0, 28)),
+            (CompositeModel(AkmParams(2.0, 10.0, 10.0), GammaShadowParams(2.0, 0.5)), 1.0, CFG,
+             (46, 167)),
+            (_figure2(1.0), 1.05, SeriesConfig(max_terms=20, use_gross=True), (0, 20)),
+            (_figure2(1.0), 1.05, SeriesConfig(max_terms=160, use_gross=True), (0, 160)),
         ],
         ids=["before-boundary", "at-boundary", "after-boundary", "49-terms", "extreme-29-terms",
-             "gross-20", "gross-160"],
+             "from-the-mode", "gross-20", "gross-160"],
     )
-    def test_blocks_match_per_term_reference(self, model, x, cfg, terms, kernel_blocks, monkeypatch):
-        ref, ref_terms = _per_term_reference(model, x, cfg)
-        sums = []
-
-        def recording_sum(*args, **kwargs):
-            sums.append(sum_adaptive(*args, **kwargs))
-            return sums[-1]
-
-        monkeypatch.setattr(composite, "sum_adaptive", recording_sum)
+    def test_blocks_match_per_term_reference(self, model, x, cfg, span, kernel_blocks, series_terms):
         kernel_blocks.clear()
         got = composite_pdf(model, x, cfg)
-        assert ref_terms == terms
-        assert [r.terms_used for r in sums] == ([] if cfg.use_gross else [terms])
-        assert got == pytest.approx(ref, rel=1e-11)
+        used = list(series_terms)
+        # Each term of the span once, the first at the Poisson mode floor(lam),
+        # which is term floor(lam) - 1 where component 0 is the atom.
+        first, last = span
+        assert sorted(used) == list(range(first, last + 1))
+        lam, shape, _ = model.multipath.poisson_gamma
+        assert used[0] == (0 if cfg.use_gross else math.floor(lam) - (0 if shape else 1))
+        assert got == pytest.approx(_per_term_reference(model, x, cfg, used), rel=1e-11)
         # One call per started block; only the polynomial weights bound a block.
         cap = cfg.max_terms + 1 if cfg.use_gross else math.inf
-        starts = range(0, terms, composite._KERNEL_BLOCK)
+        starts = range(first - first % composite._KERNEL_BLOCK, last + 1, composite._KERNEL_BLOCK)
         assert kernel_blocks == [min(composite._KERNEL_BLOCK, cap - l) for l in starts]
 
     # A PARAM_BOX point that needs more than 40 terms.

@@ -66,6 +66,28 @@ def test_series_matches_oracle_past_the_box(multipath, frac, b, omega):
     assert composite_pdf(model, x, SeriesConfig()) == pytest.approx(mixture_pdf(model, x), rel=1e-6)
 
 
+# Further past the box, at two tolerances: the series holds the rel_tol it
+# is given, up to its kernels' error, against the oracle at 1e-12.
+_FAR_BOX = {"alpha": (0.5, 5.0), "kappa": (1e-3, 100.0), "mu": (0.3, 30.0), "m": (0.1, 200.0)}
+
+
+@st.composite
+def far_box_points(draw):
+    family = FAMILIES[draw(st.sampled_from(["akm", "extreme"]))]
+    multipath = family.params(*(draw(st.floats(*_FAR_BOX[name])) for name in family.fields))
+    shadow = GammaShadowParams(draw(st.floats(0.6, 8.0)), draw(_box("omega")))
+    return CompositeModel(multipath, shadow), draw(st.floats(0.05, 5.0)) * shadow.b * shadow.omega
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(far_box_points(), st.sampled_from([1e-8, 1e-9]))
+def test_series_holds_its_rel_tol_past_the_box(point, rel_tol):
+    model, x = point
+    oracle = mixture_pdf(model, x, rel_tol=1e-12)
+    series = composite_pdf(model, x, SeriesConfig(rel_tol=rel_tol))
+    assert abs(series - oracle) <= (rel_tol + 1e-11) * oracle
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(past_box_multipath(), st.lists(st.floats(0.0, 3.0), min_size=2, max_size=8))
 def test_cdfs_past_the_box(multipath, rhos):
