@@ -54,6 +54,7 @@ from .models import (
     ScaledEnvelope,
     _check_nonneg,
     _mixture_cdf,
+    _moment,
     _origin,
     akm_pdf_normalized,
     am_pdf,
@@ -236,8 +237,10 @@ def shadow_kernel_integral_ln(
     above that floor at an end; each row is taken relative to one reference
     node and shifted by its own maximum, so none overflows or cancels.  The
     step, first min(sigma/2, range/16), is halved, keeping every node, until
-    every row's two sums agree to ``rel_tol``.  Past ``budget`` nodes per
-    row, or where a peak is narrower than doubles resolve, NonConvergenceError.
+    every row's two sums agree to ``rel_tol``.  A block of rows whose peaks
+    lie too far apart for one grid, or that needs more than ``budget`` nodes,
+    is split in two halves; a single row past ``budget``, or whose peak is
+    narrower than doubles resolve, raises NonConvergenceError.
     """
     given = np.asarray(p, dtype=float)
     rows = given.reshape(-1)
@@ -254,14 +257,20 @@ def shadow_kernel_integral_ln(
         ln_k = math.log(alpha) + ap * math.log(omega) + np.array([math.lgamma(v) for v in ap])
         return ln_k if given.ndim else float(ln_k[0])
     floor = math.log(rel_tol) - 5.0
+
+    def split(message: str):
+        if rows.size == 1:
+            raise NonConvergenceError(message)
+        args, halves = (a, alpha, omega, rel_tol, budget), np.array_split(rows, 2)
+        return np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
+
     t0, sigma, left, right = _kernel_cut(lo, floor)
     if hi.p > lo.p:
         t1, sigma1, left1, right1 = _kernel_cut(hi, floor)
         gap = t1 - t0  # from the smallest-power peak to the largest
         sigma, left, right = min(sigma, sigma1), min(left, gap + left1), max(right, gap + right1)
-        if right > 700.0:  # e^(t - t0) overflows at the far peak: split the block
-            args, halves = (a, alpha, omega, rel_tol, budget), np.array_split(rows, 2)
-            return np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
+        if right > 700.0:  # e^(t - t0) overflows at the far peak
+            return split("kernel peaks too far apart")
     big_a, big_b = math.exp(math.log(a) - alpha * t0), math.exp(t0 - math.log(omega))
 
     def exponent(s):
@@ -274,7 +283,7 @@ def shadow_kernel_integral_ln(
         intervals = 2 * max(16, math.ceil(2.0 * width / sigma))
         h, used = width / intervals, used + intervals + 1
         if used > budget:
-            raise NonConvergenceError(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
+            return split(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
         ex = exponent(left + h * np.arange(intervals + 1))
         top = ex.max(axis=1, keepdims=True)
         ex -= top
@@ -290,7 +299,7 @@ def shadow_kernel_integral_ln(
         h, intervals = 0.5 * h, 2 * intervals
         used += intervals // 2
         if used > budget:
-            raise NonConvergenceError(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
+            return split(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
         values = np.exp(exponent(left + h * np.arange(1, intervals, 2)) - top)
         total, coarse = total + values.sum(axis=1), 2.0 * total
     ln_k = ap * t0 + (math.log(alpha * h) - big_a - big_b) + top[:, 0] + np.log(total)
@@ -412,11 +421,15 @@ def _value_at_origin(m: CompositeModel) -> float:
     # conditional density goes like c * (x/y)^e / y (``models._origin``) and
     # the shadow density like y^(b-1).  A positive power has the limit zero.
     # With e = 0 and b > 1 the limit is c * E[1/Y] = c / (omega * (b - 1)).
+    # With e > 0 and b = 1 the shadow density tends to 1/omega and the limit
+    # is E[1/P] / omega over the continuous components (``models._moment``).
     (e, ln_c), b = _origin(m.multipath), m.shadow.b
     if min(e, b - 1.0) > 0.0:
         return 0.0
     if e == 0.0 and b > 1.0:
         return math.exp(ln_c) / (m.shadow.omega * (b - 1.0))
+    if e > 0.0 and b == 1.0:
+        return _moment(m.multipath, -1.0) / m.shadow.omega
     raise DomainError("composite density is singular at x = 0 for these parameters")
 
 

@@ -26,54 +26,31 @@ def default_grid(points: int = 200) -> np.ndarray:
     return np.linspace(0.01, 4.0, points)
 
 
+# Per figure: the multipath class, the fixed parameters in the order the
+# figure metadata lists them (the shadow's b and omega first) and the swept
+# parameter with its values.
+_FIGURES = {
+    1: (AkmParams, {"b": 1.1, "omega": 0.9, "mu": 2.1, "kappa": _FIG1_KAPPA}, "alpha", ALPHA_SWEEP),
+    2: (AkmParams, {"b": 1.8, "omega": 0.7, "kappa": 4.0, "alpha": 2.0}, "mu", MU_SWEEP),
+    3: (AmParams, {"b": 1.1, "omega": 0.9, "mu": 2.1}, "alpha", ALPHA_SWEEP),
+    4: (ExtremeParams, {"b": 1.2, "omega": 0.8, "m": 1.1}, "alpha", ALPHA_SWEEP),
+}
+
+
 def figure_curves(figure_id: int) -> list:
     """Curve definitions for one figure: (label, model, fixed, swept)."""
-    if figure_id == 1:
-        shadow = GammaShadowParams(b=1.1, omega=0.9)
-        fixed = {"b": 1.1, "omega": 0.9, "mu": 2.1, "kappa": _FIG1_KAPPA}
-        return [
-            {
-                "label": f"alpha={alpha:g}",
-                "model": CompositeModel(AkmParams(alpha, _FIG1_KAPPA, 2.1), shadow),
-                "fixed": fixed,
-                "swept": {"alpha": alpha},
-            }
-            for alpha in ALPHA_SWEEP
-        ]
-    if figure_id == 2:
-        shadow = GammaShadowParams(b=1.8, omega=0.7)
-        fixed = {"b": 1.8, "omega": 0.7, "kappa": 4.0, "alpha": 2.0}
-        return [
-            {
-                "label": f"mu={mu:g}",
-                "model": CompositeModel(AkmParams(2.0, 4.0, mu), shadow),
-                "fixed": fixed,
-                "swept": {"mu": mu},
-            }
-            for mu in MU_SWEEP
-        ]
-    if figure_id == 3:
-        shadow = GammaShadowParams(b=1.1, omega=0.9)
-        fixed = {"b": 1.1, "omega": 0.9, "mu": 2.1}
-        return [
-            {
-                "label": f"alpha={alpha:g}",
-                "model": CompositeModel(AmParams(alpha, 2.1), shadow),
-                "fixed": fixed,
-                "swept": {"alpha": alpha},
-            }
-            for alpha in ALPHA_SWEEP
-        ]
-    if figure_id == 4:
-        shadow = GammaShadowParams(b=1.2, omega=0.8)
-        fixed = {"b": 1.2, "omega": 0.8, "m": 1.1}
-        return [
-            {
-                "label": f"alpha={alpha:g}",
-                "model": CompositeModel(ExtremeParams(alpha, 1.1), shadow),
-                "fixed": fixed,
-                "swept": {"alpha": alpha},
-            }
-            for alpha in ALPHA_SWEEP
-        ]
-    raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id!r}")
+    if figure_id not in FIGURE_IDS:
+        raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id!r}")
+    params, fixed, name, sweep = _FIGURES[figure_id]
+    fixed = dict(fixed)
+    shadow = GammaShadowParams(fixed["b"], fixed["omega"])
+    multipath = {k: v for k, v in fixed.items() if k not in ("b", "omega")}
+    return [
+        {
+            "label": f"{name}={value:g}",
+            "model": CompositeModel(params(**multipath, **{name: value}), shadow),
+            "fixed": fixed,
+            "swept": {name: value},
+        }
+        for value in sweep
+    ]

@@ -328,22 +328,34 @@ def akm_power_pdf(p: AkmParams, w: float) -> float:
     return akm_pdf_normalized(p, root) / (2.0 * root)
 
 
+def _moment(p, r: float) -> float:
+    # E[P^r] of the unit-scale envelope over its continuous components, with
+    # the deep-fade atom counted at r = 0.  Component n, P^alpha ~ Gamma(k,
+    # rate) with k = shape + n, has E[P^r] = rate^(-r/alpha) Gamma(k + r/alpha)
+    # / Gamma(k), the ratio of the Poisson terms rate^c e^-rate / Gamma(c + 1)
+    # at c = k - 1 and k - 1 + r/alpha, in logs that keep their digits at large
+    # k.  The terms grow like k^(r/alpha), so the weights run to underflow.
+    lam, shape, rate = p.poisson_gamma
+    s, ln_d = r / p.alpha, specfun._ln_poisson_term
+    lo, weights = specfun._poisson_weights(lam, 0.0)
+    ks = (shape + n for n in range(lo, lo + len(weights)))
+    return math.fsum(
+        w * (math.exp(ln_d(k - 1.0, rate) - ln_d(k - 1.0 + s, rate)) if k else float(r == 0.0))
+        for k, w in zip(ks, weights)
+    )
+
+
 def akm_moment(p: AkmParams, order: float) -> float:
     """Moment E[P^order] of the normalized envelope.
 
     Closed form Gamma(mu + order/alpha) * 1F1(mu + order/alpha; mu;
     kappa*mu) / (Gamma(mu) * exp(mu*kappa) * (mu*(1+kappa))^(order/alpha)),
-    validated against direct quadrature of the density.
+    validated against direct quadrature of the density.  Summed as Kummer's
+    series with exp(-mu*kappa) folded into each term, the clustering form's
+    Poisson mixture, so it holds where exp(mu*kappa) overflows.
     """
     _check_nonneg("order", order)
-    la = order / p.alpha
-    ln_pref = (
-        specfun.ln_gamma(p.mu + la)
-        - specfun.ln_gamma(p.mu)
-        - p.mu * p.kappa
-        - la * math.log(p.mu * (1.0 + p.kappa))
-    )
-    return math.exp(ln_pref) * specfun.kummer_1f1(p.mu + la, p.mu, p.kappa * p.mu)
+    return _moment(p, order)
 
 
 def akm_moment_quadrature(p: AkmParams, order: float) -> float:

@@ -169,11 +169,8 @@ def integrate_semi_infinite(
     while total_err > max(rel_tol * abs(total), abs_tol):
         neg_err, _, a, b, val = heapq.heappop(heap)
         if neg_err == 0.0:
-            # Nothing left to refine; the estimate cannot improve.
-            heapq.heappush(heap, (neg_err, serial, a, b, val))
-            break
+            break  # nothing left to refine; the estimate cannot improve
         if count + 30 > budget:
-            heapq.heappush(heap, (neg_err, serial, a, b, val))
             partial = QuadratureResult(total, total_err, count)
             raise NonConvergenceError(
                 f"quadrature budget of {budget} evaluations exhausted "

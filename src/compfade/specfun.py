@@ -364,48 +364,50 @@ def _upper_gamma_cf(a: float, x: float, ln_fac: float) -> float:
     raise NonConvergenceError("upper incomplete gamma continued fraction stalled")
 
 
+def _reg_gamma(a: float, x: float, upper: bool) -> float:
+    # Q(a, x) if ``upper``, else P(a, x) = 1 - Q(a, x).
+    _check_gamma_args(a, x)
+    ln_fac = a * math.log(x) - x - math.lgamma(a) if x else -math.inf
+    if ln_fac < -745.0:
+        # x = 0, or the prefactor underflows: the function is
+        # indistinguishable from its limit on the side of a where x lies.
+        return float((x > a) != upper)
+    if x < a + 1.0:
+        lower = _lower_gamma_series(a, x, ln_fac)
+        return 1.0 - lower if upper else lower
+    tail = _upper_gamma_cf(a, x, ln_fac)
+    return tail if upper else 1.0 - tail
+
+
 def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x) in [0, 1]."""
-    _check_gamma_args(a, x)
-    if x == 0.0:
-        return 1.0
-    ln_fac = a * math.log(x) - x - math.lgamma(a)
-    if ln_fac < -745.0:
-        # Prefactor underflows: the function is indistinguishable from its
-        # limit on the side indicated by x vs a.
-        return 0.0 if x > a else 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x, ln_fac)
-    return _upper_gamma_cf(a, x, ln_fac)
+    return _reg_gamma(a, x, upper=True)
 
 
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(a, x) = 1 - Q(a, x)."""
-    _check_gamma_args(a, x)
-    if x == 0.0:
-        return 0.0
-    ln_fac = a * math.log(x) - x - math.lgamma(a)
-    if ln_fac < -745.0:
-        return 1.0 if x > a else 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x, ln_fac)
-    return 1.0 - _upper_gamma_cf(a, x, ln_fac)
+    return _reg_gamma(a, x, upper=False)
 
 
 def _poisson_term(n: float, x: float) -> float:
-    # x^n e^-x / Gamma(n + 1) for n >= 0 and x > 0.  Past n = 15 in Loader's
-    # saddle-point form (2000): Stirling's remainder and the deviance
+    # x^n e^-x / Gamma(n + 1) for n > -1 and x > 0.
+    if n <= 15.0 and x < 700.0:
+        return x**n * math.exp(-x) / math.gamma(n + 1.0)
+    return math.exp(_ln_poisson_term(n, x))
+
+
+def _ln_poisson_term(n: float, x: float) -> float:
+    # ln(x^n e^-x / Gamma(n + 1)) for n > -1 and x > 0.  Past n = 15 in
+    # Loader's saddle-point form (2000): Stirling's remainder and the deviance
     # n ln(n/x) - (n - x) are formed apart, so no digits cancel between
     # n ln x and ln Gamma(n + 1) at large n and x.
     if n <= 15.0:
-        if x < 700.0:
-            return x**n * math.exp(-x) / math.gamma(n + 1.0)
-        return math.exp(n * math.log(x) - x - math.lgamma(n + 1.0))
+        return n * math.log(x) - x - math.lgamma(n + 1.0)
     nn = n * n
     stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
     d = n - x
     ln_ratio = math.log1p(d / x) if abs(d) < 0.5 * x else math.log(n / x)
-    return math.exp(-stirling - (n * ln_ratio - d) - 0.5 * math.log(2.0 * math.pi * n))
+    return -stirling - (n * ln_ratio - d) - 0.5 * math.log(2.0 * math.pi * n)
 
 
 def _poisson_weights(lam: float, tail_tol: float) -> tuple[int, list]:

@@ -48,6 +48,17 @@ agree to ``AGREE``.  They run from rho = 1e-6 into the far tail, with kappa
 from 1e-12 to 50 and m up to 500; a value below ``PDF_FLOOR``, out of the
 normal double range, is left out.
 
+The moments E[P^r] of the akm envelope (``moment``), r = 0 to 4, are the
+closed form
+
+    E[P^r] = rate^(-r/alpha) Gamma(mu + r/alpha) e^-lam 1F1(mu + r/alpha; mu; lam) / Gamma(mu)
+
+with (lam, mu, rate) the clustering form and mpmath's ``hyp1f1``, at
+``MOMENT_DPS`` and ``MOMENT_DPS + 15`` digits, which must agree to
+``AGREE``.  They run over alpha from 1 to 4 and lam from 0 to 2,000, past
+lam = 745 where e^lam overflows in doubles, with mu up to 800 and kappa up
+to 2,000.
+
 ``tests/test_mixture_goldens.py`` reads the JSON; it needs no mpmath.
 """
 
@@ -297,6 +308,42 @@ def pdf_cases():
                 yield {"family": family, "params": params, "rho": rho, "pdf": mp.nstr(low, DPS)}
 
 
+# Moments: (alpha, kappa, mu), each at every order in MOMENT_ORDERS.
+MOMENT_DPS = 40
+MOMENT_ORDERS = (0.0, 1.0, 2.0, 3.0, 4.0)
+MOMENT_MODELS = (
+    (1.0, 1.0, 2.0),
+    (1.5, 0.0, 0.6),
+    (2.0, 4.5, 1.3),
+    (3.3, 1e-3, 0.3),
+    (2.0, 36.0, 20.0),
+    (2.0, 50.0, 20.0),
+    (4.0, 50.0, 20.0),
+    (1.5, 0.5, 800.0),
+    (1.0, 2.5, 800.0),
+    (3.3, 2000.0, 1.0),
+)
+
+
+def moment(alpha, lam, shape, rate, order, dps):
+    """E[P^order] of the multipath envelope at ``dps`` digits."""
+    with mp.workdps(dps + 10):
+        lam, shape, rate = mp.mpf(lam), mp.mpf(shape), mp.mpf(rate)
+        s = mp.mpf(order) / mp.mpf(alpha)
+        return +(rate**-s * mp.gamma(shape + s) / mp.gamma(shape) * mp.exp(-lam)
+                 * mp.hyp1f1(shape + s, shape, lam))
+
+
+def moment_cases():
+    for alpha, kappa, mu in MOMENT_MODELS:
+        params = {"alpha": alpha, "kappa": kappa, "mu": mu}
+        form = clustering_form("akm", params)  # in doubles, then taken exactly
+        for order in MOMENT_ORDERS:
+            low, high = (moment(alpha, *form, order, dps) for dps in (MOMENT_DPS, MOMENT_DPS + 15))
+            assert abs(low - high) <= AGREE * abs(high), (params, order)
+            yield {"params": params, "order": order, "moment": mp.nstr(low, DPS)}
+
+
 def main() -> None:
     data = {
         "dps": DPS,
@@ -306,6 +353,7 @@ def main() -> None:
         "extreme_cdf_upper": list(extreme_upper_cases()),
         "composite_cdf": list(composite_cdf_cases()),
         "pdf": list(pdf_cases()),
+        "moment": list(moment_cases()),
     }
     OUT.write_text(json.dumps(data, indent=1) + "\n")
     print(f"wrote {OUT} ({sum(len(v) for v in data.values() if isinstance(v, list))} values)")

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from compfade import CompositeModel, ExtremeParams, GammaShadowParams, mixture_cdf
+from compfade import models
 from compfade.cli import main
 
 
@@ -251,6 +252,23 @@ class TestMomentsCommand:
         assert float(row0[3]) <= 1e-12
         for line in lines[1:]:
             assert float(line.split(",")[3]) <= 1e-6
+
+    def test_strict_passes_where_mu_kappa_is_large(self, capsys):
+        # mu*kappa = 1,000: e^(mu*kappa) overflows a double.
+        code = main(
+            ["moments", "--model", "akm", "--alpha", "2", "--kappa", "50", "--mu", "20", "--strict"]
+        )
+        assert code == 0
+        for line in capsys.readouterr().out.strip().splitlines()[1:]:
+            closed, rel = float(line.split(",")[1]), float(line.split(",")[3])
+            assert math.isfinite(closed) and rel <= 1e-6
+
+    def test_strict_fails_on_a_nan_closed_form(self, monkeypatch, capsys):
+        monkeypatch.setattr(models, "akm_moment", lambda p, order: math.nan)
+        code = main(
+            ["moments", "--model", "akm", "--alpha", "2", "--kappa", "1.5", "--mu", "2.1", "--strict"]
+        )
+        assert code == 1
 
     def test_requires_plain_model(self, capsys):
         code = main(

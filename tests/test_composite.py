@@ -555,6 +555,23 @@ class TestOriginLimit:
         m = CompositeModel(self.MULTIPATH["akm"], self.SHADOW)
         assert composite_pdf(m, 0.0) == pytest.approx(0.855495700780, rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "mp, limit",
+        [(AkmParams(2.0, 1.0, 2.0), 1.4925612830), (ExtremeParams(2.0, 1.1), 1.6573225115)],
+        ids=["akm", "extreme"],
+    )
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    def test_unit_shadow_shape_gives_the_inverse_mean(self, mp, limit, route):
+        # With b = 1 and a positive leading exponent the shadow density tends
+        # to 1/omega at 0, and the limit is E[1/P] / omega.
+        assert mp.alpha * (mp.poisson_gamma[1] or 1.0) - 1.0 > 0.0  # the leading exponent
+        m, oracle = CompositeModel(mp, GammaShadowParams(1.0, 0.8)), route == "oracle"
+        at_zero = composite_pdf(m, 0.0, CFG, oracle=oracle)
+        inverse_mean, _ = si.quad(lambda r: composite.family_of(mp).pdf(mp, r, 1.0) / r, 0.0, np.inf)
+        assert at_zero == pytest.approx(inverse_mean / 0.8, rel=1e-9)
+        assert at_zero == pytest.approx(limit, rel=1e-10)
+        assert composite_pdf(m, 1e-8, CFG, oracle=oracle) == pytest.approx(at_zero, rel=1e-6)
+
     @pytest.mark.parametrize("b", [0.8, 1.0])
     def test_shadow_at_or_below_one_stays_singular(self, b):
         m = CompositeModel(self.MULTIPATH["am"], GammaShadowParams(b, 0.8))

@@ -83,7 +83,24 @@ def test_block_with_far_apart_end_rows_matches_one_row_calls():
     assert np.max(np.abs(np.expm1(got - rows))) <= DEFAULT_REL_TOL
 
 
+def test_block_out_of_budget_matches_one_row_calls():
+    # The rows share a peak about 1e-9 wide, and the shared grid runs out of
+    # budget while it widens or halves its step; each row alone does not.
+    powers = 0.22818897165230112 - np.arange(24)
+    a, alpha, omega = 2.8559842093782665e24, 0.5307178576283406, 0.00676141217688066
+    got = shadow_kernel_integral_ln(powers, a, alpha, omega)
+    rows = [shadow_kernel_integral_ln(float(q), a, alpha, omega) for q in powers]
+    assert got.tolist() == pytest.approx(rows, rel=1e-12, abs=0.0)
+
+
 def test_tiny_budget_raises_nonconvergence():
     with pytest.raises(NonConvergenceError):
         # A flat-topped kernel that needs about 260 nodes.
         shadow_kernel_integral_ln(0.02, 1e-8, 0.5, 10.0, budget=60)
+
+
+def test_block_split_down_to_one_row_still_raises():
+    # Every row needs more than the budget alone too.
+    for powers in (np.array([0.02]), np.array([0.02, 0.01, 0.0])):
+        with pytest.raises(NonConvergenceError):
+            shadow_kernel_integral_ln(powers, 1e-8, 0.5, 10.0, budget=60)

@@ -246,6 +246,15 @@ class TestAkmMoments:
             p = AkmParams(*params)
             assert akm_moment(p, p.alpha) == pytest.approx(1.0, abs=1e-12)
 
+    def test_two_alpha_moment_is_exact(self):
+        # E[P^(2 alpha)] is the second moment of Gamma(mu + N, rate), N ~
+        # Poisson(lam): ((mu + lam)(mu + lam + 1) + lam) / rate^2 at every lam.
+        for params in [(2.0, 1.5, 2.1), (1.2, 0.0, 0.6), (0.7, 50.0, 20.0), (3.3, 2000.0, 1.0)]:
+            p = AkmParams(*params)
+            lam, mu, rate = p.poisson_gamma
+            exact = ((mu + lam) * (mu + lam + 1.0) + lam) / rate**2
+            assert akm_moment(p, 2.0 * p.alpha) == pytest.approx(exact, rel=1e-13)
+
     def test_against_quadrature(self):
         rng = np.random.default_rng(14)
         for _ in range(6):
