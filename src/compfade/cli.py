@@ -293,11 +293,7 @@ def cmd_moments(cfg: dict) -> int:
         orders = [float(tok) for tok in str(orders_spec).split(",")]
     except ValueError:
         raise UsageError(f"cannot parse --orders {orders_spec!r}")
-    rows = []
-    for order in orders:
-        closed = models.akm_moment(model, order)
-        quad = models.akm_moment_quadrature(model, order)
-        rows.append((order, closed, quad, abs(closed - quad) / max(abs(quad), 1e-300)))
+    rows = validation._moment_rows(model, orders)
     fmt = cfg.get("format") or "csv"
     if fmt == "json":
         payload = {

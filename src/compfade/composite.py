@@ -264,6 +264,13 @@ def shadow_kernel_integral_ln(
         args, halves = (a, alpha, omega, rel_tol, budget), np.array_split(rows, 2)
         return np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
 
+    def over_budget(h: float):
+        # The narrowest row is an end row, the likeliest to fail alone: if
+        # one does, it raises now, not after a full-budget pass per halving.
+        for q in (lo.p, hi.p) if rows.size > 1 else ():
+            shadow_kernel_integral_ln(q, a, alpha, omega, rel_tol, budget)
+        return split(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
+
     t0, sigma, left, right = _kernel_cut(lo, floor)
     if hi.p > lo.p:
         t1, sigma1, left1, right1 = _kernel_cut(hi, floor)
@@ -283,7 +290,7 @@ def shadow_kernel_integral_ln(
         intervals = 2 * max(16, math.ceil(2.0 * width / sigma))
         h, used = width / intervals, used + intervals + 1
         if used > budget:
-            return split(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
+            return over_budget(h)
         ex = exponent(left + h * np.arange(intervals + 1))
         top = ex.max(axis=1, keepdims=True)
         ex -= top
@@ -299,7 +306,7 @@ def shadow_kernel_integral_ln(
         h, intervals = 0.5 * h, 2 * intervals
         used += intervals // 2
         if used > budget:
-            return split(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
+            return over_budget(h)
         values = np.exp(exponent(left + h * np.arange(1, intervals, 2)) - top)
         total, coarse = total + values.sum(axis=1), 2.0 * total
     ln_k = ap * t0 + (math.log(alpha * h) - big_a - big_b) + top[:, 0] + np.log(total)

@@ -15,7 +15,6 @@ from .models import AkmParams, AmParams, ExtremeParams, GammaShadowParams
 
 __all__ = ["FIGURE_IDS", "ALPHA_SWEEP", "MU_SWEEP", "figure_curves", "default_grid"]
 
-FIGURE_IDS = (1, 2, 3, 4)
 ALPHA_SWEEP = (1.0, 1.5, 2.0, 3.0, 4.0)
 MU_SWEEP = (0.5, 1.0, 2.0, 4.0)
 
@@ -35,6 +34,7 @@ _FIGURES = {
     3: (AmParams, {"b": 1.1, "omega": 0.9, "mu": 2.1}, "alpha", ALPHA_SWEEP),
     4: (ExtremeParams, {"b": 1.2, "omega": 0.8, "m": 1.1}, "alpha", ALPHA_SWEEP),
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def figure_curves(figure_id: int) -> list:

@@ -320,13 +320,6 @@ def bessel_i_gross(nu: float, x: float, n: int) -> float:
     return total
 
 
-def _check_gamma_args(a: float, x: float) -> None:
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"gamma shape must be finite and > 0, got {a!r}")
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"gamma argument must be finite and >= 0, got {x!r}")
-
-
 def _lower_gamma_series(a: float, x: float, ln_fac: float) -> float:
     # P(a, x) for x < a + 1 (DLMF 8.11.4 rearranged); positive terms.
     ap = a
@@ -364,29 +357,32 @@ def _upper_gamma_cf(a: float, x: float, ln_fac: float) -> float:
     raise NonConvergenceError("upper incomplete gamma continued fraction stalled")
 
 
-def _reg_gamma(a: float, x: float, upper: bool) -> float:
-    # Q(a, x) if ``upper``, else P(a, x) = 1 - Q(a, x).
-    _check_gamma_args(a, x)
+def _reg_gamma(a: float, x: float) -> tuple:
+    # (P(a, x), Q(a, x)); the side that converges is summed, the other is 1 minus it.
+    if not (a > 0.0 and math.isfinite(a)):
+        raise DomainError(f"gamma shape must be finite and > 0, got {a!r}")
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise DomainError(f"gamma argument must be finite and >= 0, got {x!r}")
     ln_fac = a * math.log(x) - x - math.lgamma(a) if x else -math.inf
     if ln_fac < -745.0:
-        # x = 0, or the prefactor underflows: the function is
-        # indistinguishable from its limit on the side of a where x lies.
-        return float((x > a) != upper)
+        # x = 0, or the prefactor underflows: the pair is indistinguishable
+        # from its limit on the side of a where x lies.
+        return (1.0, 0.0) if x > a else (0.0, 1.0)
     if x < a + 1.0:
         lower = _lower_gamma_series(a, x, ln_fac)
-        return 1.0 - lower if upper else lower
+        return lower, 1.0 - lower
     tail = _upper_gamma_cf(a, x, ln_fac)
-    return tail if upper else 1.0 - tail
+    return 1.0 - tail, tail
 
 
 def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x) in [0, 1]."""
-    return _reg_gamma(a, x, upper=True)
+    return _reg_gamma(a, x)[1]
 
 
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(a, x) = 1 - Q(a, x)."""
-    return _reg_gamma(a, x, upper=False)
+    return _reg_gamma(a, x)[0]
 
 
 def _poisson_term(n: float, x: float) -> float:

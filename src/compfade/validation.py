@@ -412,6 +412,12 @@ def _moment_alt_form(p: AkmParams, order: float) -> float:
     )
 
 
+def _moment_rows(p: AkmParams, orders) -> list:
+    # (order, closed form, quadrature, relative difference) per order.
+    pairs = [(o, models.akm_moment(p, o), models.akm_moment_quadrature(p, o)) for o in orders]
+    return [(o, c, q, _rel_err(c, q)) for o, c, q in pairs]
+
+
 def check_moments(param_sets=None, seed: int = 37) -> dict:
     """Closed-form moments vs quadrature, plus the alternate-form record."""
     rng = mc._generator(seed)
@@ -419,19 +425,13 @@ def check_moments(param_sets=None, seed: int = 37) -> dict:
         param_sets = [AkmParams(2.0, 1.5, 2.1), AkmParams(3.1, 0.7, 1.3)] + [
             _random(rng, _AKM) for _ in range(3)
         ]
-    worst = 0.0
-    zeroth_err = 0.0
-    alt_diffs = []
-    for p in param_sets:
-        for order in (0.0, 1.0, 2.0, 3.0, 4.0):
-            closed = models.akm_moment(p, order)
-            quad = models.akm_moment_quadrature(p, order)
-            worst = max(worst, _rel_err(closed, quad))
-            if order == 0.0:
-                zeroth_err = max(zeroth_err, abs(closed - 1.0))
-            alt_diffs.append(_rel_err(_moment_alt_form(p, order), quad))
-    alt_matches = max(alt_diffs) <= 1e-6
-    passed = worst <= 1e-6 and zeroth_err <= 1e-12
+    rows = [(p, row) for p in param_sets for row in _moment_rows(p, (0.0, 1.0, 2.0, 3.0, 4.0))]
+    rel_errs = [r for _, (*_, r) in rows]
+    zeroth_err = max(abs(c - 1.0) for _, (o, c, *_) in rows if o == 0.0)
+    alt_diffs = [_rel_err(_moment_alt_form(p, o), q) for p, (o, _, q, _) in rows]
+    # A NaN fails and is the worst (max() alone would drop it).
+    worst = max(rel_errs, key=lambda r: math.inf if math.isnan(r) else r)
+    passed = all(r <= 1e-6 for r in rel_errs) and zeroth_err <= 1e-12
     return _check(
         "moments",
         passed,
@@ -440,7 +440,7 @@ def check_moments(param_sets=None, seed: int = 37) -> dict:
         {
             "zeroth_moment_error": zeroth_err,
             "alt_form_max_rel_diff": max(alt_diffs),
-            "alt_form_matches_quadrature": alt_matches,
+            "alt_form_matches_quadrature": max(alt_diffs) <= 1e-6,
         },
     )
 

@@ -80,6 +80,13 @@ def test_criterion_05_moments():
     assert "alt_form_matches_quadrature" in result["details"]
 
 
+def test_moments_check_fails_on_a_nan_closed_form(monkeypatch):
+    monkeypatch.setattr(validation.models, "akm_moment", lambda p, order: math.nan)
+    result = validation.check_moments()
+    assert not result["passed"]
+    assert math.isnan(result["measured"])
+
+
 def test_criterion_06_power_variance_identity():
     # 1/Var(P^2) equals mu(1+kappa)^2/(1+2kappa) at alpha=2 on 20 draws.
     result = validation.check_power_variance_identity(draws=20)
