@@ -212,6 +212,11 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _sample_text(values: np.ndarray) -> str:
+    # One value a line as ``_fmt`` writes it, in one %-format pass.
+    return ("%.17g\n" * values.size) % tuple(values.tolist())
+
+
 def _unwritable(path, exc: OSError) -> UsageError:
     return UsageError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
 
@@ -271,14 +276,13 @@ def cmd_curve(cfg: dict, cdf: bool) -> int:
     metadata = _base_metadata(series_cfg, oracle)
     if not cdf:
         density = _density_for(model, is_composite, cfg, series_cfg, oracle)
-        value, atoms = density.continuous, density.atoms
+        values, atoms = density.values(xs), density.atoms
     elif is_composite:  # one route, whatever the pdf-route flags say
-        value, atoms = (lambda x: composite.mixture_cdf(model, x)), ()
+        values, atoms = [composite.mixture_cdf(model, float(x)) for x in xs], ()
         metadata["route"] = "mixture-cdf"
     else:
         family, rhat = composite.family_of(model), _rhat(cfg)
-        value, atoms = (lambda x: family.cdf(model, x, rhat)), ()
-    values = [value(float(x)) for x in xs]
+        values, atoms = [family.cdf(model, float(x), rhat) for x in xs], ()
     payload = _curve_payload(mc.model_descriptor(model), xs, values, atoms, metadata)
     _emit_curve(payload, cfg.get("format") or "csv", cfg.get("out"))
     return 0
@@ -329,7 +333,7 @@ def cmd_figure(cfg: dict) -> int:
     for curve in figures.figure_curves(figure_id):
         model = curve["model"]
         density = composite.composite_density(model, series_cfg)
-        values = [density.continuous(float(x)) for x in xs]
+        values = density.values(xs)
         shadow = model.shadow
         mass = models.density_total_mass(
             density, rel_tol=1e-7, budget=400_000, scale=shadow.b * shadow.omega
@@ -370,7 +374,7 @@ def cmd_sample(cfg: dict) -> int:
     batch = sample(model, count, seed)
 
     out = cfg.get("out") or "samples.txt"
-    _write_text(out, "\n".join(_fmt(v) for v in batch.values) + "\n")
+    _write_text(out, _sample_text(batch.values))
 
     density = _density_for(model, is_composite, cfg, series_cfg, oracle=False)
     grid_points = 1200 if is_composite else 2000

@@ -24,7 +24,10 @@ Two independent evaluation routes are provided for every composite family:
   Weideman, SIAM Review 2014).  The terms of one point share A, alpha and
   omega and differ only in the power p0 - l, so one kernel call takes a
   block of powers (rows) on one grid in t that serves them all; the series
-  sum fetches the block of a term when it reaches it.  Term l is the
+  sum fetches the block of a term when it reaches it.  The points of a
+  batch share the Poisson mode, so they share each block's kernel call,
+  one array pass over points x rows x nodes with each point on its own
+  grid, and each point stops on its own.  Term l is the
   clustering component N = l, or N = l + 1 where component 0 is an atom.
   The sum runs outward from the Poisson mode on both sides.  Integrating
   the kernel by parts bounds the terms each side has left by a geometric
@@ -53,6 +56,7 @@ from .models import (
     GammaShadowParams,
     ScaledEnvelope,
     _check_nonneg,
+    _density,
     _mixture_cdf,
     _moment,
     _origin,
@@ -156,17 +160,23 @@ class KernelArgs:
 _KERNEL_REL_TOL = 1e-10
 _KERNEL_BUDGET = 60_000
 _KERNEL_BLOCK = 24  # series terms per kernel call; most points need 10 to 20
+_KERNEL_CELLS = 1 << 16  # points x rows x nodes of one array pass, 512 kB
 _LN_MAX = math.log(sys.float_info.max)  # exp overflows past it
+# Node values are taken relative to their row's maximum, so each row's sum is
+# at least 1; a value under e^-700 is far below its rounding.  Raising the
+# exponents to this floor leaves the sums as they are, and spares exp its
+# slow underflowing path.
+_EXP_FLOOR = -700.0
+_LN_TWO = math.log(2.0)
 
 
-def _kernel_cut(k: KernelArgs, floor: float):
+def _kernel_cut(p: float, a: float, alpha: float, omega: float, floor: float):
     """Peak t* of phi(t) = alpha*p*t - a*e^(-alpha*t) - e^t/omega, its width
     sigma = (-phi''(t*))^(-1/2), and the offsets (left, right) from t* where
     phi - phi(t*) first falls to ``floor``."""
     # phi' = ap + alpha*a*e^(-alpha*t) - e^t/omega falls strictly, from ap at
     # mid on to where one exponential alone cancels ap: the root lies between.
-    p, alpha, omega = k.p, k.alpha, k.omega
-    ap, ln_a, ln_omega = alpha * p, math.log(k.a), math.log(omega)
+    ap, ln_a, ln_omega = alpha * p, math.log(a), math.log(omega)
     mid = (math.log(alpha) + ln_a + ln_omega) / (alpha + 1.0)
     lo = (ln_a - math.log(math.exp(mid) / (alpha * omega) - min(p, 0.0))) / alpha
     hi = math.log(max(ap, 0.0) * omega + math.exp(mid))
@@ -183,134 +193,256 @@ def _kernel_cut(k: KernelArgs, floor: float):
     # Any anchor within a width of the peak gives the same integral; one
     # farther off means the peak is narrower than the spacing of doubles.
     if slope * slope > curvature:
+        k = KernelArgs(p, a, alpha, omega)
         raise NonConvergenceError(f"kernel peak cannot be resolved in double precision for {k!r}")
     sigma = 1.0 / math.sqrt(curvature)
-    ln_big_a, ln_big_b = ln_a - alpha * t, t - ln_omega
-
-    def drop(s):
-        # phi(t + s) - phi(t) and its slope; None where an exponential overflows.
-        if max(ln_big_a, 0.0) - alpha * s > 700.0 or max(ln_big_b, 0.0) + s > 700.0:
-            return None
-        da, db = big_a * math.expm1(-alpha * s), big_b * math.expm1(s)
-        return ap * s - da - db, ap + alpha * (big_a + da) - (big_b + db)
-
+    # phi(t + s) - phi(t) and its slope overflow nowhere in [-lo_s, hi_s].
+    lo_s = (700.0 - max(ln_a - alpha * t, 0.0)) / alpha
+    hi_s = 700.0 - max(t - ln_omega, 0.0)
     ends = []
     for step in (-4.0 * sigma, 4.0 * sigma):
         s = 0.0
         for _ in range(200):
-            if (found := drop(s + step)) is None:
+            if not -lo_s <= s + step <= hi_s:
                 step *= 0.5
-            elif found[0] <= floor:
+                continue
+            da, db = big_a * math.expm1(-alpha * (s + step)), big_b * math.expm1(s + step)
+            drop, slope = ap * (s + step) - da - db, ap + alpha * (big_a + da) - (big_b + db)
+            if drop <= floor:
                 ends.append(s + step)
                 break
-            elif found[1] * step >= 0.0:  # rounding noise: no tangent to follow
+            if slope * step >= 0.0:  # rounding noise: no tangent to follow
                 break
-            else:  # concavity: phi reaches floor by the tangent's root
-                s, step = s + step, (floor - found[0]) / found[1]
+            # concavity: phi reaches floor by the tangent's root
+            s, step = s + step, (floor - drop) / slope
     if len(ends) < 2:
+        k = KernelArgs(p, a, alpha, omega)
         raise NonConvergenceError(f"kernel range search failed for {k!r}")
     return t, sigma, ends[0], ends[1]
 
 
+def _passes(need: list, rows: int) -> list:
+    # The points (indices into ``need``, their node counts) grouped into
+    # array passes: taken by rising count, each pass within twice its first
+    # count and _KERNEL_CELLS cells unless one point alone is larger.  Each
+    # pass lists its points in index order, with its node count.
+    if len(need) == 1:
+        return [([0], need[0])]
+    groups = []
+    for i in sorted(range(len(need)), key=need.__getitem__):
+        group = groups[-1] if groups else []
+        cells = (len(group) + 1) * rows * (need[i] + 1)
+        if group and need[i] <= 2 * need[group[0]] and cells <= _KERNEL_CELLS:
+            group.append(i)
+        else:
+            groups.append([i])
+    return [(sorted(group), need[group[-1]]) for group in groups]
+
+
 def shadow_kernel_integral_ln(
     p,
-    a: float,
+    a,
     alpha: float,
     omega: float,
     rel_tol: float = _KERNEL_REL_TOL,
     budget: int = _KERNEL_BUDGET,
 ):
-    """Natural log of the shadow-kernel integral, for one power or many.
+    """Natural log of the shadow-kernel integral, for one power or many, at
+    one inner scale or many.
 
-    ``p`` is a float, giving a float, or a 1-D array of powers (rows) that
-    share (a, alpha, omega), giving an array.  With u = e^(alpha*t) a row is
-    ln(alpha * int exp(phi_p(t)) dt), phi_p(t) = alpha*p*t - a*e^(-alpha*t) -
-    e^t/omega: closed form for a = 0 (divergent for p <= 0).  For a > 0 each
-    phi_p is strictly concave with double-exponential tails.  Its peak t*(p)
-    rises with p and its curvature alpha^2*a*e^(-alpha*t) + e^t/omega is
-    convex in t, so the smallest- and largest-power rows bound every peak
-    and include the narrowest row.  For those two, Newton's method finds the
-    peak and width sigma = (-phi''(t*))^(-1/2), and the range walks out (4
-    sigma, then tangent steps) until phi - phi(t*) <= ln(rel_tol) - 5, past
-    which concavity leaves under rel_tol * e^-5 of the integral.  All rows
-    share one uniform grid over both ranges, widened while a row is still
-    above that floor at an end; each row is taken relative to one reference
-    node and shifted by its own maximum, so none overflows or cancels.  The
-    step, first min(sigma/2, range/16), is halved, keeping every node, until
-    every row's two sums agree to ``rel_tol``.  A block of rows whose peaks
-    lie too far apart for one grid, or that needs more than ``budget`` nodes,
-    is split in two halves; a single row past ``budget``, or whose peak is
-    narrower than doubles resolve, raises NonConvergenceError.
+    ``p`` is a float or a 1-D array of powers (rows); ``a`` is a float or a
+    1-D array of inner scales (points), which share (alpha, omega).  The
+    result has the shape of ``a`` followed by that of ``p``: a float, a row
+    vector, a point vector or a (points x rows) array.  With u = e^(alpha*t)
+    a value is ln(alpha * int exp(phi_p(t)) dt), phi_p(t) = alpha*p*t -
+    a*e^(-alpha*t) - e^t/omega: closed form for a = 0 (divergent for p <=
+    0).  For a > 0 each phi_p is strictly concave with double-exponential
+    tails.  Its peak t*(p) rises with p and its curvature alpha^2*a*e^(-alpha*t)
+    + e^t/omega is convex in t, so the smallest- and largest-power rows
+    bound every peak and include the narrowest row.  For those two, at each
+    point, Newton's method finds the peak and width sigma =
+    (-phi''(t*))^(-1/2), and the range walks out (4 sigma, then tangent
+    steps) until phi - phi(t*) <= ln(rel_tol) - 5, past which concavity
+    leaves under rel_tol * e^-5 of the integral.  All rows of a point share
+    one uniform grid over both ranges, widened while a row is still above
+    that floor at an end; each row is taken relative to one reference node
+    and shifted by its own maximum, so none overflows or cancels.
+
+    Points are evaluated together, in array passes of at most about
+    _KERNEL_CELLS values: each point keeps its own range and step, and the
+    points of a pass share one node count, the largest they need (first
+    2 * max(16, 2 * range/sigma)).  The step is halved, keeping every node,
+    at each point whose two sums of some row still differ by more than
+    ``rel_tol``.  A point whose rows' peaks lie too far apart for one grid,
+    or that runs past ``budget`` nodes, is evaluated on its own; alone, its
+    rows are split in two halves, and a single row past ``budget``, or
+    whose peak is narrower than doubles resolve, raises NonConvergenceError.
     """
-    given = np.asarray(p, dtype=float)
-    rows = given.reshape(-1)
+    given, scales = np.asarray(p, dtype=float), np.asarray(a, dtype=float)
+    rows, points = given.reshape(-1), scales.reshape(-1)
     if given.ndim > 1 or rows.size == 0:
         raise DomainError(f"p must be a float or a nonempty 1-D array, got {p!r}")
+    if scales.ndim > 1 or points.size == 0:
+        raise DomainError(f"a must be a float or a nonempty 1-D array, got {a!r}")
     # The end rows; min and max are NaN if any row is.
-    lo, hi = (KernelArgs(float(q), a, alpha, omega) for q in (rows.min(), rows.max()))
+    if rows.size == 1:
+        lo_p = hi_p = float(rows[0])
+    else:
+        lo_p, hi_p = float(np.minimum.reduce(rows)), float(np.maximum.reduce(rows))
+    finite = math.isfinite(lo_p) and math.isfinite(hi_p)
+    if not (finite and 0.0 < alpha < math.inf and 0.0 < omega < math.inf):
+        for q in (lo_p, hi_p):
+            KernelArgs(q, 0.0, alpha, omega)  # raises DomainError
     if not 0.0 < rel_tol < 1.0:
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    ap = alpha * rows
-    if a == 0.0:
-        if lo.p <= 0.0:
-            raise DivergentIntegralError(f"kernel integral diverges for a = 0 and p = {lo.p!r}")
-        ln_k = math.log(alpha) + ap * math.log(omega) + np.array([math.lgamma(v) for v in ap])
-        return ln_k if given.ndim else float(ln_k[0])
-    floor = math.log(rel_tol) - 5.0
+    ap, floor = alpha * rows, math.log(rel_tol) - 5.0
+    ln_alpha, ln_omega = math.log(alpha), math.log(omega)
+    out = np.empty((points.size, rows.size))
 
-    def split(message: str):
+    def alone(a_i: float, message: str, over_budget: bool = False):
+        # A point that cannot share a pass: its own call among others; alone,
+        # its rows in two halves, or NonConvergenceError for a single row.
+        args = (a_i, alpha, omega, rel_tol, budget)
+        if points.size > 1:
+            return shadow_kernel_integral_ln(rows, *args)
         if rows.size == 1:
             raise NonConvergenceError(message)
-        args, halves = (a, alpha, omega, rel_tol, budget), np.array_split(rows, 2)
+        if over_budget:  # the narrowest row is an end row, the likeliest to
+            for q in (lo_p, hi_p):  # fail alone: if one does, it raises now
+                shadow_kernel_integral_ln(q, *args)
+        halves = np.array_split(rows, 2)
         return np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
 
-    def over_budget(h: float):
-        # The narrowest row is an end row, the likeliest to fail alone: if
-        # one does, it raises now, not after a full-budget pass per halving.
-        for q in (lo.p, hi.p) if rows.size > 1 else ():
-            shadow_kernel_integral_ln(q, a, alpha, omega, rel_tol, budget)
-        return split(f"kernel budget of {budget} nodes exhausted at step {h:.3g}")
+    grid, where, need = [], [], []  # of the points that share passes
+    for i, a_i in enumerate(points.tolist()):
+        if not 0.0 < a_i < math.inf:
+            KernelArgs(lo_p, a_i, alpha, omega)  # raises DomainError unless a_i = 0
+            if lo_p <= 0.0:
+                raise DivergentIntegralError(f"kernel integral diverges for a = 0 and p = {lo_p!r}")
+            out[i] = ln_alpha + ap * ln_omega + np.array([math.lgamma(v) for v in ap])
+            continue
+        t0, sigma, left, right = _kernel_cut(lo_p, a_i, alpha, omega, floor)
+        if hi_p > lo_p:
+            t1, sigma1, left1, right1 = _kernel_cut(hi_p, a_i, alpha, omega, floor)
+            gap = t1 - t0  # from the smallest-power peak to the largest
+            sigma, left, right = min(sigma, sigma1), min(left, gap + left1), max(right, gap + right1)
+            if right > 700.0:  # e^(t - t0) overflows at the far peak
+                out[i] = alone(a_i, "kernel peaks too far apart")
+                continue
+        big_a, big_b = math.exp(math.log(a_i) - alpha * t0), math.exp(t0 - ln_omega)
+        grid.append((t0, sigma, left, right, big_a, big_b))
+        where.append(i)
+        need.append(2 * max(16, math.ceil(2.0 * (right - left) / sigma)))
+    for group, intervals in _passes(need, rows.size):
+        # One point's grid values go in as floats, a group's as columns.
+        cols = [
+            (t0, sigma, left, right, big_a, big_b,
+             ln_alpha + math.log((right - left) / intervals) - big_a - big_b)
+            for t0, sigma, left, right, big_a, big_b in (grid[g] for g in group)
+        ]
+        cols = cols[0] if len(group) == 1 else np.array(cols).T[:, :, None]
+        ln_k, late = _kernel_pass(ap, cols, len(group), intervals, alpha, floor, rel_tol, budget)
+        if len(group) == points.size:  # every point, in order
+            out = ln_k
+        else:
+            out[[where[g] for g in group]] = ln_k
+        for g in late:
+            i = where[group[g]]
+            message = f"kernel budget of {budget} nodes exhausted"
+            out[i] = alone(float(points[i]), message, over_budget=True)
+    if given.ndim or scales.ndim:
+        return out.reshape(scales.shape + given.shape)
+    return float(out[0, 0])
 
-    t0, sigma, left, right = _kernel_cut(lo, floor)
-    if hi.p > lo.p:
-        t1, sigma1, left1, right1 = _kernel_cut(hi, floor)
-        gap = t1 - t0  # from the smallest-power peak to the largest
-        sigma, left, right = min(sigma, sigma1), min(left, gap + left1), max(right, gap + right1)
-        if right > 700.0:  # e^(t - t0) overflows at the far peak
-            return split("kernel peaks too far apart")
-    big_a, big_b = math.exp(math.log(a) - alpha * t0), math.exp(t0 - math.log(omega))
 
-    def exponent(s):
-        # phi_p(t0 + s) - phi_p(t0): one row per power, one column per offset.
-        return np.multiply.outer(ap, s) - (big_a * np.expm1(-alpha * s) + big_b * np.expm1(s))
+def _kernel_pass(ap, cols, count: int, intervals: int, alpha, floor, rel_tol, budget):
+    # One array pass over the ``count`` points of a group, each on its own
+    # grid about its t0, with ``intervals`` intervals to start.  ``cols``
+    # holds t0, sigma, left, right, big_a, big_b and the shift ln(alpha h) -
+    # big_a - big_b of each point, h its first step: floats for one point,
+    # else (count x 1) columns, so that one point costs no more array calls
+    # than one row set.  Arrays run rows x points x nodes, so that one flat
+    # outer product lays them out.  Returns the (count x rows) logs and the
+    # positions of the points that ran out of ``budget`` nodes, whose rows
+    # are not set.
+    t0, sigma, left, right, big_a, big_b, shift = cols
+    ap_cols = ap[None, :]
+
+    def exponent(s, big_a, big_b):
+        # phi_p(t0 + s) - phi_p(t0) for offsets s ([points x] nodes): a new
+        # rows x [points x] nodes array that the caller works on in place.
+        ex = np.multiply.outer(ap, s)
+        ex -= big_a * np.expm1(-alpha * s) + big_b * np.expm1(s)
+        return ex
 
     used = 0
     while True:  # one pass gives the sums at steps 2h and h
         width = right - left
-        intervals = 2 * max(16, math.ceil(2.0 * width / sigma))
         h, used = width / intervals, used + intervals + 1
         if used > budget:
-            return over_budget(h)
-        ex = exponent(left + h * np.arange(intervals + 1))
-        top = ex.max(axis=1, keepdims=True)
+            return np.empty((count, ap.size)), list(range(count))
+        ex = exponent(left + h * np.arange(intervals + 1), big_a, big_b)
+        top = np.maximum.reduce(ex, axis=-1, keepdims=True)
         ex -= top
-        low, high = (end > floor for end in ex[:, ::intervals].max(axis=0).tolist())
-        if not (low or high):  # no row is still above floor at an end
+        ends = ex[..., ::intervals]
+        if not np.maximum.reduce(ends, axis=None) > floor:  # no row above floor at an end
             break
-        left, right = left - low * 0.5 * width, right + high * 0.5 * width
+        wide = np.maximum.reduce(ends, axis=0) > floor
+        left, right = left - wide[..., :1] * 0.5 * width, right + wide[..., 1:] * 0.5 * width
+        intervals = 2 * max(16, math.ceil(float(np.max(2.0 * (right - left) / sigma))))
+        shift = shift + np.log((right - left) / intervals / h)
     # With S the node sum at step h, the integral is h*S; the sum at step 2h
-    # is twice the even-node sum, and after halving, twice the last S.
-    values = np.exp(ex)
-    total, coarse = values.sum(axis=1), 2.0 * values[:, ::2].sum(axis=1)
-    while not all(abs(s - c) <= rel_tol * s for s, c in zip(total.tolist(), coarse.tolist())):
-        h, intervals = 0.5 * h, 2 * intervals
+    # is twice the even-node sum, and after halving, twice the last S: the
+    # two agree when the half sum over S is 1/2.
+    np.exp(np.maximum(ex, _EXP_FLOOR, out=ex), out=ex)
+    total, half = np.add.reduce(ex, axis=-1), np.add.reduce(ex[..., ::2], axis=-1)
+    del ex
+
+    def ln_k():  # (count x rows)
+        return t0 * ap_cols + shift + top[..., 0].T + np.log(total).T
+
+    def node_sums(offsets, left, h, big_a, big_b, top):
+        values = exponent(left + h * offsets, big_a, big_b)
+        values -= top
+        np.exp(np.maximum(values, _EXP_FLOOR, out=values), out=values)
+        return np.add.reduce(values, axis=-1)
+
+    # Points leave the arrays as they converge (only a group has some
+    # converge and others not); ``live`` holds the positions of those left,
+    # once one has left.
+    out, live = None, None
+    while True:
+        gaps = abs(half / total - 0.5)
+        if np.maximum.reduce(gaps, axis=None) <= 0.5 * rel_tol:  # NaN is not
+            break
+        converged = np.logical_and.reduce(gaps <= 0.5 * rel_tol, axis=0) if count > 1 else None
+        if count > 1 and converged.any():
+            if out is None:
+                out, live = np.empty((count, ap.size)), np.arange(count)
+            out[live[converged]] = ln_k()[converged]
+            keep = ~converged
+            t0, left, h, big_a, big_b = t0[keep], left[keep], h[keep], big_a[keep], big_b[keep]
+            shift, top, total, live = shift[keep], top[:, keep], total[:, keep], live[keep]
+        intervals *= 2
         used += intervals // 2
         if used > budget:
-            return over_budget(h)
-        values = np.exp(exponent(left + h * np.arange(1, intervals, 2)) - top)
-        total, coarse = total + values.sum(axis=1), 2.0 * total
-    ln_k = ap * t0 + (math.log(alpha * h) - big_a - big_b) + top[:, 0] + np.log(total)
-    return ln_k if given.ndim else float(ln_k[0])
+            late = list(range(count)) if live is None else live.tolist()
+            return (np.empty((count, ap.size)) if out is None else out), late
+        h, shift = 0.5 * h, shift - _LN_TWO
+        offsets = np.arange(1, intervals, 2)
+        step, left_count = max(1, _KERNEL_CELLS // (ap.size * offsets.size)), total.shape[-1]
+        if count == 1 or left_count <= step:
+            sums = node_sums(offsets, left, h, big_a, big_b, top)
+        else:
+            parts = [slice(j, j + step) for j in range(0, left_count, step)]
+            sums = np.concatenate([
+                node_sums(offsets, left[q], h[q], big_a[q], big_b[q], top[:, q]) for q in parts
+            ], axis=1)
+        total, half = total + sums, total
+    if out is None:
+        return ln_k(), []
+    out[live] = ln_k()
+    return out, []
 
 
 def shadow_kernel_integral(
@@ -419,7 +551,7 @@ def plain_density(params, scale: float = 1.0) -> Density:
     """Full distribution of an unshadowed model at rms scale ``scale``."""
     family = family_of(params)
     return Density(
-        continuous=lambda x: family.pdf(params, x, scale), atoms=_atoms(params)
+        continuous=lambda x: family.pdf(params, x, scale), atoms=_atoms(params), vectorized=True
     )
 
 
@@ -515,59 +647,58 @@ def _gross_ln_weight(n: int, l: int) -> float:
     return math.lgamma(n + l) - math.lgamma(n - l + 1.0) + (1.0 - 2.0 * l) * math.log(n)
 
 
-def _series_terms(mp: MultipathParams, sh: GammaShadowParams, x: float):
-    # (ln_coeff, g, p0, inner, mode): term l of the density at x > 0,
-    # exp(ln_coeff(l)) times the shadow kernel at power p0 - l and inner
-    # scale ``inner``, is the component n = n0 + l (n0 = 1 where component 0
-    # is the atom) of shape k = shape + n: Pois_n(lam) rate^k x^(alpha k - 1)
-    # / (Gamma(k) Gamma(b) omega^b).  Consecutive coefficients differ by
-    # lam*inner/g(l); term ``mode`` holds the Poisson mode, or is 0 below it.
+def _series_terms(mp: MultipathParams, sh: GammaShadowParams):
+    # (ln_coeff, g, p0, lam, rate, mode): term l of the density at x > 0 is
+    # exp(base + slope ln x), with (base, slope) = ln_coeff(l), times the
+    # shadow kernel at power p0 - l and inner scale rate x^alpha.  It is the
+    # component n = n0 + l (n0 = 1 where component 0 is the atom) of shape k
+    # = shape + n: Pois_n(lam) rate^k x^(alpha k - 1) / (Gamma(k) Gamma(b)
+    # omega^b).  Consecutive coefficients differ by lam*inner/g(l); term
+    # ``mode`` holds the Poisson mode, or is 0 below it.
     lam, shape, rate = mp.poisson_gamma
     alpha, b = mp.alpha, sh.b
     k0, n0 = (shape, 0) if shape else (1.0, 1)
-    ln_x, ln_rate = math.log(x), math.log(rate)
+    ln_rate = math.log(rate)
     ln_lam = math.log(lam) if lam else 0.0  # with lam = 0 only n = 0 is read
     ln_const = -lam - math.lgamma(b) - b * math.log(sh.omega)
 
-    def ln_coeff(l: int) -> float:
+    def ln_coeff(l: int) -> tuple:
         n, k = n0 + l, k0 + l
-        return (
-            n * ln_lam
-            - math.lgamma(n + 1.0)
-            + k * ln_rate
-            + (alpha * k - 1.0) * ln_x
-            - math.lgamma(k)
-            + ln_const
-        )
+        base = n * ln_lam - math.lgamma(n + 1.0) + k * ln_rate - math.lgamma(k) + ln_const
+        return base, alpha * k - 1.0
 
     g = lambda l: (n0 + l + 1.0) * (k0 + l)  # noqa: E731
-    return ln_coeff, g, b / alpha - k0, rate * x**alpha, max(math.floor(lam) - n0, 0)
+    return ln_coeff, g, b / alpha - k0, lam, rate, max(math.floor(lam) - n0, 0)
 
 
-def _series_pdf(m: CompositeModel, x: float, cfg: Optional[SeriesConfig]) -> float:
-    # Sum of the series terms, or the one exact term of a single component
-    # (which reads no series settings).
-    _check_nonneg("x", x)
-    if x == 0.0:
-        return _value_at_origin(m)
-    alpha, omega, lam = m.multipath.alpha, m.shadow.omega, m.multipath.poisson_gamma[0]
-    ln_coeff, g, p0, inner, top = _series_terms(m.multipath, m.shadow, x)
+def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> list:
+    # The series at the points xs > 0, a list, or the one exact term of a
+    # single component (which reads no series settings).  Every point shares
+    # the Poisson mode, so the points that reach a block of terms share one
+    # kernel call for it; each point stops on its own.
+    alpha, omega = m.multipath.alpha, m.shadow.omega
+    ln_coeff, g, p0, lam, rate, top = _series_terms(m.multipath, m.shadow)
+    ln_xs, inner = list(map(math.log, xs)), [rate * x**alpha for x in xs]
     if lam == 0.0:
-        return math.exp(ln_coeff(0) + shadow_kernel_integral_ln(p0, inner, alpha, omega))
+        base, slope = ln_coeff(0)
+        ln_k = shadow_kernel_integral_ln(p0, np.array(inner), alpha, omega).tolist()
+        return [math.exp(base + slope * ln_x + k) for ln_x, k in zip(ln_xs, ln_k)]
     terms = cfg.max_terms + 1 if cfg.use_gross else math.inf
-    ln_kernels = {}
 
-    def ln_kernel(l: int) -> float:
-        if l not in ln_kernels:  # fetch the block of powers that holds term l
-            start = l - l % _KERNEL_BLOCK
-            stop = min(start + _KERNEL_BLOCK, terms)
-            block = shadow_kernel_integral_ln(p0 - np.arange(start, stop), inner, alpha, omega)
-            ln_kernels.update(zip(range(start, stop), block.tolist()))
-        return ln_kernels[l]
+    def ln_kernels(start: int, points=None) -> list:
+        # The block of powers that holds term ``start``, one list per point.
+        powers = p0 - np.arange(start, min(start + _KERNEL_BLOCK, terms))
+        scales = np.array(inner if points is None else [inner[i] for i in points])
+        return shadow_kernel_integral_ln(powers, scales, alpha, omega).tolist()
 
     if cfg.use_gross:
-        ln_w = [_gross_ln_weight(cfg.max_terms, l) for l in range(terms)]
-        return sum(math.exp(ln_coeff(l) + ln_w[l] + ln_kernel(l)) for l in range(terms))
+        total = [0.0] * len(xs)
+        for start in range(0, terms, _KERNEL_BLOCK):
+            block = range(start, min(start + _KERNEL_BLOCK, terms))
+            ln_c = [(*ln_coeff(l), _gross_ln_weight(cfg.max_terms, l)) for l in block]
+            for i, (ln_x, row) in enumerate(zip(ln_xs, ln_kernels(start))):
+                total[i] += sum(math.exp(b + s * ln_x + w + k) for (b, s, w), k in zip(ln_c, row))
+        return total
     # By parts, t(l+1)/t(l) = lam (l - p0 + c_l) / g(l) with c_l the mean of
     # u^(1/alpha) / (alpha omega) under kernel row l, which falls as l rises
     # (a monotone likelihood ratio in u).  So a ratio r seen at l bounds every
@@ -576,26 +707,58 @@ def _series_pdf(m: CompositeModel, x: float, cfg: Optional[SeriesConfig]) -> flo
     # at j is a quadratic rising in j: once R falls it falls on, and R is
     # least at an end of any range.  A side then has at most t q / (1 - q)
     # left, q the bound on its next ratio.
-    rel_tol, ln_top = cfg.rel_tol, ln_coeff(top) + ln_kernel(top)
-    value, rest = math.exp(ln_top), 0.0
+    coeffs = {}  # (base, slope) of each term read, computed once for all points
+    rel_tol, home = cfg.rel_tol, top - top % _KERNEL_BLOCK
+    first = ln_kernels(home)
+    base, slope = coeffs[top] = ln_coeff(top)
+    ln_top = [base + slope * ln_x + row[top - home] for ln_x, row in zip(ln_xs, first)]
+    value, rest = [math.exp(v) for v in ln_top], [0.0] * len(xs)
     for step in (1, -1):
-        l, ln_last = top + step, ln_top
-        while l >= 0:
-            ln_t = ln_coeff(l) + ln_kernel(l)
-            value += (t := math.exp(ln_t))
-            if l and t <= rel_tol * value:  # only then can the bound stop the sum
-                r = math.exp(step * (ln_t - ln_last))  # t(j+1)/t(j), j = l - 1 or l
-                if step > 0:  # q = R(l), and R falls from l on
-                    num, den = r * g(l - 1) + lam, g(l)
-                    falls = lam * den <= num * (g(l + 1) - den)
-                else:  # q = 1/R(l - 1), the least R below l where R(0) >= R(l - 1)
-                    num, den = g(l - 1), r * g(l) - lam
-                    falls = (den - lam * (l - 1)) * num >= g(0) * den
-                if falls and num < den and rest + t * num / (den - num) <= rel_tol * value:
-                    rest += t * num / (den - num)
-                    break
-            l, ln_last = l + step, ln_t
+        # The points still summing this side, their kernel rows of block
+        # ``start`` and their last terms.
+        active, rows, ln_last = range(len(xs)), first, list(ln_top)
+        l, start = top + step, home
+        while active and l >= 0:
+            if not start <= l < start + _KERNEL_BLOCK:
+                start += step * _KERNEL_BLOCK
+                rows = ln_kernels(start, active)
+            end = start + _KERNEL_BLOCK if step > 0 else start - 1
+            going = []
+            for i, row in zip(active, rows):
+                v, r_, ln_prev, ln_x = value[i], rest[i], ln_last[i], ln_xs[i]
+                for j in range(l, end, step):
+                    c = coeffs.get(j)
+                    if c is None:
+                        c = coeffs[j] = ln_coeff(j)
+                    ln_t = c[0] + c[1] * ln_x + row[j - start]
+                    v += (t := math.exp(ln_t))
+                    if j and t <= rel_tol * v:  # only then can the bound stop the sum
+                        r = math.exp(step * (ln_t - ln_prev))  # t(k+1)/t(k), k = j - 1 or j
+                        if step > 0:  # q = R(j), and R falls from j on
+                            num, den = r * g(j - 1) + lam, g(j)
+                            falls = lam * den <= num * (g(j + 1) - den)
+                        else:  # q = 1/R(j - 1), the least R below j where R(0) >= R(j - 1)
+                            num, den = g(j - 1), r * g(j) - lam
+                            falls = (den - lam * (j - 1)) * num >= g(0) * den
+                        if falls and num < den and r_ + t * num / (den - num) <= rel_tol * v:
+                            r_ += t * num / (den - num)
+                            break
+                    ln_prev = ln_t
+                else:
+                    going.append(i)
+                value[i], rest[i], ln_last[i] = v, r_, ln_prev
+            active, l = going, end
     return value
+
+
+def _series_pdf(m: CompositeModel, x, cfg: Optional[SeriesConfig]):
+    # The series at x, a float or a 1-D array, and the origin rule at zero.
+    def positive(x):
+        if isinstance(x, float):
+            return _series_sum(m, [x], cfg)[0]
+        return np.array(_series_sum(m, x.tolist(), cfg))
+
+    return _density("x", x, lambda: _value_at_origin(m), positive)
 
 
 def _require(m: CompositeModel, name: str, caller: str) -> CompositeModel:
@@ -605,31 +768,35 @@ def _require(m: CompositeModel, name: str, caller: str) -> CompositeModel:
     return m
 
 
-def akm_gamma_pdf_series(m: CompositeModel, x: float, cfg: SeriesConfig = SeriesConfig()) -> float:
+def akm_gamma_pdf_series(m: CompositeModel, x, cfg: SeriesConfig = SeriesConfig()):
     """Series form of the LOS composite density.
 
-    Term l couples the coefficient x^(alpha*(mu+l)-1) mu^(mu+2l) kappa^l
-    (1+kappa)^(mu+l) / (l! Gamma(mu+l) Gamma(b) omega^b e^(mu*kappa)) with
-    the shadow kernel at p = b/alpha - mu - l, A = mu*(1+kappa)*x^alpha.
-    With kappa = 0 term 0 alone is exact, the zero-LOS form.
+    ``x`` is a float, giving a float, or a 1-D array, giving an array; the
+    points of an array share each kernel call.  Term l couples the
+    coefficient x^(alpha*(mu+l)-1) mu^(mu+2l) kappa^l (1+kappa)^(mu+l) /
+    (l! Gamma(mu+l) Gamma(b) omega^b e^(mu*kappa)) with the shadow kernel at
+    p = b/alpha - mu - l, A = mu*(1+kappa)*x^alpha.  With kappa = 0 term 0
+    alone is exact, the zero-LOS form.
     """
     return _series_pdf(_require(m, "akm", "akm_gamma_pdf_series"), x, cfg)
 
 
-def am_gamma_pdf(m: CompositeModel, r: float) -> float:
+def am_gamma_pdf(m: CompositeModel, r):
     """Exact single-kernel form of the zero-LOS composite density.
 
     No series truncation is involved: the shadow average of the conditional
     density reduces to one kernel evaluation at p = b/alpha - mu,
-    A = mu * r^alpha.
+    A = mu * r^alpha.  ``r`` is a float or a 1-D array, whose points share
+    one kernel call.
     """
     return _series_pdf(_require(m, "am", "am_gamma_pdf"), r, None)
 
 
-def extreme_gamma_pdf(m: CompositeModel, r: float, cfg: SeriesConfig = SeriesConfig()) -> float:
+def extreme_gamma_pdf(m: CompositeModel, r, cfg: SeriesConfig = SeriesConfig()):
     """Series form of the severe-fading composite density (continuous part).
 
-    Term l couples (2m)^(2+2l) r^(alpha*(1+l)-1) e^(-2m) / (l! (l+1)!
+    ``r`` is a float or a 1-D array, as for ``akm_gamma_pdf_series``.  Term
+    l couples (2m)^(2+2l) r^(alpha*(1+l)-1) e^(-2m) / (l! (l+1)!
     Gamma(b) omega^b) with the shadow kernel at p = b/alpha - 1 - l,
     A = 2m * r^alpha.  The deep-fade atom exp(-2m) rides along unchanged;
     ``extreme_gamma_density`` carries it.
@@ -645,14 +812,16 @@ def extreme_gamma_density(m: CompositeModel, cfg: SeriesConfig = SeriesConfig())
 
 def composite_pdf(
     m: CompositeModel,
-    x: float,
+    x,
     cfg: SeriesConfig = SeriesConfig(),
     *,
     oracle: bool = False,
-) -> float:
+):
     """Continuous composite density at x, series/exact route by default.
 
-    ``oracle=True`` forces the mixture-quadrature route instead.
+    The series route takes a float or a 1-D array of points.
+    ``oracle=True`` forces the mixture-quadrature route instead, which
+    takes a float.
     """
     if oracle:
         return mixture_pdf(m, x)
@@ -669,4 +838,6 @@ def composite_density(
     default and the mixture oracle with ``oracle=True``."""
     if oracle:
         return mixture_density(m)
-    return Density(continuous=lambda x: composite_pdf(m, x, cfg), atoms=_atoms(m.multipath))
+    return Density(
+        continuous=lambda x: composite_pdf(m, x, cfg), atoms=_atoms(m.multipath), vectorized=True
+    )

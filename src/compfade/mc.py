@@ -190,13 +190,14 @@ def build_cdf_table(density: Density, x_max: float, grid_points: int = 2000) -> 
             ]
         )
     )
-    f = np.array([density.continuous(float(x)) for x in xs])
+    f = density.values(xs)
     head = integrate_semi_infinite(
         lambda w: density.continuous(x0 * w / (1.0 + w)) * x0 / (1.0 + w) ** 2,
         rel_tol=1e-8,
         abs_tol=1e-13,
         budget=100_000,
         scale=1.0,
+        vectorized=density.vectorized,
     ).value
     # Derivative-corrected trapezoid: O(h^4) per cell at no extra density
     # evaluations, which keeps the total-mass certificate sharp even on
@@ -211,6 +212,7 @@ def build_cdf_table(density: Density, x_max: float, grid_points: int = 2000) -> 
         abs_tol=1e-12,
         budget=100_000,
         scale=max(x_max, 1.0),
+        vectorized=density.vectorized,
     ).value
     return CdfTable(xs=xs, cum=cum, tail_mass=tail, atom_mass=density.atom_mass)
 

@@ -154,11 +154,15 @@ class Density:
     ``continuous`` is the density on (0, inf); ``atoms`` lists discrete
     (location, mass) pairs.  The extreme-fading families carry a point mass
     at zero, so normalization checks must always add the atom masses to the
-    integral of the continuous part.
+    integral of the continuous part.  ``continuous`` takes a float and
+    returns a float; with ``vectorized`` true it also takes a 1-D array and
+    returns an array, which ``values`` and the quadratures use to evaluate
+    many points in one call.
     """
 
     continuous: Callable[[float], float]
     atoms: tuple = field(default_factory=tuple)
+    vectorized: bool = False
 
     def __post_init__(self):
         for loc, mass in self.atoms:
@@ -168,6 +172,13 @@ class Density:
     @property
     def atom_mass(self) -> float:
         return sum(mass for _, mass in self.atoms)
+
+    def values(self, xs) -> np.ndarray:
+        """The continuous part at each point of ``xs``: one call when
+        ``vectorized``, else one call per point."""
+        if self.vectorized:
+            return np.asarray(self.continuous(np.asarray(xs, dtype=float)), dtype=float)
+        return np.array([self.continuous(float(x)) for x in xs], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -190,7 +201,7 @@ def _density(name: str, points, at_origin: Callable, formula: Callable):
     each point must be finite and >= 0.  A float reaches ``formula`` as a
     float, so a Bessel factor takes its float path.
     """
-    if np.ndim(points) == 0:
+    if type(points) is float or np.ndim(points) == 0:
         x = float(points)
         _check_nonneg(name, x)
         return at_origin() if x == 0.0 else float(formula(x))
@@ -391,7 +402,9 @@ def extreme_pdf(p: ExtremeParams, rho):
 def extreme_density(p: ExtremeParams) -> Density:
     """Complete severe-fading distribution: continuous part plus the
     deep-fade atom at zero."""
-    return Density(continuous=lambda rho: extreme_pdf(p, rho), atoms=((0.0, p.atom_mass),))
+    return Density(
+        continuous=lambda rho: extreme_pdf(p, rho), atoms=((0.0, p.atom_mass),), vectorized=True
+    )
 
 
 def extreme_cdf(p: ExtremeParams, rho: float, tail_tol: float = 1e-15) -> float:
@@ -477,6 +490,7 @@ def density_total_mass(
 ) -> float:
     """Atom masses plus the quadrature of the continuous part over (0, inf)."""
     result = integrate_semi_infinite(
-        density.continuous, rel_tol=rel_tol, abs_tol=1e-14, budget=budget, scale=scale
+        density.continuous, rel_tol=rel_tol, abs_tol=1e-14, budget=budget, scale=scale,
+        vectorized=density.vectorized,
     )
     return density.atom_mass + result.value

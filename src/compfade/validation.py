@@ -375,22 +375,34 @@ def check_normalization(draws: int = 20, seed: int = 23) -> dict:
     return _check("normalization", measured <= 1e-6, measured, 1e-6, worst)
 
 
-def check_cdf_dual_form(points: int = 100, seed: int = 31) -> dict:
-    """Incomplete-gamma series cdf vs Marcum-Q cdf on random points.
+def _cdf_by_quadrature(p: AkmParams, rho: float) -> float:
+    # Gauss-Kronrod quadrature of the density over (0, rho), mapped onto
+    # (0, inf) by x = rho w / (1 + w) as ``mc.build_cdf_table``'s head cell.
+    return numerics.integrate_semi_infinite(
+        lambda w: models.akm_pdf_normalized(p, rho * w / (1.0 + w)) * rho / (1.0 + w) ** 2,
+        rel_tol=1e-12,
+        abs_tol=1e-14,
+        budget=200_000,
+        vectorized=True,
+    ).value
 
-    The series against 1 - Q_mu(sqrt(2 mu kappa), rho^(alpha/2) sqrt(2 mu
-    (1 + kappa))) on every point.  Agreement is absolute (both are
+
+def check_cdf_dual_form(points: int = 100, seed: int = 31) -> dict:
+    """Incomplete-gamma series cdf vs quadrature of the density on random
+    points.
+
+    The Poisson-weighted incomplete-gamma sum against Gauss-Kronrod
+    quadrature of the Bessel-form density over (0, rho): the two share no
+    evaluation code.  Agreement is absolute (both are
     probabilities); where the cdf is not minuscule the relative gap is held
-    to the same level.  Below ~1e-3 the complement route's floating floor of
-    ~1e-16 makes a relative comparison meaningless.
+    to the same level.
     """
     rng = mc._generator(seed)
     worst = 0.0
     for _ in range(points):
         p = _random(rng, _AKM)
         rho = float(rng.uniform(0.05, 3.0))
-        b = rho ** (0.5 * p.alpha) * math.sqrt(2.0 * p.mu * (1.0 + p.kappa))
-        f1 = 1.0 - specfun.marcum_q(p.mu, math.sqrt(2.0 * p.mu * p.kappa), b)
+        f1 = _cdf_by_quadrature(p, rho)
         f2 = models.akm_cdf_series(p, rho)
         gap = abs(f1 - f2)
         if max(f1, f2) >= 1e-3:
@@ -519,9 +531,8 @@ def check_series_vs_oracle(draws: int = 20, points: int = 25, seed: int = 47) ->
         for _ in range(draws):
             shadow = _random(rng, SHADOW)
             model = CompositeModel(_random(rng, family), shadow)
-            for x in _series_grid(shadow, points):
-                x = float(x)
-                series = composite.composite_pdf(model, x, _ACCEPT_CFG)
+            xs = _series_grid(shadow, points)
+            for x, series in zip(xs.tolist(), composite.composite_pdf(model, xs, _ACCEPT_CFG)):
                 oracle = composite.mixture_pdf(model, x)
                 if oracle < 1e-290:
                     continue  # both routes underflow in the far tail
@@ -774,7 +785,7 @@ def check_figures() -> dict:
     for fid in figures.FIGURE_IDS:
         for curve in figures.figure_curves(fid):
             density = composite.composite_density(curve["model"], _ACCEPT_CFG)
-            values = [density.continuous(float(x)) for x in xs]
+            values = density.values(xs)
             shadow = curve["model"].shadow
             mass = models.density_total_mass(
                 density, rel_tol=1e-7, budget=400_000, scale=shadow.b * shadow.omega

@@ -36,3 +36,64 @@ def test_array_bessel_matches_float_path(case):
             assert value == want, xi
         else:
             assert abs(value - want) <= 1e-14 * want, xi
+
+
+# The series route on arrays: past PARAM_BOX, on unsorted points with
+# duplicates, x = 0 and x from 1e-8 to 50 mean shadow scales b*omega.
+from compfade import CompositeModel, GammaShadowParams, SeriesConfig  # noqa: E402
+from compfade.composite import FAMILIES, composite_pdf  # noqa: E402
+from compfade.errors import DomainError, NonConvergenceError  # noqa: E402
+
+_PAST_BOX = {
+    "alpha": (0.7, 5.0), "kappa": (0.0, 10.0), "mu": (0.3, 10.0), "m": (0.2, 40.0),
+    "b": (0.6, 6.0), "omega": (0.2, 4.0),
+}
+_CONFIGS = (SeriesConfig(), SeriesConfig(rel_tol=1e-10), SeriesConfig(max_terms=20, use_gross=True))
+
+
+@st.composite
+def series_batches(draw):
+    family = FAMILIES[draw(st.sampled_from(["akm", "am", "extreme"]))]
+    multipath = family.params(*(draw(st.floats(*_PAST_BOX[f])) for f in family.fields))
+    shadow = GammaShadowParams(draw(st.floats(*_PAST_BOX["b"])), draw(st.floats(*_PAST_BOX["omega"])))
+    exponents = draw(st.lists(st.floats(-8.0, math.log10(50.0)), min_size=1, max_size=10))
+    x = [10.0**e * shadow.b * shadow.omega for e in exponents] + [0.0]
+    x += draw(st.lists(st.sampled_from(x), max_size=4))  # duplicates
+    cfg = draw(st.sampled_from(_CONFIGS))
+    return CompositeModel(multipath, shadow), np.array(draw(st.permutations(x))), cfg
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(series_batches())
+def test_series_array_matches_float_path(case):
+    model, x, cfg = case
+    floats, raised = [], set()
+    for xi in x.tolist():
+        try:
+            floats.append(composite_pdf(model, xi, cfg))
+        except (DomainError, NonConvergenceError) as exc:
+            raised.add(type(exc))
+    if raised:  # the array path raises what some point raises
+        with pytest.raises(tuple(raised)):
+            composite_pdf(model, x, cfg)
+        return
+    got = composite_pdf(model, x, cfg)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    for xi, value, want in zip(x.tolist(), got.tolist(), floats):
+        assert value == pytest.approx(want, rel=cfg.rel_tol, abs=1e-300), xi
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array([1.0, np.nan]), np.array([0.5, -1.0]), np.array([2.0, np.inf]), np.ones((2, 2))],
+    ids=["nan", "negative", "inf", "2-d"],
+)
+@pytest.mark.parametrize("family", ["akm", "am", "extreme"])
+def test_series_array_raises_the_float_domain_error(family, bad):
+    multipath = FAMILIES[family].params(*([2.0] * len(FAMILIES[family].fields)))
+    model = CompositeModel(multipath, GammaShadowParams(1.5, 0.9))
+    with pytest.raises(DomainError):
+        composite_pdf(model, bad, SeriesConfig())
+    for xi in bad.reshape(-1).tolist():
+        if not (0.0 <= xi < math.inf):
+            with pytest.raises(DomainError):
+                composite_pdf(model, xi, SeriesConfig())

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from compfade import CompositeModel, ExtremeParams, GammaShadowParams, mixture_cdf
@@ -192,6 +193,35 @@ class TestPdfCommand:
         assert vs_config != vs_flag  # the explicit flag won
 
 
+    def test_composite_curve_shares_its_kernel_calls(self, tmp_path, monkeypatch):
+        # The CLI hands the series route the whole 200-point grid at once, a
+        # batch of 200 points, so the curve fetches each block of powers in
+        # one kernel call for all the points that reach it: at most
+        # ceil(200 / 200) calls per block.  A fall-back to one series call
+        # per point would make about 200 per block.
+        import compfade.composite as composite
+
+        real, starts = composite.shadow_kernel_integral_ln, []
+
+        def counting(p, a, *args, **kwargs):
+            starts.append(float(np.max(p)))  # the block's first power
+            return real(p, a, *args, **kwargs)
+
+        monkeypatch.setattr(composite, "shadow_kernel_integral_ln", counting)
+        points, batch = 200, 200
+        code = main(
+            [
+                "pdf", "--model", "akm-gamma", "--alpha", "1.5", "--mu", "2.1",
+                "--kappa", "1", "--b", "1.1", "--omega", "0.9",
+                "--grid", f"0.01:4:{points}", "--out", str(tmp_path / "curve.csv"),
+            ]
+        )
+        assert code == 0
+        blocks = len(set(starts))
+        assert 1 <= blocks <= 3
+        assert len(starts) <= math.ceil(points / batch) * blocks
+
+
 class TestCdfCommand:
     def test_akm_cdf_curve(self, capsys):
         code = main(
@@ -367,6 +397,19 @@ class TestSampleCommand:
              "--strict"]
         )
         assert code == 0
+
+
+    def test_sample_file_bytes_match_one_format_per_value(self):
+        # The one-pass %-format write against the per-value join it
+        # replaced, on a batch with deep-fade zeros and extreme doubles.
+        from compfade import cli
+        from compfade.mc import sample_composite
+
+        model = CompositeModel(ExtremeParams(2.0, 0.4), GammaShadowParams(1.2, 0.8))
+        values = sample_composite(model, 5000, seed=3).values
+        assert (values == 0.0).sum() > 100
+        values = np.concatenate([values, [5e-324, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308]])
+        assert cli._sample_text(values) == "\n".join(cli._fmt(v) for v in values) + "\n"
 
 
 class TestValidateCommand:

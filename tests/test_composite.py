@@ -29,7 +29,7 @@ from compfade import (
     shadow_kernel_integral,
     shadow_kernel_integral_ln,
 )
-from compfade import composite, numerics
+from compfade import composite, models, numerics
 from compfade.composite import composite_density, composite_pdf
 from compfade.models import akm_pdf_normalized
 from compfade.numerics import integrate_semi_infinite
@@ -308,11 +308,13 @@ class TestSeriesRoutes:
 
 def _per_term_reference(model, x, cfg, used):
     # The terms ``used`` summed with one scalar kernel call per term.
-    ln_coeff, _, p0, inner, _ = composite._series_terms(model.multipath, model.shadow, x)
+    ln_coeff, _, p0, _, rate, _ = composite._series_terms(model.multipath, model.shadow)
     alpha, omega = model.multipath.alpha, model.shadow.omega
+    inner = rate * x**alpha
 
     def term(l):
-        ln_c = ln_coeff(l)
+        base, slope = ln_coeff(l)
+        ln_c = base + slope * math.log(x)
         if cfg.use_gross:
             ln_c += composite._gross_ln_weight(cfg.max_terms, l)
         return math.exp(ln_c + shadow_kernel_integral_ln(p0 - l, inner, alpha, omega))
@@ -578,3 +580,39 @@ class TestOriginLimit:
         for oracle in (False, True):
             with pytest.raises(DomainError):
                 composite_pdf(m, 0.0, CFG, oracle=oracle)
+
+
+class TestDensityContract:
+    # ``Density.vectorized`` marks a continuous part that takes a 1-D array
+    # too; ``values`` and the mass quadrature then make one call per batch.
+    MODEL = CompositeModel(AkmParams(1.5, 1.0, 2.1), GammaShadowParams(1.1, 0.9))
+    XS = np.array([1.7, 0.0, 0.3, 1.7, 4.0])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda m: composite.plain_density(m.multipath, 1.3),
+            lambda m: composite.plain_density(m.shadow),
+            lambda m: composite_density(m),
+            lambda m: composite_density(CompositeModel(ExtremeParams(2.0, 1.1), m.shadow)),
+            lambda m: models.extreme_density(ExtremeParams(2.0, 1.1)),
+        ],
+        ids=["plain", "shadow", "series", "extreme-series", "extreme-plain"],
+    )
+    def test_vectorized_values_match_float_calls(self, make):
+        density = make(self.MODEL)
+        assert density.vectorized
+        got = density.values(self.XS)
+        want = [density.continuous(float(x)) for x in self.XS]
+        assert got.tolist() == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_oracle_and_user_densities_stay_scalar(self):
+        oracle = composite_density(self.MODEL, oracle=True)
+        assert not oracle.vectorized
+        assert oracle.values(self.XS[2:4]).tolist() == [
+            composite.mixture_pdf(self.MODEL, float(x)) for x in self.XS[2:4]
+        ]
+        user = models.Density(continuous=lambda r: 2.0 * r * math.exp(-r * r))
+        assert not user.vectorized
+        assert user.values([0.5, 1.0]).tolist() == [math.exp(-0.25), 2.0 * math.exp(-1.0)]
+        assert models.density_total_mass(user) == pytest.approx(1.0, abs=1e-10)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from compfade import shadow_kernel_integral_ln
-from compfade.errors import NonConvergenceError
+from compfade.errors import DomainError, NonConvergenceError
 
 _DATA = json.loads(
     (Path(__file__).resolve().parent / "data" / "kernel_goldens.json").read_text()
@@ -104,3 +104,67 @@ def test_block_split_down_to_one_row_still_raises():
     for powers in (np.array([0.02]), np.array([0.02, 0.01, 0.0])):
         with pytest.raises(NonConvergenceError):
             shadow_kernel_integral_ln(powers, 1e-8, 0.5, 10.0, budget=60)
+
+
+def _stacked(p, scales, alpha, omega):
+    return np.array([shadow_kernel_integral_ln(p, float(a), alpha, omega) for a in scales])
+
+
+@pytest.mark.parametrize("case", GOLDENS, ids=_case_id)
+def test_scale_array_matches_stacked_calls_and_golden(case):
+    # Unsorted, with a duplicate: the golden scale and others about it.
+    p, a, alpha, omega = case["p"], case["a"], case["alpha"], case["omega"]
+    scales = np.array([3.0 * a, a, 1e-3 * a, a, 0.5 * a]) if a else np.array([0.0, 1.0, 0.0])
+    got = shadow_kernel_integral_ln(p, scales, alpha, omega)
+    assert got.shape == scales.shape
+    assert np.max(np.abs(np.expm1(got - _stacked(p, scales, alpha, omega)))) <= DEFAULT_REL_TOL
+    for value in got[scales == a]:
+        assert abs(math.expm1(value - float(case["ln_value"]))) <= DEFAULT_REL_TOL
+
+
+@pytest.mark.parametrize("entry", ROWS, ids=_rows_id)
+def test_scale_array_of_row_blocks_matches_stacked_calls(entry):
+    powers = entry["p0"] - np.arange(len(entry["ln_values"]))
+    a, alpha, omega = entry["a"], entry["alpha"], entry["omega"]
+    scales = np.array([a, 40.0 * a, 1e-6 * a, a, 0.2 * a])
+    got = shadow_kernel_integral_ln(powers, scales, alpha, omega)
+    assert got.shape == (scales.size, powers.size)
+    assert np.max(np.abs(np.expm1(got - _stacked(powers, scales, alpha, omega)))) <= DEFAULT_REL_TOL
+    golden = np.array([float(v) for v in entry["ln_values"]])
+    assert np.max(np.abs(np.expm1(got[[0, 3]] - golden))) <= DEFAULT_REL_TOL
+
+
+@pytest.mark.parametrize(
+    "powers, a, alpha, omega",
+    [
+        # Peaks too far apart for one grid: this point's rows split.
+        (15.2 - np.arange(24), 6e-82, 0.13, 0.002),
+        # Over budget on a shared grid: this point is evaluated alone.
+        (0.22818897165230112 - np.arange(24), 2.8559842093782665e24, 0.5307178576283406,
+         0.00676141217688066),
+    ],
+    ids=["split", "over-budget"],
+)
+def test_scale_array_with_a_point_of_its_own_matches_stacked_calls(powers, a, alpha, omega):
+    scales = np.array([2.0 * a, a, 0.5 * a])
+    got = shadow_kernel_integral_ln(powers, scales, alpha, omega)
+    want = _stacked(powers, scales, alpha, omega)
+    assert got.ravel().tolist() == pytest.approx(want.ravel().tolist(), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "a", [np.zeros(0), np.ones((2, 2)), np.array([1.0, np.nan]), np.array([1.0, -1.0]), np.array([np.inf])],
+    ids=["empty", "2-d", "nan", "negative", "inf"],
+)
+def test_malformed_scales_are_domain_errors(a):
+    with pytest.raises(DomainError):
+        shadow_kernel_integral_ln(np.array([-1.0, -2.0]), a, 2.0, 0.9)
+
+
+def test_scale_array_halves_only_the_unconverged_points():
+    # At a = 0.05 this row needs a halved step; at the other scales it does
+    # not, so the pass goes on with a subset of its points.
+    scales = np.array([1e-3, 0.05, 0.5, 0.05, 10.0])
+    got = shadow_kernel_integral_ln(-1.55, scales, 2.0, 0.9)
+    want = _stacked(-1.55, scales, 2.0, 0.9)
+    assert np.max(np.abs(np.expm1(got - want))) <= 1e-12
