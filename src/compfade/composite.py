@@ -27,8 +27,11 @@ Two independent evaluation routes are provided for every composite family:
   sum fetches the block of a term when it reaches it.  The points of a
   batch share the Poisson mode, so they share each block's kernel call,
   one array pass over points x rows x nodes with each point on its own
-  grid, and each point stops on its own.  Term l is the
-  clustering component N = l, or N = l + 1 where component 0 is an atom.
+  grid, and each point stops on its own.  The points a pass leaves
+  unconverged, with a wider range or half the step, are grouped into
+  passes again; a point whose next grid reaches the node budget is
+  evaluated alone.  Term l is the clustering component N = l, or N = l + 1
+  where component 0 is an atom.
   The sum runs outward from the Poisson mode on both sides.  Integrating
   the kernel by parts bounds the terms each side has left by a geometric
   series, and the sum stops once both bounds are within rel_tol of it.
@@ -167,7 +170,6 @@ _LN_MAX = math.log(sys.float_info.max)  # exp overflows past it
 # exponents to this floor leaves the sums as they are, and spares exp its
 # slow underflowing path.
 _EXP_FLOOR = -700.0
-_LN_TWO = math.log(2.0)
 
 
 def _kernel_cut(p: float, a: float, alpha: float, omega: float, floor: float):
@@ -264,19 +266,22 @@ def shadow_kernel_integral_ln(
     (-phi''(t*))^(-1/2), and the range walks out (4 sigma, then tangent
     steps) until phi - phi(t*) <= ln(rel_tol) - 5, past which concavity
     leaves under rel_tol * e^-5 of the integral.  All rows of a point share
-    one uniform grid over both ranges, widened while a row is still above
-    that floor at an end; each row is taken relative to one reference node
-    and shifted by its own maximum, so none overflows or cancels.
+    one uniform grid over both ranges; each row is taken relative to one
+    reference node and shifted by its own maximum, so none overflows or
+    cancels.
 
-    Points are evaluated together, in array passes of at most about
-    _KERNEL_CELLS values: each point keeps its own range and step, and the
-    points of a pass share one node count, the largest they need (first
-    2 * max(16, 2 * range/sigma)).  The step is halved, keeping every node,
-    at each point whose two sums of some row still differ by more than
-    ``rel_tol``.  A point whose rows' peaks lie too far apart for one grid,
-    or that runs past ``budget`` nodes, is evaluated on its own; alone, its
-    rows are split in two halves, and a single row past ``budget``, or
-    whose peak is narrower than doubles resolve, raises NonConvergenceError.
+    Points are evaluated together, in array passes of at most _KERNEL_CELLS
+    values unless one point alone is larger: each point keeps its own range
+    and step, and a pass's points share its node count, the largest they
+    need and at most twice the least (first 2 * max(16, 2 * range/sigma)).
+    A pass evaluates each grid once.  It widens a point's range by half at
+    each end where a row is still above the floor, or else halves the step
+    of a point whose sums at steps h and 2h of some row differ by more than
+    ``rel_tol``; such points are grouped into passes again.  A point whose
+    rows' peaks lie too far apart for one grid, or whose next grid has
+    ``budget`` or more intervals, is evaluated on its own; alone, its rows
+    are split in two halves, and a single row over ``budget``, or whose
+    peak is narrower than doubles resolve, raises NonConvergenceError.
     """
     given, scales = np.asarray(p, dtype=float), np.asarray(a, dtype=float)
     rows, points = given.reshape(-1), scales.reshape(-1)
@@ -313,7 +318,9 @@ def shadow_kernel_integral_ln(
         halves = np.array_split(rows, 2)
         return np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
 
-    grid, where, need = [], [], []  # of the points that share passes
+    # (position, grid, interval count) of each point to evaluate next; a
+    # grid is (t0, sigma, left, right, big_a, big_b).
+    queue = []
     for i, a_i in enumerate(points.tolist()):
         if not 0.0 < a_i < math.inf:
             KernelArgs(lo_p, a_i, alpha, omega)  # raises DomainError unless a_i = 0
@@ -330,119 +337,70 @@ def shadow_kernel_integral_ln(
                 out[i] = alone(a_i, "kernel peaks too far apart")
                 continue
         big_a, big_b = math.exp(math.log(a_i) - alpha * t0), math.exp(t0 - ln_omega)
-        grid.append((t0, sigma, left, right, big_a, big_b))
-        where.append(i)
-        need.append(2 * max(16, math.ceil(2.0 * (right - left) / sigma)))
-    for group, intervals in _passes(need, rows.size):
-        # One point's grid values go in as floats, a group's as columns.
-        cols = [
-            (t0, sigma, left, right, big_a, big_b,
-             ln_alpha + math.log((right - left) / intervals) - big_a - big_b)
-            for t0, sigma, left, right, big_a, big_b in (grid[g] for g in group)
-        ]
-        cols = cols[0] if len(group) == 1 else np.array(cols).T[:, :, None]
-        ln_k, late = _kernel_pass(ap, cols, len(group), intervals, alpha, floor, rel_tol, budget)
-        if len(group) == points.size:  # every point, in order
-            out = ln_k
-        else:
-            out[[where[g] for g in group]] = ln_k
-        for g in late:
-            i = where[group[g]]
-            message = f"kernel budget of {budget} nodes exhausted"
-            out[i] = alone(float(points[i]), message, over_budget=True)
+        queue.append((i, (t0, sigma, left, right, big_a, big_b), _intervals(left, right, sigma)))
+    while queue:
+        for i, _, intervals in queue:
+            if intervals >= budget:
+                out[i] = alone(float(points[i]), f"kernel budget of {budget} nodes exhausted", True)
+        # By position, so a pass over every point is in order; the rows of a
+        # point that a pass leaves unconverged are written again later.
+        todo, queue = [t for t in sorted(queue) if t[2] < budget], []
+        for group, intervals in _passes([t[2] for t in todo], rows.size):
+            entries = [todo[g] for g in group]
+            ln_k, unfinished = _kernel_pass(ap, entries, intervals, alpha, ln_alpha, floor, rel_tol)
+            if len(group) == points.size:  # every point, in order
+                out = ln_k
+            else:
+                out[[i for i, _, _ in entries]] = ln_k
+            queue += unfinished
     if given.ndim or scales.ndim:
         return out.reshape(scales.shape + given.shape)
     return float(out[0, 0])
 
 
-def _kernel_pass(ap, cols, count: int, intervals: int, alpha, floor, rel_tol, budget):
-    # One array pass over the ``count`` points of a group, each on its own
-    # grid about its t0, with ``intervals`` intervals to start.  ``cols``
-    # holds t0, sigma, left, right, big_a, big_b and the shift ln(alpha h) -
-    # big_a - big_b of each point, h its first step: floats for one point,
-    # else (count x 1) columns, so that one point costs no more array calls
-    # than one row set.  Arrays run rows x points x nodes, so that one flat
-    # outer product lays them out.  Returns the (count x rows) logs and the
-    # positions of the points that ran out of ``budget`` nodes, whose rows
-    # are not set.
-    t0, sigma, left, right, big_a, big_b, shift = cols
-    ap_cols = ap[None, :]
+def _intervals(left: float, right: float, sigma: float) -> int:
+    return 2 * max(16, math.ceil(2.0 * (right - left) / sigma))  # a range's first count
 
-    def exponent(s, big_a, big_b):
-        # phi_p(t0 + s) - phi_p(t0) for offsets s ([points x] nodes): a new
-        # rows x [points x] nodes array that the caller works on in place.
-        ex = np.multiply.outer(ap, s)
-        ex -= big_a * np.expm1(-alpha * s) + big_b * np.expm1(s)
-        return ex
 
-    used = 0
-    while True:  # one pass gives the sums at steps 2h and h
-        width = right - left
-        h, used = width / intervals, used + intervals + 1
-        if used > budget:
-            return np.empty((count, ap.size)), list(range(count))
-        ex = exponent(left + h * np.arange(intervals + 1), big_a, big_b)
-        top = np.maximum.reduce(ex, axis=-1, keepdims=True)
-        ex -= top
-        ends = ex[..., ::intervals]
-        if not np.maximum.reduce(ends, axis=None) > floor:  # no row above floor at an end
-            break
-        wide = np.maximum.reduce(ends, axis=0) > floor
-        left, right = left - wide[..., :1] * 0.5 * width, right + wide[..., 1:] * 0.5 * width
-        intervals = 2 * max(16, math.ceil(float(np.max(2.0 * (right - left) / sigma))))
-        shift = shift + np.log((right - left) / intervals / h)
+def _kernel_pass(ap, entries: list, intervals: int, alpha, ln_alpha, floor, rel_tol):
+    # One array pass over the points of ``entries``, each on its own grid of
+    # ``intervals`` intervals about its t0.  One point's grid values go in as
+    # floats, which costs no more array calls than one row set, a group's as
+    # (points x 1) columns; arrays run rows x [points x] nodes.  Returns the
+    # (points x rows) logs and the entry to try next of each point not
+    # converged: its range widened by half at each end where a row is still
+    # above floor, or else its step halved.
+    cols = [
+        (t0, left, right, big_a, big_b,
+         ln_alpha + math.log((right - left) / intervals) - big_a - big_b)
+        for _, (t0, _, left, right, big_a, big_b), _ in entries
+    ]
+    cols = cols[0] if len(entries) == 1 else np.array(cols).T[:, :, None]
+    t0, left, right, big_a, big_b, shift = cols
+    s = left + (right - left) / intervals * np.arange(intervals + 1)
+    ex = np.multiply.outer(ap, s)  # phi_p(t0 + s) - phi_p(t0)
+    ex -= big_a * np.expm1(-alpha * s) + big_b * np.expm1(s)
+    top = np.maximum.reduce(ex, axis=-1, keepdims=True)
+    ex -= top
+    ends = np.maximum.reduce(ex[..., ::intervals], axis=0).tolist()  # [points x] 2
     # With S the node sum at step h, the integral is h*S; the sum at step 2h
-    # is twice the even-node sum, and after halving, twice the last S: the
-    # two agree when the half sum over S is 1/2.
+    # is twice the even-node sum: the two agree when the half sum over S is
+    # 1/2.  NaN never converges.
     np.exp(np.maximum(ex, _EXP_FLOOR, out=ex), out=ex)
     total, half = np.add.reduce(ex, axis=-1), np.add.reduce(ex[..., ::2], axis=-1)
-    del ex
-
-    def ln_k():  # (count x rows)
-        return t0 * ap_cols + shift + top[..., 0].T + np.log(total).T
-
-    def node_sums(offsets, left, h, big_a, big_b, top):
-        values = exponent(left + h * offsets, big_a, big_b)
-        values -= top
-        np.exp(np.maximum(values, _EXP_FLOOR, out=values), out=values)
-        return np.add.reduce(values, axis=-1)
-
-    # Points leave the arrays as they converge (only a group has some
-    # converge and others not); ``live`` holds the positions of those left,
-    # once one has left.
-    out, live = None, None
-    while True:
-        gaps = abs(half / total - 0.5)
-        if np.maximum.reduce(gaps, axis=None) <= 0.5 * rel_tol:  # NaN is not
-            break
-        converged = np.logical_and.reduce(gaps <= 0.5 * rel_tol, axis=0) if count > 1 else None
-        if count > 1 and converged.any():
-            if out is None:
-                out, live = np.empty((count, ap.size)), np.arange(count)
-            out[live[converged]] = ln_k()[converged]
-            keep = ~converged
-            t0, left, h, big_a, big_b = t0[keep], left[keep], h[keep], big_a[keep], big_b[keep]
-            shift, top, total, live = shift[keep], top[:, keep], total[:, keep], live[keep]
-        intervals *= 2
-        used += intervals // 2
-        if used > budget:
-            late = list(range(count)) if live is None else live.tolist()
-            return (np.empty((count, ap.size)) if out is None else out), late
-        h, shift = 0.5 * h, shift - _LN_TWO
-        offsets = np.arange(1, intervals, 2)
-        step, left_count = max(1, _KERNEL_CELLS // (ap.size * offsets.size)), total.shape[-1]
-        if count == 1 or left_count <= step:
-            sums = node_sums(offsets, left, h, big_a, big_b, top)
-        else:
-            parts = [slice(j, j + step) for j in range(0, left_count, step)]
-            sums = np.concatenate([
-                node_sums(offsets, left[q], h[q], big_a[q], big_b[q], top[:, q]) for q in parts
-            ], axis=1)
-        total, half = total + sums, total
-    if out is None:
-        return ln_k(), []
-    out[live] = ln_k()
-    return out, []
+    gaps = np.maximum.reduce(abs(half / total - 0.5), axis=0).tolist()
+    if len(entries) == 1:
+        ends, gaps = [ends], [gaps]
+    unfinished = []
+    for (i, grid, _), (lo_end, hi_end), gap in zip(entries, ends, gaps):
+        if lo_end > floor or hi_end > floor:
+            t, sigma, lo, hi, *ab = grid
+            width = hi - lo
+            lo, hi = lo - (lo_end > floor) * 0.5 * width, hi + (hi_end > floor) * 0.5 * width
+            unfinished.append((i, (t, sigma, lo, hi, *ab), _intervals(lo, hi, sigma)))
+        elif not gap <= 0.5 * rel_tol:
+            unfinished.append((i, grid, 2 * intervals))
+    return t0 * ap[None, :] + shift + top[..., 0].T + np.log(total).T, unfinished
 
 
 def shadow_kernel_integral(
@@ -676,6 +634,8 @@ def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> lis
     # single component (which reads no series settings).  Every point shares
     # the Poisson mode, so the points that reach a block of terms share one
     # kernel call for it; each point stops on its own.
+    if not xs:
+        return []
     alpha, omega = m.multipath.alpha, m.shadow.omega
     ln_coeff, g, p0, lam, rate, top = _series_terms(m.multipath, m.shadow)
     ln_xs, inner = list(map(math.log, xs)), [rate * x**alpha for x in xs]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import composite, figures, mc, models, numerics, specfun
 from .composite import FAMILIES, MULTIPATH_FAMILIES, SHADOW, CompositeModel, SeriesConfig
-from .models import AkmParams, AmParams, ExtremeParams, GammaShadowParams, ScaledEnvelope
+from .models import AkmParams, ExtremeParams, GammaShadowParams, ScaledEnvelope
 
 __all__ = ["run_validation", "CHECKS", "PARAM_BOX"]
 
@@ -584,18 +584,18 @@ def check_reduction_web(seed: int = 53) -> dict:
             worst = max(worst, _rel_err(models.extreme_pdf(p, rho), direct))
     details["extreme_alpha2"] = worst
 
-    # kappa -> 0 limit equals the zero-LOS model: kappa = 0 runs the zero-LOS
-    # model's gamma form, kappa = 1e-12 the Bessel form.
+    # kappa -> 0 limit equals the directly coded alpha-mu density: kappa = 0
+    # runs the gamma form, kappa = 1e-12 the Bessel form.
     worst = 0.0
     for _ in range(8):
         alpha = _draw(rng, "alpha")
         mu = _draw(rng, "mu")
-        am = AmParams(alpha, mu)
-        unit = ScaledEnvelope(1.0)
         for kappa in (0.0, 1e-12):
             for rho in (0.3, 0.9, 1.6):
+                direct = (alpha * mu**mu * rho ** (alpha * mu - 1.0)
+                          * math.exp(-mu * rho**alpha) / math.gamma(mu))
                 akm = models.akm_pdf_normalized(AkmParams(alpha, kappa, mu), rho)
-                worst = max(worst, _rel_err(akm, models.am_pdf(am, unit, rho)))
+                worst = max(worst, _rel_err(akm, direct))
     details["kappa0_zero_los"] = worst
 
     # Rayleigh/gamma composite against a nested-quadrature oracle coded

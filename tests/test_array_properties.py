@@ -41,7 +41,14 @@ def test_array_bessel_matches_float_path(case):
 # The series route on arrays: past PARAM_BOX, on unsorted points with
 # duplicates, x = 0 and x from 1e-8 to 50 mean shadow scales b*omega.
 from compfade import CompositeModel, GammaShadowParams, SeriesConfig  # noqa: E402
-from compfade.composite import FAMILIES, composite_pdf  # noqa: E402
+from compfade.composite import (  # noqa: E402
+    FAMILIES,
+    akm_gamma_pdf_series,
+    am_gamma_pdf,
+    composite_density,
+    composite_pdf,
+    extreme_gamma_pdf,
+)
 from compfade.errors import DomainError, NonConvergenceError  # noqa: E402
 
 _PAST_BOX = {
@@ -97,3 +104,16 @@ def test_series_array_raises_the_float_domain_error(family, bad):
         if not (0.0 <= xi < math.inf):
             with pytest.raises(DomainError):
                 composite_pdf(model, xi, SeriesConfig())
+
+
+@pytest.mark.parametrize(
+    "family, evaluator",
+    [("akm", akm_gamma_pdf_series), ("am", am_gamma_pdf), ("extreme", extreme_gamma_pdf)],
+    ids=["akm", "am", "extreme"],
+)
+def test_series_empty_batch_gives_an_empty_array(family, evaluator):
+    multipath = FAMILIES[family].params(*([2.0] * len(FAMILIES[family].fields)))
+    model = CompositeModel(multipath, GammaShadowParams(1.5, 0.9))
+    for got in (evaluator(model, np.array([])), composite_pdf(model, np.array([])),
+                composite_density(model).values([])):
+        assert isinstance(got, np.ndarray) and got.shape == (0,)

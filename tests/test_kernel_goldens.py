@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compfade import AmParams, CompositeModel, GammaShadowParams, composite, mc
 from compfade import shadow_kernel_integral_ln
 from compfade.errors import DomainError, NonConvergenceError
 
@@ -83,12 +84,22 @@ def test_block_with_far_apart_end_rows_matches_one_row_calls():
     assert np.max(np.abs(np.expm1(got - rows))) <= DEFAULT_REL_TOL
 
 
-def test_block_out_of_budget_matches_one_row_calls():
-    # The rows share a peak about 1e-9 wide, and the shared grid runs out of
-    # budget while it widens or halves its step; each row alone does not.
+def test_block_out_of_budget_matches_one_row_calls(monkeypatch):
+    # The rows share a peak about 1e-9 wide, and the shared grid's next step
+    # would reach the node budget; each row alone does not.
     powers = 0.22818897165230112 - np.arange(24)
     a, alpha, omega = 2.8559842093782665e24, 0.5307178576283406, 0.00676141217688066
-    got = shadow_kernel_integral_ln(powers, a, alpha, omega)
+    calls, kernel = [], composite.shadow_kernel_integral_ln
+
+    def recording(p, *args, **kwargs):
+        calls.append(np.size(p))
+        return kernel(p, *args, **kwargs)
+
+    monkeypatch.setattr(composite, "shadow_kernel_integral_ln", recording)
+    got = recording(powers, a, alpha, omega)
+    # The block did split: both end rows alone, then the two halves.
+    assert calls == [24, 1, 1, 12, 12]
+    monkeypatch.undo()
     rows = [shadow_kernel_integral_ln(float(q), a, alpha, omega) for q in powers]
     assert got.tolist() == pytest.approx(rows, rel=1e-12, abs=0.0)
 
@@ -168,3 +179,37 @@ def test_scale_array_halves_only_the_unconverged_points():
     got = shadow_kernel_integral_ln(-1.55, scales, 2.0, 0.9)
     want = _stacked(-1.55, scales, 2.0, 0.9)
     assert np.max(np.abs(np.expm1(got - want))) <= 1e-12
+
+
+def test_passes_keep_the_cell_cap_and_drop_converged_points(monkeypatch):
+    # Every pass over more than one point holds at most _KERNEL_CELLS values,
+    # refinement passes included, and a point that converged is never
+    # evaluated again.
+    passes, kernel_pass = [], composite._kernel_pass
+
+    def recording(ap, entries, intervals, *args):
+        ln_k, unfinished = kernel_pass(ap, entries, intervals, *args)
+        left = [e[0] for e in unfinished]
+        if len(entries) > 1:  # a point leaves a group pass as it would leave one of its own
+            alone = [e[0] for e in entries if kernel_pass(ap, [e], intervals, *args)[1]]
+            assert left == alone
+        passes.append((ap, [e[0] for e in entries], intervals, left))
+        return ln_k, unfinished
+
+    monkeypatch.setattr(composite, "_kernel_pass", recording)
+    shadow_kernel_integral_ln(-1.55, np.array([1e-3, 0.05, 0.5, 0.05, 10.0]), 2.0, 0.9)
+    powers = 0.22818897165230112 - np.arange(24)
+    a, alpha, omega = 2.8559842093782665e24, 0.5307178576283406, 0.00676141217688066
+    shadow_kernel_integral_ln(powers, np.array([2.0 * a, a, 0.5 * a]), alpha, omega)
+    model = CompositeModel(AmParams(2.0, 2.1), GammaShadowParams(1.1, 0.9))  # gof_cdf's am-gamma
+    mc.build_cdf_table(composite.composite_density(model), 4.0, 1200)
+    converged, leaving = set(), 0
+    for ap, points, intervals, unfinished in passes:
+        if len(points) > 1:
+            assert ap.size * len(points) * (intervals + 1) <= composite._KERNEL_CELLS
+            leaving += bool(unfinished)
+        # A point is its position in one kernel call, whose powers are ap.
+        keys = {(id(ap), i) for i in points}
+        assert converged.isdisjoint(keys)
+        converged |= keys - {(id(ap), i) for i in unfinished}
+    assert leaving >= 2  # passes over several points that some points leave
