@@ -28,13 +28,13 @@ Two independent evaluation routes are provided for every composite family:
   batch share the Poisson mode, so they share each block's kernel call,
   one array pass over points x rows x nodes with each point on its own
   grid, and each point stops on its own.  The points a pass leaves
-  unconverged, with a wider range or half the step, are grouped into
-  passes again; a point whose next grid reaches the node budget is
-  evaluated alone.  Term l is the clustering component N = l, or N = l + 1
-  where component 0 is an atom.
-  The sum runs outward from the Poisson mode on both sides.  Integrating
-  the kernel by parts bounds the terms each side has left by a geometric
-  series, and the sum stops once both bounds are within rel_tol of it.
+  unconverged are grouped into passes again at half the step; a point
+  whose next grid reaches the node budget is evaluated alone.  Term l is
+  the clustering component N = l, or N = l + 1 where component 0 is an
+  atom.  The sum runs outward from the Poisson mode on both sides.
+  Integrating the kernel by parts bounds every later term ratio of a side
+  by one number q; with q < 1 a geometric series bounds the terms it has
+  left, and the sum stops once both bounds are within rel_tol of it.
 
 With lam = 0 (the zero-LOS composite) one kernel evaluation is exact.  A
 zero shape keeps the deep-fade atom exp(-lam) at zero, which the shadow
@@ -70,6 +70,7 @@ from .models import (
     gamma_shadow_pdf,
 )
 from .numerics import integrate_semi_infinite
+from .specfun import _gross_ln_weight
 from .numerics import sum_adaptive  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -266,18 +267,20 @@ def shadow_kernel_integral_ln(
     (-phi''(t*))^(-1/2), and the range walks out (4 sigma, then tangent
     steps) until phi - phi(t*) <= ln(rel_tol) - 5, past which concavity
     leaves under rel_tol * e^-5 of the integral.  All rows of a point share
-    one uniform grid over both ranges; each row is taken relative to one
-    reference node and shifted by its own maximum, so none overflows or
-    cancels.
+    one uniform grid over both ranges, which holds every row's cut: a row's
+    peak lies between the end rows' peaks and phi_p - phi_q = alpha*(p-q)*t,
+    so at the left end each row lies at least as far below its peak as the
+    smallest-power row does, and at the right end as the largest-power row
+    does.  Each row is taken relative to one reference node and shifted by
+    its own maximum, so none overflows or cancels.
 
     Points are evaluated together, in array passes of at most _KERNEL_CELLS
     values unless one point alone is larger: each point keeps its own range
     and step, and a pass's points share its node count, the largest they
     need and at most twice the least (first 2 * max(16, 2 * range/sigma)).
-    A pass evaluates each grid once.  It widens a point's range by half at
-    each end where a row is still above the floor, or else halves the step
-    of a point whose sums at steps h and 2h of some row differ by more than
-    ``rel_tol``; such points are grouped into passes again.  A point whose
+    A pass evaluates each grid once and halves the step of a point whose
+    sums at steps h and 2h of some row differ by more than ``rel_tol``; such
+    points are grouped into passes again.  A point whose
     rows' peaks lie too far apart for one grid, or whose next grid has
     ``budget`` or more intervals, is evaluated on its own; alone, its rows
     are split in two halves, and a single row over ``budget``, or whose
@@ -319,7 +322,7 @@ def shadow_kernel_integral_ln(
         return np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
 
     # (position, grid, interval count) of each point to evaluate next; a
-    # grid is (t0, sigma, left, right, big_a, big_b).
+    # grid is (t0, left, right, big_a, big_b).
     queue = []
     for i, a_i in enumerate(points.tolist()):
         if not 0.0 < a_i < math.inf:
@@ -337,7 +340,8 @@ def shadow_kernel_integral_ln(
                 out[i] = alone(a_i, "kernel peaks too far apart")
                 continue
         big_a, big_b = math.exp(math.log(a_i) - alpha * t0), math.exp(t0 - ln_omega)
-        queue.append((i, (t0, sigma, left, right, big_a, big_b), _intervals(left, right, sigma)))
+        intervals = 2 * max(16, math.ceil(2.0 * (right - left) / sigma))
+        queue.append((i, (t0, left, right, big_a, big_b), intervals))
     while queue:
         for i, _, intervals in queue:
             if intervals >= budget:
@@ -347,7 +351,7 @@ def shadow_kernel_integral_ln(
         todo, queue = [t for t in sorted(queue) if t[2] < budget], []
         for group, intervals in _passes([t[2] for t in todo], rows.size):
             entries = [todo[g] for g in group]
-            ln_k, unfinished = _kernel_pass(ap, entries, intervals, alpha, ln_alpha, floor, rel_tol)
+            ln_k, unfinished = _kernel_pass(ap, entries, intervals, alpha, ln_alpha, rel_tol)
             if len(group) == points.size:  # every point, in order
                 out = ln_k
             else:
@@ -358,22 +362,17 @@ def shadow_kernel_integral_ln(
     return float(out[0, 0])
 
 
-def _intervals(left: float, right: float, sigma: float) -> int:
-    return 2 * max(16, math.ceil(2.0 * (right - left) / sigma))  # a range's first count
-
-
-def _kernel_pass(ap, entries: list, intervals: int, alpha, ln_alpha, floor, rel_tol):
+def _kernel_pass(ap, entries: list, intervals: int, alpha, ln_alpha, rel_tol):
     # One array pass over the points of ``entries``, each on its own grid of
     # ``intervals`` intervals about its t0.  One point's grid values go in as
     # floats, which costs no more array calls than one row set, a group's as
     # (points x 1) columns; arrays run rows x [points x] nodes.  Returns the
-    # (points x rows) logs and the entry to try next of each point not
-    # converged: its range widened by half at each end where a row is still
-    # above floor, or else its step halved.
+    # (points x rows) logs and, for each point not converged, its entry at
+    # half the step.
     cols = [
         (t0, left, right, big_a, big_b,
          ln_alpha + math.log((right - left) / intervals) - big_a - big_b)
-        for _, (t0, _, left, right, big_a, big_b), _ in entries
+        for _, (t0, left, right, big_a, big_b), _ in entries
     ]
     cols = cols[0] if len(entries) == 1 else np.array(cols).T[:, :, None]
     t0, left, right, big_a, big_b, shift = cols
@@ -382,24 +381,14 @@ def _kernel_pass(ap, entries: list, intervals: int, alpha, ln_alpha, floor, rel_
     ex -= big_a * np.expm1(-alpha * s) + big_b * np.expm1(s)
     top = np.maximum.reduce(ex, axis=-1, keepdims=True)
     ex -= top
-    ends = np.maximum.reduce(ex[..., ::intervals], axis=0).tolist()  # [points x] 2
     # With S the node sum at step h, the integral is h*S; the sum at step 2h
     # is twice the even-node sum: the two agree when the half sum over S is
     # 1/2.  NaN never converges.
     np.exp(np.maximum(ex, _EXP_FLOOR, out=ex), out=ex)
     total, half = np.add.reduce(ex, axis=-1), np.add.reduce(ex[..., ::2], axis=-1)
-    gaps = np.maximum.reduce(abs(half / total - 0.5), axis=0).tolist()
-    if len(entries) == 1:
-        ends, gaps = [ends], [gaps]
-    unfinished = []
-    for (i, grid, _), (lo_end, hi_end), gap in zip(entries, ends, gaps):
-        if lo_end > floor or hi_end > floor:
-            t, sigma, lo, hi, *ab = grid
-            width = hi - lo
-            lo, hi = lo - (lo_end > floor) * 0.5 * width, hi + (hi_end > floor) * 0.5 * width
-            unfinished.append((i, (t, sigma, lo, hi, *ab), _intervals(lo, hi, sigma)))
-        elif not gap <= 0.5 * rel_tol:
-            unfinished.append((i, grid, 2 * intervals))
+    gaps = np.maximum.reduce(abs(half / total - 0.5), axis=0).reshape(-1).tolist()
+    unfinished = [(i, grid, 2 * intervals) for (i, grid, _), gap in zip(entries, gaps)
+                  if not gap <= 0.5 * rel_tol]
     return t0 * ap[None, :] + shift + top[..., 0].T + np.log(total).T, unfinished
 
 
@@ -599,12 +588,6 @@ def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_
 # Series route
 # ----------------------------------------------------------------------
 
-def _gross_ln_weight(n: int, l: int) -> float:
-    # Weight of the degree-n polynomial surrogate relative to the
-    # ascending-series term; tends to 1 as n grows.
-    return math.lgamma(n + l) - math.lgamma(n - l + 1.0) + (1.0 - 2.0 * l) * math.log(n)
-
-
 def _series_terms(mp: MultipathParams, sh: GammaShadowParams):
     # (ln_coeff, g, p0, lam, rate, mode): term l of the density at x > 0 is
     # exp(base + slope ln x), with (base, slope) = ln_coeff(l), times the
@@ -661,12 +644,15 @@ def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> lis
         return total
     # By parts, t(l+1)/t(l) = lam (l - p0 + c_l) / g(l) with c_l the mean of
     # u^(1/alpha) / (alpha omega) under kernel row l, which falls as l rises
-    # (a monotone likelihood ratio in u).  So a ratio r seen at l bounds every
-    # later ratio from above, and every earlier one from below, by R(j) =
-    # (r g(l) + lam (j - l)) / g(j).  While R > 0 the condition that R falls
-    # at j is a quadratic rising in j: once R falls it falls on, and R is
-    # least at an end of any range.  A side then has at most t q / (1 - q)
-    # left, q the bound on its next ratio.
+    # (a monotone likelihood ratio in u).  So the ratio r seen at k bounds
+    # every later ratio from above, and every earlier one from below, by R(l)
+    # = (b + lam l) / g(l), b = r g(k) - lam k.  R' has the sign of lam g -
+    # (b + lam l) g', g' = g(l + 1) - g(l) - 1 the slope of g: a downward
+    # parabola with vertex -b/lam, not negative at 0 if b <= 0.  So over l >= 0
+    # R rises, then falls, and R = lam / g' at its peak.  Upward from j (k =
+    # j - 1) q = max(R(j), R(j + 1), lam / g'(j + 1)) bounds every ratio;
+    # downward (k = j) with b > 0, q = 1 / min(R(j - 1), R(0)) bounds every
+    # inverse ratio.  A side then has at most t q / (1 - q) left.
     coeffs = {}  # (base, slope) of each term read, computed once for all points
     rel_tol, home = cfg.rel_tol, top - top % _KERNEL_BLOCK
     first = ln_kernels(home)
@@ -694,14 +680,14 @@ def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> lis
                     v += (t := math.exp(ln_t))
                     if j and t <= rel_tol * v:  # only then can the bound stop the sum
                         r = math.exp(step * (ln_t - ln_prev))  # t(k+1)/t(k), k = j - 1 or j
-                        if step > 0:  # q = R(j), and R falls from j on
-                            num, den = r * g(j - 1) + lam, g(j)
-                            falls = lam * den <= num * (g(j + 1) - den)
-                        else:  # q = 1/R(j - 1), the least R below j where R(0) >= R(j - 1)
-                            num, den = g(j - 1), r * g(j) - lam
-                            falls = (den - lam * (j - 1)) * num >= g(0) * den
-                        if falls and num < den and r_ + t * num / (den - num) <= rel_tol * v:
-                            r_ += t * num / (den - num)
+                        if step > 0:  # R(l) = (num + lam (l - j)) / g(l)
+                            num, peak = r * g(j - 1) + lam, lam / (g(j + 2) - g(j + 1) - 1.0)
+                            q = max(num / g(j), (num + lam) / g(j + 1), peak)  # NaN stays first
+                        else:
+                            b = r * g(j) - lam * j
+                            q = max(g(j - 1) / (r * g(j) - lam), g(0) / b) if b > 0.0 else 1.0
+                        if q < 1.0 and r_ + t * q / (1.0 - q) <= rel_tol * v:
+                            r_ += t * q / (1.0 - q)
                             break
                     ln_prev = ln_t
                 else:

@@ -305,19 +305,17 @@ def bessel_i_gross(nu: float, x: float, n: int) -> float:
         return 0.0 if nu > 0.0 else math.inf
     half = 0.5 * x  # rounds to 0 at the least subnormal x
     ln_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
-    ln_n = math.log(n)
     total = 0.0
     for l in range(n + 1):
-        ln_term = (
-            math.lgamma(n + l)
-            - math.lgamma(l + 1.0)
-            - math.lgamma(n - l + 1.0)
-            + (1.0 - 2.0 * l) * ln_n
-            - math.lgamma(nu + l + 1.0)
-            + (nu + 2.0 * l) * ln_half
-        )
-        total += math.exp(ln_term)
+        ln_term = _gross_ln_weight(n, l) - math.lgamma(l + 1.0) - math.lgamma(nu + l + 1.0)
+        total += math.exp(ln_term + (nu + 2.0 * l) * ln_half)
     return total
+
+
+def _gross_ln_weight(n: int, l: int) -> float:
+    # ln of the degree-n surrogate's weight Gamma(n+l) n^(1-2l) / Gamma(n-l+1)
+    # of ascending-series term l; tends to 0 as n grows.
+    return math.lgamma(n + l) - math.lgamma(n - l + 1.0) + (1.0 - 2.0 * l) * math.log(n)
 
 
 def _lower_gamma_series(a: float, x: float, ln_fac: float) -> float:

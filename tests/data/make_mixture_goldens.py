@@ -34,6 +34,12 @@ is an mpmath quadrature over y, with breakpoints at x and b omega, of the
 same Poisson-gamma F at rate rho^alpha, rho = x / y (``mixture_cdf``, which
 is cheaper per node than ``mixture``).  It is computed at ``QUAD_DPS`` and
 ``QUAD_DPS + 10`` digits, which must agree to ``AGREE_QUAD`` relative.
+The composite density (``composite_pdf``) of the same models at the same
+points is the same quadrature of the plain density below,
+
+    f(x) = int_0^inf f_mp(x / y) / y  y^(b-1) e^(-y/omega) / (Gamma(b) omega^b) dy,
+
+the continuous part only (the extreme family's deep-fade atom is left out).
 
 The plain multipath densities (``pdf``) are the Poisson mixture of gamma
 densities of u = rho^alpha, times alpha rho^(alpha-1), summed in closed
@@ -255,6 +261,31 @@ def composite_cdf_cases():
                        "x": x, "cdf": mp.nstr(low, QUAD_DPS)}
 
 
+def composite_pdf(alpha, lam, shape, rate, b, omega, x, dps):
+    """The composite density at x of multipath (alpha, lam, shape, rate) over
+    a Gamma(b, omega) shadow, at ``dps`` digits."""
+    with mp.workdps(dps + 10):
+        b, omega, x = mp.mpf(b), mp.mpf(omega), mp.mpf(x)
+        norm = mp.gamma(b) * omega**b
+
+        def integrand(y):
+            pdf = plain_pdf(alpha, lam, shape, rate, x / y, dps) / y
+            return pdf * y ** (b - 1) * mp.exp(-y / omega) / norm
+
+        return +mp.quad(integrand, [0] + sorted({x, b * omega}) + [mp.inf])
+
+
+def composite_pdf_cases():
+    for family, multipath, form in COMPOSITES:
+        for shadow in SHADOWS:
+            for x in COMPOSITE_X:
+                low, high = (composite_pdf(*form, shadow["b"], shadow["omega"], x, dps)
+                             for dps in (QUAD_DPS, QUAD_DPS + 10))
+                assert abs(low - high) <= AGREE_QUAD * abs(high), (family, multipath, shadow, x)
+                yield {"family": family, "multipath": multipath, "shadow": shadow,
+                       "x": x, "pdf": mp.nstr(low, QUAD_DPS)}
+
+
 # Plain densities: (family, parameters), each at every PDF_RHO whose value
 # is at least PDF_FLOOR.
 PDF_FLOOR = mp.mpf("1e-300")
@@ -352,6 +383,7 @@ def main() -> None:
         "extreme_cdf": list(extreme_cases()),
         "extreme_cdf_upper": list(extreme_upper_cases()),
         "composite_cdf": list(composite_cdf_cases()),
+        "composite_pdf": list(composite_pdf_cases()),
         "pdf": list(pdf_cases()),
         "moment": list(moment_cases()),
     }

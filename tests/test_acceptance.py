@@ -87,6 +87,13 @@ def test_moments_check_fails_on_a_nan_closed_form(monkeypatch):
     assert math.isnan(result["measured"])
 
 
+@pytest.mark.parametrize("name", ["degenerate_shadow", "gross_series_consistency", "figures"])
+def test_full_level_check_passes(name):
+    # The checks that ``compfade validate --level quick`` skips.
+    result = validation.CHECKS[name]()
+    assert result["passed"], json.dumps(result["details"])[:800]
+
+
 def test_criterion_06_power_variance_identity():
     # 1/Var(P^2) equals mu(1+kappa)^2/(1+2kappa) at alpha=2 on 20 draws.
     result = validation.check_power_variance_identity(draws=20)

@@ -411,6 +411,62 @@ class TestSeriesBlocks:
         low = composite_pdf(self.BOX_MODEL, self.BOX_X, SeriesConfig(max_terms=5))
         assert low == composite_pdf(self.BOX_MODEL, self.BOX_X)
 
+    def test_upward_side_stops_where_its_ratio_bound_still_rises(self, series_terms):
+        # lam = 1.3e-3.  From term 3, the first below the tolerance, up to
+        # about term 40, the bound R on the later upward ratios rises before
+        # it falls, though it stays below 1e-3.  Four terms meet the
+        # tolerance; waiting for R to fall from the current term took 43.
+        model = CompositeModel(AkmParams(0.3438, 8.63e-4, 1.540), GammaShadowParams(7.599, 0.2829))
+        x = 0.01413
+        got = composite_pdf(model, x)
+        assert len(series_terms) <= 7
+        assert got == pytest.approx(mixture_pdf(model, x, rel_tol=1e-12), rel=1e-12)
+
+
+class TestDomainErrors:
+    SHADOW = GammaShadowParams(1.5, 0.9)
+    MODELS = {
+        "akm": CompositeModel(AkmParams(2.0, 1.0, 1.5), SHADOW),
+        "am": CompositeModel(AmParams(2.0, 1.5), SHADOW),
+        "extreme": CompositeModel(ExtremeParams(2.0, 1.0), SHADOW),
+    }
+
+    def test_composite_model_checks_its_parts(self):
+        with pytest.raises(DomainError):
+            CompositeModel(self.SHADOW, self.SHADOW)
+        with pytest.raises(DomainError):
+            CompositeModel(AkmParams(2.0, 1.0, 1.5), AmParams(2.0, 1.5))
+
+    @pytest.mark.parametrize(
+        "alpha, omega", [(0.0, 0.9), (math.inf, 0.9), (2.0, -0.9), (2.0, math.nan)]
+    )
+    def test_kernel_args_check_alpha_and_omega(self, alpha, omega):
+        with pytest.raises(DomainError):
+            KernelArgs(1.0, 1.7, alpha, omega)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, 1.0, -1e-9, math.nan])
+    def test_kernel_rel_tol_lies_in_the_unit_interval(self, rel_tol):
+        with pytest.raises(DomainError):
+            shadow_kernel_integral_ln(1.0, 1.7, 2.0, 0.9, rel_tol=rel_tol)
+
+    def test_family_of_an_unknown_object(self):
+        with pytest.raises(DomainError):
+            composite.family_of(object())
+
+    @pytest.mark.parametrize(
+        "evaluator, family",
+        [
+            (lambda m: akm_gamma_pdf_series(m, 1.0), "am"),
+            (lambda m: am_gamma_pdf(m, 1.0), "extreme"),
+            (lambda m: extreme_gamma_pdf(m, 1.0), "akm"),
+            (extreme_gamma_density, "am"),
+        ],
+        ids=["akm-series", "am-exact", "extreme-series", "extreme-density"],
+    )
+    def test_series_evaluators_take_their_own_family(self, evaluator, family):
+        with pytest.raises(DomainError):
+            evaluator(self.MODELS[family])
+
 
 MULTIPATH = {
     "akm": AkmParams(2.0, 1.0, 1.0),

@@ -5,7 +5,10 @@ mpmath at 30 digits for a mean number of dominant clusters from 1 to 2,500,
 both tails included; only ``test_goldens_regenerate`` needs mpmath.  A
 value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3.  The
 composite cdf (an mpmath quadrature over the shadow, at 20 digits) matches
-to 1e-9 relative from x = 1e-8 to its upper tail.  Far above its mean,
+to 1e-9 relative from x = 1e-8 to its upper tail, and the composite
+density (the same quadrature of the plain density) matches on both
+routes, the series at rel_tol 1e-10 and the oracle, to 1e-10 relative over
+the same points.  Far above its mean,
 where 1 - F falls from 1e-3 to 1e-9 and m reaches 500, ``extreme_cdf``
 matches to 2e-15 absolute.  The plain densities match to 1e-12 relative
 from rho = 1e-6 into the far tail, with kappa from 1e-12 to 50 and m up to
@@ -27,15 +30,18 @@ from compfade import (
     ExtremeParams,
     GammaShadowParams,
     ScaledEnvelope,
+    SeriesConfig,
     akm_cdf,
     akm_cdf_series,
     akm_moment,
     akm_pdf_normalized,
     am_pdf,
+    composite_pdf,
     extreme_cdf,
     extreme_pdf,
     marcum_q,
     mixture_cdf,
+    mixture_pdf,
 )
 from compfade.composite import FAMILIES
 
@@ -79,16 +85,26 @@ def test_extreme_cdf_upper_side(case):
     assert abs(got - float(case["cdf"])) <= 2e-15
 
 
-@pytest.mark.parametrize(
-    "case",
-    _DATA["composite_cdf"],
-    ids=lambda c: "-".join(f"{k}{v:g}" for k, v in (*c["multipath"].items(), *c["shadow"].items()))
-    + f"-x{c['x']:g}",
-)
-def test_mixture_cdf(case):
+def _composite_id(c):
+    pairs = (*c["multipath"].items(), *c["shadow"].items())
+    return "-".join(f"{k}{v:g}" for k, v in pairs) + f"-x{c['x']:g}"
+
+
+def _composite(case):
     family = FAMILIES[case["family"]]
-    model = CompositeModel(family.params(**case["multipath"]), GammaShadowParams(**case["shadow"]))
-    assert mixture_cdf(model, case["x"]) == pytest.approx(float(case["cdf"]), rel=1e-9)
+    return CompositeModel(family.params(**case["multipath"]), GammaShadowParams(**case["shadow"]))
+
+
+@pytest.mark.parametrize("case", _DATA["composite_cdf"], ids=_composite_id)
+def test_mixture_cdf(case):
+    assert mixture_cdf(_composite(case), case["x"]) == pytest.approx(float(case["cdf"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("case", _DATA["composite_pdf"], ids=_composite_id)
+def test_composite_pdf(case):
+    model, x, golden = _composite(case), case["x"], float(case["pdf"])
+    assert composite_pdf(model, x, SeriesConfig(rel_tol=1e-10)) == pytest.approx(golden, rel=1e-10)
+    assert mixture_pdf(model, x) == pytest.approx(golden, rel=1e-10)
 
 
 _PDFS = {
@@ -127,7 +143,7 @@ def test_goldens_regenerate():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     cases = (gen.marcum_cases, gen.akm_cases, gen.extreme_cases, gen.extreme_upper_cases,
-             gen.composite_cdf_cases, gen.pdf_cases, gen.moment_cases)
-    sections = ("marcum_q", "akm_cdf", "extreme_cdf", "extreme_cdf_upper", "composite_cdf", "pdf",
-                "moment")
+             gen.composite_cdf_cases, gen.composite_pdf_cases, gen.pdf_cases, gen.moment_cases)
+    sections = ("marcum_q", "akm_cdf", "extreme_cdf", "extreme_cdf_upper", "composite_cdf",
+                "composite_pdf", "pdf", "moment")
     assert [next(c()) for c in cases] == [_DATA[name][0] for name in sections]

@@ -104,6 +104,13 @@ class TestBesselI:
         with pytest.raises(DomainError):
             bessel_i(-1.5, 1.0)
 
+    def test_long_array_is_evaluated_in_parts(self):
+        # More than specfun._ROWS (4,096) arguments, across both branches.
+        x = np.linspace(0.0, 60.0, 5_000)
+        got = bessel_i_scaled(1.3, x)
+        ref = np.array([bessel_i_scaled(1.3, float(v)) for v in x])
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
 
 class TestBesselGross:
     def test_origin(self):
