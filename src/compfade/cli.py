@@ -273,7 +273,7 @@ def cmd_curve(cfg: dict, cdf: bool) -> int:
     xs = _parse_grid(cfg)
     series_cfg = _series_config(cfg)
     oracle = bool(cfg.get("oracle"))
-    metadata = _base_metadata(series_cfg, oracle)
+    metadata = _base_metadata(series_cfg, oracle and is_composite)
     if not cdf:
         density = _density_for(model, is_composite, cfg, series_cfg, oracle)
         values, atoms = density.values(xs), density.atoms

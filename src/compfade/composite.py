@@ -29,7 +29,7 @@ Two independent evaluation routes are provided for every composite family:
   one array pass over points x rows x nodes with each point on its own
   grid, and each point stops on its own.  The points a pass leaves
   unconverged are grouped into passes again at half the step; a point
-  whose next grid reaches the node budget is evaluated alone.  Term l is
+  whose next grid reaches the node budget splits its rows in two.  Term l is
   the clustering component N = l, or N = l + 1 where component 0 is an
   atom.  The sum runs outward from the Poisson mode on both sides.
   Integrating the kernel by parts bounds every later term ratio of a side
@@ -280,11 +280,11 @@ def shadow_kernel_integral_ln(
     need and at most twice the least (first 2 * max(16, 2 * range/sigma)).
     A pass evaluates each grid once and halves the step of a point whose
     sums at steps h and 2h of some row differ by more than ``rel_tol``; such
-    points are grouped into passes again.  A point whose
-    rows' peaks lie too far apart for one grid, or whose next grid has
-    ``budget`` or more intervals, is evaluated on its own; alone, its rows
-    are split in two halves, and a single row over ``budget``, or whose
-    peak is narrower than doubles resolve, raises NonConvergenceError.
+    points are grouped into passes again.  A point whose next grid has
+    ``budget`` or more intervals, or whose rows' peaks lie too far apart for
+    one grid, leaves the passes: its two end rows run alone, then its rows
+    in two halves, each as its own call.  A single row over ``budget``, or
+    whose peak is narrower than doubles resolve, raises NonConvergenceError.
     """
     given, scales = np.asarray(p, dtype=float), np.asarray(a, dtype=float)
     rows, points = given.reshape(-1), scales.reshape(-1)
@@ -306,21 +306,6 @@ def shadow_kernel_integral_ln(
     ap, floor = alpha * rows, math.log(rel_tol) - 5.0
     ln_alpha, ln_omega = math.log(alpha), math.log(omega)
     out = np.empty((points.size, rows.size))
-
-    def alone(a_i: float, message: str, over_budget: bool = False):
-        # A point that cannot share a pass: its own call among others; alone,
-        # its rows in two halves, or NonConvergenceError for a single row.
-        args = (a_i, alpha, omega, rel_tol, budget)
-        if points.size > 1:
-            return shadow_kernel_integral_ln(rows, *args)
-        if rows.size == 1:
-            raise NonConvergenceError(message)
-        if over_budget:  # the narrowest row is an end row, the likeliest to
-            for q in (lo_p, hi_p):  # fail alone: if one does, it raises now
-                shadow_kernel_integral_ln(q, *args)
-        halves = np.array_split(rows, 2)
-        return np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
-
     # (position, grid, interval count) of each point to evaluate next; a
     # grid is (t0, left, right, big_a, big_b).
     queue = []
@@ -336,16 +321,20 @@ def shadow_kernel_integral_ln(
             t1, sigma1, left1, right1 = _kernel_cut(hi_p, a_i, alpha, omega, floor)
             gap = t1 - t0  # from the smallest-power peak to the largest
             sigma, left, right = min(sigma, sigma1), min(left, gap + left1), max(right, gap + right1)
-            if right > 700.0:  # e^(t - t0) overflows at the far peak
-                out[i] = alone(a_i, "kernel peaks too far apart")
-                continue
         big_a, big_b = math.exp(math.log(a_i) - alpha * t0), math.exp(t0 - ln_omega)
-        intervals = 2 * max(16, math.ceil(2.0 * (right - left) / sigma))
+        # e^(t - t0) overflows at a far peak past 700: such a point splits.
+        intervals = budget if right > 700.0 else 2 * max(16, math.ceil(2.0 * (right - left) / sigma))
         queue.append((i, (t0, left, right, big_a, big_b), intervals))
     while queue:
         for i, _, intervals in queue:
-            if intervals >= budget:
-                out[i] = alone(float(points[i]), f"kernel budget of {budget} nodes exhausted", True)
+            if intervals >= budget:  # a point that cannot share a pass splits
+                if rows.size == 1:
+                    raise NonConvergenceError(f"kernel budget of {budget} nodes exhausted")
+                args = (float(points[i]), alpha, omega, rel_tol, budget)
+                for q in (lo_p, hi_p):  # the end rows, the likeliest to fail
+                    shadow_kernel_integral_ln(q, *args)  # alone, raise first
+                halves = np.array_split(rows, 2)
+                out[i] = np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
         # By position, so a pass over every point is in order; the rows of a
         # point that a pass leaves unconverged are written again later.
         todo, queue = [t for t in sorted(queue) if t[2] < budget], []

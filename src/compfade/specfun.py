@@ -16,7 +16,7 @@ Accuracy targets (enforced by the test suite):
 * ``ln_gamma``         relative error <= 1e-13
 * ``bessel_i``         relative error <= 1e-12 for x in [0, 700]
 * ``reg_upper_gamma``  relative error <= 1e-12
-* ``marcum_q``         truncation below 1e-15 (geometric bound on the Poisson tail)
+* ``marcum_q``         truncation below 1e-15, relative for Q < 1e-5 (geometric bound)
 * ``poisson_gamma_cdf`` relative error <= 1e-10, absolute 1e-12 below 1e-3;
                         absolute 2e-15 far above the mean (1 - F of 1e-3 to 1e-9)
 * ``kummer_1f1``       relative error <= 1e-10 in the supported regime
@@ -475,7 +475,8 @@ def marcum_q(mu: float, a: float, b: float) -> float:
     incomplete gamma call at the lowest i, then Q(c + 1, y) = Q(c, y) +
     y^c e^-y / Gamma(c + 1).  The weights start at their mode and stop where
     a geometric bound on the rest falls below 1e-15; as Q <= 1, so does the
-    truncation error.
+    truncation error.  A sum q below 1e-5 is summed again, on weights cut at
+    1e-15 * q, so that a small Q keeps its relative digits.
     """
     if not (mu > 0.0 and math.isfinite(mu)):
         raise DomainError(f"Marcum order must be finite and > 0, got {mu!r}")
@@ -483,7 +484,9 @@ def marcum_q(mu: float, a: float, b: float) -> float:
         raise DomainError(f"Marcum argument a must be finite and >= 0, got {a!r}")
     if not (b >= 0.0 and math.isfinite(b)):
         raise DomainError(f"Marcum argument b must be finite and >= 0, got {b!r}")
-    return _poisson_gamma_side(0.5 * a * a, mu, 0.5 * b * b, 1e-15, upper=True)
+    lam, y = 0.5 * a * a, 0.5 * b * b
+    q = _poisson_gamma_side(lam, mu, y, 1e-15, upper=True)
+    return _poisson_gamma_side(lam, mu, y, 1e-15 * q, upper=True) if q < 1e-5 else q
 
 
 def poisson_gamma_cdf(lam: float, shape: float, x: float, tail_tol: float) -> float:

@@ -100,6 +100,18 @@ class TestPdfCommand:
         for s, o in zip(series_vals, oracle_vals):
             assert s == pytest.approx(o, rel=1e-6)
 
+    def test_oracle_flag_leaves_a_plain_model_on_its_route(self, capsys):
+        # A plain model has no oracle: --oracle changes neither its values
+        # nor the route its metadata names.
+        args = ["pdf", "--model", "akm", "--alpha", "2", "--kappa", "1", "--mu", "1.5",
+                "--grid", "0.5:2:4", "--format", "json"]
+        payloads = []
+        for flags in ([], ["--oracle"]):
+            assert main(args + flags) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[1]["metadata"]["route"] == "series-or-exact"
+        assert payloads[1]["values"] == payloads[0]["values"]
+
     def test_missing_parameter_is_usage_error(self, capsys):
         code = main(["pdf", "--model", "akm", "--alpha", "2", "--mu", "1"])
         assert code == 2

@@ -150,7 +150,7 @@ def test_scale_array_of_row_blocks_matches_stacked_calls(entry):
     [
         # Peaks too far apart for one grid: this point's rows split.
         (15.2 - np.arange(24), 6e-82, 0.13, 0.002),
-        # Over budget on a shared grid: this point is evaluated alone.
+        # Over budget on a shared grid: this point splits its rows.
         (0.22818897165230112 - np.arange(24), 2.8559842093782665e24, 0.5307178576283406,
          0.00676141217688066),
     ],
@@ -159,6 +159,26 @@ def test_scale_array_of_row_blocks_matches_stacked_calls(entry):
 def test_scale_array_with_a_point_of_its_own_matches_stacked_calls(powers, a, alpha, omega):
     scales = np.array([2.0 * a, a, 0.5 * a])
     got = shadow_kernel_integral_ln(powers, scales, alpha, omega)
+    want = _stacked(powers, scales, alpha, omega)
+    assert got.ravel().tolist() == pytest.approx(want.ravel().tolist(), rel=1e-12, abs=0.0)
+
+
+def test_over_budget_point_of_a_batch_splits_without_a_restart(monkeypatch):
+    # The point that reaches the budget on the shared grid goes straight to
+    # its end rows and halves; its batch's refinements are not run again.
+    powers = 0.22818897165230112 - np.arange(24)
+    a, alpha, omega = 2.8559842093782665e24, 0.5307178576283406, 0.00676141217688066
+    scales = np.array([2.0 * a, a, 0.5 * a])
+    calls, kernel = [], composite.shadow_kernel_integral_ln
+
+    def recording(p, a, *args, **kwargs):
+        calls.append((np.size(a), np.size(p)))
+        return kernel(p, a, *args, **kwargs)
+
+    monkeypatch.setattr(composite, "shadow_kernel_integral_ln", recording)
+    got = recording(powers, scales, alpha, omega)
+    assert calls == [(3, 24), (1, 1), (1, 1), (1, 12), (1, 12)]
+    monkeypatch.undo()
     want = _stacked(powers, scales, alpha, omega)
     assert got.ravel().tolist() == pytest.approx(want.ravel().tolist(), rel=1e-12, abs=0.0)
 

@@ -3,7 +3,8 @@
 ``tests/data/make_mixture_goldens.py`` wrote ``mixture_goldens.json`` with
 mpmath at 30 digits for a mean number of dominant clusters from 1 to 2,500,
 both tails included; only ``test_goldens_regenerate`` needs mpmath.  A
-value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3.  The
+value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3; a
+Marcum Q value, the cdfs' upper tail, to 1e-10 relative only.  The
 composite cdf (an mpmath quadrature over the shadow, at 20 digits) matches
 to 1e-9 relative from x = 1e-8 to its upper tail, and the composite
 density (the same quadrature of the plain density) matches on both
@@ -54,9 +55,24 @@ def _close(got, golden):
     return math.isfinite(got) and abs(got - ref) <= max(1e-10 * ref, 1e-12 if ref < 1e-3 else 0.0)
 
 
+def _rel_close(got, golden):
+    # Relative only: Q keeps its digits down to its smallest values.
+    ref = float(golden)
+    return math.isfinite(got) and abs(got - ref) <= 1e-10 * ref
+
+
 @pytest.mark.parametrize("case", _DATA["marcum_q"], ids=lambda c: f"a{c['a']:.4g}-b{c['b']:g}")
 def test_marcum_q(case):
-    assert _close(marcum_q(case["mu"], case["a"], case["b"]), case["value"])
+    assert _rel_close(marcum_q(case["mu"], case["a"], case["b"]), case["value"])
+
+
+@pytest.mark.parametrize(
+    "mu, a, b, value",
+    # 40-digit mpmath, far out in the upper tail.
+    [(3.0, 2.0, 12.0, 6.336657219332626e-22), (2.0, 1.0, 9.0, 1.6407133460427084e-14)],
+)
+def test_marcum_q_small_values_keep_relative_digits(mu, a, b, value):
+    assert marcum_q(mu, a, b) == pytest.approx(value, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -69,7 +85,7 @@ def test_akm_cdf_both_tails(case):
     # The upper tail, directly.
     a = math.sqrt(2.0 * p.mu * p.kappa)
     b = case["rho"] ** (0.5 * p.alpha) * math.sqrt(2.0 * p.mu * (1.0 + p.kappa))
-    assert _close(marcum_q(p.mu, a, b), case["sf"])
+    assert _rel_close(marcum_q(p.mu, a, b), case["sf"])
 
 
 @pytest.mark.parametrize("case", _DATA["extreme_cdf"], ids=lambda c: f"m{c['m']:g}-rho{c['rho']:g}")
