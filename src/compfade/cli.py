@@ -2,7 +2,10 @@
 sets, draw samples, and run the validation suite.
 
 Exit status discipline: 0 on success, 1 when a validation or strict-mode
-check fails, 2 on usage or parameter errors.  Output is machine readable
+check fails, 2 on usage or parameter errors.  argparse is the one parser:
+the entries of a ``--config`` file are read as flags placed before the
+command line's own, so a bad config value exits 2 as a bad flag does, and
+an explicit flag wins.  Output is machine readable
 (CSV with ``x,value`` rows plus ``#atom,`` trailer rows, or JSON carrying
 the full curve table with metadata); no color codes are emitted, so
 ``NO_COLOR`` is honored trivially.
@@ -35,7 +38,7 @@ MODEL_CHOICES = (
     *_ALPHA_TWO_ALIASES,
 )
 
-_PARAM_FLAGS = (*dict.fromkeys(f for family in FAMILIES.values() for f in family.fields), "rhat")
+_PARAM_FLAGS = tuple(dict.fromkeys(f for family in FAMILIES.values() for f in family.fields))
 
 
 class UsageError(Exception):
@@ -55,27 +58,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"compfade {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    dflt = " (default %(default)s)"  # each flag states its own default
+
     def add_model_flags(p):
         p.add_argument("--model", choices=MODEL_CHOICES, help="distribution family")
         for flag in _PARAM_FLAGS:
             p.add_argument(f"--{flag}", type=float, help=f"model parameter {flag}")
+        p.add_argument("--rhat", type=float, default=1.0,
+                       help="rms scale of a plain model" + dflt)
         p.add_argument("--config", help="JSON file whose keys mirror the flags; flags win")
 
-    def add_eval_flags(p):
-        p.add_argument("--grid", help="evaluation grid as min:max:points (default 0.01:4:200)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    def add_output_flags(p):
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format" + dflt)
         p.add_argument("--out", help="output path (default stdout)")
+
+    def add_series_flags(p, note=""):
+        p.add_argument("--series-n", type=int, default=SeriesConfig.max_terms,
+                       help="--use-gross degree n" + dflt + note)
+        p.add_argument("--series-rel-tol", type=float, default=SeriesConfig.rel_tol,
+                       help="series stopping tolerance" + dflt + note)
+
+    def add_eval_flags(p):
+        p.add_argument("--grid", default="0.01:4:200", help="grid as min:max:points" + dflt)
+        add_output_flags(p)
         pdf_only = "; sets the pdf route and leaves a composite cdf unchanged"
-        p.add_argument("--series-n", type=int, help="--use-gross degree n (default 40)" + pdf_only)
-        p.add_argument("--series-rel-tol", type=float, help="series stopping tolerance" + pdf_only)
-        p.add_argument(
-            "--use-gross", action="store_true", default=None,
-            help="use the degree-n polynomial Bessel weights" + pdf_only,
-        )
-        p.add_argument(
-            "--oracle", action="store_true", default=None,
-            help="force the mixture-quadrature route for composites" + pdf_only,
-        )
+        add_series_flags(p, pdf_only)
+        p.add_argument("--use-gross", action="store_true",
+                       help="use the degree-n polynomial Bessel weights" + pdf_only)
+        p.add_argument("--oracle", action="store_true",
+                       help="force the mixture-quadrature route for composites" + pdf_only)
 
     p_pdf = sub.add_parser("pdf", help="evaluate a density on a grid")
     add_model_flags(p_pdf)
@@ -87,101 +99,93 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mom = sub.add_parser("moments", help="closed-form vs quadrature moments")
     add_model_flags(p_mom)
-    p_mom.add_argument("--orders", help="comma-separated moment orders (default 0,1,2,3,4)")
-    p_mom.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    p_mom.add_argument("--out", help="output path (default stdout)")
-    p_mom.add_argument("--strict", action="store_true", default=None,
+    p_mom.add_argument("--orders", default="0,1,2,3,4",
+                       help="comma-separated moment orders" + dflt)
+    add_output_flags(p_mom)
+    p_mom.add_argument("--strict", action="store_true",
                        help="exit 1 when any relative difference exceeds 1e-6")
 
     p_fig = sub.add_parser("figure", help="emit a standard figure's curve family")
     p_fig.add_argument("figure_id", type=int, choices=figures.FIGURE_IDS)
-    p_fig.add_argument("--out-dir", default=".", help="directory for the curve files")
-    p_fig.add_argument("--format", choices=("csv", "json"), help="output format (default json)")
-    p_fig.add_argument("--grid", help="grid as min:max:points (default 0.01:4:200)")
-    p_fig.add_argument("--series-n", type=int, help="use_gross degree, metadata only (default 160)")
+    p_fig.add_argument("--out-dir", default=".", help="directory for the curve files" + dflt)
+    p_fig.add_argument("--format", choices=("csv", "json"), default="json",
+                       help="output format" + dflt)
+    p_fig.add_argument("--grid", default="0.01:4:200", help="grid as min:max:points" + dflt)
+    p_fig.add_argument("--series-n", type=int, default=160,
+                       help="use_gross degree, metadata only" + dflt)
 
     p_samp = sub.add_parser("sample", help="draw reproducible samples and run gof")
     add_model_flags(p_samp)
-    p_samp.add_argument("--count", type=int, help="number of samples (default 100000)")
-    p_samp.add_argument("--seed", type=int, help="random seed (default 1)")
-    p_samp.add_argument("--series-n", type=int, help="use_gross degree n (default 40)")
-    p_samp.add_argument("--series-rel-tol", type=float, help="series stopping tolerance")
-    p_samp.add_argument("--out", help="sample file, one value per line (default samples.txt)")
+    p_samp.add_argument("--count", type=int, default=100_000, help="number of samples" + dflt)
+    p_samp.add_argument("--seed", type=int, default=1, help="random seed" + dflt)
+    add_series_flags(p_samp)
+    p_samp.add_argument("--out", default="samples.txt",
+                        help="sample file, one value per line" + dflt)
     p_samp.add_argument("--report", help="gof report path (default stdout)")
-    p_samp.add_argument("--strict", action="store_true", default=None,
-                        help="exit 1 when the gof check fails")
+    p_samp.add_argument("--strict", action="store_true", help="exit 1 when the gof check fails")
 
     p_val = sub.add_parser("validate", help="run the validation suite")
-    p_val.add_argument("--level", choices=("quick", "full"), default="quick")
+    p_val.add_argument("--level", choices=("quick", "full"), default="quick",
+                       help="suite size" + dflt)
     p_val.add_argument("--report", help="JSON report path (default stdout)")
 
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    merged = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {config_path}: {exc}")
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must contain a JSON object")
-        merged.update({k.replace("-", "_"): v for k, v in loaded.items()})
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value  # explicit flag wins over the config file
-    return merged
+def _config_tokens(path: str) -> list:
+    """The entries of a --config file as flag tokens: ``--key=value``, a
+    bare switch for ``true``, nothing for ``null`` or ``false``."""
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}")
+    if not isinstance(loaded, dict):
+        raise UsageError("config file must contain a JSON object")
+    tokens = []
+    for key, value in loaded.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not None and value is not False:  # not `in`: 0 == False, and 0 is a value
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _opt(cfg: dict, key: str, default):
-    # For numeric settings: a given zero is a value, only a missing one
-    # takes the default.
-    value = cfg.get(key)
-    return default if value is None else value
-
-
-def _params(family, cfg: dict):
+def _params(family, settings: dict):
     values = []
     for name in family.fields:
-        value = cfg.get(name)
+        value = settings[name]
         if value is None:
             raise UsageError(f"missing required parameter --{name}")
-        values.append(float(value))
+        values.append(value)
     return family.params(*values)
 
 
-def _build_model(cfg: dict):
+def _build_model(args: argparse.Namespace):
     """The model that --model and the parameter flags name, and whether it
     is a composite."""
-    name = cfg.get("model")
+    name, settings = args.model, vars(args)
     if name is None:
         raise UsageError("missing required flag --model")
     if name in _ALPHA_TWO_ALIASES:
-        if cfg.get("alpha") not in (None, 2.0):
+        if args.alpha not in (None, 2.0):
             raise UsageError(f"{name} fixes alpha = 2; drop --alpha or pass 2")
-        cfg = dict(cfg, alpha=2.0)
+        settings = dict(settings, alpha=2.0)
         name = _ALPHA_TWO_ALIASES[name]
-    family = FAMILIES.get(name.removesuffix(_COMPOSITE_SUFFIX))
-    if family is None:
-        raise UsageError(f"unknown model {name!r}")
+    family = FAMILIES[name.removesuffix(_COMPOSITE_SUFFIX)]
     try:
         if family.name == name:
-            return _params(family, cfg), False
-        shadow = _params(SHADOW, cfg)
-        return CompositeModel(_params(family, cfg), shadow), True
+            return _params(family, settings), False
+        shadow = _params(SHADOW, settings)
+        return CompositeModel(_params(family, settings), shadow), True
     except DomainError as exc:
         raise UsageError(str(exc))
 
 
-def _parse_grid(cfg: dict) -> np.ndarray:
-    spec = cfg.get("grid") or "0.01:4:200"
+def _parse_grid(spec: str) -> np.ndarray:
     try:
-        lo_s, hi_s, n_s = str(spec).split(":")
+        lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise UsageError(f"grid must be min:max:points, got {spec!r}")
@@ -190,22 +194,14 @@ def _parse_grid(cfg: dict) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _series_config(cfg: dict) -> SeriesConfig:
-    return SeriesConfig(
-        max_terms=int(_opt(cfg, "series_n", 40)),
-        rel_tol=float(_opt(cfg, "series_rel_tol", 1e-8)),
-        use_gross=bool(cfg.get("use_gross")),
-    )
+def _rhat(args: argparse.Namespace) -> float:
+    return ScaledEnvelope(args.rhat).rhat
 
 
-def _rhat(cfg: dict) -> float:
-    return ScaledEnvelope(float(_opt(cfg, "rhat", 1.0))).rhat
-
-
-def _density_for(model, is_composite: bool, cfg: dict, series_cfg: SeriesConfig, oracle: bool):
+def _density_for(model, is_composite: bool, args, series_cfg: SeriesConfig, oracle: bool):
     if is_composite:
         return composite.composite_density(model, series_cfg, oracle=oracle)
-    return composite.plain_density(model, _rhat(cfg))
+    return composite.plain_density(model, _rhat(args))
 
 
 def _fmt(value: float) -> str:
@@ -266,40 +262,37 @@ def _base_metadata(series_cfg: SeriesConfig, oracle: bool) -> dict:
     }
 
 
-def cmd_curve(cfg: dict, cdf: bool) -> int:
+def cmd_curve(args: argparse.Namespace, cdf: bool) -> int:
     # The body of ``pdf`` and ``cdf``: they differ in the value at each point
     # and in the atom trailer, which a cdf value already holds.
-    model, is_composite = _build_model(cfg)
-    xs = _parse_grid(cfg)
-    series_cfg = _series_config(cfg)
-    oracle = bool(cfg.get("oracle"))
-    metadata = _base_metadata(series_cfg, oracle and is_composite)
+    model, is_composite = _build_model(args)
+    xs = _parse_grid(args.grid)
+    series_cfg = SeriesConfig(args.series_n, args.series_rel_tol, args.use_gross)
+    metadata = _base_metadata(series_cfg, args.oracle and is_composite)
     if not cdf:
-        density = _density_for(model, is_composite, cfg, series_cfg, oracle)
+        density = _density_for(model, is_composite, args, series_cfg, args.oracle)
         values, atoms = density.values(xs), density.atoms
     elif is_composite:  # one route, whatever the pdf-route flags say
         values, atoms = [composite.mixture_cdf(model, float(x)) for x in xs], ()
         metadata["route"] = "mixture-cdf"
     else:
-        family, rhat = composite.family_of(model), _rhat(cfg)
+        family, rhat = composite.family_of(model), _rhat(args)
         values, atoms = [family.cdf(model, float(x), rhat) for x in xs], ()
     payload = _curve_payload(mc.model_descriptor(model), xs, values, atoms, metadata)
-    _emit_curve(payload, cfg.get("format") or "csv", cfg.get("out"))
+    _emit_curve(payload, args.format, args.out)
     return 0
 
 
-def cmd_moments(cfg: dict) -> int:
-    model, _ = _build_model(cfg)
+def cmd_moments(args: argparse.Namespace) -> int:
+    model, _ = _build_model(args)
     if not isinstance(model, AkmParams):
         raise UsageError("moments requires the plain akm model")
-    orders_spec = cfg.get("orders") or "0,1,2,3,4"
     try:
-        orders = [float(tok) for tok in str(orders_spec).split(",")]
+        orders = [float(tok) for tok in args.orders.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse --orders {orders_spec!r}")
+        raise UsageError(f"cannot parse --orders {args.orders!r}")
     rows = validation._moment_rows(model, orders)
-    fmt = cfg.get("format") or "csv"
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "model": json.loads(mc.model_descriptor(model)),
             "rows": [
@@ -307,28 +300,27 @@ def cmd_moments(cfg: dict) -> int:
                 for o, c, q, r in rows
             ],
         }
-        _write_text(cfg.get("out"), json.dumps(payload, indent=2) + "\n")
+        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
         lines = ["l,closed_form,quadrature,rel_diff"]
         for o, c, q, r in rows:
             lines.append(f"{_fmt(o)},{_fmt(c)},{_fmt(q)},{_fmt(r)}")
-        _write_text(cfg.get("out"), "\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join(lines) + "\n")
     bad = [r for *_, r in rows if not r <= 1e-6]  # a NaN is bad too
-    if cfg.get("strict") and bad:
+    if args.strict and bad:
         raise ValidationFailure(f"moment rel_diff {bad[0]:.3e} is not within 1e-6")
     return 0
 
 
-def cmd_figure(cfg: dict) -> int:
-    figure_id = int(cfg["figure_id"])
-    out_dir = Path(cfg.get("out_dir") or ".")
+def cmd_figure(args: argparse.Namespace) -> int:
+    figure_id, fmt = args.figure_id, args.format
+    out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _unwritable(out_dir, exc) from exc
-    fmt = cfg.get("format") or "json"
-    xs = _parse_grid(cfg)
-    series_cfg = SeriesConfig(max_terms=int(_opt(cfg, "series_n", 160)), rel_tol=1e-9)
+    xs = _parse_grid(args.grid)
+    series_cfg = SeriesConfig(max_terms=args.series_n, rel_tol=1e-9)
     paths = []
     for curve in figures.figure_curves(figure_id):
         model = curve["model"]
@@ -360,23 +352,21 @@ def cmd_figure(cfg: dict) -> int:
     return 0
 
 
-def cmd_sample(cfg: dict) -> int:
-    model, is_composite = _build_model(cfg)
-    count = int(_opt(cfg, "count", 100_000))
-    seed = int(_opt(cfg, "seed", 1))
+def cmd_sample(args: argparse.Namespace) -> int:
+    model, is_composite = _build_model(args)
+    count, seed, out = args.count, args.seed, args.out
     if count < 1:
         raise UsageError("count must be positive")
     if seed < 0:
         raise UsageError("seed must be non-negative")
-    series_cfg = _series_config(cfg)
+    series_cfg = SeriesConfig(args.series_n, args.series_rel_tol)
 
     sample = mc.sample_composite if is_composite else mc.sample_plain
     batch = sample(model, count, seed)
 
-    out = cfg.get("out") or "samples.txt"
     _write_text(out, _sample_text(batch.values))
 
-    density = _density_for(model, is_composite, cfg, series_cfg, oracle=False)
+    density = _density_for(model, is_composite, args, series_cfg, oracle=False)
     grid_points = 1200 if is_composite else 2000
     report = mc.gof_compare(batch, density, grid_points=grid_points)
     critical = mc.ks_critical_value(0.001, max(report.sample_size, 1))
@@ -392,15 +382,15 @@ def cmd_sample(cfg: dict) -> int:
         "atom_mass_expected": report.atom_mass_expected,
         "passed": bool(gof_ok),
     }
-    _write_text(cfg.get("report"), json.dumps(payload, indent=2) + "\n")
-    if cfg.get("strict") and not gof_ok:
+    _write_text(args.report, json.dumps(payload, indent=2) + "\n")
+    if args.strict and not gof_ok:
         raise ValidationFailure(f"gof failed: ks={report.ks_statistic:.4g} > {critical:.4g}")
     return 0
 
 
-def cmd_validate(cfg: dict) -> int:
-    report = validation.run_validation(cfg.get("level") or "quick")
-    _write_text(cfg.get("report"), json.dumps(report, indent=2) + "\n")
+def cmd_validate(args: argparse.Namespace) -> int:
+    report = validation.run_validation(args.level)
+    _write_text(args.report, json.dumps(report, indent=2) + "\n")
     if not report["passed"]:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         raise ValidationFailure("failed checks: " + ", ".join(failed))
@@ -408,8 +398,8 @@ def cmd_validate(cfg: dict) -> int:
 
 
 _COMMANDS = {
-    "pdf": lambda cfg: cmd_curve(cfg, cdf=False),
-    "cdf": lambda cfg: cmd_curve(cfg, cdf=True),
+    "pdf": lambda args: cmd_curve(args, cdf=False),
+    "cdf": lambda args: cmd_curve(args, cdf=True),
     "moments": cmd_moments,
     "figure": cmd_figure,
     "sample": cmd_sample,
@@ -419,11 +409,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    cfg = _merge_config(args)
-    command = _COMMANDS[args.command]
     try:
-        return command(cfg)
+        if getattr(args, "config", None):
+            # The file's flags go right after the command name, so the
+            # user's own flags, parsed later, win.
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,7 @@ class SampleBatch:
     model_descriptor: str
 
     def __post_init__(self):
-        if np.any(self.values < 0.0):
+        if not np.all((self.values >= 0.0) & (self.values < np.inf)):  # NaN fails both
             raise DomainError("sample values must be non-negative")
 
 

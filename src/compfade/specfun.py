@@ -14,7 +14,7 @@ stateless and safe to call concurrently.
 Accuracy targets (enforced by the test suite):
 
 * ``ln_gamma``         relative error <= 1e-13
-* ``bessel_i``         relative error <= 1e-12 for x in [0, 700]
+* ``bessel_i``         relative error <= 1e-12 for x in [0, 709.5]
 * ``reg_upper_gamma``  relative error <= 1e-12
 * ``marcum_q``         truncation below 1e-15, relative for Q < 1e-5 (geometric bound)
 * ``poisson_gamma_cdf`` relative error <= 1e-10, absolute 1e-12 below 1e-3;

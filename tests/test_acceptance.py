@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate as si
 
-from compfade import validation
+from compfade import figures, validation
 from compfade.cli import main
 from compfade.models import AkmParams, GammaShadowParams, gamma_shadow_pdf
 from compfade.composite import CompositeModel, SeriesConfig, composite_pdf, mixture_pdf
@@ -92,6 +92,15 @@ def test_full_level_check_passes(name):
     # The checks that ``compfade validate --level quick`` skips.
     result = validation.CHECKS[name]()
     assert result["passed"], json.dumps(result["details"])[:800]
+
+
+@pytest.mark.parametrize(
+    "fn,arg", [(validation.run_validation, "bogus"), (figures.figure_curves, 5)],
+    ids=["level", "figure"],
+)
+def test_unknown_level_or_figure_is_rejected(fn, arg):
+    with pytest.raises(ValueError):
+        fn(arg)
 
 
 def test_criterion_06_power_variance_identity():

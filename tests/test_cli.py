@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from compfade import CompositeModel, ExtremeParams, GammaShadowParams, mixture_cdf
-from compfade import models
+from compfade import composite, mc, models, validation
 from compfade.cli import main
+from compfade.errors import NonConvergenceError
 
 
 def parse_csv_curve(text):
@@ -27,6 +28,21 @@ def parse_csv_curve(text):
             xs.append(float(x))
             vs.append(float(v))
     return xs, vs, atoms, meta
+
+
+def first_err_line(capsys):
+    return capsys.readouterr().err.splitlines()[0]
+
+
+AM_MODEL = {"model": "am", "alpha": 2.0, "mu": 1.0}
+AM_CONFIG = dict(AM_MODEL, grid="0.5:1.5:3")
+AM_GAMMA_CONFIG = dict(AM_CONFIG, model="am-gamma", b=1.5, omega=0.8)
+
+
+def write_config(tmp_path, entries):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
 
 
 class TestPdfCommand:
@@ -204,6 +220,49 @@ class TestPdfCommand:
         _, vs_flag, _, _ = parse_csv_curve(capsys.readouterr().out)
         assert vs_config != vs_flag  # the explicit flag won
 
+    @pytest.mark.parametrize(
+        "command,entries,message",
+        [
+            ("pdf", dict(AM_CONFIG, alpha="abc"), "argument --alpha: invalid float value: 'abc'"),
+            ("pdf", dict(AM_GAMMA_CONFIG, oracle="false"), "argument --oracle: ignored explicit"),
+            ("pdf", dict(AM_CONFIG, format="xml"), "argument --format: invalid choice: 'xml'"),
+            ("sample", dict(AM_MODEL, count=10.7), "argument --count: invalid int value: '10.7'"),
+            ("pdf", dict(AM_GAMMA_CONFIG, series_rel_tl=0.5), "arguments: --series-rel-tl=0.5\n"),
+            ("sample", dict(AM_MODEL, use_gross=True), "unrecognized arguments: --use-gross\n"),
+        ],
+        ids=[
+            "non-numeric", "switch-string", "bad-choice", "float-count", "unknown-key",
+            "sample-use-gross",
+        ],
+    )
+    def test_bad_config_entry_is_usage_error(self, command, entries, message, tmp_path, capsys):
+        # Config entries are parsed as the flags they name, so a bad value
+        # or a key that names no flag of the command exits as a bad flag does.
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--config", write_config(tmp_path, entries)])
+        assert exc_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_null_or_false_is_an_absent_flag(self, tmp_path, capsys):
+        outputs = []
+        for extra in ({}, {"oracle": None, "use_gross": False, "rhat": None}, {"oracle": True}):
+            config = write_config(tmp_path, dict(AM_GAMMA_CONFIG, **extra))
+            assert main(["pdf", "--config", config, "--format", "json"]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[1] == outputs[0]
+        assert outputs[0]["metadata"]["route"] == "series-or-exact"
+        assert outputs[2]["metadata"]["route"] == "mixture-oracle"  # true gives the bare switch
+        # A zero is a value, not an absent flag: rhat = 0 is rejected.
+        assert main(["pdf", "--config", write_config(tmp_path, dict(AM_CONFIG, rhat=0))]) == 2
+
+    def test_missing_model_is_usage_error(self, capsys):
+        assert main(["pdf", "--alpha", "2", "--mu", "1"]) == 2
+        assert first_err_line(capsys) == "error: missing required flag --model"
+
+    def test_grid_without_points_is_usage_error(self, capsys):
+        assert main(["pdf", "--model", "am", "--alpha", "2", "--mu", "1", "--grid", "0.1:1"]) == 2
+        assert first_err_line(capsys) == "error: grid must be min:max:points, got '0.1:1'"
+
 
     def test_composite_curve_shares_its_kernel_calls(self, tmp_path, monkeypatch):
         # The CLI hands the series route the whole 200-point grid at once, a
@@ -279,6 +338,18 @@ class TestCdfCommand:
             assert payload["atoms"] == []
             assert payload["values"] == [mixture_cdf(model, x) for x in payload["abscissae"]]
 
+    def test_nonconvergence_exits_one(self, monkeypatch, capsys):
+        def fails(model, x):
+            raise NonConvergenceError("quadrature did not converge")
+
+        monkeypatch.setattr(composite, "mixture_cdf", fails)
+        code = main(
+            ["cdf", "--model", "am-gamma", "--alpha", "2", "--mu", "1", "--b", "1.5",
+             "--omega", "0.8", "--grid", "0.5:1:2"]
+        )
+        assert code == 1
+        assert first_err_line(capsys) == "convergence failure: quadrature did not converge"
+
 
 class TestMomentsCommand:
     def test_table_and_strict_pass(self, capsys):
@@ -311,6 +382,14 @@ class TestMomentsCommand:
             ["moments", "--model", "akm", "--alpha", "2", "--kappa", "1.5", "--mu", "2.1", "--strict"]
         )
         assert code == 1
+
+    def test_bad_orders_is_usage_error(self, capsys):
+        code = main(
+            ["moments", "--model", "akm", "--alpha", "2", "--kappa", "1", "--mu", "2",
+             "--orders", "1,x"]
+        )
+        assert code == 2
+        assert first_err_line(capsys) == "error: cannot parse --orders '1,x'"
 
     def test_requires_plain_model(self, capsys):
         code = main(
@@ -411,6 +490,17 @@ class TestSampleCommand:
         assert code == 0
 
 
+    def test_strict_exits_one_when_gof_fails(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(
+            mc, "gof_compare", lambda batch, density, grid_points: mc.GofReport(0.5, 50, 0.0, 0.0)
+        )
+        code = main(
+            ["sample", "--model", "am", "--alpha", "2", "--mu", "1.3", "--count", "50",
+             "--out", str(tmp_path / "s.txt"), "--report", str(tmp_path / "r.json"), "--strict"]
+        )
+        assert code == 1
+        assert first_err_line(capsys).startswith("validation failure: gof failed: ks=0.5 > ")
+
     def test_sample_file_bytes_match_one_format_per_value(self):
         # The one-pass %-format write against the per-value join it
         # replaced, on a batch with deep-fade zeros and extreme doubles.
@@ -453,3 +543,12 @@ class TestValidateCommand:
         result = check_series_vs_oracle(draws=1, points=4)
         assert result["name"] == "series_vs_oracle"
         assert result["passed"] is False
+
+    def test_failing_check_exits_one_and_names_it(self, monkeypatch, tmp_path, capsys):
+        checks = {
+            "specfun_goldens": lambda: {"name": "specfun_goldens", "passed": True},
+            "moments": lambda: {"name": "moments", "passed": False},
+        }
+        monkeypatch.setattr(validation, "CHECKS", checks)
+        assert main(["validate", "--report", str(tmp_path / "v.json")]) == 1
+        assert first_err_line(capsys) == "validation failure: failed checks: moments"

@@ -205,6 +205,12 @@ class TestGofCompare:
         assert report.atom_frequency_observed == 1.0
         assert report.atom_mass_expected == pytest.approx(math.exp(-0.004), rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_batch_rejects_values_not_finite_and_non_negative(self, bad):
+        values = np.append(np.random.default_rng(2).exponential(size=20), bad)
+        with pytest.raises(DomainError, match="sample values must be non-negative"):
+            SampleBatch(values, 2, "exp")
+
     def test_unnormalized_density_rejected(self):
         bad = Density(continuous=lambda r: 2.0 * math.exp(-r))
         batch = SampleBatch(np.random.default_rng(1).exponential(size=500), 1, "bad")
@@ -238,6 +244,11 @@ class TestKsCriticalValue:
         )
         # The conventional 1.95/sqrt(n) rule of thumb sits at this level.
         assert ks_critical_value(0.001, 1) == pytest.approx(1.95, abs=5e-3)
+
+    @pytest.mark.parametrize("significance,n", [(1.5, 10), (math.nan, 10), (0.001, 0)])
+    def test_domain(self, significance, n):
+        with pytest.raises(DomainError):
+            ks_critical_value(significance, n)
 
 
 class TestAmSampler:

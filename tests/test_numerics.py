@@ -172,6 +172,11 @@ class TestSumAdaptive:
         with pytest.raises(EvaluationError):
             sum_adaptive(lambda i: math.inf if i == 3 else 0.5**i)
 
+    @pytest.mark.parametrize("settings", [{"rel_tol": 0.0}, {"max_terms": 0}])
+    def test_bad_settings_rejected(self, settings):
+        with pytest.raises(ValueError):
+            sum_adaptive(lambda i: 0.5**i, **settings)
+
 
 class TestVectorizedIntegrand:
     @staticmethod

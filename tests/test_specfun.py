@@ -20,7 +20,12 @@ from compfade import (
     reg_lower_gamma,
     reg_upper_gamma,
 )
-from compfade.specfun import _bessel_asym_scaled, _bessel_series_unscaled, _ln_bessel_i_scaled
+from compfade.specfun import (
+    _bessel_asym_scaled,
+    _bessel_series_unscaled,
+    _ln_bessel_i_scaled,
+    poisson_gamma_cdf,
+)
 
 
 class TestLnGamma:
@@ -103,6 +108,37 @@ class TestBesselI:
             bessel_i(0.0, -1.0)
         with pytest.raises(DomainError):
             bessel_i(-1.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "nu,x",
+        [
+            (-1.5, np.array([1.0, 2.0])),
+            (0.5, np.array([1.0, math.nan])),
+            (0.5, np.array([1.0, -2.0])),
+            (0.5, np.array([1.0, math.inf])),
+            (0.5, np.ones((2, 2))),
+        ],
+        ids=["order", "nan", "negative", "inf", "2-d"],
+    )
+    def test_array_domain(self, nu, x):
+        with pytest.raises(DomainError):
+            bessel_i_scaled(nu, x)
+
+    @pytest.mark.parametrize(
+        "fn,nu,x,ref",
+        [
+            (bessel_i, 0.0, 705.0, 2.2620505526554727e304),
+            (bessel_i, 1.5, 708.0, 4.526606894713687e305),
+            (bessel_i, 0.0, 709.5, 2.029763060075537e306),
+            (bessel_i_scaled, 680.0, 700.0, 4.508736795313006e-137),
+            (bessel_i_scaled, 700.0, 710.0, 7.232312591724778e-143),
+            (bessel_i_scaled, 1000.0, 750.0, 1.1979491458983203e-262),
+        ],
+    )
+    def test_above_700(self, fn, nu, x, ref):
+        # bessel_i past x = 700 with a finite value, and the scaled float
+        # path's peak series for 700 <= x <= nu + 20; 40-digit mpmath values.
+        assert fn(nu, x) == pytest.approx(ref, rel=1e-12)
 
     def test_long_array_is_evaluated_in_parts(self):
         # More than specfun._ROWS (4,096) arguments, across both branches.
@@ -266,6 +302,16 @@ class TestMarcumQ:
             marcum_q(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             marcum_q(1.0, -0.1, 1.0)
+        for b in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                marcum_q(1.0, 1.0, b)
+
+    @pytest.mark.parametrize(
+        "lam,shape,x", [(-1.0, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.nan)]
+    )
+    def test_poisson_gamma_cdf_domain(self, lam, shape, x):
+        with pytest.raises(DomainError):
+            poisson_gamma_cdf(lam, shape, x, 1e-15)
 
 
 class TestKummer1F1:
