@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="compfade",
         description="Composite multipath/shadowing fading distributions: "
         "curve evaluation, sampling, and cross-validation.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"compfade {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Flags and config keys are spelled in full: "--form" is not "--format".
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     dflt = " (default %(default)s)"  # each flag states its own default
 
@@ -103,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated moment orders" + dflt)
     add_output_flags(p_mom)
     p_mom.add_argument("--strict", action="store_true",
-                       help="exit 1 when any relative difference exceeds 1e-6")
+                       help="exit 1 when any relative difference exceeds "
+                       f"{validation.MOMENT_REL_TOL:g}")
 
     p_fig = sub.add_parser("figure", help="emit a standard figure's curve family")
     p_fig.add_argument("figure_id", type=int, choices=figures.FIGURE_IDS)
@@ -306,9 +311,10 @@ def cmd_moments(args: argparse.Namespace) -> int:
         for o, c, q, r in rows:
             lines.append(f"{_fmt(o)},{_fmt(c)},{_fmt(q)},{_fmt(r)}")
         _write_text(args.out, "\n".join(lines) + "\n")
-    bad = [r for *_, r in rows if not r <= 1e-6]  # a NaN is bad too
+    tol = validation.MOMENT_REL_TOL
+    bad = [r for *_, r in rows if not r <= tol]  # a NaN is bad too
     if args.strict and bad:
-        raise ValidationFailure(f"moment rel_diff {bad[0]:.3e} is not within 1e-6")
+        raise ValidationFailure(f"moment rel_diff {bad[0]:.3e} is not within {tol:g}")
     return 0
 
 

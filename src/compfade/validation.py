@@ -6,6 +6,10 @@ value, the ``threshold`` it was held to, and a ``details`` payload.  The
 ``quick`` runs a smoke subset; ``full`` runs every check at acceptance
 scale.
 
+Each gap is held to its bound as ``gap <= bound``, and gaps are reduced by
+``_worst``, so a NaN from any route fails its check and is reported as
+``measured``.
+
 The checks deliberately pit independent computation routes against each
 other: closed forms against quadrature, series expansions against direct
 mixture integrals, samplers against densities, and the polynomial Bessel
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from . import composite, figures, mc, models, numerics, specfun
 from .composite import FAMILIES, MULTIPATH_FAMILIES, SHADOW, CompositeModel, SeriesConfig
 from .models import AkmParams, ExtremeParams, GammaShadowParams, ScaledEnvelope
 
-__all__ = ["run_validation", "CHECKS", "PARAM_BOX"]
+__all__ = ["run_validation", "CHECKS", "PARAM_BOX", "MOMENT_REL_TOL"]
 
 # Random-draw box shared by the randomized checks.
 PARAM_BOX = {
@@ -37,6 +42,10 @@ PARAM_BOX = {
 
 _ACCEPT_CFG = SeriesConfig(rel_tol=1e-9)
 _AKM = FAMILIES["akm"]
+
+# Bound on closed-form moments against quadrature, here and in
+# ``compfade moments --strict``.
+MOMENT_REL_TOL = 1e-6
 
 
 def _draw(rng, key, box=PARAM_BOX):
@@ -57,6 +66,32 @@ def _check(name, passed, measured, threshold, details=None):
         "threshold": threshold,
         "details": details or {},
     }
+
+
+def _worst(gaps) -> float:
+    """The largest gap, or NaN if any gap is NaN (0.0 for no gaps).
+
+    ``max()`` alone keeps a NaN only when it comes first.
+    """
+    gaps = list(gaps)
+    return math.nan if any(math.isnan(g) for g in gaps) else max(gaps, default=0.0)
+
+
+def _held(name, gaps, bounds, threshold=None):
+    # ``gaps`` and ``bounds`` map the same labels; the gaps are the details.
+    passed = all(gap <= bounds[label] for label, gap in gaps.items())
+    return _check(name, passed, _worst(gaps.values()), threshold, gaps)
+
+
+def _held_scaled(name, cases):
+    # (label, gap, bound) cases, measured as the worst gap / bound.
+    return _check(
+        name,
+        all(gap <= bound for _, gap, bound in cases),
+        _worst(gap / bound for _, gap, bound in cases),
+        1.0,
+        {label: gap for label, gap, _ in cases},
+    )
 
 
 def _rel_err(value, reference):
@@ -102,15 +137,7 @@ def check_specfun_goldens() -> dict:
     )
     marcum = specfun.marcum_q(1.5, math.sqrt(2.0 * 1.5), 2.0 * math.sqrt(2.0 * 1.5 * 2.0))
     add("marcum vs cdf quadrature", marcum, 1.0 - quad.value, 2e-8)
-
-    worst = max(err / tol for _, err, tol in cases)
-    return _check(
-        "specfun_goldens",
-        all(err <= tol for _, err, tol in cases),
-        worst,
-        1.0,
-        {label: err for label, err, _ in cases},
-    )
+    return _held_scaled("specfun_goldens", cases)
 
 
 def check_specfun_properties(n_draws: int = 60, seed: int = 11) -> dict:
@@ -122,7 +149,7 @@ def check_specfun_properties(n_draws: int = 60, seed: int = 11) -> dict:
         a = float(rng.uniform(0.2, 8.0))
         xs = np.sort(rng.uniform(0.0, 12.0, size=6))
         qs = [specfun.reg_upper_gamma(a, float(x)) for x in xs]
-        if any(q2 > q1 + 1e-12 for q1, q2 in zip(qs, qs[1:])):
+        if not all(q2 <= q1 + 1e-12 for q1, q2 in zip(qs, qs[1:])):
             failures.append(("reg_upper_gamma monotone", a))
         if not all(0.0 <= q <= 1.0 for q in qs):
             failures.append(("reg_upper_gamma range", a))
@@ -132,22 +159,23 @@ def check_specfun_properties(n_draws: int = 60, seed: int = 11) -> dict:
         a = float(rng.uniform(0.0, 4.0))
         bs = np.sort(rng.uniform(0.0, 6.0, size=5))
         qs = [specfun.marcum_q(mu, a, float(b)) for b in bs]
-        if any(q2 > q1 + 1e-12 for q1, q2 in zip(qs, qs[1:])):
+        if not all(q2 <= q1 + 1e-12 for q1, q2 in zip(qs, qs[1:])):
             failures.append(("marcum_q monotone in b", (mu, a)))
         b = float(rng.uniform(0.0, 6.0))
         av = np.sort(rng.uniform(0.0, 4.0, size=5))
         qs = [specfun.marcum_q(mu, float(a_), b) for a_ in av]
-        if any(q2 < q1 - 1e-12 for q1, q2 in zip(qs, qs[1:])):
+        if not all(q1 - 1e-12 <= q2 for q1, q2 in zip(qs, qs[1:])):
             failures.append(("marcum_q monotone in a", (mu, b)))
 
-    worst_rec = 0.0
+    gaps = []
     for _ in range(n_draws):
         nu = float(rng.uniform(0.5, 6.0))
         x = float(rng.uniform(0.1, 50.0))
         lhs = specfun.bessel_i(nu - 1.0, x) - specfun.bessel_i(nu + 1.0, x)
         rhs = (2.0 * nu / x) * specfun.bessel_i(nu, x)
-        worst_rec = max(worst_rec, _rel_err(lhs, rhs))
-    if worst_rec > 1e-9:
+        gaps.append(_rel_err(lhs, rhs))
+    worst_rec = _worst(gaps)
+    if not worst_rec <= 1e-9:
         failures.append(("bessel recurrence", worst_rec))
 
     return _check(
@@ -162,20 +190,19 @@ def check_specfun_properties(n_draws: int = 60, seed: int = 11) -> dict:
 def check_gross_convergence() -> dict:
     """Polynomial Bessel surrogate: error non-increasing in the degree."""
     xs = np.linspace(0.05, 10.0, 60)
-    degrees = (5, 10, 20, 40)
     details = {}
     ok = True
     for nu in (0.0, 1.0, 2.0):
-        errors = []
-        for n in degrees:
-            worst = max(
+        errors = [
+            _worst(
                 _rel_err(specfun.bessel_i_gross(nu, float(x), n), specfun.bessel_i(nu, float(x)))
                 for x in xs
             )
-            errors.append(worst)
+            for n in (5, 10, 20, 40)
+        ]
         details[f"nu={nu:g}"] = errors
         ok = ok and all(e2 <= e1 * (1.0 + 1e-12) for e1, e2 in zip(errors, errors[1:]))
-    measured = max(v[-1] for v in details.values())
+    measured = _worst(v[-1] for v in details.values())
     return _check("gross_error_monotone", ok, measured, None, details)
 
 
@@ -226,13 +253,10 @@ def check_quadrature_suite() -> dict:
         actual = abs(res.value - ref)
         tol = max(1e-10 * abs(ref), 1e-13)
         details[name] = {"actual_error": actual, "estimate": res.error_estimate}
-        if actual > 10.0 * tol:
-            ok = False
-        if res.error_estimate >= actual:
-            covered += 1
+        ok = ok and actual <= 10.0 * tol
+        covered += res.error_estimate >= actual
     coverage = covered / len(suite)
-    if coverage < 0.95:
-        ok = False
+    ok = ok and coverage >= 0.95
 
     # Domain-splitting consistency at an interior point.
     split_ok = True
@@ -245,8 +269,7 @@ def check_quadrature_suite() -> dict:
         right = numerics.integrate_semi_infinite(lambda u: f(u + c), 1e-10, 1e-13, 200_000)
         gap = abs(whole.value - left.value - right.value)
         allowed = 2.0 * (whole.error_estimate + left.error_estimate + right.error_estimate)
-        if gap > max(allowed, 1e-13):
-            split_ok = False
+        split_ok = split_ok and gap <= max(allowed, 1e-13)
     ok = ok and split_ok
 
     return _check(
@@ -289,14 +312,7 @@ def check_series_summation() -> dict:
     res = numerics.sum_adaptive(lambda i: (-1.0) ** i / (i + 1.0) ** 2, rel_tol=1e-6, max_terms=10_000)
     direct = sum((-1.0) ** i / (i + 1.0) ** 2 for i in range(10_000))
     cases.append(("alternating", abs(res.value - direct) / abs(direct), 2e-6))
-    worst = max(err / tol for _, err, tol in cases)
-    return _check(
-        "series_summation",
-        all(err <= tol for _, err, tol in cases),
-        worst,
-        1.0,
-        {label: err for label, err, _ in cases},
-    )
+    return _held_scaled("series_summation", cases)
 
 
 # ----------------------------------------------------------------------
@@ -306,72 +322,50 @@ def check_series_summation() -> dict:
 def check_normalization(draws: int = 20, seed: int = 23) -> dict:
     """Total probability mass (continuous + atoms) of each density family."""
     rng = mc._generator(seed)
-    worst = {}
 
-    def mass_of(fn, scale=1.0, budget=200_000):
+    def mass_gap(fn, scale=1.0, target=1.0):
         res = numerics.integrate_semi_infinite(
-            fn, rel_tol=3e-8, abs_tol=1e-12, budget=budget, scale=scale
+            fn, rel_tol=3e-8, abs_tol=1e-12, budget=200_000, scale=scale
         )
-        return res.value
+        return abs(res.value - target)
 
-    errs = []
-    for _ in range(draws):
-        p = _random(rng, _AKM)
-        errs.append(abs(mass_of(lambda r: models.akm_pdf_normalized(p, r)) - 1.0))
-    worst["akm_normalized"] = max(errs)
+    # Each draw takes its parameters from rng and returns their mass gaps.
+    def plain(family, pdf):
+        return [mass_gap(partial(pdf, _random(rng, family)))]
 
-    errs = []
-    for _ in range(draws):
-        p = _random(rng, _AKM)
+    def enveloped(family, pdf):
+        p = _random(rng, family)
         s = ScaledEnvelope(float(rng.uniform(0.4, 2.5)))
-        errs.append(
-            abs(mass_of(lambda r: models.akm_pdf_envelope(p, s, r), scale=s.rhat) - 1.0)
-        )
-    worst["akm_envelope"] = max(errs)
+        return [mass_gap(partial(pdf, p, s), scale=s.rhat)]
 
-    errs = []
-    for _ in range(draws):
-        p = _random(rng, _AKM)
-        errs.append(abs(mass_of(lambda w: models.akm_power_pdf(p, w)) - 1.0))
-    worst["akm_power"] = max(errs)
+    def extreme():
+        pair = (_random(rng, FAMILIES["extreme"]), ExtremeParams(2.0, _draw(rng, "m")))
+        return [mass_gap(partial(models.extreme_pdf, p), target=1.0 - p.atom_mass) for p in pair]
 
-    errs = []
-    for _ in range(draws):
-        p = _random(rng, FAMILIES["am"])
-        s = ScaledEnvelope(float(rng.uniform(0.4, 2.5)))
-        errs.append(abs(mass_of(lambda r: models.am_pdf(p, s, r), scale=s.rhat) - 1.0))
-    worst["am"] = max(errs)
-
-    errs = []
-    for _ in range(draws):
-        p = _random(rng, FAMILIES["extreme"])
-        target = 1.0 - p.atom_mass
-        errs.append(abs(mass_of(lambda r: models.extreme_pdf(p, r)) - target))
-        p2 = ExtremeParams(2.0, _draw(rng, "m"))
-        errs.append(abs(mass_of(lambda r: models.extreme_pdf(p2, r)) - (1.0 - p2.atom_mass)))
-    worst["extreme"] = max(errs)
-
-    errs = []
-    for _ in range(draws):
+    def shadow():
         g = _random(rng, SHADOW)
-        errs.append(
-            abs(mass_of(lambda y: models.gamma_shadow_pdf(g, y), scale=g.b * g.omega) - 1.0)
-        )
-    worst["gamma_shadow"] = max(errs)
+        return [mass_gap(partial(models.gamma_shadow_pdf, g), scale=g.b * g.omega)]
 
-    for family in MULTIPATH_FAMILIES:
-        errs = []
-        for _ in range(draws):
-            shadow = _random(rng, SHADOW)
-            model = CompositeModel(_random(rng, family), shadow)
-            density = composite.composite_density(model, _ACCEPT_CFG)
-            mass = models.density_total_mass(
-                density, rel_tol=1e-7, budget=400_000, scale=shadow.b * shadow.omega
-            )
-            errs.append(abs(mass - 1.0))
-        worst[f"{family.name}_gamma"] = max(errs)
+    def composite_of(family):
+        g = _random(rng, SHADOW)
+        density = composite.composite_density(CompositeModel(_random(rng, family), g), _ACCEPT_CFG)
+        mass = models.density_total_mass(density, rel_tol=1e-7, budget=400_000, scale=g.b * g.omega)
+        return [abs(mass - 1.0)]
 
-    measured = max(worst.values())
+    draw_gaps = {
+        "akm_normalized": lambda: plain(_AKM, models.akm_pdf_normalized),
+        "akm_envelope": lambda: enveloped(_AKM, models.akm_pdf_envelope),
+        "akm_power": lambda: plain(_AKM, models.akm_power_pdf),
+        "am": lambda: enveloped(FAMILIES["am"], models.am_pdf),
+        "extreme": extreme,
+        "gamma_shadow": shadow,
+        **{f"{f.name}_gamma": partial(composite_of, f) for f in MULTIPATH_FAMILIES},
+    }
+    worst = {
+        label: _worst(gap for _ in range(draws) for gap in draw())
+        for label, draw in draw_gaps.items()
+    }
+    measured = _worst(worst.values())
     return _check("normalization", measured <= 1e-6, measured, 1e-6, worst)
 
 
@@ -398,16 +392,15 @@ def check_cdf_dual_form(points: int = 100, seed: int = 31) -> dict:
     to the same level.
     """
     rng = mc._generator(seed)
-    worst = 0.0
+    gaps = []
     for _ in range(points):
         p = _random(rng, _AKM)
         rho = float(rng.uniform(0.05, 3.0))
         f1 = _cdf_by_quadrature(p, rho)
         f2 = models.akm_cdf_series(p, rho)
-        gap = abs(f1 - f2)
-        if max(f1, f2) >= 1e-3:
-            gap = max(gap, gap / max(f1, f2))
-        worst = max(worst, gap)
+        gap, top = abs(f1 - f2), max(f1, f2)
+        gaps.append(_worst((gap, gap / top)) if top >= 1e-3 else gap)
+    worst = _worst(gaps)
     return _check("cdf_dual_form", worst <= 1e-9, worst, 1e-9)
 
 
@@ -438,21 +431,18 @@ def check_moments(param_sets=None, seed: int = 37) -> dict:
             _random(rng, _AKM) for _ in range(3)
         ]
     rows = [(p, row) for p in param_sets for row in _moment_rows(p, (0.0, 1.0, 2.0, 3.0, 4.0))]
-    rel_errs = [r for _, (*_, r) in rows]
-    zeroth_err = max(abs(c - 1.0) for _, (o, c, *_) in rows if o == 0.0)
-    alt_diffs = [_rel_err(_moment_alt_form(p, o), q) for p, (o, _, q, _) in rows]
-    # A NaN fails and is the worst (max() alone would drop it).
-    worst = max(rel_errs, key=lambda r: math.inf if math.isnan(r) else r)
-    passed = all(r <= 1e-6 for r in rel_errs) and zeroth_err <= 1e-12
+    worst = _worst(r for _, (*_, r) in rows)
+    zeroth_err = _worst(abs(c - 1.0) for _, (o, c, *_) in rows if o == 0.0)
+    alt_worst = _worst(_rel_err(_moment_alt_form(p, o), q) for p, (o, _, q, _) in rows)
     return _check(
         "moments",
-        passed,
+        worst <= MOMENT_REL_TOL and zeroth_err <= 1e-12,
         worst,
-        1e-6,
+        MOMENT_REL_TOL,
         {
             "zeroth_moment_error": zeroth_err,
-            "alt_form_max_rel_diff": max(alt_diffs),
-            "alt_form_matches_quadrature": max(alt_diffs) <= 1e-6,
+            "alt_form_max_rel_diff": alt_worst,
+            "alt_form_matches_quadrature": alt_worst <= MOMENT_REL_TOL,
         },
     )
 
@@ -463,13 +453,14 @@ def check_power_variance_identity(draws: int = 20, seed: int = 41) -> dict:
     The general-alpha behaviour is measured and reported, not asserted.
     """
     rng = mc._generator(seed)
-    worst = 0.0
+    gaps = []
     for _ in range(draws):
         kappa = _draw(rng, "kappa")
         mu = _draw(rng, "mu")
         p = AkmParams(2.0, kappa, mu)
         var = models.akm_moment(p, 4.0) - models.akm_moment(p, 2.0) ** 2
-        worst = max(worst, _rel_err(1.0 / var, models.nakagami_m_equiv(kappa, mu)))
+        gaps.append(_rel_err(1.0 / var, models.nakagami_m_equiv(kappa, mu)))
+    worst = _worst(gaps)
     general = {}
     for alpha in (1.5, 3.0):
         p = AkmParams(alpha, 1.2, 1.8)
@@ -507,13 +498,8 @@ def check_kernel_closed_forms() -> dict:
         composite.KernelArgs(-2.1, 1.7, 2.0, 0.9), rel_tol=1e-11, budget=80_000
     )
     cases["budget_doubling"] = _rel_err(v1, v2)
-
-    passed = (
-        cases["a0_gamma_form"] <= 1e-9
-        and cases["alpha1_bessel_k"] <= 1e-8
-        and cases["budget_doubling"] <= 1e-9
-    )
-    return _check("kernel_closed_forms", passed, max(cases.values()), None, cases)
+    bounds = {"a0_gamma_form": 1e-9, "alpha1_bessel_k": 1e-8, "budget_doubling": 1e-9}
+    return _held("kernel_closed_forms", cases, bounds)
 
 
 def _series_grid(shadow: GammaShadowParams, points: int) -> np.ndarray:
@@ -526,8 +512,7 @@ def check_series_vs_oracle(draws: int = 20, points: int = 25, seed: int = 47) ->
     rng = mc._generator(seed)
     worst = {}
     for family in MULTIPATH_FAMILIES:
-        key = f"{family.name}_gamma"
-        worst[key] = 0.0
+        gaps = []
         for _ in range(draws):
             shadow = _random(rng, SHADOW)
             model = CompositeModel(_random(rng, family), shadow)
@@ -536,13 +521,10 @@ def check_series_vs_oracle(draws: int = 20, points: int = 25, seed: int = 47) ->
                 oracle = composite.mixture_pdf(model, x)
                 if oracle < 1e-290:
                     continue  # both routes underflow in the far tail
-                worst[key] = max(worst[key], _rel_err(series, oracle))
-    passed = (
-        worst["akm_gamma"] <= 1e-4
-        and worst["extreme_gamma"] <= 1e-4
-        and worst["am_gamma"] <= 1e-6
-    )
-    return _check("series_vs_oracle", passed, max(worst.values()), 1e-4, worst)
+                gaps.append(_rel_err(series, oracle))
+        worst[f"{family.name}_gamma"] = _worst(gaps)
+    bounds = {"akm_gamma": 1e-4, "extreme_gamma": 1e-4, "am_gamma": 1e-6}
+    return _held("series_vs_oracle", worst, bounds, 1e-4)
 
 
 def check_reduction_web(seed: int = 53) -> dict:
@@ -551,7 +533,7 @@ def check_reduction_web(seed: int = 53) -> dict:
     details = {}
 
     # alpha = 2 LOS model against a directly coded linear-LOS density.
-    worst = 0.0
+    gaps = []
     for _ in range(8):
         kappa = float(rng.uniform(0.05, 5.0))
         mu = _draw(rng, "mu")
@@ -566,11 +548,11 @@ def check_reduction_web(seed: int = 53) -> dict:
                 * math.exp(-mu * kappa - mu * (1.0 + kappa) * rho**2)
                 * specfun.bessel_i(mu - 1.0, 2.0 * mu * math.sqrt(kappa * (1.0 + kappa)) * rho)
             )
-            worst = max(worst, _rel_err(models.akm_pdf_normalized(p, rho), direct))
-    details["alpha2_linear_los"] = worst
+            gaps.append(_rel_err(models.akm_pdf_normalized(p, rho), direct))
+    details["alpha2_linear_los"] = _worst(gaps)
 
     # Severe-fading model at alpha = 2 against the directly coded form.
-    worst = 0.0
+    gaps = []
     for _ in range(8):
         m = _draw(rng, "m")
         p = ExtremeParams(2.0, m)
@@ -581,12 +563,12 @@ def check_reduction_web(seed: int = 53) -> dict:
                 * math.exp(-2.0 * m * (1.0 + rho**2))
                 * specfun.bessel_i(1.0, 4.0 * m * rho)
             )
-            worst = max(worst, _rel_err(models.extreme_pdf(p, rho), direct))
-    details["extreme_alpha2"] = worst
+            gaps.append(_rel_err(models.extreme_pdf(p, rho), direct))
+    details["extreme_alpha2"] = _worst(gaps)
 
     # kappa -> 0 limit equals the directly coded alpha-mu density: kappa = 0
     # runs the gamma form, kappa = 1e-12 the Bessel form.
-    worst = 0.0
+    gaps = []
     for _ in range(8):
         alpha = _draw(rng, "alpha")
         mu = _draw(rng, "mu")
@@ -595,12 +577,12 @@ def check_reduction_web(seed: int = 53) -> dict:
                 direct = (alpha * mu**mu * rho ** (alpha * mu - 1.0)
                           * math.exp(-mu * rho**alpha) / math.gamma(mu))
                 akm = models.akm_pdf_normalized(AkmParams(alpha, kappa, mu), rho)
-                worst = max(worst, _rel_err(akm, direct))
-    details["kappa0_zero_los"] = worst
+                gaps.append(_rel_err(akm, direct))
+    details["kappa0_zero_los"] = _worst(gaps)
 
     # Rayleigh/gamma composite against a nested-quadrature oracle coded
     # straight from the Rayleigh and gamma densities.
-    worst = 0.0
+    gaps = []
     shadow = GammaShadowParams(1.6, 0.8)
     model = CompositeModel(AkmParams(2.0, 0.0, 1.0), shadow)
 
@@ -620,31 +602,27 @@ def check_reduction_web(seed: int = 53) -> dict:
 
     for x in (0.2, 0.6, 1.1, 1.9, 3.0):
         oracle = rayleigh_gamma(x)
-        worst = max(worst, _rel_err(composite.composite_pdf(model, x, _ACCEPT_CFG), oracle))
-        worst = max(worst, _rel_err(composite.mixture_pdf(model, x), oracle))
-    details["k_distribution"] = worst
+        gaps.append(_rel_err(composite.composite_pdf(model, x, _ACCEPT_CFG), oracle))
+        gaps.append(_rel_err(composite.mixture_pdf(model, x), oracle))
+    details["k_distribution"] = _worst(gaps)
 
     # Severe-fading composite at alpha = 2 equals its own mixture route.
-    worst = 0.0
     model = CompositeModel(ExtremeParams(2.0, 1.1), GammaShadowParams(1.2, 0.8))
-    for x in (0.3, 0.9, 1.7):
-        worst = max(
-            worst,
-            _rel_err(
-                composite.extreme_gamma_pdf(model, x, _ACCEPT_CFG),
-                composite.mixture_pdf(model, x),
-            ),
+    details["extreme_gamma_alpha2"] = _worst(
+        _rel_err(
+            composite.extreme_gamma_pdf(model, x, _ACCEPT_CFG), composite.mixture_pdf(model, x)
         )
-    details["extreme_gamma_alpha2"] = worst
-
-    passed = (
-        details["alpha2_linear_los"] <= 1e-10
-        and details["extreme_alpha2"] <= 1e-10
-        and details["kappa0_zero_los"] <= 1e-10
-        and details["k_distribution"] <= 1e-6
-        and details["extreme_gamma_alpha2"] <= 1e-4
+        for x in (0.3, 0.9, 1.7)
     )
-    return _check("reduction_web", passed, max(details.values()), None, details)
+
+    bounds = {
+        "alpha2_linear_los": 1e-10,
+        "extreme_alpha2": 1e-10,
+        "kappa0_zero_los": 1e-10,
+        "k_distribution": 1e-6,
+        "extreme_gamma_alpha2": 1e-4,
+    }
+    return _held("reduction_web", details, bounds)
 
 
 def check_degenerate_shadow() -> dict:
@@ -660,11 +638,10 @@ def check_degenerate_shadow() -> dict:
     errors = {}
     for b in (100.0, 1000.0):
         model = CompositeModel(p, GammaShadowParams(b, c / b))
-        worst = 0.0
-        for x in xs:
-            plain = models.akm_pdf_normalized(p, x / c) / c
-            worst = max(worst, _rel_err(composite.mixture_pdf(model, x), plain))
-        errors[f"b={b:g}"] = worst
+        errors[f"b={b:g}"] = _worst(
+            _rel_err(composite.mixture_pdf(model, x), models.akm_pdf_normalized(p, x / c) / c)
+            for x in xs
+        )
     passed = errors["b=1000"] <= 1e-2 and errors["b=1000"] < errors["b=100"]
     return _check("degenerate_shadow", passed, errors["b=1000"], 1e-2, errors)
 
@@ -677,11 +654,10 @@ def check_gross_series_consistency() -> dict:
     deviations = []
     for n in (10, 20, 40):
         cfg = SeriesConfig(max_terms=n, use_gross=True)
-        worst = max(
+        deviations.append(_worst(
             _rel_err(composite.akm_gamma_pdf_series(model, x, cfg), ref)
             for x, ref in zip(xs, reference)
-        )
-        deviations.append(worst)
+        ))
     ok = all(d2 <= d1 * (1.0 + 1e-9) for d1, d2 in zip(deviations, deviations[1:]))
     return _check(
         "gross_series_consistency",
@@ -711,18 +687,18 @@ def check_monte_carlo(
     box = dict(PARAM_BOX, alpha=(1.2, 4.0), mu=(0.9, 4.0), b=(1.1, 5.0))
 
     def run_family(label, make, family):
-        worst = 0.0
+        stats = []
         for d in range(draws):
             model, density, sampler = make(family)
             batches = [sampler(int(s) + d) for s in seeds]
             x_max = max(float(np.max(b.values)) for b in batches) * 1.05
             table = mc.build_cdf_table(density, x_max, grid_points)
             for batch in batches:
-                report = mc.gof_compare(batch, density, table=table)
-                worst = max(worst, report.ks_statistic)
-                if report.ks_statistic > critical:
+                ks = mc.gof_compare(batch, density, table=table).ks_statistic
+                stats.append(ks)
+                if not ks <= critical:
                     failures.append(f"{label} draw={d} seed={batch.seed}")
-        details[label] = worst
+        details[label] = _worst(stats)
 
     def make_plain(family):
         p = _random(rng, family, box)
@@ -738,26 +714,23 @@ def check_monte_carlo(
         run_family(family.name, make_plain, family)
     for family in MULTIPATH_FAMILIES:
         run_family(f"{family.name}_gamma", make_composite, family)
+    worst_ks = _worst(details.values())
 
     # Deep-fade atom frequency within five standard errors.
-    atom_ok = True
-    atom_worst = 0.0
+    pulls = []
     for m_ in (0.7, 1.1, 2.0):
         p = ExtremeParams(1.8, m_)
         batch = mc.sample_extreme(p, count, 977)
         observed = float(np.mean(batch.values == 0.0))
         expected = p.atom_mass
         se = math.sqrt(expected * (1.0 - expected) / count)
-        pull = abs(observed - expected) / se
-        atom_worst = max(atom_worst, pull)
-        atom_ok = atom_ok and pull <= 5.0
-    details["atom_pull_in_se"] = atom_worst
+        pulls.append(abs(observed - expected) / se)
+    details["atom_pull_in_se"] = _worst(pulls)
 
-    passed = not failures and atom_ok
     return _check(
         "monte_carlo",
-        passed,
-        max(v for k, v in details.items() if k != "atom_pull_in_se"),
+        not failures and details["atom_pull_in_se"] <= 5.0,
+        worst_ks,
         critical,
         {"critical": critical, "failures": failures, **details},
     )
@@ -793,13 +766,13 @@ def check_figures() -> dict:
             label = f"fig{fid}:{curve['label']}"
             entry = {
                 "mass_error": abs(mass - 1.0),
-                "min_value": float(min(values)),
+                "min_value": float(np.min(values)),
                 "unimodal": unimodal_on_grid(values),
             }
             details[label] = entry
             ok = ok and entry["mass_error"] <= 1e-6 and entry["min_value"] >= 0.0
             ok = ok and entry["unimodal"]
-    measured = max(d["mass_error"] for d in details.values())
+    measured = _worst(d["mass_error"] for d in details.values())
     return _check("figures", ok, measured, 1e-6, details)
 
 

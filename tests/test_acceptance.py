@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The same checks back the ``compfade validate --level full`` command.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -85,6 +86,55 @@ def test_moments_check_fails_on_a_nan_closed_form(monkeypatch):
     result = validation.check_moments()
     assert not result["passed"]
     assert math.isnan(result["measured"])
+
+
+def _nan(*args, **kwargs):
+    return math.nan
+
+
+def _nan_like(model, x, *args, **kwargs):
+    return np.asarray(x, dtype=float) * math.nan
+
+
+def _nan_ks(*args, _gof=validation.mc.gof_compare, **kwargs):
+    return dataclasses.replace(_gof(*args, **kwargs), ks_statistic=math.nan)
+
+
+@pytest.mark.parametrize(
+    "check,module,name,nan_fn",
+    [
+        pytest.param(lambda: validation.check_series_vs_oracle(draws=1, points=3),
+                     validation.composite, "composite_pdf", _nan_like, id="series_vs_oracle"),
+        pytest.param(validation.check_reduction_web,
+                     validation.composite, "composite_pdf", _nan_like, id="reduction_web"),
+        pytest.param(lambda: validation.check_normalization(draws=1),
+                     validation.models, "density_total_mass", _nan, id="normalization"),
+        pytest.param(lambda: validation.check_cdf_dual_form(points=5),
+                     validation.models, "akm_cdf_series", _nan, id="cdf_dual_form"),
+        pytest.param(lambda: validation.check_power_variance_identity(draws=3),
+                     validation.models, "akm_moment", _nan, id="power_variance_identity"),
+        pytest.param(lambda: validation.check_specfun_properties(n_draws=5),
+                     validation.specfun, "bessel_i", _nan, id="specfun_properties-bessel_i"),
+        pytest.param(lambda: validation.check_specfun_properties(n_draws=5),
+                     validation.specfun, "marcum_q", _nan, id="specfun_properties-marcum_q"),
+        pytest.param(validation.check_degenerate_shadow,
+                     validation.composite, "mixture_pdf", _nan, id="degenerate_shadow"),
+        pytest.param(
+            lambda: validation.check_monte_carlo(count=2000, draws=1, seeds=(101,), grid_points=300),
+            validation.mc, "gof_compare", _nan_ks, id="monte_carlo",
+        ),
+    ],
+)
+def test_check_fails_on_a_nan_route(check, module, name, nan_fn, monkeypatch):
+    # A NaN from the route under test fails the check and is its measured
+    # worst gap; a NaN that a property test meets is listed as a failure.
+    monkeypatch.setattr(module, name, nan_fn)
+    result = check()
+    assert not result["passed"]
+    if name == "marcum_q":
+        assert result["details"]["failures"]
+    else:
+        assert math.isnan(result["measured"])
 
 
 @pytest.mark.parametrize("name", ["degenerate_shadow", "gross_series_consistency", "figures"])

@@ -229,15 +229,19 @@ class TestPdfCommand:
             ("sample", dict(AM_MODEL, count=10.7), "argument --count: invalid int value: '10.7'"),
             ("pdf", dict(AM_GAMMA_CONFIG, series_rel_tl=0.5), "arguments: --series-rel-tl=0.5\n"),
             ("sample", dict(AM_MODEL, use_gross=True), "unrecognized arguments: --use-gross\n"),
+            ("pdf", dict(AM_CONFIG, model="am-gamma", b=1.5, omeg=0.8),
+             "unrecognized arguments: --omeg=0.8\n"),
+            ("pdf", dict(AM_CONFIG, form="json"), "unrecognized arguments: --form=json\n"),
         ],
         ids=[
             "non-numeric", "switch-string", "bad-choice", "float-count", "unknown-key",
-            "sample-use-gross",
+            "sample-use-gross", "abbreviated-key", "abbreviated-flag",
         ],
     )
     def test_bad_config_entry_is_usage_error(self, command, entries, message, tmp_path, capsys):
         # Config entries are parsed as the flags they name, so a bad value
-        # or a key that names no flag of the command exits as a bad flag does.
+        # or a key that names no flag of the command exits as a bad flag does;
+        # a key or flag that abbreviates one names none.
         with pytest.raises(SystemExit) as exc_info:
             main([command, "--config", write_config(tmp_path, entries)])
         assert exc_info.value.code == 2
