@@ -11,8 +11,10 @@ from .composite import (
     SeriesConfig,
     akm_gamma_pdf_series,
     am_gamma_pdf,
+    composite_cdf,
     composite_density,
     composite_pdf,
+    composite_sf,
     extreme_gamma_density,
     extreme_gamma_pdf,
     mixture_cdf,

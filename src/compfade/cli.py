@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--use-gross", action="store_true",
                        help="use the degree-n polynomial Bessel weights" + pdf_only)
         p.add_argument("--oracle", action="store_true",
-                       help="force the mixture-quadrature route for composites" + pdf_only)
+                       help="force the mixture-quadrature routes for composites: "
+                       "mixture_pdf, and mixture_cdf for a composite cdf")
 
     p_pdf = sub.add_parser("pdf", help="evaluate a density on a grid")
     add_model_flags(p_pdf)
@@ -277,9 +278,9 @@ def cmd_curve(args: argparse.Namespace, cdf: bool) -> int:
     if not cdf:
         density = _density_for(model, is_composite, args, series_cfg, args.oracle)
         values, atoms = density.values(xs), density.atoms
-    elif is_composite:  # one route, whatever the pdf-route flags say
-        values, atoms = [composite.mixture_cdf(model, float(x)) for x in xs], ()
-        metadata["route"] = "mixture-cdf"
+    elif is_composite:  # the series flags set the pdf route only
+        values, atoms = composite.composite_cdf(model, xs, oracle=args.oracle), ()
+        metadata["route"] = "mixture-cdf" if args.oracle else "multipath-average"
     else:
         family, rhat = composite.family_of(model), _rhat(args)
         values, atoms = [family.cdf(model, float(x), rhat) for x in xs], ()

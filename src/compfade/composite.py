@@ -11,8 +11,10 @@ N ~ Poisson(lam).
 Two independent evaluation routes are provided for every composite family:
 
 * ``mixture_pdf`` integrates the conditional multipath density against the
-  gamma shadow density.  It is the ground-truth oracle; ``mixture_cdf``,
-  the composite cdf, does the same with the conditional cdf.
+  gamma shadow density.  It is the ground-truth oracle; ``mixture_cdf``
+  does the same with the conditional cdf.  ``composite_cdf`` and
+  ``composite_sf`` average the shadow's cdf over the multipath density
+  instead, one incomplete gamma per node.
 * The series evaluators expand the Bessel factor of the conditional density
   and push the shadow average through term by term, which leaves one
   shadow-kernel integral per term:
@@ -70,7 +72,7 @@ from .models import (
     gamma_shadow_pdf,
 )
 from .numerics import integrate_semi_infinite
-from .specfun import _gross_ln_weight
+from .specfun import _gross_ln_weight, _reg_gamma
 from .numerics import sum_adaptive  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -89,6 +91,8 @@ __all__ = [
     "mixture_pdf",
     "mixture_cdf",
     "mixture_density",
+    "composite_cdf",
+    "composite_sf",
     "akm_gamma_pdf_series",
     "am_gamma_pdf",
     "extreme_gamma_pdf",
@@ -483,11 +487,16 @@ def _atoms(params) -> tuple:
     return () if shape else ((0.0, math.exp(-lam)),)
 
 
+def _atom_mass(params) -> float:
+    return sum(mass for _, mass in _atoms(params))
+
+
 def plain_density(params, scale: float = 1.0) -> Density:
     """Full distribution of an unshadowed model at rms scale ``scale``."""
     family = family_of(params)
     return Density(
-        continuous=lambda x: family.pdf(params, x, scale), atoms=_atoms(params), vectorized=True
+        continuous=lambda x: family.pdf(params, x, scale), atoms=_atoms(params), vectorized=True,
+        continuous_cdf=lambda x: family.cdf(params, x, scale) - _atom_mass(params),
     )
 
 
@@ -516,26 +525,29 @@ def _value_at_origin(m: CompositeModel) -> float:
 _FIRST_NODE = 5.3e-4
 
 
-def _shadow_average(conditional: Callable, m: CompositeModel, x: float, rel_tol, budget, vectorized):
-    # int_0^inf conditional(mp, x, y) f_Y(y) dy with no absolute floor.  The
-    # integrand changes over y ~ x; for x below the first initial node,
-    # (0, cut) takes its own quadrature and budget, with nodes about y ~ x.
-    mp, sh = m.multipath, m.shadow
-
-    def integrand(y):
-        return conditional(mp, x, y) * gamma_shadow_pdf(sh, y)
-
-    def quad(f, scale: float) -> float:
+def _split_quadrature(f: Callable, edge: float, scale: float, rel_tol, budget, vectorized) -> float:
+    # int_0^inf f with no absolute floor, where f changes over u ~ edge; for
+    # an edge below the first initial node, (0, cut) takes its own quadrature
+    # and budget, with nodes about u ~ edge.
+    def quad(g, scale: float) -> float:
         return integrate_semi_infinite(
-            f, rel_tol=rel_tol, abs_tol=1e-300, budget=budget, scale=scale, vectorized=vectorized
+            g, rel_tol=rel_tol, abs_tol=1e-300, budget=budget, scale=scale, vectorized=vectorized
         ).value
 
-    scale = max(x, sh.b * sh.omega)
     cut = _FIRST_NODE * scale
-    if x >= cut:
-        return quad(integrand, scale)
-    head = quad(lambda w: integrand(cut * w / (1.0 + w)) * cut / (1.0 + w) ** 2, x / cut)
-    return head + quad(lambda v: integrand(cut + v), scale)
+    if edge >= cut:
+        return quad(f, scale)
+    head = quad(lambda w: f(cut * w / (1.0 + w)) * cut / (1.0 + w) ** 2, edge / cut)
+    return head + quad(lambda v: f(cut + v), scale)
+
+
+def _shadow_average(conditional: Callable, m: CompositeModel, x: float, rel_tol, budget, vectorized):
+    # int_0^inf conditional(mp, x, y) f_Y(y) dy, which changes over y ~ x.
+    mp, sh = m.multipath, m.shadow
+    return _split_quadrature(
+        lambda y: conditional(mp, x, y) * gamma_shadow_pdf(sh, y),
+        x, max(x, sh.b * sh.omega), rel_tol, budget, vectorized,
+    )
 
 
 def mixture_pdf(m: CompositeModel, x: float, rel_tol: float = 1e-9, budget: int = 200_000) -> float:
@@ -570,7 +582,66 @@ def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_
     return Density(
         continuous=lambda x: mixture_pdf(m, x, rel_tol=rel_tol, budget=budget),
         atoms=_atoms(m.multipath),
+        continuous_cdf=lambda x: mixture_cdf(m, x) - _atom_mass(m.multipath),
     )
+
+
+# ----------------------------------------------------------------------
+# Composite cdf: the shadow cdf averaged over the multipath
+# ----------------------------------------------------------------------
+
+_CDF_REL_TOL = 1e-10
+
+
+def _multipath_average(m: CompositeModel, x: float, upper: bool) -> float:
+    # int_0^inf f(rho) G(b, x / (omega rho)) drho for x > 0, with f the unit-
+    # scale multipath density (continuous part) and G = Q if ``upper``, else
+    # P: X = P Y with Y ~ Gamma(b, omega) independent of P.  Every value is
+    # positive, so both tails keep relative digits.  Where f ~ c rho^e with
+    # e < 0 (``models._origin``) it runs in s = rho^((e+1)/2), where the
+    # integrand goes like 2c s / (e+1): no singularity, and the next
+    # component's fractional power of rho is a power of s above 1.  G
+    # changes at rho ~ x/omega.
+    mp, b, z = m.multipath, m.shadow.b, x / m.shadow.omega
+    pdf, side = family_of(mp).pdf, int(upper)
+    e = _origin(mp)[0]
+    k = 2.0 / (e + 1.0) if e < 0.0 else 1.0
+
+    def integrand(s):
+        rho = s**k
+        return pdf(mp, rho, 1.0) * _reg_gamma(b, z / rho)[side] * (k * rho / s)
+
+    return _split_quadrature(integrand, z ** (1.0 / k), 1.0, _CDF_REL_TOL, 200_000, True)
+
+
+def _pointwise(x, at_origin: float, value: Callable[[float], float]):
+    # ``value`` at each positive point of x, a float or a 1-D array, and
+    # ``at_origin`` at the zeros.
+    return _density("x", x, lambda: at_origin, np.vectorize(value, otypes=[float]))
+
+
+def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
+    """Composite distribution function F(x), atoms included, at a float or a
+    1-D array of points.
+
+    F(x) = atom + int f_mp(rho) P(b, x / (omega rho)) drho: the gamma shadow's
+    cdf averaged over the closed multipath density, one incomplete gamma at
+    the shadow shape b per node, to relative accuracy 1e-10 in either tail.
+    ``oracle=True`` runs ``mixture_cdf`` at each point instead, which
+    averages the multipath cdf over the shadow; the two routes share only
+    ``integrate_semi_infinite``.
+    """
+    if oracle:
+        return _pointwise(x, mixture_cdf(m, 0.0), lambda v: mixture_cdf(m, v))
+    atom = _atom_mass(m.multipath)
+    return _pointwise(x, atom, lambda v: min(atom + _multipath_average(m, v, False), 1.0))
+
+
+def composite_sf(m: CompositeModel, x):
+    """Composite survival function S(x) = 1 - F(x) = int f_mp(rho) Q(b, x /
+    (omega rho)) drho, at a float or a 1-D array of points, summed directly
+    so that the upper tail keeps its relative digits."""
+    return _pointwise(x, 1.0 - _atom_mass(m.multipath), lambda v: _multipath_average(m, v, True))
 
 
 # ----------------------------------------------------------------------
@@ -774,5 +845,6 @@ def composite_density(
     if oracle:
         return mixture_density(m)
     return Density(
-        continuous=lambda x: composite_pdf(m, x, cfg), atoms=_atoms(m.multipath), vectorized=True
+        continuous=lambda x: composite_pdf(m, x, cfg), atoms=_atoms(m.multipath), vectorized=True,
+        continuous_cdf=lambda x: _pointwise(x, 0.0, lambda v: _multipath_average(m, v, False)),
     )

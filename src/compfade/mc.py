@@ -178,8 +178,10 @@ class CdfTable:
 def build_cdf_table(density: Density, x_max: float, grid_points: int = 2000) -> CdfTable:
     """Trapezoid cumulative of the continuous part on an origin-dense grid.
 
-    The first cell (0, x0) and the tail beyond ``x_max`` are integrated
-    adaptively, so the table also certifies the density's total mass.
+    The first cell (0, x0) is the density's ``continuous_cdf`` at x0, or an
+    adaptive quadrature where it has none.  The tail beyond ``x_max`` is
+    integrated adaptively, so the table also certifies the density's total
+    mass.
     """
     x0 = x_max * 1e-4
     xs = np.unique(
@@ -191,14 +193,17 @@ def build_cdf_table(density: Density, x_max: float, grid_points: int = 2000) -> 
         )
     )
     f = density.values(xs)
-    head = integrate_semi_infinite(
-        lambda w: density.continuous(x0 * w / (1.0 + w)) * x0 / (1.0 + w) ** 2,
-        rel_tol=1e-8,
-        abs_tol=1e-13,
-        budget=100_000,
-        scale=1.0,
-        vectorized=density.vectorized,
-    ).value
+    if density.continuous_cdf is not None:
+        head = density.continuous_cdf(x0)
+    else:
+        head = integrate_semi_infinite(
+            lambda w: density.continuous(x0 * w / (1.0 + w)) * x0 / (1.0 + w) ** 2,
+            rel_tol=1e-8,
+            abs_tol=1e-13,
+            budget=100_000,
+            scale=1.0,
+            vectorized=density.vectorized,
+        ).value
     # Derivative-corrected trapezoid: O(h^4) per cell at no extra density
     # evaluations, which keeps the total-mass certificate sharp even on
     # moderate grids.

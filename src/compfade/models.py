@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -157,12 +157,14 @@ class Density:
     integral of the continuous part.  ``continuous`` takes a float and
     returns a float; with ``vectorized`` true it also takes a 1-D array and
     returns an array, which ``values`` and the quadratures use to evaluate
-    many points in one call.
+    many points in one call.  ``continuous_cdf``, where given, is the
+    continuous part's mass on (0, x] at a float x.
     """
 
     continuous: Callable[[float], float]
     atoms: tuple = field(default_factory=tuple)
     vectorized: bool = False
+    continuous_cdf: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         for loc, mass in self.atoms:
@@ -403,7 +405,8 @@ def extreme_density(p: ExtremeParams) -> Density:
     """Complete severe-fading distribution: continuous part plus the
     deep-fade atom at zero."""
     return Density(
-        continuous=lambda rho: extreme_pdf(p, rho), atoms=((0.0, p.atom_mass),), vectorized=True
+        continuous=lambda rho: extreme_pdf(p, rho), atoms=((0.0, p.atom_mass),), vectorized=True,
+        continuous_cdf=lambda rho: extreme_cdf(p, rho) - p.atom_mass,
     )
 
 

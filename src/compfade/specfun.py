@@ -355,8 +355,13 @@ def _upper_gamma_cf(a: float, x: float, ln_fac: float) -> float:
     raise NonConvergenceError("upper incomplete gamma continued fraction stalled")
 
 
-def _reg_gamma(a: float, x: float) -> tuple:
-    # (P(a, x), Q(a, x)); the side that converges is summed, the other is 1 minus it.
+def _reg_gamma(a: float, x) -> tuple:
+    # (P(a, x), Q(a, x)); the side that converges is summed, the other is 1
+    # minus it.  x is a float, or a 1-D array giving a pair of arrays, element
+    # by element on the float path: on a quadrature step's few dozen nodes
+    # that runs as fast as masked array loops, which wait for the slowest.
+    if isinstance(x, np.ndarray):
+        return np.array([_reg_gamma(a, v) for v in x.tolist()]).reshape(-1, 2).T
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"gamma shape must be finite and > 0, got {a!r}")
     if not (x >= 0.0 and math.isfinite(x)):

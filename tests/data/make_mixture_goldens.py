@@ -34,6 +34,9 @@ is an mpmath quadrature over y, with breakpoints at x and b omega, of the
 same Poisson-gamma F at rate rho^alpha, rho = x / y (``mixture_cdf``, which
 is cheaper per node than ``mixture``).  It is computed at ``QUAD_DPS`` and
 ``QUAD_DPS + 10`` digits, which must agree to ``AGREE_QUAD`` relative.
+The composite survival function (``composite_sf``) is the same quadrature
+of the mixture's S, summed directly above the mixture's mean, at
+``COMPOSITE_SF_X``, where it falls from about 0.8 to 8e-23.
 The composite density (``composite_pdf``) of the same models at the same
 points is the same quadrature of the plain density below,
 
@@ -189,9 +192,9 @@ def extreme_upper_cases():
             yield {"alpha": 2.0, "m": m, "rho": rho, "cdf": cdf, "sf": sf}
 
 
-def mixture_cdf(lam, shape, x):
-    """F of the Poisson-gamma mixture at the working precision, from one
-    ``gammainc`` call.  With d_n = x^(shape+n) e^-x / Gamma(shape + n + 1),
+def mixture_cdf(lam, shape, x, upper=False):
+    """F (S = 1 - F with ``upper``) of the Poisson-gamma mixture at the
+    working precision, from one ``gammainc`` call.  With d_n = x^(shape+n) e^-x / Gamma(shape + n + 1),
     P(shape + n, x) = P(shape + n + 1, x) + d_n and Q(shape + n + 1, x) =
     Q(shape + n, x) + d_n.  At or below the mean shape + lam, F = sum_n
     Pois_n(lam) P(shape + n, x) with P summed down from the top n; above it,
@@ -214,25 +217,26 @@ def mixture_cdf(lam, shape, x):
         for weight, gap in zip(reversed(weights), reversed(gaps)):
             p += gap
             total += weight * p
-        return total
+        return 1 - total if upper else total
     q = mp.gammainc(shape, x, mp.inf, regularized=True) if shape else mp.mpf(0)
     for weight, gap in zip(weights, gaps):
         total += weight * q
         q += gap
-    return 1 - total
+    return total if upper else 1 - total
 
 
-def composite_cdf(alpha, lam, shape, rate, b, omega, x, dps):
-    """The composite cdf at x of multipath (alpha, lam, shape, rate) over a
-    Gamma(b, omega) shadow, at ``dps`` digits."""
+def composite_cdf(alpha, lam, shape, rate, b, omega, x, dps, upper=False):
+    """The composite cdf (survival function with ``upper``) at x of
+    multipath (alpha, lam, shape, rate) over a Gamma(b, omega) shadow, at
+    ``dps`` digits."""
     with mp.workdps(dps + 10):
         alpha, lam, shape, rate = (mp.mpf(v) for v in (alpha, lam, shape, rate))
         b, omega, x = mp.mpf(b), mp.mpf(omega), mp.mpf(x)
         norm = mp.gamma(b) * omega**b
 
         def integrand(y):
-            cdf = mixture_cdf(lam, shape, rate * (x / y) ** alpha)
-            return cdf * y ** (b - 1) * mp.exp(-y / omega) / norm
+            side = mixture_cdf(lam, shape, rate * (x / y) ** alpha, upper)
+            return side * y ** (b - 1) * mp.exp(-y / omega) / norm
 
         return +mp.quad(integrand, [0] + sorted({x, b * omega}) + [mp.inf])
 
@@ -248,6 +252,8 @@ COMPOSITES = (
 )
 SHADOWS = ({"b": 0.6, "omega": 1.5}, {"b": 2.0, "omega": 0.8})
 COMPOSITE_X = (1e-8, 1e-5, 1e-2, 0.5, 2.0, 6.0)
+# The survival function from its body to below 1e-12 (to 8e-23).
+COMPOSITE_SF_X = (0.5, 6.0, 20.0, 60.0, 100.0)
 
 
 def composite_cdf_cases():
@@ -259,6 +265,17 @@ def composite_cdf_cases():
                 assert abs(low - high) <= AGREE_QUAD * abs(high), (family, multipath, shadow, x)
                 yield {"family": family, "multipath": multipath, "shadow": shadow,
                        "x": x, "cdf": mp.nstr(low, QUAD_DPS)}
+
+
+def composite_sf_cases():
+    for family, multipath, form in COMPOSITES:
+        for shadow in SHADOWS:
+            for x in COMPOSITE_SF_X:
+                low, high = (composite_cdf(*form, shadow["b"], shadow["omega"], x, dps, upper=True)
+                             for dps in (QUAD_DPS, QUAD_DPS + 10))
+                assert abs(low - high) <= AGREE_QUAD * abs(high), (family, multipath, shadow, x)
+                yield {"family": family, "multipath": multipath, "shadow": shadow,
+                       "x": x, "sf": mp.nstr(low, QUAD_DPS)}
 
 
 def composite_pdf(alpha, lam, shape, rate, b, omega, x, dps):
@@ -383,6 +400,7 @@ def main() -> None:
         "extreme_cdf": list(extreme_cases()),
         "extreme_cdf_upper": list(extreme_upper_cases()),
         "composite_cdf": list(composite_cdf_cases()),
+        "composite_sf": list(composite_sf_cases()),
         "composite_pdf": list(composite_pdf_cases()),
         "pdf": list(pdf_cases()),
         "moment": list(moment_cases()),

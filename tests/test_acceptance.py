@@ -43,6 +43,13 @@ def test_criterion_02_series_vs_oracle():
     assert result["details"]["am_gamma"] <= 1e-6
 
 
+def test_criterion_02_cdf_routes():
+    # The composite cdf averaged over the multipath within 2e-9 of the
+    # mixture oracle, 10 points x 10 draws per composite family.
+    result = validation.check_cdf_routes()
+    report(2, "cdf_routes", result)
+
+
 def test_criterion_03_reduction_web():
     # alpha=2 collapses, kappa->0 limit, and the Rayleigh/gamma composite
     # against an independently coded nested-quadrature oracle.
@@ -117,6 +124,8 @@ def _nan_ks(*args, _gof=validation.mc.gof_compare, **kwargs):
                      validation.specfun, "bessel_i", _nan, id="specfun_properties-bessel_i"),
         pytest.param(lambda: validation.check_specfun_properties(n_draws=5),
                      validation.specfun, "marcum_q", _nan, id="specfun_properties-marcum_q"),
+        pytest.param(lambda: validation.check_cdf_routes(draws=1, points=3),
+                     validation.composite, "composite_cdf", _nan_like, id="cdf_routes"),
         pytest.param(validation.check_degenerate_shadow,
                      validation.composite, "mixture_pdf", _nan, id="degenerate_shadow"),
         pytest.param(
@@ -127,14 +136,11 @@ def _nan_ks(*args, _gof=validation.mc.gof_compare, **kwargs):
 )
 def test_check_fails_on_a_nan_route(check, module, name, nan_fn, monkeypatch):
     # A NaN from the route under test fails the check and is its measured
-    # worst gap; a NaN that a property test meets is listed as a failure.
+    # worst gap.
     monkeypatch.setattr(module, name, nan_fn)
     result = check()
     assert not result["passed"]
-    if name == "marcum_q":
-        assert result["details"]["failures"]
-    else:
-        assert math.isnan(result["measured"])
+    assert math.isnan(result["measured"])
 
 
 @pytest.mark.parametrize("name", ["degenerate_shadow", "gross_series_consistency", "figures"])
@@ -221,3 +227,16 @@ def test_criterion_10_special_function_goldens():
     status = "PASS" if gross["passed"] else "FAIL"
     print(f"ACCEPTANCE 10 gross_error_monotone: {status}")
     assert gross["passed"]
+
+
+@pytest.mark.parametrize(
+    "name,wrong",
+    [("reg_upper_gamma", lambda a, x: 1.5), ("marcum_q", lambda mu, a, b: b)],
+    ids=["out_of_range", "rising"],
+)
+def test_specfun_properties_measures_the_failing_property(name, wrong, monkeypatch):
+    # A property that fails reads above 1, whichever property it is.
+    monkeypatch.setattr(validation.specfun, name, wrong)
+    result = validation.check_specfun_properties(n_draws=5)
+    assert not result["passed"]
+    assert result["measured"] > result["threshold"]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from compfade import CompositeModel, ExtremeParams, GammaShadowParams, mixture_cdf
+from compfade import CompositeModel, ExtremeParams, GammaShadowParams, composite_cdf, mixture_cdf
 from compfade import composite, mc, models, validation
 from compfade.cli import main
 from compfade.errors import NonConvergenceError
@@ -329,24 +329,32 @@ class TestCdfCommand:
         assert 0.97 <= vs[-1] <= 1.0
 
 
-    def test_composite_cdf_has_one_route(self, capsys):
-        # The pdf-route flags leave a composite cdf unchanged.
+    def test_composite_cdf_has_two_routes(self, capsys):
+        # --oracle selects mixture_cdf; the series flags leave either route as it is.
         base = ["cdf", "--model", "extreme-gamma", "--alpha", "1.7", "--m", "1.1",
                 "--b", "1.2", "--omega", "0.8", "--grid", "0.02:2:4", "--format", "json"]
         model = CompositeModel(ExtremeParams(1.7, 1.1), GammaShadowParams(1.2, 0.8))
-        for flags in ([], ["--oracle"], ["--use-gross", "--series-n", "20"],
-                      ["--series-rel-tol", "1e-4"]):
-            assert main(base + flags) == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["metadata"]["route"] == "mixture-cdf"
-            assert payload["atoms"] == []
-            assert payload["values"] == [mixture_cdf(model, x) for x in payload["abscissae"]]
+        series = (["--use-gross", "--series-n", "20"], ["--series-rel-tol", "1e-4"])
+        routes = {"multipath-average": composite_cdf, "mixture-cdf": mixture_cdf}
+        for oracle in ([], ["--oracle"]):
+            for flags in ([], *series):
+                assert main(base + oracle + flags) == 0
+                payload = json.loads(capsys.readouterr().out)
+                route = payload["metadata"]["route"]
+                assert route == ("mixture-cdf" if oracle else "multipath-average")
+                assert payload["atoms"] == []
+                want = [routes[route](model, x) for x in payload["abscissae"]]
+                assert payload["values"] == want
+                assert payload["values"] == pytest.approx(
+                    [composite_cdf(model, x, oracle=not oracle) for x in payload["abscissae"]],
+                    rel=1e-9,
+                )
 
     def test_nonconvergence_exits_one(self, monkeypatch, capsys):
-        def fails(model, x):
+        def fails(model, x, upper):
             raise NonConvergenceError("quadrature did not converge")
 
-        monkeypatch.setattr(composite, "mixture_cdf", fails)
+        monkeypatch.setattr(composite, "_multipath_average", fails)
         code = main(
             ["cdf", "--model", "am-gamma", "--alpha", "2", "--mu", "1", "--b", "1.5",
              "--omega", "0.8", "--grid", "0.5:1:2"]

@@ -1,5 +1,6 @@
 """Samplers, reproducibility, and goodness-of-fit machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from compfade import (
     sample_composite,
     sample_extreme,
 )
-from compfade.composite import composite_density
+from compfade.composite import composite_density, mixture_density, plain_density
 from compfade.mc import SampleBatch, build_cdf_table, model_descriptor, subsequence_seeds
 from compfade.models import Density, akm_pdf_normalized, extreme_density
 
@@ -230,6 +231,26 @@ class TestGofCompare:
         assert gof_compare(b2, density, table=table).ks_statistic <= ks_critical_value(
             0.001, 20_000
         )
+
+
+    @pytest.mark.parametrize(
+        "density",
+        [
+            composite_density(CompositeModel(ExtremeParams(1.7, 1.1), GammaShadowParams(1.2, 0.8))),
+            mixture_density(CompositeModel(AkmParams(2.2, 1.3, 1.7), GammaShadowParams(1.6, 0.8))),
+            plain_density(AkmParams(1.5, 1.0, 2.1)),
+            extreme_density(ExtremeParams(2.0, 1.1)),
+        ],
+        ids=["composite", "mixture", "plain", "extreme"],
+    )
+    def test_table_head_is_the_continuous_cdf(self, density):
+        # Every density the library builds gives the table its first cell;
+        # without one the table integrates the density there, to the same mass.
+        table = build_cdf_table(density, 5.0, 600)
+        assert table.cum[0] == density.continuous_cdf(5e-4)
+        by_quadrature = build_cdf_table(dataclasses.replace(density, continuous_cdf=None), 5.0, 600)
+        assert table.cum[0] == pytest.approx(by_quadrature.cum[0], rel=1e-7)
+        assert table.total_mass == pytest.approx(1.0, abs=1e-7)
 
 
 class TestKsCriticalValue:

@@ -6,7 +6,10 @@ both tails included; only ``test_goldens_regenerate`` needs mpmath.  A
 value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3; a
 Marcum Q value, the cdfs' upper tail, to 1e-10 relative only.  The
 composite cdf (an mpmath quadrature over the shadow, at 20 digits) matches
-to 1e-9 relative from x = 1e-8 to its upper tail, and the composite
+to 1e-9 relative from x = 1e-8 to its upper tail on both routes,
+``composite_cdf`` and ``mixture_cdf``; the composite survival function (the
+same quadrature of the upper side) matches ``composite_sf`` to 1e-9
+relative from 0.8 down to 1e-22; and the composite
 density (the same quadrature of the plain density) matches on both
 routes, the series at rel_tol 1e-10 and the oracle, to 1e-10 relative over
 the same points.  Far above its mean,
@@ -37,7 +40,9 @@ from compfade import (
     akm_moment,
     akm_pdf_normalized,
     am_pdf,
+    composite_cdf,
     composite_pdf,
+    composite_sf,
     extreme_cdf,
     extreme_pdf,
     marcum_q,
@@ -116,6 +121,16 @@ def test_mixture_cdf(case):
     assert mixture_cdf(_composite(case), case["x"]) == pytest.approx(float(case["cdf"]), rel=1e-9)
 
 
+@pytest.mark.parametrize("case", _DATA["composite_cdf"], ids=_composite_id)
+def test_composite_cdf(case):
+    assert composite_cdf(_composite(case), case["x"]) == pytest.approx(float(case["cdf"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("case", _DATA["composite_sf"], ids=_composite_id)
+def test_composite_sf(case):
+    assert composite_sf(_composite(case), case["x"]) == pytest.approx(float(case["sf"]), rel=1e-9)
+
+
 @pytest.mark.parametrize("case", _DATA["composite_pdf"], ids=_composite_id)
 def test_composite_pdf(case):
     model, x, golden = _composite(case), case["x"], float(case["pdf"])
@@ -159,7 +174,8 @@ def test_goldens_regenerate():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     cases = (gen.marcum_cases, gen.akm_cases, gen.extreme_cases, gen.extreme_upper_cases,
-             gen.composite_cdf_cases, gen.composite_pdf_cases, gen.pdf_cases, gen.moment_cases)
+             gen.composite_cdf_cases, gen.composite_sf_cases, gen.composite_pdf_cases,
+             gen.pdf_cases, gen.moment_cases)
     sections = ("marcum_q", "akm_cdf", "extreme_cdf", "extreme_cdf_upper", "composite_cdf",
-                "composite_pdf", "pdf", "moment")
+                "composite_sf", "composite_pdf", "pdf", "moment")
     assert [next(c()) for c in cases] == [_DATA[name][0] for name in sections]

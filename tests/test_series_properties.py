@@ -1,9 +1,11 @@
 """Property tests: the series route at its default settings against the
 mixture oracle over the whole validation box and past it, the plain cdfs
-past it, and the composite cdf against the series density past it."""
+past it, and the composite cdf against the series density and its own
+oracle past it."""
 
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -13,9 +15,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from compfade import CompositeModel, GammaShadowParams, SeriesConfig  # noqa: E402
 from compfade.composite import (  # noqa: E402
+    _CDF_REL_TOL,
     FAMILIES,
+    composite_cdf,
     composite_density,
     composite_pdf,
+    composite_sf,
     family_of,
     mixture_cdf,
     mixture_pdf,
@@ -116,9 +121,9 @@ def test_composite_cdf_integrates_the_series_pdf(model, exponents):
     # x from 1e-8 to 10 mean shadow scales b*omega.
     scale = model.shadow.b * model.shadow.omega
     xs = sorted({10.0**e * scale for e in exponents})
-    values = [mixture_cdf(model, x) for x in xs]
+    values = composite_cdf(model, np.array(xs)).tolist()
     atom = composite_density(model).atom_mass
-    assert mixture_cdf(model, 0.0) == pytest.approx(atom, rel=1e-15)
+    assert composite_cdf(model, 0.0) == pytest.approx(atom, rel=1e-15)
     assert all(atom * (1.0 - 1e-9) <= v <= 1.0 for v in values)  # NaN fails too
     assert all(b >= a * (1.0 - 1e-9) for a, b in zip(values, values[1:]))
     cfg = SeriesConfig(rel_tol=1e-10)
@@ -129,3 +134,14 @@ def test_composite_cdf_integrates_the_series_pdf(model, exponents):
             math.log(x1), math.log(x2), epsabs=1e-11, epsrel=1e-10, limit=200,
         )
         assert f2 - f1 == pytest.approx(mass, abs=1e-8)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(past_box_composites(), st.floats(-8.0, 1.0))
+def test_composite_cdf_holds_its_rel_tol_past_the_box(model, exponent):
+    # x from 1e-8 to 10 mean shadow scales; the oracle at rel_tol 1e-12.
+    x = 10.0**exponent * model.shadow.b * model.shadow.omega
+    oracle = mixture_cdf(model, x, rel_tol=1e-12)
+    cdf, sf = composite_cdf(model, x), composite_sf(model, x)
+    assert abs(cdf - oracle) <= (_CDF_REL_TOL + 1e-12) * oracle
+    assert abs(cdf + sf - 1.0) <= 2.0 * _CDF_REL_TOL

@@ -24,6 +24,7 @@ from compfade.specfun import (
     _bessel_asym_scaled,
     _bessel_series_unscaled,
     _ln_bessel_i_scaled,
+    _reg_gamma,
     poisson_gamma_cdf,
 )
 
@@ -227,6 +228,25 @@ class TestRegGamma:
             reg_upper_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             reg_upper_gamma(1.0, -0.5)
+
+    @pytest.mark.parametrize("a", [0.05, 0.6, 1.1, 2.0, 7.5, 60.0, 900.0])
+    def test_array_matches_the_float_path(self, a):
+        # Both sides of a + 1, z = 0, and elements whose prefactor underflows
+        # (z = 5e-324 and z = 1e5).
+        rng = np.random.default_rng(8)
+        z = np.concatenate([
+            [0.0, 5e-324, 1e-300, np.nextafter(a + 1.0, 0.0), a + 1.0, 1e5],
+            rng.uniform(0.0, a + 1.0, 30), rng.uniform(a + 1.0, 3.0 * a + 40.0, 30),
+        ])
+        lower, upper = _reg_gamma(a, z)
+        assert list(zip(lower.tolist(), upper.tolist())) == [_reg_gamma(a, zi) for zi in z.tolist()]
+        assert (lower[0], upper[0]) == (0.0, 1.0)
+        assert (lower[5], upper[5]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_array_domain(self, bad):
+        with pytest.raises(DomainError):
+            _reg_gamma(1.5, np.array([0.5, bad]))
 
 
 class TestMarcumQ:
