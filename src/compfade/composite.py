@@ -286,9 +286,9 @@ def shadow_kernel_integral_ln(
     sums at steps h and 2h of some row differ by more than ``rel_tol``; such
     points are grouped into passes again.  A point whose next grid has
     ``budget`` or more intervals, or whose rows' peaks lie too far apart for
-    one grid, leaves the passes: its two end rows run alone, then its rows
-    in two halves, each as its own call.  A single row over ``budget``, or
-    whose peak is narrower than doubles resolve, raises NonConvergenceError.
+    one grid, leaves the passes: its rows run in two halves, each as its
+    own call.  A single row over ``budget``, or whose peak is narrower than
+    doubles resolve, raises NonConvergenceError.
     """
     given, scales = np.asarray(p, dtype=float), np.asarray(a, dtype=float)
     rows, points = given.reshape(-1), scales.reshape(-1)
@@ -335,8 +335,6 @@ def shadow_kernel_integral_ln(
                 if rows.size == 1:
                     raise NonConvergenceError(f"kernel budget of {budget} nodes exhausted")
                 args = (float(points[i]), alpha, omega, rel_tol, budget)
-                for q in (lo_p, hi_p):  # the end rows, the likeliest to fail
-                    shadow_kernel_integral_ln(q, *args)  # alone, raise first
                 halves = np.array_split(rows, 2)
                 out[i] = np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
         # By position, so a pass over every point is in order; the rows of a
@@ -629,7 +627,7 @@ def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
     the shadow shape b per node, to relative accuracy 1e-10 in either tail.
     ``oracle=True`` runs ``mixture_cdf`` at each point instead, which
     averages the multipath cdf over the shadow; the two routes share only
-    ``integrate_semi_infinite``.
+    ``integrate_semi_infinite`` and the incomplete gamma.
     """
     if oracle:
         return _pointwise(x, mixture_cdf(m, 0.0), lambda v: mixture_cdf(m, v))

@@ -3,9 +3,11 @@
 The semi-infinite integrator maps the half line onto (0, 1) through
 u = scale * t / (1 - t) and subdivides adaptively with an embedded
 Gauss(7)/Kronrod(15) pair, so both local estimates come from one 15-point
-evaluation per panel.  Integrands in scope (products of powers and stretched
-exponentials) are smooth after the transform; the rational map also copes
-with essential decay like exp(-A/u^alpha) near the origin.
+evaluation per panel.  Each refinement round bisects, in one evaluation, the
+largest-error panels until the error the others hold is within tolerance.
+Integrands in scope (products of powers and stretched exponentials) are
+smooth after the transform; the rational map also copes with essential
+decay like exp(-A/u^alpha) near the origin.
 
 Both entry points are pure given the caller-supplied callback and are
 thread-safe whenever the callback is.
@@ -111,13 +113,14 @@ def integrate_semi_infinite(
         the bulk of the integrand's mass speeds up convergence but any
         positive value is correct.
     vectorized : bool
-        Evaluate the nodes of each refinement step in one call ``f(u)``
+        Evaluate the nodes of each refinement round in one call ``f(u)``
         rather than one call per node.  Nodes, panels and refinement order
         are the same either way, so an integrand that does the same
         floating-point operations gives the same result.
     budget : int
-        Maximum number of integrand evaluations.  Exhausting it, or refining
-        up to u = inf, raises ``NonConvergenceError`` with the partial result.
+        Maximum number of integrand evaluations.  A round bisects no more
+        panels than fit in it; a round that fits none, or refining up to
+        u = inf, raises ``NonConvergenceError`` with the partial result.
     """
     if not (rel_tol > 0.0 and abs_tol > 0.0):
         raise ValueError("tolerances must be positive")
@@ -166,22 +169,30 @@ def integrate_semi_infinite(
         heapq.heappush(heap, (-float(err), serial, a, b, float(val)))
         serial += 1
 
-    while total_err > max(rel_tol * abs(total), abs_tol):
-        neg_err, _, a, b, val = heapq.heappop(heap)
-        if neg_err == 0.0:
-            break  # nothing left to refine; the estimate cannot improve
-        if count + 30 > budget:
+    while total_err > (tol := max(rel_tol * abs(total), abs_tol)):
+        # Each round pops the largest-error panels until the error left is
+        # within tol, as many as the budget has room for, and bisects them.
+        popped, left = [], total_err
+        while left > tol and heap and heap[0][0] < 0.0 and len(popped) < (budget - count) // 30:
+            popped.append(heapq.heappop(heap))
+            left += popped[-1][0]
+        if not popped:
+            if heap[0][0] == 0.0:
+                break  # nothing left to refine; the estimate cannot improve
             partial = QuadratureResult(total, total_err, count)
             raise NonConvergenceError(
                 f"quadrature budget of {budget} evaluations exhausted "
                 f"(error estimate {total_err:.3e})",
                 result=partial,
             )
-        mid = 0.5 * (a + b)
-        children = ((a, mid), (mid, b))
+        children = []
+        for _, _, a, b, _ in popped:
+            mid = 0.5 * (a + b)
+            children += [(a, mid), (mid, b)]
         vals2, errs2 = panels(children)
-        total -= val
-        total_err += neg_err  # removes the popped panel's error
+        for neg_err, _, _, _, val in popped:
+            total -= val
+            total_err += neg_err  # removes the popped panel's error
         for (lo, hi), val2, err2 in zip(children, vals2, errs2):
             total += float(val2)
             total_err += float(err2)

@@ -547,7 +547,7 @@ class TestCompositeDensityDispatch:
 
 
 class TestOracleArrayIntegrand:
-    # mixture_pdf evaluates each refinement step's nodes in one array call.
+    # mixture_pdf evaluates each refinement round's nodes in one array call.
     MODELS = {
         "akm": CompositeModel(AkmParams(1.5, 1.0, 2.1), GammaShadowParams(1.1, 0.9)),
         "akm-kappa4": CompositeModel(AkmParams(2.0, 4.0, 4.0), GammaShadowParams(1.5, 0.8)),

@@ -97,8 +97,8 @@ def test_block_out_of_budget_matches_one_row_calls(monkeypatch):
 
     monkeypatch.setattr(composite, "shadow_kernel_integral_ln", recording)
     got = recording(powers, a, alpha, omega)
-    # The block did split: both end rows alone, then the two halves.
-    assert calls == [24, 1, 1, 12, 12]
+    # The block did split: straight into its two halves.
+    assert calls == [24, 12, 12]
     monkeypatch.undo()
     rows = [shadow_kernel_integral_ln(float(q), a, alpha, omega) for q in powers]
     assert got.tolist() == pytest.approx(rows, rel=1e-12, abs=0.0)
@@ -165,7 +165,7 @@ def test_scale_array_with_a_point_of_its_own_matches_stacked_calls(powers, a, al
 
 def test_over_budget_point_of_a_batch_splits_without_a_restart(monkeypatch):
     # The point that reaches the budget on the shared grid goes straight to
-    # its end rows and halves; its batch's refinements are not run again.
+    # its halves; its batch's refinements are not run again.
     powers = 0.22818897165230112 - np.arange(24)
     a, alpha, omega = 2.8559842093782665e24, 0.5307178576283406, 0.00676141217688066
     scales = np.array([2.0 * a, a, 0.5 * a])
@@ -177,7 +177,7 @@ def test_over_budget_point_of_a_batch_splits_without_a_restart(monkeypatch):
 
     monkeypatch.setattr(composite, "shadow_kernel_integral_ln", recording)
     got = recording(powers, scales, alpha, omega)
-    assert calls == [(3, 24), (1, 1), (1, 1), (1, 12), (1, 12)]
+    assert calls == [(3, 24), (1, 12), (1, 12)]
     monkeypatch.undo()
     want = _stacked(powers, scales, alpha, omega)
     assert got.ravel().tolist() == pytest.approx(want.ravel().tolist(), rel=1e-12, abs=0.0)

@@ -1,5 +1,7 @@
 """Quadrature and series-summation machinery."""
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -193,17 +195,18 @@ class TestVectorizedIntegrand:
             assert array == scalar
             assert scalar.value == pytest.approx(math.pi / 4.0, rel=1e-11)
 
-    def test_one_call_per_refinement_step(self):
+    def test_one_call_per_refinement_round(self):
         sizes = []
 
         def f(u):
-            sizes.append(u.shape)
+            sizes.append(u.size)
             return 1.0 / (1e-4 + (u - 1.0) * (u - 1.0))  # a narrow peak at u = 1
 
         res = integrate_semi_infinite(f, 1e-11, 1e-14, vectorized=True)
-        # The 8 initial panels, then two children per bisection.
-        assert sizes[0] == (120,) and len(sizes) > 1 and set(sizes[1:]) == {(30,)}
-        assert res.evaluations == 120 + 30 * (len(sizes) - 1)
+        # The 8 initial panels, then two children of each panel a round bisects.
+        assert sizes[0] == 120 and len(sizes) > 1
+        assert all(n >= 30 and n % 30 == 0 for n in sizes[1:])
+        assert res.evaluations == sum(sizes)
 
     def test_non_finite_element_names_its_node(self):
         def f(u):
@@ -211,3 +214,89 @@ class TestVectorizedIntegrand:
 
         with pytest.raises(EvaluationError, match=r"at u=(0\.9|1\.0)\d*$"):
             integrate_semi_infinite(f, 1e-9, 1e-12, vectorized=True)
+
+
+def peaks(lorentz=(), gauss=()):
+    # Lorentzian peaks c * w / ((u - m)^2 + w^2) over (c, m, w) plus Gaussian
+    # peaks c * exp(-((u - m)/s)^2) over (c, m, s), and their integral on (0, inf).
+    def f(u):
+        return (sum(c * w / ((u - m) * (u - m) + w * w) for c, m, w in lorentz)
+                + sum(c * np.exp(-((u - m) / s) ** 2) for c, m, s in gauss))
+
+    exact = (sum(c * (0.5 * math.pi + math.atan(m / w)) for c, m, w in lorentz)
+             + sum(c * s * 0.5 * math.sqrt(math.pi) * (1.0 + math.erf(m / s)) for c, m, s in gauss))
+    return f, exact
+
+
+MULTI_PEAK_SUITE = {
+    "two-lorentz": peaks(lorentz=[(1.0, 0.7, 1e-3), (2.0, 6.0, 3e-3)]),
+    "three-lorentz": peaks(lorentz=[(1.0, 0.05, 1e-4), (1.0, 1.3, 1e-2), (0.5, 40.0, 0.1)]),
+    "five-lorentz": peaks(lorentz=[(1.0, m, 10.0**-k) for m, k in
+                                   [(0.2, 3), (0.9, 2), (2.5, 4), (7.0, 2), (30.0, 3)]]),
+    "two-gauss": peaks(gauss=[(1.0, 0.5, 0.01), (1.0, 3.0, 0.02)]),
+    "gauss-and-lorentz": peaks(lorentz=[(1.0, 4.0, 1e-3)], gauss=[(1.0, 0.3, 0.005)]),
+}
+
+
+def one_panel_at_a_time(f, rel_tol, abs_tol):
+    # Reference: the same Gauss-Kronrod panels on u = t/(1 - t), refined by
+    # bisecting the largest-error panel alone, one integrand call per panel.
+    # Returns (value, integrand calls, nodes).
+    from compfade.numerics import _INITIAL_PANELS, _NODES, _WEIGHTS_G, _WEIGHTS_K
+
+    calls = nodes = 0
+
+    def panels(bounds):
+        nonlocal calls, nodes
+        ab = np.array(bounds)
+        c, h = 0.5 * (ab[:, :1] + ab[:, 1:]), 0.5 * (ab[:, 1:] - ab[:, :1])
+        t = c + h * _NODES[None, :]
+        g = f(t / (1.0 - t)) / ((1.0 - t) * (1.0 - t))
+        calls, nodes = calls + 1, nodes + t.size
+        kron, gauss = h[:, 0] * (g @ _WEIGHTS_K), h[:, 0] * (g @ _WEIGHTS_G)
+        return kron, np.abs(kron - gauss)
+
+    edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
+    vals, errs = panels(list(zip(edges[:-1], edges[1:])))
+    heap = [(-e, i, a, b, v) for i, (a, b, v, e) in enumerate(zip(edges[:-1], edges[1:], vals, errs))]
+    heapq.heapify(heap)
+    serial = itertools.count(len(heap))
+    total, total_err = float(np.sum(vals)), float(np.sum(errs))
+    while total_err > max(rel_tol * abs(total), abs_tol):
+        neg_err, _, a, b, val = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        vals, errs = panels([(a, mid), (mid, b)])
+        total, total_err = total - val + float(np.sum(vals)), total_err + neg_err + float(np.sum(errs))
+        for (lo, hi), v, e in zip(((a, mid), (mid, b)), vals, errs):
+            heapq.heappush(heap, (-float(e), next(serial), lo, hi, float(v)))
+    return total, calls, nodes
+
+
+class TestRefinementRounds:
+    @pytest.mark.parametrize("name", MULTI_PEAK_SUITE)
+    def test_separated_peaks_take_fewer_calls_and_no_more_nodes(self, name):
+        f, exact = MULTI_PEAK_SUITE[name]
+        calls = []
+
+        def counted(u):
+            calls.append(u.size)
+            return f(u)
+
+        res = integrate_semi_infinite(counted, 1e-10, 1e-14, vectorized=True)
+        ref_value, ref_calls, ref_nodes = one_panel_at_a_time(f, 1e-10, 1e-14)
+        assert abs(res.value - exact) <= 1e-10 * exact
+        assert abs(ref_value - exact) <= 1e-10 * exact
+        assert len(calls) < ref_calls and res.evaluations <= ref_nodes
+
+    @pytest.mark.parametrize("name", MULTI_PEAK_SUITE)
+    def test_budget_of_a_converged_call(self, name):
+        f, _ = MULTI_PEAK_SUITE[name]
+        res = integrate_semi_infinite(f, 1e-10, 1e-14, vectorized=True)
+        assert integrate_semi_infinite(f, 1e-10, 1e-14, res.evaluations, vectorized=True) == res
+        # 30 nodes short: the last round bisects one panel fewer, and then
+        # no panel fits.
+        with pytest.raises(NonConvergenceError) as exc_info:
+            integrate_semi_infinite(f, 1e-10, 1e-14, res.evaluations - 30, vectorized=True)
+        partial = exc_info.value.result
+        assert partial.evaluations == res.evaluations - 30
+        assert partial.error_estimate > max(1e-10 * abs(partial.value), 1e-14)
