@@ -71,7 +71,7 @@ from .models import (
     gamma_shadow_cdf,
     gamma_shadow_pdf,
 )
-from .numerics import integrate_semi_infinite
+from .numerics import _FIRST_NODE, integrate_semi_infinite
 from .specfun import _gross_ln_weight, _reg_gamma
 from .numerics import sum_adaptive  # noqa: F401  (perfbench/tracing.py wraps it here)
 
@@ -518,9 +518,6 @@ def _value_at_origin(m: CompositeModel) -> float:
 # ----------------------------------------------------------------------
 # Mixture-quadrature oracle
 # ----------------------------------------------------------------------
-
-# integrate_semi_infinite's smallest initial node, as a fraction of its scale.
-_FIRST_NODE = 5.3e-4
 
 
 def _split_quadrature(f: Callable, edge: float, scale: float, rel_tol, budget, vectorized) -> float:

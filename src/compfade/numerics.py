@@ -1,10 +1,12 @@
 """Adaptive quadrature on (0, inf) and adaptive series summation.
 
 The semi-infinite integrator maps the half line onto (0, 1) through
-u = scale * t / (1 - t) and subdivides adaptively with an embedded
-Gauss(7)/Kronrod(15) pair, so both local estimates come from one 15-point
-evaluation per panel.  Each refinement round bisects, in one evaluation, the
-largest-error panels until the error the others hold is within tolerance.
+u = scale * t / (1 - t) and subdivides adaptively with QUADPACK's embedded
+Gauss(10)/Kronrod(21) pair, so both local estimates come from one 21-point
+evaluation per panel.  Each refinement round refines, in one evaluation, the
+largest-error panels until the error the others hold is within tolerance:
+it bisects each, except the panel at t = 0, which it splits at 1/8, 1/4 and
+1/2 of its width toward a power law at u -> 0.
 Integrands in scope (products of powers and stretched exponentials) are
 smooth after the transform; the rational map also copes with essential
 decay like exp(-A/u^alpha) near the origin.
@@ -31,45 +33,58 @@ __all__ = [
     "sum_adaptive",
 ]
 
-# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
+# QUADPACK's qk21 pair on [-1, 1]: the 21-point Kronrod extension of the
+# 10-point Gauss rule, whose nodes are the odd-indexed _XGK.
 _XGK = np.array(
     [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
+        0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720,
         0.0,
     ]
 )
 _WGK = np.array(
     [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
+        0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821,
     ]
 )
 _WG = np.array(
     [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
+        0.066671344308688137593568809893332,
+        0.149451349150580593145776339657697,
+        0.219086362515982043995534934228163,
+        0.269266719309996355091226921569469,
+        0.295524224714752870173892994651338,
     ]
 )
 
-_NODES = np.concatenate([-_XGK[:7], _XGK[7:8], _XGK[6::-1]])
-_WEIGHTS_K = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate([_WG[:3], _WG[3:4], _WG[2::-1]])
-_INITIAL_PANELS = 8
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_WEIGHTS_G = np.zeros(_NODES.size)
+_WEIGHTS_G[1::2] = np.concatenate([_WG, _WG[::-1]])
+_INITIAL_PANELS = 6
+# The smallest initial node as a fraction of the scale, where the oracle's
+# near-origin split cuts: node t = c + h * _NODES[0] of the first panel,
+# rounded as ``panels`` rounds it, at u = t / (1 - t).
+_FIRST_T = 0.5 / _INITIAL_PANELS + 0.5 / _INITIAL_PANELS * float(_NODES[0])
+_FIRST_NODE = _FIRST_T / (1.0 - _FIRST_T)
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,16 @@ class SeriesResult:
     value: float
     terms_used: int
     last_term_magnitude: float
+
+
+def _split(a: float, b: float) -> list:
+    # Children of panel [a, b] of t.  The panel at t = 0 is graded toward it,
+    # three levels in one round, since there u -> 0 and the integrand may
+    # follow a power law; any other panel is bisected.
+    if a == 0.0:
+        return [(0.0, b / 8), (b / 8, b / 4), (b / 4, b / 2), (b / 2, b)]
+    mid = 0.5 * (a + b)
+    return [(a, mid), (mid, b)]
 
 
 def integrate_semi_infinite(
@@ -118,15 +143,16 @@ def integrate_semi_infinite(
         are the same either way, so an integrand that does the same
         floating-point operations gives the same result.
     budget : int
-        Maximum number of integrand evaluations.  A round bisects no more
-        panels than fit in it; a round that fits none, or refining up to
-        u = inf, raises ``NonConvergenceError`` with the partial result.
+        Maximum number of integrand evaluations.  A round refines no more
+        panels than their children fit in it; a round that fits none, or
+        refining up to u = inf, raises ``NonConvergenceError`` with the
+        partial result.
     """
     if not (rel_tol > 0.0 and abs_tol > 0.0):
         raise ValueError("tolerances must be positive")
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    if budget < 15 * _INITIAL_PANELS:
+    if budget < _NODES.size * _INITIAL_PANELS:
         raise ValueError("budget too small for the initial subdivision")
 
     count = 0
@@ -171,10 +197,15 @@ def integrate_semi_infinite(
 
     while total_err > (tol := max(rel_tol * abs(total), abs_tol)):
         # Each round pops the largest-error panels until the error left is
-        # within tol, as many as the budget has room for, and bisects them.
-        popped, left = [], total_err
-        while left > tol and heap and heap[0][0] < 0.0 and len(popped) < (budget - count) // 30:
+        # within tol, as many as the budget has room for their children, and
+        # refines them all in one evaluation.
+        popped, children, left = [], [], total_err
+        while left > tol and heap and heap[0][0] < 0.0:
+            split = _split(heap[0][2], heap[0][3])
+            if count + _NODES.size * (len(children) + len(split)) > budget:
+                break
             popped.append(heapq.heappop(heap))
+            children += split
             left += popped[-1][0]
         if not popped:
             if heap[0][0] == 0.0:
@@ -185,10 +216,6 @@ def integrate_semi_infinite(
                 f"(error estimate {total_err:.3e})",
                 result=partial,
             )
-        children = []
-        for _, _, a, b, _ in popped:
-            mid = 0.5 * (a + b)
-            children += [(a, mid), (mid, b)]
         vals2, errs2 = panels(children)
         for neg_err, _, _, _, val in popped:
             total -= val

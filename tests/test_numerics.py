@@ -15,6 +15,7 @@ from compfade import (
     ln_gamma,
     sum_adaptive,
 )
+from compfade.numerics import _INITIAL_PANELS, _NODES, _WEIGHTS_G, _WEIGHTS_K
 
 
 def gamma_integral(p, scale):
@@ -203,9 +204,11 @@ class TestVectorizedIntegrand:
             return 1.0 / (1e-4 + (u - 1.0) * (u - 1.0))  # a narrow peak at u = 1
 
         res = integrate_semi_infinite(f, 1e-11, 1e-14, vectorized=True)
-        # The 8 initial panels, then two children of each panel a round bisects.
-        assert sizes[0] == 120 and len(sizes) > 1
-        assert all(n >= 30 and n % 30 == 0 for n in sizes[1:])
+        # The initial panels, then two children of each panel a round
+        # bisects and four of the panel at the origin.
+        pair = 2 * _NODES.size
+        assert sizes[0] == _NODES.size * _INITIAL_PANELS and len(sizes) > 1
+        assert all(n >= pair and n % pair == 0 for n in sizes[1:])
         assert res.evaluations == sum(sizes)
 
     def test_non_finite_element_names_its_node(self):
@@ -238,12 +241,11 @@ MULTI_PEAK_SUITE = {
 }
 
 
-def one_panel_at_a_time(f, rel_tol, abs_tol):
-    # Reference: the same Gauss-Kronrod panels on u = t/(1 - t), refined by
-    # bisecting the largest-error panel alone, one integrand call per panel.
+def reference_quadrature(f, rel_tol, abs_tol, *, one_at_a_time, graded):
+    # Reference: the same Gauss-Kronrod panels on u = t/(1 - t), refined
+    # either one largest-error panel per integrand call or in rounds, and
+    # at the origin either graded as the integrator does or only bisected.
     # Returns (value, integrand calls, nodes).
-    from compfade.numerics import _INITIAL_PANELS, _NODES, _WEIGHTS_G, _WEIGHTS_K
-
     calls = nodes = 0
 
     def panels(bounds):
@@ -256,18 +258,27 @@ def one_panel_at_a_time(f, rel_tol, abs_tol):
         kron, gauss = h[:, 0] * (g @ _WEIGHTS_K), h[:, 0] * (g @ _WEIGHTS_G)
         return kron, np.abs(kron - gauss)
 
+    def split(a, b):
+        cuts = [0.0, b / 8, b / 4, b / 2, b] if graded and a == 0.0 else [a, 0.5 * (a + b), b]
+        return list(zip(cuts[:-1], cuts[1:]))
+
     edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
     vals, errs = panels(list(zip(edges[:-1], edges[1:])))
     heap = [(-e, i, a, b, v) for i, (a, b, v, e) in enumerate(zip(edges[:-1], edges[1:], vals, errs))]
     heapq.heapify(heap)
     serial = itertools.count(len(heap))
     total, total_err = float(np.sum(vals)), float(np.sum(errs))
-    while total_err > max(rel_tol * abs(total), abs_tol):
-        neg_err, _, a, b, val = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        vals, errs = panels([(a, mid), (mid, b)])
-        total, total_err = total - val + float(np.sum(vals)), total_err + neg_err + float(np.sum(errs))
-        for (lo, hi), v, e in zip(((a, mid), (mid, b)), vals, errs):
+    while total_err > (tol := max(rel_tol * abs(total), abs_tol)):
+        popped, left = [], total_err
+        while left > tol and heap[0][0] < 0.0 and not (one_at_a_time and popped):
+            popped.append(heapq.heappop(heap))
+            left += popped[-1][0]
+        children = [child for _, _, a, b, _ in popped for child in split(a, b)]
+        vals, errs = panels(children)
+        for neg_err, _, _, _, val in popped:
+            total, total_err = total - val, total_err + neg_err
+        for (lo, hi), v, e in zip(children, vals, errs):
+            total, total_err = total + float(v), total_err + float(e)
             heapq.heappush(heap, (-float(e), next(serial), lo, hi, float(v)))
     return total, calls, nodes
 
@@ -283,7 +294,9 @@ class TestRefinementRounds:
             return f(u)
 
         res = integrate_semi_infinite(counted, 1e-10, 1e-14, vectorized=True)
-        ref_value, ref_calls, ref_nodes = one_panel_at_a_time(f, 1e-10, 1e-14)
+        ref_value, ref_calls, ref_nodes = reference_quadrature(
+            f, 1e-10, 1e-14, one_at_a_time=True, graded=True
+        )
         assert abs(res.value - exact) <= 1e-10 * exact
         assert abs(ref_value - exact) <= 1e-10 * exact
         assert len(calls) < ref_calls and res.evaluations <= ref_nodes
@@ -293,10 +306,55 @@ class TestRefinementRounds:
         f, _ = MULTI_PEAK_SUITE[name]
         res = integrate_semi_infinite(f, 1e-10, 1e-14, vectorized=True)
         assert integrate_semi_infinite(f, 1e-10, 1e-14, res.evaluations, vectorized=True) == res
-        # 30 nodes short: the last round bisects one panel fewer, and then
-        # no panel fits.
+        # One bisection's nodes short: the last round bisects one panel
+        # fewer, and then no panel fits.
+        short = 2 * _NODES.size
         with pytest.raises(NonConvergenceError) as exc_info:
-            integrate_semi_infinite(f, 1e-10, 1e-14, res.evaluations - 30, vectorized=True)
+            integrate_semi_infinite(f, 1e-10, 1e-14, res.evaluations - short, vectorized=True)
         partial = exc_info.value.result
-        assert partial.evaluations == res.evaluations - 30
+        assert partial.evaluations == res.evaluations - short
         assert partial.error_estimate > max(1e-10 * abs(partial.value), 1e-14)
+
+
+class TestPanelRule:
+    def test_exact_degrees_sums_and_symmetry(self):
+        # Kronrod(21) is exact to degree 31 and Gauss(10) to degree 19; odd
+        # powers vanish by the symmetry of the nodes.
+        assert np.array_equal(_NODES, -_NODES[::-1])
+        assert np.array_equal(_WEIGHTS_K, _WEIGHTS_K[::-1])
+        assert np.array_equal(_WEIGHTS_G, _WEIGHTS_G[::-1])
+        for weights, top in ((_WEIGHTS_K, 30), (_WEIGHTS_G, 18)):
+            assert math.fsum(weights) == pytest.approx(2.0, rel=1e-15)
+            for d in range(0, top + 1, 2):
+                assert weights @ _NODES**d == pytest.approx(2.0 / (d + 1), rel=1e-15), d
+
+
+class TestPowerLawAtTheOrigin:
+    @staticmethod
+    def integrand(beta):
+        return lambda u: u**beta * np.exp(-u)
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.1, 0.5, 1.5])
+    def test_graded_origin_panel_takes_fewer_calls(self, beta):
+        # u^beta e^-u over (0, inf) is Gamma(beta + 1).  Grading the panel at
+        # t = 0 gains three levels toward the power law per round where
+        # bisection gains one.
+        f, exact = self.integrand(beta), math.gamma(beta + 1.0)
+        calls = []
+
+        def counted(u):
+            calls.append(u.size)
+            return f(u)
+
+        res = integrate_semi_infinite(counted, 1e-10, 1e-14, vectorized=True)
+        _, ref_calls, _ = reference_quadrature(f, 1e-10, 1e-14, one_at_a_time=False, graded=False)
+        assert abs(res.value - exact) <= 1e-10 * exact
+        # At beta 1.5 the power law is mild and both finish in a few rounds.
+        assert 2 * len(calls) <= ref_calls if beta < 1.0 else len(calls) < ref_calls
+
+    @pytest.mark.xfail(strict=True, reason="u^-0.9 at the origin: the error estimate "
+                       "(9.9e-11 relative) understates the error (2.5e-10)")
+    def test_steep_power_law_within_tolerance(self):
+        exact = math.gamma(0.1)
+        res = integrate_semi_infinite(self.integrand(-0.9), 1e-10, 1e-14, vectorized=True)
+        assert abs(res.value - exact) <= 1e-10 * exact
