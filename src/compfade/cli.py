@@ -77,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format" + dflt)
         p.add_argument("--out", help="output path (default stdout)")
 
-    def add_series_flags(p, note=""):
+    def add_series_flags(p, note="", degree="--use-gross degree n"):
         p.add_argument("--series-n", type=int, default=SeriesConfig.max_terms,
-                       help="--use-gross degree n" + dflt + note)
+                       help=degree + dflt + note)
         p.add_argument("--series-rel-tol", type=float, default=SeriesConfig.rel_tol,
                        help="series stopping tolerance" + dflt + note)
 
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(p_samp)
     p_samp.add_argument("--count", type=int, default=100_000, help="number of samples" + dflt)
     p_samp.add_argument("--seed", type=int, default=1, help="random seed" + dflt)
-    add_series_flags(p_samp)
+    add_series_flags(p_samp, degree="accepted and unused, as sample has no --use-gross")
     p_samp.add_argument("--out", default="samples.txt",
                         help="sample file, one value per line" + dflt)
     p_samp.add_argument("--report", help="gof report path (default stdout)")
@@ -282,8 +282,7 @@ def cmd_curve(args: argparse.Namespace, cdf: bool) -> int:
         values, atoms = composite.composite_cdf(model, xs, oracle=args.oracle), ()
         metadata["route"] = "mixture-cdf" if args.oracle else "multipath-average"
     else:
-        family, rhat = composite.family_of(model), _rhat(args)
-        values, atoms = [family.cdf(model, float(x), rhat) for x in xs], ()
+        values, atoms = composite.family_of(model).cdf(model, xs, _rhat(args)), ()
     payload = _curve_payload(mc.model_descriptor(model), xs, values, atoms, metadata)
     _emit_curve(payload, args.format, args.out)
     return 0

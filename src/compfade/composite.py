@@ -60,11 +60,11 @@ from .models import (
     ExtremeParams,
     GammaShadowParams,
     ScaledEnvelope,
-    _check_nonneg,
     _density,
     _mixture_cdf,
     _moment,
     _origin,
+    _pointwise,
     akm_pdf_normalized,
     am_pdf,
     extreme_pdf,
@@ -435,8 +435,8 @@ class Family:
 
 
 # The entries call the model functions by their names in this module, so a
-# wrapper installed on one of those names sees the call.  Each ``pdf`` takes
-# a float or a 1-D array for x or for the scale, as its model function does.
+# wrapper installed on one of those names sees the call.  Each ``pdf`` and
+# ``cdf`` takes a float or a 1-D array for x or for the scale.
 _UNIT = ScaledEnvelope(1.0)
 FAMILIES = {
     f.name: f
@@ -520,13 +520,13 @@ def _value_at_origin(m: CompositeModel) -> float:
 # ----------------------------------------------------------------------
 
 
-def _split_quadrature(f: Callable, edge: float, scale: float, rel_tol, budget, vectorized) -> float:
-    # int_0^inf f with no absolute floor, where f changes over u ~ edge; for
-    # an edge below the first initial node, (0, cut) takes its own quadrature
-    # and budget, with nodes about u ~ edge.
+def _split_quadrature(f: Callable, edge: float, scale: float, rel_tol, budget) -> float:
+    # int_0^inf f with no absolute floor, where f, which takes a 1-D array,
+    # changes over u ~ edge; for an edge below the first initial node, (0,
+    # cut) takes its own quadrature and budget, with nodes about u ~ edge.
     def quad(g, scale: float) -> float:
         return integrate_semi_infinite(
-            g, rel_tol=rel_tol, abs_tol=1e-300, budget=budget, scale=scale, vectorized=vectorized
+            g, rel_tol=rel_tol, abs_tol=1e-300, budget=budget, scale=scale, vectorized=True
         ).value
 
     cut = _FIRST_NODE * scale
@@ -536,48 +536,47 @@ def _split_quadrature(f: Callable, edge: float, scale: float, rel_tol, budget, v
     return head + quad(lambda v: f(cut + v), scale)
 
 
-def _shadow_average(conditional: Callable, m: CompositeModel, x: float, rel_tol, budget, vectorized):
+def _shadow_average(conditional: Callable, m: CompositeModel, x: float, rel_tol, budget):
     # int_0^inf conditional(mp, x, y) f_Y(y) dy, which changes over y ~ x.
     mp, sh = m.multipath, m.shadow
     return _split_quadrature(
         lambda y: conditional(mp, x, y) * gamma_shadow_pdf(sh, y),
-        x, max(x, sh.b * sh.omega), rel_tol, budget, vectorized,
+        x, max(x, sh.b * sh.omega), rel_tol, budget,
     )
 
 
-def mixture_pdf(m: CompositeModel, x: float, rel_tol: float = 1e-9, budget: int = 200_000) -> float:
-    """Continuous composite density at x by direct shadow averaging.
+def mixture_pdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
+    """Continuous composite density by direct shadow averaging, a quadrature per point.
 
     This is the ground-truth oracle for the series evaluators.  For extreme
     multipath the mode-independent atom exp(-2m) is not part of this value;
     ``mixture_density`` carries it.
     """
-    _check_nonneg("x", x)
-    if x == 0.0:
-        return _value_at_origin(m)
-    return _shadow_average(family_of(m.multipath).pdf, m, x, rel_tol, budget, vectorized=True)
+    def value(v: float) -> float:
+        return _shadow_average(family_of(m.multipath).pdf, m, v, rel_tol, budget)
+    return _pointwise("x", x, lambda: _value_at_origin(m), value)
 
 
-def mixture_cdf(m: CompositeModel, x: float, rel_tol: float = 1e-9, budget: int = 200_000) -> float:
+def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
     """Composite distribution function F(x) = E_Y[F_mp(x / Y)], atoms included.
 
     The family's closed multipath cdf averaged on ``mixture_pdf``'s
     quadrature; every F_mp(0) holds the deep-fade atom.  With no absolute
     floor the lower tail keeps ``rel_tol`` relative accuracy.
     """
-    _check_nonneg("x", x)
-    family = family_of(m.multipath)
-    if x == 0.0:
-        return family.cdf(m.multipath, 0.0, 1.0)
-    return min(_shadow_average(family.cdf, m, x, rel_tol, budget, vectorized=False), 1.0)
+    cdf = family_of(m.multipath).cdf
+    return _pointwise(
+        "x", x, lambda: cdf(m.multipath, 0.0, 1.0),
+        lambda v: min(_shadow_average(cdf, m, v, rel_tol, budget), 1.0),
+    )
 
 
 def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_000) -> Density:
     """Full composite distribution on the oracle route (atoms included)."""
     return Density(
         continuous=lambda x: mixture_pdf(m, x, rel_tol=rel_tol, budget=budget),
-        atoms=_atoms(m.multipath),
-        continuous_cdf=lambda x: mixture_cdf(m, x) - _atom_mass(m.multipath),
+        atoms=_atoms(m.multipath), vectorized=True,
+        continuous_cdf=lambda x: mixture_cdf(m, x, rel_tol, budget) - _atom_mass(m.multipath),
     )
 
 
@@ -606,13 +605,7 @@ def _multipath_average(m: CompositeModel, x: float, upper: bool) -> float:
         rho = s**k
         return pdf(mp, rho, 1.0) * _reg_gamma(b, z / rho)[side] * (k * rho / s)
 
-    return _split_quadrature(integrand, z ** (1.0 / k), 1.0, _CDF_REL_TOL, 200_000, True)
-
-
-def _pointwise(x, at_origin: float, value: Callable[[float], float]):
-    # ``value`` at each positive point of x, a float or a 1-D array, and
-    # ``at_origin`` at the zeros.
-    return _density("x", x, lambda: at_origin, np.vectorize(value, otypes=[float]))
+    return _split_quadrature(integrand, z ** (1.0 / k), 1.0, _CDF_REL_TOL, 200_000)
 
 
 def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
@@ -627,16 +620,19 @@ def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
     ``integrate_semi_infinite`` and the incomplete gamma.
     """
     if oracle:
-        return _pointwise(x, mixture_cdf(m, 0.0), lambda v: mixture_cdf(m, v))
+        return mixture_cdf(m, x)
     atom = _atom_mass(m.multipath)
-    return _pointwise(x, atom, lambda v: min(atom + _multipath_average(m, v, False), 1.0))
+    return _pointwise(
+        "x", x, lambda: atom, lambda v: min(atom + _multipath_average(m, v, False), 1.0)
+    )
 
 
 def composite_sf(m: CompositeModel, x):
     """Composite survival function S(x) = 1 - F(x) = int f_mp(rho) Q(b, x /
     (omega rho)) drho, at a float or a 1-D array of points, summed directly
     so that the upper tail keeps its relative digits."""
-    return _pointwise(x, 1.0 - _atom_mass(m.multipath), lambda v: _multipath_average(m, v, True))
+    rest = 1.0 - _atom_mass(m.multipath)
+    return _pointwise("x", x, lambda: rest, lambda v: _multipath_average(m, v, True))
 
 
 # ----------------------------------------------------------------------
@@ -818,11 +814,9 @@ def composite_pdf(
     *,
     oracle: bool = False,
 ):
-    """Continuous composite density at x, series/exact route by default.
-
-    The series route takes a float or a 1-D array of points.
-    ``oracle=True`` forces the mixture-quadrature route instead, which
-    takes a float.
+    """Continuous composite density at a float or a 1-D array of points,
+    series/exact route by default.  ``oracle=True`` forces the
+    mixture-quadrature route instead, one quadrature per point.
     """
     if oracle:
         return mixture_pdf(m, x)
@@ -841,5 +835,7 @@ def composite_density(
         return mixture_density(m)
     return Density(
         continuous=lambda x: composite_pdf(m, x, cfg), atoms=_atoms(m.multipath), vectorized=True,
-        continuous_cdf=lambda x: _pointwise(x, 0.0, lambda v: _multipath_average(m, v, False)),
+        continuous_cdf=lambda x: _pointwise(
+            "x", x, lambda: 0.0, lambda v: _multipath_average(m, v, False)
+        ),
     )

@@ -4,11 +4,11 @@ Three multipath families (the general non-linear LOS model, its zero-LOS
 reduction and the severe-fading "extreme" model) plus the gamma shadow
 model, with pdf/cdf/moment evaluation and special-case detection.  Each
 multipath density, its limit at the origin and its cdf follow from the
-family's clustering form ``poisson_gamma``.  The densities
-``akm_pdf_normalized``, ``extreme_pdf``, ``am_pdf`` and ``gamma_shadow_pdf``
-take a float, giving a float, or a 1-D array of points, giving an array,
-through one formula.  Parameter objects are immutable and every evaluation
-is pure, so the whole module is thread-safe.
+family's clustering form ``poisson_gamma``.  Every pdf and cdf takes a
+float, giving a float, or a 1-D array of points, giving an array, through
+one gate, ``_density``: the densities run one formula on the array, the
+cdfs (``_pointwise``) one float at a time.  Parameter objects are immutable
+and every evaluation is pure, so the whole module is thread-safe.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ class Density:
     returns a float; with ``vectorized`` true it also takes a 1-D array and
     returns an array, which ``values`` and the quadratures use to evaluate
     many points in one call.  ``continuous_cdf``, where given, is the
-    continuous part's mass on (0, x] at a float x.
+    continuous part's mass on (0, x], at points as ``continuous`` takes them.
     """
 
     continuous: Callable[[float], float]
@@ -191,11 +191,6 @@ class SpecialCase:
     params: dict
 
 
-def _check_nonneg(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-
-
 def _density(name: str, points, at_origin: Callable, formula: Callable):
     """``formula`` on the positive points and ``at_origin()`` at the zeros.
 
@@ -205,7 +200,8 @@ def _density(name: str, points, at_origin: Callable, formula: Callable):
     """
     if type(points) is float or np.ndim(points) == 0:
         x = float(points)
-        _check_nonneg(name, x)
+        if not 0.0 <= x < math.inf:  # NaN fails too
+            raise DomainError(f"{name} must be finite and >= 0, got {x!r}")
         return at_origin() if x == 0.0 else float(formula(x))
     xs = np.asarray(points, dtype=float)
     if xs.ndim > 1:
@@ -222,6 +218,14 @@ def _density(name: str, points, at_origin: Callable, formula: Callable):
     if not zero.all():
         out[~zero] = formula(xs[~zero])
     return out
+
+
+def _pointwise(name: str, points, at_origin: Callable, value: Callable[[float], float]):
+    # ``_density`` with ``value`` taking one positive float at a time.
+    return _density(
+        name, points, at_origin,
+        lambda x: value(x) if type(x) is float else np.array([value(v) for v in x.tolist()]),
+    )
 
 
 def _exp_or_zero(ln_value):
@@ -288,14 +292,14 @@ def akm_pdf_normalized(p: AkmParams, rho):
     return _multipath_pdf(p, rho)
 
 
-def akm_pdf_envelope(p: AkmParams, s: ScaledEnvelope, r: float) -> float:
-    """Envelope density at rms scale ``s``; equals the normalized density
-    evaluated at r/rhat, divided by rhat (same floating-point path)."""
-    _check_nonneg("r", r)
-    return akm_pdf_normalized(p, r / s.rhat) / s.rhat
+def akm_pdf_envelope(p: AkmParams, s: ScaledEnvelope, r):
+    """Envelope density at rms scale ``s``: the normalized density at
+    r/rhat, divided by rhat (same floating-point path)."""
+    scaled = lambda r: akm_pdf_normalized(p, r / s.rhat) / s.rhat  # noqa: E731
+    return _density("r", r, lambda: scaled(0.0), scaled)
 
 
-def akm_cdf(p: AkmParams, rho: float) -> float:
+def akm_cdf(p: AkmParams, rho):
     """Distribution function of the normalized envelope.
 
     The Poisson-gamma cdf of the clustering form: P summed directly up to
@@ -305,7 +309,7 @@ def akm_cdf(p: AkmParams, rho: float) -> float:
     return _mixture_cdf(p, rho)
 
 
-def akm_cdf_series(p: AkmParams, rho: float, tail_tol: float = 1e-15) -> float:
+def akm_cdf_series(p: AkmParams, rho, tail_tol: float = 1e-15):
     """Poisson-weighted incomplete-gamma series for the same cdf.
 
     Reference form kept as an independent arrangement of the computation:
@@ -313,32 +317,36 @@ def akm_cdf_series(p: AkmParams, rho: float, tail_tol: float = 1e-15) -> float:
     where the remaining Poisson weight is below ``tail_tol``, at every rho.
     Every sum is free of cancellation and suits the lower tail.
     """
-    _check_nonneg("rho", rho)
     lam, shape, rate = p.poisson_gamma
-    return specfun._poisson_gamma_side(lam, shape, rate * rho**p.alpha, tail_tol, upper=False)
+    def value(rho: float) -> float:
+        return specfun._poisson_gamma_side(lam, shape, rate * rho**p.alpha, tail_tol, upper=False)
+    return _pointwise("rho", rho, lambda: value(0.0), value)
 
 
-def _mixture_cdf(p, rho: float, tail_tol: float = 1e-15) -> float:
-    _check_nonneg("rho", rho)
+def _mixture_cdf(p, x, name: str = "rho", scale: float = 1.0, tail_tol: float = 1e-15):
+    # The clustering form's cdf at rms scale ``scale``, as ``_multipath_pdf``.
     lam, shape, rate = p.poisson_gamma
-    return specfun.poisson_gamma_cdf(lam, shape, rate * rho**p.alpha, tail_tol)
+    def value(x: float) -> float:
+        return specfun.poisson_gamma_cdf(lam, shape, rate * (x / scale) ** p.alpha, tail_tol)
+    return _pointwise(name, x, lambda: value(0.0), value)
 
 
-def akm_power_pdf(p: AkmParams, w: float) -> float:
+def akm_power_pdf(p: AkmParams, w):
     """Density of the normalized power W = P^2.
 
     At exactly w = 0 it is the limit of c/2 * w^((e - 1)/2), where the
     envelope density behaves as c * rho^e at the origin: 0 for e > 1 and
     c/2 for e = 1; for e < 1 the density diverges, which is out of domain.
     """
-    _check_nonneg("w", w)
-    if w == 0.0:
+    def at_origin():
         value = 0.5 * _origin_limit(p, shift=1.0)
         if value == math.inf:
             raise DomainError("power density diverges at w = 0 for these parameters")
         return value
-    root = math.sqrt(w)
-    return akm_pdf_normalized(p, root) / (2.0 * root)
+
+    return _density(  # np.sqrt is correctly rounded, as math.sqrt is
+        "w", w, at_origin, lambda w: akm_pdf_normalized(p, np.sqrt(w)) / (2.0 * np.sqrt(w))
+    )
 
 
 def _moment(p, r: float) -> float:
@@ -367,7 +375,7 @@ def akm_moment(p: AkmParams, order: float) -> float:
     series with exp(-mu*kappa) folded into each term, the clustering form's
     Poisson mixture, so it holds where exp(mu*kappa) overflows.
     """
-    _check_nonneg("order", order)
+    _require(0.0 <= order < math.inf, f"order must be finite and >= 0, got {order!r}")
     return _moment(p, order)
 
 
@@ -380,6 +388,7 @@ def akm_moment_quadrature(p: AkmParams, order: float) -> float:
         abs_tol=1e-14,
         budget=400_000,
         scale=1.5,
+        vectorized=True,
     )
     return res.value
 
@@ -410,14 +419,14 @@ def extreme_density(p: ExtremeParams) -> Density:
     )
 
 
-def extreme_cdf(p: ExtremeParams, rho: float, tail_tol: float = 1e-15) -> float:
+def extreme_cdf(p: ExtremeParams, rho, tail_tol: float = 1e-15):
     """Distribution function including the atom at zero.
 
     Poisson-mixture form F(rho) = e^(-2m) + sum_{j>=1} Pois_j(2m) P(j, 2m
     rho^alpha), with the weights cut at ``tail_tol``; above rho = 1 it is
     summed as 1 - sum_j Pois_j(2m) Q(j, 2m rho^alpha).
     """
-    return _mixture_cdf(p, rho, tail_tol)
+    return _mixture_cdf(p, rho, tail_tol=tail_tol)
 
 
 def am_pdf(p: AmParams, s: ScaledEnvelope, r):
@@ -425,10 +434,9 @@ def am_pdf(p: AmParams, s: ScaledEnvelope, r):
     return _multipath_pdf(p, r, "r", s.rhat)
 
 
-def am_cdf(p: AmParams, s: ScaledEnvelope, r: float) -> float:
+def am_cdf(p: AmParams, s: ScaledEnvelope, r):
     """Distribution function of the zero-LOS model."""
-    _check_nonneg("r", r)
-    return _mixture_cdf(p, r / s.rhat)
+    return _mixture_cdf(p, r, "r", s.rhat)
 
 
 def gamma_shadow_pdf(g: GammaShadowParams, y):
@@ -452,10 +460,9 @@ def gamma_shadow_pdf(g: GammaShadowParams, y):
     )
 
 
-def gamma_shadow_cdf(g: GammaShadowParams, y: float) -> float:
+def gamma_shadow_cdf(g: GammaShadowParams, y):
     """Distribution function of the gamma shadow model."""
-    _check_nonneg("y", y)
-    return specfun.reg_lower_gamma(g.b, y / g.omega)
+    return _pointwise("y", y, lambda: 0.0, lambda y: specfun.reg_lower_gamma(g.b, y / g.omega))
 
 
 _SPECIALIZE_TOL = 1e-9

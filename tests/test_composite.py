@@ -669,9 +669,9 @@ class TestDensityContract:
         want = [density.continuous(float(x)) for x in self.XS]
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=0.0)
 
-    def test_oracle_and_user_densities_stay_scalar(self):
+    def test_oracle_is_vectorized_and_user_densities_stay_scalar(self):
         oracle = composite_density(self.MODEL, oracle=True)
-        assert not oracle.vectorized
+        assert oracle.vectorized
         assert oracle.values(self.XS[2:4]).tolist() == [
             composite.mixture_pdf(self.MODEL, float(x)) for x in self.XS[2:4]
         ]
