@@ -17,9 +17,9 @@ thread-safe whenever the callback is.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -82,7 +82,7 @@ _WEIGHTS_G[1::2] = np.concatenate([_WG, _WG[::-1]])
 _INITIAL_PANELS = 6
 # The smallest initial node as a fraction of the scale, where the oracle's
 # near-origin split cuts: node t = c + h * _NODES[0] of the first panel,
-# rounded as ``panels`` rounds it, at u = t / (1 - t).
+# rounded as the integrator rounds its nodes, at u = t / (1 - t).
 _FIRST_T = 0.5 / _INITIAL_PANELS + 0.5 / _INITIAL_PANELS * float(_NODES[0])
 _FIRST_NODE = _FIRST_T / (1.0 - _FIRST_T)
 
@@ -144,9 +144,11 @@ def integrate_semi_infinite(
         floating-point operations gives the same result.
     budget : int
         Maximum number of integrand evaluations.  A round refines no more
-        panels than their children fit in it; a round that fits none, or
-        refining up to u = inf, raises ``NonConvergenceError`` with the
-        partial result.
+        panels than their children fit in it; a round that fits none raises
+        ``NonConvergenceError`` with the partial result.  So does a round
+        with a node at u = inf, before ``f`` is called there, or one whose
+        Jacobian overflows; before the initial panels finish, the partial's
+        error estimate is inf.
     """
     if not (rel_tol > 0.0 and abs_tol > 0.0):
         raise ValueError("tolerances must be positive")
@@ -155,78 +157,67 @@ def integrate_semi_infinite(
     if budget < _NODES.size * _INITIAL_PANELS:
         raise ValueError("budget too small for the initial subdivision")
 
-    count = 0
-    total, total_err = 0.0, math.inf  # no estimate before the first panels
-
-    def panels(bounds) -> tuple[np.ndarray, np.ndarray]:
-        # Kronrod and Gauss estimates of each panel in ``bounds``.
-        nonlocal count
-        ab = np.asarray(bounds, dtype=float)
+    count, total, total_err = 0, 0.0, 0.0
+    edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
+    live, popped, children = [], [], list(zip(edges[:-1], edges[1:]))
+    while children:
+        # Round 0 evaluates the initial panels; every later round the
+        # children of the panels it pops.  Each gets its Kronrod value and
+        # its Kronrod-Gauss difference as the error.
+        ab = np.asarray(children, dtype=float)
         c = 0.5 * (ab[:, 0] + ab[:, 1])[:, None]
         h = 0.5 * (ab[:, 1] - ab[:, 0])[:, None]
         t = c + h * _NODES[None, :]
         om = 1.0 - t
-        u = scale * t / om
-        jac = scale / (om * om)
-        if vectorized:
-            vals = np.asarray(f(u.ravel()), dtype=float).reshape(t.shape)
-        else:
-            vals = np.array([f(float(v)) for v in u.ravel()], dtype=float).reshape(t.shape)
-        count += u.size
-        if not np.all(np.isfinite(vals)):
-            bad = float(u[~np.isfinite(vals)][0])
-            raise EvaluationError(f"integrand returned a non-finite value at u={bad!r}")
-        g = vals * jac
-        if not np.all(np.isfinite(g)):  # nodes rounded to u = inf, where the Jacobian is
-            partial = QuadratureResult(total, total_err, count)
+        g = math.inf  # stays so if a node rounds to u = inf: at t = 1, or by overflow
+        if (om > 0.0).all() and np.isfinite(u := scale * t / om).all():
+            if vectorized:
+                vals = np.asarray(f(u.ravel()), dtype=float).reshape(t.shape)
+            else:
+                vals = np.array([f(float(v)) for v in u.ravel()], dtype=float).reshape(t.shape)
+            count += u.size
+            if not np.all(np.isfinite(vals)):
+                bad = float(u[~np.isfinite(vals)][0])
+                raise EvaluationError(f"integrand returned a non-finite value at u={bad!r}")
+            g = vals * (scale / (om * om))
+        if not np.all(np.isfinite(g)):  # or the Jacobian overflows near u = inf
+            partial = QuadratureResult(total, total_err if live else math.inf, count)
             raise NonConvergenceError("quadrature refinement reached u = inf", result=partial)
         kron = h[:, 0] * (g @ _WEIGHTS_K)
-        gauss = h[:, 0] * (g @ _WEIGHTS_G)
-        return kron, np.abs(kron - gauss)
-
-    edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
-    bounds = list(zip(edges[:-1], edges[1:]))
-    vals, errs = panels(bounds)
-    heap = []
-    total = float(np.sum(vals))
-    total_err = float(np.sum(errs))
-    serial = 0
-    for (a, b), val, err in zip(bounds, vals, errs):
-        heapq.heappush(heap, (-float(err), serial, a, b, float(val)))
-        serial += 1
-
-    while total_err > (tol := max(rel_tol * abs(total), abs_tol)):
-        # Each round pops the largest-error panels until the error left is
-        # within tol, as many as the budget has room for their children, and
-        # refines them all in one evaluation.
-        popped, children, left = [], [], total_err
-        while left > tol and heap and heap[0][0] < 0.0:
-            split = _split(heap[0][2], heap[0][3])
-            if count + _NODES.size * (len(children) + len(split)) > budget:
-                break
-            popped.append(heapq.heappop(heap))
-            children += split
-            left += popped[-1][0]
-        if not popped:
-            if heap[0][0] == 0.0:
-                break  # nothing left to refine; the estimate cannot improve
-            partial = QuadratureResult(total, total_err, count)
-            raise NonConvergenceError(
-                f"quadrature budget of {budget} evaluations exhausted "
-                f"(error estimate {total_err:.3e})",
-                result=partial,
-            )
-        vals2, errs2 = panels(children)
-        for neg_err, _, _, _, val in popped:
+        errs = np.abs(kron - h[:, 0] * (g @ _WEIGHTS_G))
+        for err, _, _, val in popped:
             total -= val
-            total_err += neg_err  # removes the popped panel's error
-        for (lo, hi), val2, err2 in zip(children, vals2, errs2):
-            total += float(val2)
-            total_err += float(err2)
-            serial += 1
-            heapq.heappush(heap, (-float(err2), serial, lo, hi, float(val2)))
+            total_err -= err
+        for (a, b), val, err in zip(children, kron, errs):
+            total += float(val)
+            total_err += float(err)
+            live.append((float(err), a, b, float(val)))
 
-    return QuadratureResult(float(total), float(total_err), count)
+        # The next round pops the largest-error panels, the oldest first
+        # among equal errors, until the error left is within tol, as many as
+        # the budget has room for their children.  Popping none ends the
+        # loop: converged, or no panel has an error left to refine.
+        tol = max(rel_tol * abs(total), abs_tol)
+        live.sort(key=itemgetter(0), reverse=True)  # stable, so ties keep their age
+        popped, children, left = [], [], total_err
+        for panel in live:
+            if not (left > tol and panel[0] > 0.0):
+                break
+            split = _split(panel[1], panel[2])
+            if count + _NODES.size * (len(children) + len(split)) > budget:
+                if popped:
+                    break
+                raise NonConvergenceError(
+                    f"quadrature budget of {budget} evaluations exhausted "
+                    f"(error estimate {total_err:.3e})",
+                    result=QuadratureResult(total, total_err, count),
+                )
+            popped.append(panel)
+            children += split
+            left -= panel[0]
+        del live[: len(popped)]
+
+    return QuadratureResult(total, total_err, count)
 
 
 def sum_adaptive(

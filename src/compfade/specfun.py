@@ -15,7 +15,9 @@ Accuracy targets (enforced by the test suite):
 
 * ``ln_gamma``         relative error <= 1e-13
 * ``bessel_i``         relative error <= 1e-12 for x in [0, 709.5]
-* ``reg_upper_gamma``  relative error <= 1e-12
+* ``reg_upper_gamma``  relative error <= 1e-12 for a <= 500; near x = a the
+                       error grows with a (1.3e-12 at a = 1e3, 1e-11 at 5e3,
+                       4.5e-10 at 1e5) until ROADMAP item 16 mends it
 * ``marcum_q``         truncation below 1e-15, relative for Q < 1e-5 (geometric bound)
 * ``poisson_gamma_cdf`` relative error <= 1e-10, absolute 1e-12 below 1e-3;
                         absolute 2e-15 far above the mean (1 - F of 1e-3 to 1e-9)

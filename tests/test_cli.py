@@ -247,6 +247,13 @@ class TestPdfCommand:
         assert exc_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["pdf", "--config", str(missing)]) == 2
+        assert f"cannot read config file {missing}" in capsys.readouterr().err
+        assert main(["pdf", "--config", write_config(tmp_path, [AM_CONFIG])]) == 2
+        assert "config file must contain a JSON object" in capsys.readouterr().err
+
     def test_config_null_or_false_is_an_absent_flag(self, tmp_path, capsys):
         outputs = []
         for extra in ({}, {"oracle": None, "use_gross": False, "rhat": None}, {"oracle": True}):

@@ -115,12 +115,20 @@ class TestIntegrateSemiInfinite:
         q = alpha * p - 1.0
         peak = (alpha * a / -q) ** (1.0 / alpha)  # the v/omega term is negligible
         phi = lambda v: q * math.log(v) - a * v**-alpha - v / omega
-        f = lambda v: math.exp(phi(v) - phi(peak))
+        seen = []
+
+        def f(v):
+            seen.append(v)
+            return math.exp(phi(v) - phi(peak))
+
         try:
             res = integrate_semi_infinite(f, abs_tol=1e-280, scale=peak)
         except NonConvergenceError as exc:
             res = exc.result
         assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
+        # The round that would reach u = inf is never evaluated.
+        assert seen and all(math.isfinite(v) for v in seen)
+        assert res.evaluations == len(seen)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -283,7 +291,30 @@ def reference_quadrature(f, rel_tol, abs_tol, *, one_at_a_time, graded):
     return total, calls, nodes
 
 
+def assert_refines_as_the_reference(f):
+    # The integrator pops the panels the heap-based reference pops, round
+    # by round: the same calls and nodes.  The values differ in rounding
+    # only, since the reference divides by (1 - t)^2 where the integrator
+    # multiplies by scale / (1 - t)^2.
+    calls = []
+
+    def counted(u):
+        calls.append(u.size)
+        return f(u)
+
+    res = integrate_semi_infinite(counted, 1e-10, 1e-14, vectorized=True)
+    ref_value, ref_calls, ref_nodes = reference_quadrature(
+        f, 1e-10, 1e-14, one_at_a_time=False, graded=True
+    )
+    assert (len(calls), res.evaluations) == (ref_calls, ref_nodes)
+    assert res.value == pytest.approx(ref_value, rel=1e-14, abs=0.0)
+
+
 class TestRefinementRounds:
+    @pytest.mark.parametrize("name", MULTI_PEAK_SUITE)
+    def test_same_rounds_as_the_heap_reference(self, name):
+        assert_refines_as_the_reference(MULTI_PEAK_SUITE[name][0])
+
     @pytest.mark.parametrize("name", MULTI_PEAK_SUITE)
     def test_separated_peaks_take_fewer_calls_and_no_more_nodes(self, name):
         f, exact = MULTI_PEAK_SUITE[name]
@@ -351,6 +382,10 @@ class TestPowerLawAtTheOrigin:
         assert abs(res.value - exact) <= 1e-10 * exact
         # At beta 1.5 the power law is mild and both finish in a few rounds.
         assert 2 * len(calls) <= ref_calls if beta < 1.0 else len(calls) < ref_calls
+
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.1, 0.5, 1.5])
+    def test_same_rounds_as_the_heap_reference(self, beta):
+        assert_refines_as_the_reference(self.integrand(beta))
 
     @pytest.mark.xfail(strict=True, reason="u^-0.9 at the origin: the error estimate "
                        "(9.9e-11 relative) understates the error (2.5e-10)")

@@ -141,6 +141,13 @@ class TestBesselI:
         # path's peak series for 700 <= x <= nu + 20; 40-digit mpmath values.
         assert fn(nu, x) == pytest.approx(ref, rel=1e-12)
 
+    def test_overflow_below_the_normal_range(self):
+        # At the least subnormal x, I_-0.99 is about 2.4e318 (mpmath), past
+        # the largest float: the series' first term overflows to inf.
+        assert bessel_i_scaled(-0.99, 5e-324) == math.inf
+        got = bessel_i_scaled(-0.99, np.array([5e-324, 1.0]))
+        assert got[0] == math.inf and got[1] == bessel_i_scaled(-0.99, 1.0)
+
     def test_long_array_is_evaluated_in_parts(self):
         # More than specfun._ROWS (4,096) arguments, across both branches.
         x = np.linspace(0.0, 60.0, 5_000)
@@ -222,6 +229,17 @@ class TestRegGamma:
             qs = [reg_upper_gamma(a, float(x)) for x in xs]
             assert all(0.0 <= q <= 1.0 for q in qs)
             assert all(q2 <= q1 + 1e-13 for q1, q2 in zip(qs, qs[1:]))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the log prefactor a ln x - x "
+                       "- lgamma(a) cancels near x = a, 4.5e-10 relative at a = 1e5")
+    def test_stated_accuracy_at_large_shape(self):
+        mpmath = pytest.importorskip("mpmath")
+        a = 1e5
+        with mpmath.workdps(40):
+            for x in np.linspace(0.97, 1.03, 13) * a:
+                q = mpmath.gammainc(a, float(x), mpmath.inf, regularized=True)
+                assert reg_upper_gamma(a, float(x)) == pytest.approx(float(q), rel=1e-12)
+                assert reg_lower_gamma(a, float(x)) == pytest.approx(float(1 - q), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
