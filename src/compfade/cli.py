@@ -332,10 +332,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         model = curve["model"]
         density = composite.composite_density(model, series_cfg)
         values = density.values(xs)
-        shadow = model.shadow
-        mass = models.density_total_mass(
-            density, rel_tol=1e-7, budget=400_000, scale=shadow.b * shadow.omega
-        )
+        mass = models._certified_mass(density, model.shadow)
         metadata = _base_metadata(series_cfg, oracle=False)
         metadata.update(
             {
@@ -361,10 +358,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     model, is_composite = _build_model(args)
     count, seed, out = args.count, args.seed, args.out
-    if count < 1:
-        raise UsageError("count must be positive")
-    if seed < 0:
-        raise UsageError("seed must be non-negative")
     series_cfg = SeriesConfig(args.series_n, args.series_rel_tol)
 
     sample = mc.sample_composite if is_composite else mc.sample_plain

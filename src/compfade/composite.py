@@ -46,7 +46,6 @@ average cannot touch.  Evaluations are pure given immutable model objects.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -72,7 +71,7 @@ from .models import (
     gamma_shadow_pdf,
 )
 from .numerics import _FIRST_NODE, integrate_semi_infinite
-from .specfun import _gross_ln_weight, _reg_gamma
+from .specfun import _LN_MAX, _gross_ln_weight, _reg_gamma
 from .numerics import sum_adaptive  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -169,7 +168,6 @@ _KERNEL_REL_TOL = 1e-10
 _KERNEL_BUDGET = 60_000
 _KERNEL_BLOCK = 24  # series terms per kernel call; most points need 10 to 20
 _KERNEL_CELLS = 1 << 16  # points x rows x nodes of one array pass, 512 kB
-_LN_MAX = math.log(sys.float_info.max)  # exp overflows past it
 # Node values are taken relative to their row's maximum, so each row's sum is
 # at least 1; a value under e^-700 is far below its rounding.  Raising the
 # exponents to this floor leaves the sums as they are, and spares exp its
@@ -179,8 +177,9 @@ _EXP_FLOOR = -700.0
 
 def _kernel_cut(p: float, a: float, alpha: float, omega: float, floor: float):
     """Peak t* of phi(t) = alpha*p*t - a*e^(-alpha*t) - e^t/omega, its width
-    sigma = (-phi''(t*))^(-1/2), and the offsets (left, right) from t* where
-    phi - phi(t*) first falls to ``floor``."""
+    sigma = (-phi''(t*))^(-1/2), the offsets (left, right) from t* where
+    phi - phi(t*) first falls to ``floor``, and the exponentials a*e^(-alpha*t*)
+    and e^(t*)/omega."""
     # phi' = ap + alpha*a*e^(-alpha*t) - e^t/omega falls strictly, from ap at
     # mid on to where one exponential alone cancels ap: the root lies between.
     ap, ln_a, ln_omega = alpha * p, math.log(a), math.log(omega)
@@ -225,7 +224,7 @@ def _kernel_cut(p: float, a: float, alpha: float, omega: float, floor: float):
     if len(ends) < 2:
         k = KernelArgs(p, a, alpha, omega)
         raise NonConvergenceError(f"kernel range search failed for {k!r}")
-    return t, sigma, ends[0], ends[1]
+    return t, sigma, ends[0], ends[1], big_a, big_b
 
 
 def _passes(need: list, rows: int) -> list:
@@ -297,10 +296,7 @@ def shadow_kernel_integral_ln(
     if scales.ndim > 1 or points.size == 0:
         raise DomainError(f"a must be a float or a nonempty 1-D array, got {a!r}")
     # The end rows; min and max are NaN if any row is.
-    if rows.size == 1:
-        lo_p = hi_p = float(rows[0])
-    else:
-        lo_p, hi_p = float(np.minimum.reduce(rows)), float(np.maximum.reduce(rows))
+    lo_p, hi_p = float(np.minimum.reduce(rows)), float(np.maximum.reduce(rows))
     finite = math.isfinite(lo_p) and math.isfinite(hi_p)
     if not (finite and 0.0 < alpha < math.inf and 0.0 < omega < math.inf):
         for q in (lo_p, hi_p):
@@ -320,12 +316,11 @@ def shadow_kernel_integral_ln(
                 raise DivergentIntegralError(f"kernel integral diverges for a = 0 and p = {lo_p!r}")
             out[i] = ln_alpha + ap * ln_omega + np.array([math.lgamma(v) for v in ap])
             continue
-        t0, sigma, left, right = _kernel_cut(lo_p, a_i, alpha, omega, floor)
+        t0, sigma, left, right, big_a, big_b = _kernel_cut(lo_p, a_i, alpha, omega, floor)
         if hi_p > lo_p:
-            t1, sigma1, left1, right1 = _kernel_cut(hi_p, a_i, alpha, omega, floor)
+            t1, sigma1, left1, right1, _, _ = _kernel_cut(hi_p, a_i, alpha, omega, floor)
             gap = t1 - t0  # from the smallest-power peak to the largest
             sigma, left, right = min(sigma, sigma1), min(left, gap + left1), max(right, gap + right1)
-        big_a, big_b = math.exp(math.log(a_i) - alpha * t0), math.exp(t0 - ln_omega)
         # e^(t - t0) overflows at a far peak past 700: such a point splits.
         intervals = budget if right > 700.0 else 2 * max(16, math.ceil(2.0 * (right - left) / sigma))
         queue.append((i, (t0, left, right, big_a, big_b), intervals))

@@ -96,16 +96,18 @@ def subsequence_seeds(seed: int, parts: int) -> list:
     return np.random.SeedSequence(seed).spawn(parts)
 
 
-def _check_count(count: int) -> None:
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
-        raise DomainError(f"count must be a positive integer, got {count!r}")
+def _sampler_generator(count: int, seed: int) -> np.random.Generator:
+    # The samplers' rules, then their generator; a bool is not an integer here.
+    for name, value, least in (("count", count, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return _generator(seed)
 
 
 def sample_plain(p, count: int, seed: int) -> SampleBatch:
     """Exact draws of a plain (unshadowed) model at unit rms scale, deep-fade
     zeros included; the gamma shadow draws its own variable."""
-    _check_count(count)
-    rng = _generator(seed)
+    rng = _sampler_generator(count, seed)
     return SampleBatch(family_of(p).sample(p, count, rng), seed, model_descriptor(p))
 
 
@@ -115,8 +117,7 @@ sample_akm = sample_am = sample_extreme = sample_gamma_shadow = sample_plain
 
 def sample_composite(m: CompositeModel, count: int, seed: int) -> SampleBatch:
     """Exact composite draws: shadow scale first, then the multipath variate."""
-    _check_count(count)
-    rng = _generator(seed)
+    rng = _sampler_generator(count, seed)
     y = SHADOW.sample(m.shadow, count, rng)
     values = y * family_of(m.multipath).sample(m.multipath, count, rng)
     return SampleBatch(values, seed, model_descriptor(m))

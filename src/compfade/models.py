@@ -122,7 +122,7 @@ class ExtremeParams:
     @property
     def atom_mass(self) -> float:
         """Probability mass of the deep-fade point mass at zero envelope."""
-        return math.exp(-2.0 * self.m)
+        return math.exp(-self.poisson_gamma[0])
 
 
 @dataclass(frozen=True)
@@ -312,10 +312,11 @@ def akm_cdf(p: AkmParams, rho):
 def akm_cdf_series(p: AkmParams, rho, tail_tol: float = 1e-15):
     """Poisson-weighted incomplete-gamma series for the same cdf.
 
-    Reference form kept as an independent arrangement of the computation:
     sum_i Pois_i(mu*kappa) * P(mu + i, mu*(1+kappa)*rho^alpha), truncated
     where the remaining Poisson weight is below ``tail_tol``, at every rho.
-    Every sum is free of cancellation and suits the lower tail.
+    Every sum is free of cancellation and suits the lower tail.  It shares
+    ``specfun._poisson_gamma_side`` with ``akm_cdf``, so the two agree bit
+    for bit up to rho = 1; above it ``akm_cdf`` sums Q and returns 1 - Q.
     """
     lam, shape, rate = p.poisson_gamma
     def value(rho: float) -> float:
@@ -504,3 +505,8 @@ def density_total_mass(
         vectorized=density.vectorized,
     )
     return density.atom_mass + result.value
+
+
+def _certified_mass(density: Density, shadow: GammaShadowParams) -> float:
+    # A composite density's total mass to 1e-7: the figure curves' certificate.
+    return density_total_mass(density, rel_tol=1e-7, budget=400_000, scale=shadow.b * shadow.omega)

@@ -169,8 +169,10 @@ def integrate_semi_infinite(
         h = 0.5 * (ab[:, 1] - ab[:, 0])[:, None]
         t = c + h * _NODES[None, :]
         om = 1.0 - t
-        g = math.inf  # stays so if a node rounds to u = inf: at t = 1, or by overflow
-        if (om > 0.0).all() and np.isfinite(u := scale * t / om).all():
+        with np.errstate(over="ignore", divide="ignore"):  # u = inf at t = 1, or by overflow
+            u, jacobian = scale * t / om, scale / (om * om)
+        g = math.inf  # stays so if a node rounds to u = inf
+        if np.isfinite(u).all():
             if vectorized:
                 vals = np.asarray(f(u.ravel()), dtype=float).reshape(t.shape)
             else:
@@ -179,7 +181,7 @@ def integrate_semi_infinite(
             if not np.all(np.isfinite(vals)):
                 bad = float(u[~np.isfinite(vals)][0])
                 raise EvaluationError(f"integrand returned a non-finite value at u={bad!r}")
-            g = vals * (scale / (om * om))
+            g = vals * jacobian
         if not np.all(np.isfinite(g)):  # or the Jacobian overflows near u = inf
             partial = QuadratureResult(total, total_err if live else math.inf, count)
             raise NonConvergenceError("quadrature refinement reached u = inf", result=partial)

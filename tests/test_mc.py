@@ -26,7 +26,9 @@ from compfade import (
     sample_extreme,
 )
 from compfade.composite import composite_density, mixture_density, plain_density
-from compfade.mc import SampleBatch, build_cdf_table, model_descriptor, subsequence_seeds
+from compfade.mc import (
+    SampleBatch, build_cdf_table, model_descriptor, sample_plain, subsequence_seeds,
+)
 from compfade.models import Density, akm_pdf_normalized, extreme_density
 
 COUNT = 100_000
@@ -63,6 +65,14 @@ class TestReproducibility:
     def test_count_validation(self):
         with pytest.raises(DomainError):
             sample_akm(AkmParams(2.0, 1.0, 1.0), 0, 1)
+
+    @pytest.mark.parametrize("count, seed", [(10, -1), (10, 1.5), (10, True), (True, 1)])
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_bad_count_or_seed_is_a_domain_error(self, count, seed, composite):
+        p = AmParams(2.0, 1.3)
+        model = CompositeModel(p, GammaShadowParams(1.6, 0.8)) if composite else p
+        with pytest.raises(DomainError):
+            (sample_composite if composite else sample_plain)(model, count, seed)
 
 
 class TestAkmSampler:

@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ class TestIntegrateSemiInfinite:
         # The round that would reach u = inf is never evaluated.
         assert seen and all(math.isfinite(v) for v in seen)
         assert res.evaluations == len(seen)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("scale", [1e292, 1e300, 1e308])
+    def test_huge_scale_raises_without_a_warning(self, scale, vectorized):
+        # Nodes past the largest double round to u = inf: the typed error,
+        # and no numpy overflow warning before it.
+        f = (lambda u: np.ones_like(u)) if vectorized else (lambda u: 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError):
+                integrate_semi_infinite(f, scale=scale, vectorized=vectorized)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

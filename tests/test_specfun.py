@@ -203,6 +203,19 @@ class TestBesselGross:
         assert bessel_i_gross(0.0, 5e-324, 3) == pytest.approx(1.0, rel=1e-15)
 
 
+def _mp_lower_series(mpmath, a, x):
+    # P(a, x) = x^a e^-x / Gamma(a + 1) * sum_k x^k / ((a + 1) ... (a + k)),
+    # every term positive, at mpmath's working precision.
+    a, x = mpmath.mpf(a), mpmath.mpf(x)
+    term = total = mpmath.mpf(1)
+    k = 0
+    while term > total * mpmath.mpf(10) ** -(mpmath.mp.dps + 5):
+        k += 1
+        term *= x / (a + k)
+        total += term
+    return total * mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a + 1))
+
+
 class TestRegGamma:
     def test_goldens(self):
         assert reg_upper_gamma(3.7, 0.0) == 1.0
@@ -230,8 +243,6 @@ class TestRegGamma:
             assert all(0.0 <= q <= 1.0 for q in qs)
             assert all(q2 <= q1 + 1e-13 for q1, q2 in zip(qs, qs[1:]))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the log prefactor a ln x - x "
-                       "- lgamma(a) cancels near x = a, 4.5e-10 relative at a = 1e5")
     def test_stated_accuracy_at_large_shape(self):
         mpmath = pytest.importorskip("mpmath")
         a = 1e5
@@ -240,6 +251,23 @@ class TestRegGamma:
                 q = mpmath.gammainc(a, float(x), mpmath.inf, regularized=True)
                 assert reg_upper_gamma(a, float(x)) == pytest.approx(float(q), rel=1e-12)
                 assert reg_lower_gamma(a, float(x)) == pytest.approx(float(1 - q), rel=1e-12)
+
+    @pytest.mark.parametrize("a, rel", [(1e3, 1e-12), (5e3, 1e-12), (2e4, 1e-12), (1e5, 2e-12)])
+    def test_both_sides_near_a_large_shape(self, a, rel):
+        # The small side is computed directly, never as 1 minus the other:
+        # P by its series at x <= a, Q by mpmath's upper integral above a.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for x in (np.linspace(0.9, 1.1, 13) * a).tolist():
+                if x <= a:
+                    p = _mp_lower_series(mpmath, a, x)
+                    q = 1 - p
+                else:
+                    q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+                    p = 1 - q
+                lower, upper = _reg_gamma(a, x)
+                assert lower == pytest.approx(float(p), rel=rel)
+                assert upper == pytest.approx(float(q), rel=rel)
 
     def test_domain(self):
         with pytest.raises(DomainError):
