@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,11 +80,21 @@ _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WEIGHTS_G = np.zeros(_NODES.size)
 _WEIGHTS_G[1::2] = np.concatenate([_WG, _WG[::-1]])
 _INITIAL_PANELS = 6
-# The smallest initial node as a fraction of the scale, where the oracle's
-# near-origin split cuts: node t = c + h * _NODES[0] of the first panel,
-# rounded as the integrator rounds its nodes, at u = t / (1 - t).
-_FIRST_T = 0.5 / _INITIAL_PANELS + 0.5 / _INITIAL_PANELS * float(_NODES[0])
-_FIRST_NODE = _FIRST_T / (1.0 - _FIRST_T)
+
+
+def _panel_nodes(panels: Sequence) -> tuple:
+    # Half-widths h, nodes t (one row per panel [a, b] of t) and om = 1 - t.
+    ab = np.asarray(panels, dtype=float)
+    h = 0.5 * (ab[:, 1] - ab[:, 0])
+    t = 0.5 * (ab[:, 0] + ab[:, 1])[:, None] + h[:, None] * _NODES[None, :]
+    return h, t, 1.0 - t
+
+
+_EDGES = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1).tolist()
+_ROUND_0 = tuple(zip(_EDGES[:-1], _EDGES[1:]))  # the initial panels
+_ROUND_0_NODES = _panel_nodes(_ROUND_0)  # the same at every call
+# u / scale at the smallest node of round 0, where the oracle's near-origin split cuts.
+_FIRST_NODE = float(_ROUND_0_NODES[1][0, 0] / _ROUND_0_NODES[2][0, 0])
 
 
 @dataclass(frozen=True)
@@ -146,9 +156,9 @@ def integrate_semi_infinite(
         Maximum number of integrand evaluations.  A round refines no more
         panels than their children fit in it; a round that fits none raises
         ``NonConvergenceError`` with the partial result.  So does a round
-        with a node at u = inf, before ``f`` is called there, or one whose
-        Jacobian overflows; before the initial panels finish, the partial's
-        error estimate is inf.
+        whose largest Jacobian overflows (at or near u = inf), before ``f`` sees
+        it, or in which a value times its Jacobian overflows; before the
+        initial panels finish, the partial's error estimate is inf.
     """
     if not (rel_tol > 0.0 and abs_tol > 0.0):
         raise ValueError("tolerances must be positive")
@@ -158,42 +168,40 @@ def integrate_semi_infinite(
         raise ValueError("budget too small for the initial subdivision")
 
     count, total, total_err = 0, 0.0, 0.0
-    edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
-    live, popped, children = [], [], list(zip(edges[:-1], edges[1:]))
+    live, popped, children = [], [], _ROUND_0
     while children:
         # Round 0 evaluates the initial panels; every later round the
         # children of the panels it pops.  Each gets its Kronrod value and
         # its Kronrod-Gauss difference as the error.
-        ab = np.asarray(children, dtype=float)
-        c = 0.5 * (ab[:, 0] + ab[:, 1])[:, None]
-        h = 0.5 * (ab[:, 1] - ab[:, 0])[:, None]
-        t = c + h * _NODES[None, :]
-        om = 1.0 - t
-        with np.errstate(over="ignore", divide="ignore"):  # u = inf at t = 1, or by overflow
-            u, jacobian = scale * t / om, scale / (om * om)
-        g = math.inf  # stays so if a node rounds to u = inf
-        if np.isfinite(u).all():
-            if vectorized:
-                vals = np.asarray(f(u.ravel()), dtype=float).reshape(t.shape)
-            else:
-                vals = np.array([f(float(v)) for v in u.ravel()], dtype=float).reshape(t.shape)
-            count += u.size
-            if not np.all(np.isfinite(vals)):
-                bad = float(u[~np.isfinite(vals)][0])
-                raise EvaluationError(f"integrand returned a non-finite value at u={bad!r}")
-            g = vals * jacobian
-        if not np.all(np.isfinite(g)):  # or the Jacobian overflows near u = inf
+        h, t, om = _ROUND_0_NODES if children is _ROUND_0 else _panel_nodes(children)
+        om_min = float(om.min())  # at the largest u and Jacobian of the round
+        jac_max = scale / (om_min * om_min) if om_min > 0.0 else math.inf
+        if not jac_max < math.inf:  # a node at or near u = inf
             partial = QuadratureResult(total, total_err if live else math.inf, count)
             raise NonConvergenceError("quadrature refinement reached u = inf", result=partial)
-        kron = h[:, 0] * (g @ _WEIGHTS_K)
-        errs = np.abs(kron - h[:, 0] * (g @ _WEIGHTS_G))
+        u, jacobian = scale * t / om, scale / (om * om)
+        vals = f(u.ravel()) if vectorized else [f(v) for v in u.ravel().tolist()]
+        vals = np.asarray(vals, dtype=float).reshape(t.shape)
+        count += u.size
+        top = float(np.abs(vals).max())
+        if not top < math.inf:  # inf or NaN
+            bad = float(u[~np.isfinite(vals)][0])
+            raise EvaluationError(f"integrand returned a non-finite value at u={bad!r}")
+        if top * jac_max < math.inf:  # no product can overflow
+            g = vals * jacobian
+        else:
+            with np.errstate(over="ignore"):
+                g = vals * jacobian
+            if not np.isfinite(g).all():
+                partial = QuadratureResult(total, total_err if live else math.inf, count)
+                raise NonConvergenceError("quadrature refinement reached u = inf", result=partial)
+        kron = h * (g @ _WEIGHTS_K)
+        errs = np.abs(kron - h * (g @ _WEIGHTS_G)).tolist()
         for err, _, _, val in popped:
-            total -= val
-            total_err -= err
-        for (a, b), val, err in zip(children, kron, errs):
-            total += float(val)
-            total_err += float(err)
-            live.append((float(err), a, b, float(val)))
+            total, total_err = total - val, total_err - err
+        for (a, b), val, err in zip(children, kron.tolist(), errs):
+            total, total_err = total + val, total_err + err
+            live.append((err, a, b, val))
 
         # The next round pops the largest-error panels, the oldest first
         # among equal errors, until the error left is within tol, as many as

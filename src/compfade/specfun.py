@@ -27,6 +27,7 @@ Accuracy targets (enforced by the test suite):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 
@@ -412,11 +413,12 @@ def _ln_poisson_term(n: float, x: float) -> float:
     return -stirling - (n * ln_ratio - d) - 0.5 * math.log(2.0 * math.pi * n)
 
 
-def _poisson_weights(lam: float, tail_tol: float) -> tuple[int, list]:
-    # (lo, w): the Poisson(lam) weights w[i - lo], from the mode in logs,
-    # where e^-lam may underflow, and outward by the ratios lam / i and
-    # i / lam: up to where a geometric bound on the weights past i is within
-    # tail_tol, and down to i = 0 or to an underflowed weight.
+@functools.lru_cache(maxsize=8)
+def _poisson_weights(lam: float, tail_tol: float) -> tuple[int, tuple]:
+    # (lo, w): the Poisson(lam) weights w[i - lo], from the mode in logs
+    # (e^-lam may underflow) and outward by the ratios lam / i and i / lam:
+    # up to a geometric bound on the rest within tail_tol, and down to i = 0
+    # or an underflowed weight.  Cached for the nodes of a cdf quadrature.
     if lam > 1e6:  # about 5e4 weights
         raise NonConvergenceError(f"Poisson mean {lam!r} needs too many weights")
     i = mode = int(lam)
@@ -431,7 +433,7 @@ def _poisson_weights(lam: float, tail_tol: float) -> tuple[int, list]:
         w *= i / lam
         i -= 1
         lower.append(w)
-    return i, lower[::-1] + upper
+    return i, tuple(itertools.chain(reversed(lower), upper))
 
 
 def _gamma_terms(a: float, x: float, count: int) -> list:

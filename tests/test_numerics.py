@@ -142,6 +142,44 @@ class TestIntegrateSemiInfinite:
             with pytest.raises(NonConvergenceError):
                 integrate_semi_infinite(f, scale=scale, vectorized=vectorized)
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("value, scale, evaluations", [(1e300, 1.0, 252), (1e10, 1e300, 126)])
+    def test_product_overflow_raises_without_a_warning(self, value, scale, evaluations, vectorized):
+        # Finite integrand values times finite Jacobians that overflow: the
+        # typed error once f has seen the round, and no numpy overflow
+        # warning before it.  1e300 overflows in round 1, 1e10 at scale
+        # 1e300 in round 0.
+        f = (lambda u: np.full_like(u, value)) if vectorized else (lambda u: value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="reached u = inf") as exc_info:
+                integrate_semi_infinite(f, scale=scale, vectorized=vectorized)
+        assert exc_info.value.result.evaluations == evaluations
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("scale, evaluations", [(1e303, 0), (1e295, 546)])
+    def test_overflowing_jacobian_raises_before_f_sees_the_round(self, scale, evaluations,
+                                                                 vectorized):
+        # Every u of the round is finite, but the Jacobian scale / (1 - t)^2
+        # at the node nearest t = 1 overflows: in round 0 at scale 1e303, in
+        # round 11 at 1e295.  The round raises before f is called on it.  (At
+        # scale 1 this cannot happen: 1 - t is 0 or at least 2^-53.)
+        om = 0.5 * (1.0 - float(_NODES[-1])) / _INITIAL_PANELS  # the last node of round 0
+        assert math.isfinite(1e303 / om) and not math.isfinite(1e303 / (om * om))
+        seen = []
+
+        def f(u):
+            seen.append(np.size(u))
+            return np.full_like(u, 1e-300) if vectorized else 1e-300
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="reached u = inf") as exc_info:
+                integrate_semi_infinite(f, scale=scale, vectorized=vectorized)
+        partial = exc_info.value.result
+        assert partial.evaluations == sum(seen) == evaluations
+        assert (partial.error_estimate == math.inf) == (evaluations == 0)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             integrate_semi_infinite(lambda u: u, rel_tol=-1.0)
