@@ -14,7 +14,8 @@ Two independent evaluation routes are provided for every composite family:
   gamma shadow density.  It is the ground-truth oracle; ``mixture_cdf``
   does the same with the conditional cdf.  ``composite_cdf`` and
   ``composite_sf`` average the shadow's cdf over the multipath density
-  instead, one incomplete gamma per node.
+  instead, one incomplete gamma per node.  Both cdf routes integrate a
+  power law v^p, p < 1, of their integrand at 0 in s = v^((p+1)/2).
 * The series evaluators expand the Bessel factor of the conditional density
   and push the shadow average through term by term, which leaves one
   shadow-kernel integral per term:
@@ -71,7 +72,7 @@ from .models import (
     gamma_shadow_pdf,
 )
 from .numerics import _FIRST_NODE, integrate_semi_infinite
-from .specfun import _LN_MAX, _gross_ln_weight, _reg_gamma
+from .specfun import _LN_MAX, _gross_ln_weight, _reg_gamma, ln_gamma
 from .numerics import sum_adaptive  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -515,10 +516,14 @@ def _value_at_origin(m: CompositeModel) -> float:
 # ----------------------------------------------------------------------
 
 
-def _split_quadrature(f: Callable, edge: float, scale: float, rel_tol, budget) -> float:
-    # int_0^inf f with no absolute floor, where f, which takes a 1-D array,
-    # changes over u ~ edge; for an edge below the first initial node, (0,
-    # cut) takes its own quadrature and budget, with nodes about u ~ edge.
+def _split_quadrature(f: Callable, edge, scale, rel_tol, budget, power=math.inf) -> float:
+    # int_0^inf, with no absolute floor, of an integrand ~ v^power at v -> 0
+    # that changes over v ~ edge.  A power below 1 runs in s = v^(1/k), k =
+    # 2/(power + 1), where it goes like s: f(s, k) gives it times dv/ds.  For an
+    # edge below the first initial node, (0, cut) takes its own quadrature.
+    k = 2.0 / (power + 1.0) if power < 1.0 else 1.0
+    edge, scale = edge ** (1.0 / k), scale ** (1.0 / k)
+
     def quad(g, scale: float) -> float:
         return integrate_semi_infinite(
             g, rel_tol=rel_tol, abs_tol=1e-300, budget=budget, scale=scale, vectorized=True
@@ -526,18 +531,9 @@ def _split_quadrature(f: Callable, edge: float, scale: float, rel_tol, budget) -
 
     cut = _FIRST_NODE * scale
     if edge >= cut:
-        return quad(f, scale)
-    head = quad(lambda w: f(cut * w / (1.0 + w)) * cut / (1.0 + w) ** 2, edge / cut)
-    return head + quad(lambda v: f(cut + v), scale)
-
-
-def _shadow_average(conditional: Callable, m: CompositeModel, x: float, rel_tol, budget):
-    # int_0^inf conditional(mp, x, y) f_Y(y) dy, which changes over y ~ x.
-    mp, sh = m.multipath, m.shadow
-    return _split_quadrature(
-        lambda y: conditional(mp, x, y) * gamma_shadow_pdf(sh, y),
-        x, max(x, sh.b * sh.omega), rel_tol, budget,
-    )
+        return quad(lambda s: f(s, k), scale)
+    head = quad(lambda w: f(cut * w / (1.0 + w), k) * cut / (1.0 + w) ** 2, edge / cut)
+    return head + quad(lambda s: f(cut + s, k), scale)
 
 
 def mixture_pdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
@@ -547,23 +543,31 @@ def mixture_pdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
     multipath the mode-independent atom exp(-2m) is not part of this value;
     ``mixture_density`` carries it.
     """
-    def value(v: float) -> float:
-        return _shadow_average(family_of(m.multipath).pdf, m, v, rel_tol, budget)
+    mp, sh, pdf = m.multipath, m.shadow, family_of(m.multipath).pdf
+    def value(v: float) -> float:  # the integrand vanishes faster than any power of y
+        f = lambda y, k: pdf(mp, v, y) * gamma_shadow_pdf(sh, y)  # noqa: E731
+        return _split_quadrature(f, v, max(v, sh.b * sh.omega), rel_tol, budget)
     return _pointwise("x", x, lambda: _value_at_origin(m), value)
 
 
 def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
     """Composite distribution function F(x) = E_Y[F_mp(x / Y)], atoms included.
 
-    The family's closed multipath cdf averaged on ``mixture_pdf``'s
-    quadrature; every F_mp(0) holds the deep-fade atom.  With no absolute
-    floor the lower tail keeps ``rel_tol`` relative accuracy.
+    The family's closed multipath cdf averaged over the shadow density, in s
+    = y^(b/2) below b = 2; every F_mp(0) holds the deep-fade atom.  With no
+    absolute floor the lower tail keeps ``rel_tol`` relative accuracy.
     """
-    cdf = family_of(m.multipath).cdf
-    return _pointwise(
-        "x", x, lambda: cdf(m.multipath, 0.0, 1.0),
-        lambda v: min(_shadow_average(cdf, m, v, rel_tol, budget), 1.0),
-    )
+    mp, b, omega, cdf = m.multipath, m.shadow.b, m.shadow.omega, family_of(m.multipath).cdf
+    ln_norm = ln_gamma(b) + b * math.log(omega)
+    def value(v: float) -> float:
+        def f(s, k):  # F_mp(v / y) f_Y(y) dy/ds at y = s^k; F_mp = 1 where v / y overflows
+            y, f_mp = s**k, np.ones_like(s)
+            with np.errstate(divide="ignore", over="ignore"):
+                rho = v / y
+            f_mp[rho < math.inf] = cdf(mp, rho[rho < math.inf], 1.0)
+            return f_mp * k * np.exp((k * b - 1.0) * np.log(s) - y / omega - ln_norm)
+        return min(_split_quadrature(f, v, b * omega, rel_tol, budget, b - 1.0), 1.0)
+    return _pointwise("x", x, lambda: cdf(mp, 0.0, 1.0), value)
 
 
 def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_000) -> Density:
@@ -583,24 +587,18 @@ _CDF_REL_TOL = 1e-10
 
 
 def _multipath_average(m: CompositeModel, x: float, upper: bool) -> float:
-    # int_0^inf f(rho) G(b, x / (omega rho)) drho for x > 0, with f the unit-
-    # scale multipath density (continuous part) and G = Q if ``upper``, else
-    # P: X = P Y with Y ~ Gamma(b, omega) independent of P.  Every value is
-    # positive, so both tails keep relative digits.  Where f ~ c rho^e with
-    # e < 0 (``models._origin``) it runs in s = rho^((e+1)/2), where the
-    # integrand goes like 2c s / (e+1): no singularity, and the next
-    # component's fractional power of rho is a power of s above 1.  G
-    # changes at rho ~ x/omega.
+    # int_0^inf f(rho) G(b, x / (omega rho)) drho for x > 0: f is the unit-scale
+    # multipath density (continuous part), ~ rho^e at 0 (``models._origin``),
+    # and G = Q if ``upper``, else P, changes at rho ~ x/omega; X = P Y with Y ~
+    # Gamma(b, omega).  Every value is positive, so both tails keep their digits.
     mp, b, z = m.multipath, m.shadow.b, x / m.shadow.omega
     pdf, side = family_of(mp).pdf, int(upper)
-    e = _origin(mp)[0]
-    k = 2.0 / (e + 1.0) if e < 0.0 else 1.0
 
-    def integrand(s):
+    def integrand(s, k):
         rho = s**k
         return pdf(mp, rho, 1.0) * _reg_gamma(b, z / rho)[side] * (k * rho / s)
 
-    return _split_quadrature(integrand, z ** (1.0 / k), 1.0, _CDF_REL_TOL, 200_000)
+    return _split_quadrature(integrand, z, 1.0, _CDF_REL_TOL, 200_000, _origin(mp)[0])
 
 
 def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
@@ -612,7 +610,7 @@ def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
     the shadow shape b per node, to relative accuracy 1e-10 in either tail.
     ``oracle=True`` runs ``mixture_cdf`` at each point instead, which
     averages the multipath cdf over the shadow; the two routes share only
-    ``integrate_semi_infinite`` and the incomplete gamma.
+    ``_split_quadrature`` and the incomplete gamma.
     """
     if oracle:
         return mixture_cdf(m, x)

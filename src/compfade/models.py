@@ -7,8 +7,8 @@ multipath density, its limit at the origin and its cdf follow from the
 family's clustering form ``poisson_gamma``.  Every pdf and cdf takes a
 float, giving a float, or a 1-D array of points, giving an array, through
 one gate, ``_density``: the densities run one formula on the array, the
-cdfs (``_pointwise``) one float at a time.  Parameter objects are immutable
-and every evaluation is pure, so the whole module is thread-safe.
+cdfs (``_pointwise``) one float at a time; far tails take their limit.
+Parameter objects are immutable and evaluations pure, so it is thread-safe.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ class SpecialCase:
     params: dict
 
 
-def _density(name: str, points, at_origin: Callable, formula: Callable):
-    """``formula`` on the positive points and ``at_origin()`` at the zeros.
+def _density(name: str, points, at_origin: Callable, formula: Callable, far=math.inf, at_far=0.0):
+    """``formula`` on the points in (0, far), ``at_origin()`` at 0 and ``at_far`` from ``far`` on.
 
     ``points`` is a float, giving a float, or a 1-D array, giving an array;
     each point must be finite and >= 0.  A float reaches ``formula`` as a
@@ -202,29 +202,30 @@ def _density(name: str, points, at_origin: Callable, formula: Callable):
         x = float(points)
         if not 0.0 <= x < math.inf:  # NaN fails too
             raise DomainError(f"{name} must be finite and >= 0, got {x!r}")
-        return at_origin() if x == 0.0 else float(formula(x))
+        return at_origin() if x == 0.0 else at_far if x >= far else float(formula(x))
     xs = np.asarray(points, dtype=float)
     if xs.ndim > 1:
         raise DomainError(f"{name} must be a float or a 1-D array, got shape {xs.shape}")
-    lo = xs.min(initial=math.inf)
-    if not (lo >= 0.0 and xs.max(initial=0.0) < math.inf):  # NaN fails too
+    lo, hi = xs.min(initial=math.inf), xs.max(initial=0.0)
+    if not (lo >= 0.0 and hi < math.inf):  # NaN fails too
         bad = xs[~(np.isfinite(xs) & (xs >= 0.0))]
         raise DomainError(f"{name} must be finite and >= 0, got {float(bad[0])!r}")
-    if lo > 0.0:
+    if lo > 0.0 and hi < far:
         return formula(xs)
-    zero = xs == 0.0
-    out = np.empty_like(xs)
-    out[zero] = at_origin()
-    if not zero.all():
-        out[~zero] = formula(xs[~zero])
+    inside = (xs > 0.0) & (xs < far)
+    out = np.full_like(xs, at_far)
+    if lo == 0.0:
+        out[xs == 0.0] = at_origin()
+    if inside.any():
+        out[inside] = formula(xs[inside])
     return out
 
 
-def _pointwise(name: str, points, at_origin: Callable, value: Callable[[float], float]):
-    # ``_density`` with ``value`` taking one positive float at a time.
+def _pointwise(name: str, points, at_origin: Callable, value: Callable[[float], float], *far):
+    # ``_density``, ``far`` its (far, at_far), with ``value`` taking one float at a time.
     return _density(
         name, points, at_origin,
-        lambda x: value(x) if type(x) is float else np.array([value(v) for v in x.tolist()]),
+        lambda x: value(x) if type(x) is float else np.array([value(v) for v in x.tolist()]), *far
     )
 
 
@@ -251,6 +252,14 @@ def _origin_limit(p, shift: float = 0.0) -> float:
     if e != shift:
         return 0.0 if e > shift else math.inf
     return math.exp(ln_c)
+
+
+def _far(alpha: float, rate: float, scale: float) -> float:
+    # Where (x/scale)^alpha reaches e^700 / max(rate, 1): from there on the
+    # density is 0 and the cdf 1, and below it neither that power nor rate
+    # times it overflows.
+    t = (700.0 - (math.log(rate) if rate > 1.0 else 0.0)) / alpha
+    return scale * math.exp(t if t < specfun._LN_MAX else specfun._LN_MAX)
 
 
 def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
@@ -283,7 +292,7 @@ def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
             + specfun._ln_bessel_i_scaled(s - 1.0 if s else 1.0, 2.0 * math.sqrt(lam * rate) * half)
         )
 
-    return _density(name, x, lambda: _origin_limit(p) / scale, positive)
+    return _density(name, x, lambda: _origin_limit(p) / scale, positive, _far(a, rate, scale))
 
 
 def akm_pdf_normalized(p: AkmParams, rho):
@@ -321,7 +330,7 @@ def akm_cdf_series(p: AkmParams, rho, tail_tol: float = 1e-15):
     lam, shape, rate = p.poisson_gamma
     def value(rho: float) -> float:
         return specfun._poisson_gamma_side(lam, shape, rate * rho**p.alpha, tail_tol, upper=False)
-    return _pointwise("rho", rho, lambda: value(0.0), value)
+    return _pointwise("rho", rho, lambda: value(0.0), value, _far(p.alpha, rate, 1.0), 1.0)
 
 
 def _mixture_cdf(p, x, name: str = "rho", scale: float = 1.0, tail_tol: float = 1e-15):
@@ -329,7 +338,7 @@ def _mixture_cdf(p, x, name: str = "rho", scale: float = 1.0, tail_tol: float = 
     lam, shape, rate = p.poisson_gamma
     def value(x: float) -> float:
         return specfun.poisson_gamma_cdf(lam, shape, rate * (x / scale) ** p.alpha, tail_tol)
-    return _pointwise(name, x, lambda: value(0.0), value)
+    return _pointwise(name, x, lambda: value(0.0), value, _far(p.alpha, rate, scale), 1.0)
 
 
 def akm_power_pdf(p: AkmParams, w):

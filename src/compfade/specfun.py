@@ -417,19 +417,21 @@ def _ln_poisson_term(n: float, x: float) -> float:
 def _poisson_weights(lam: float, tail_tol: float) -> tuple[int, tuple]:
     # (lo, w): the Poisson(lam) weights w[i - lo], from the mode in logs
     # (e^-lam may underflow) and outward by the ratios lam / i and i / lam:
-    # up to a geometric bound on the rest within tail_tol, and down to i = 0
-    # or an underflowed weight.  Cached for the nodes of a cdf quadrature.
-    if lam > 1e6:  # about 5e4 weights
+    # up to a geometric bound on the rest within tail_tol and down to i = 0,
+    # each short of a subnormal weight.  Cached for a cdf quadrature's nodes.
+    if lam > 1e6:  # 45,153 weights at tail_tol 1e-15, 74,863 at 0
         raise NonConvergenceError(f"Poisson mean {lam!r} needs too many weights")
     i = mode = int(lam)
     w = _poisson_term(float(mode), lam)
     upper = [w]
-    while w > 0.0 and not (i + 2.0 > lam and w * lam / (i + 1.0) / (1.0 - lam / (i + 2.0)) <= tail_tol):
+    while not (i + 2.0 > lam and w * lam / (i + 1.0) / (1.0 - lam / (i + 2.0)) <= tail_tol):
         i += 1
         w *= lam / i
+        if w < _NORMAL:
+            break
         upper.append(w)
     i, w, lower = mode, upper[0], []
-    while i > 0 and w > 0.0:
+    while i > 0 and w * (i / lam) >= _NORMAL:
         w *= i / lam
         i -= 1
         lower.append(w)

@@ -536,9 +536,9 @@ def check_series_vs_oracle(draws: int = 20, points: int = 25, seed: int = 47) ->
 def check_cdf_routes(draws: int = 10, points: int = 10, seed: int = 61) -> dict:
     """Composite cdf routes: the shadow cdf averaged over the multipath
     (``composite_cdf``) against the multipath cdf averaged over the shadow
-    (``mixture_cdf``).  They share only the quadrature and the incomplete
-    gamma; each gap is held to about twice the sum of their tolerances,
-    1e-10 and 1e-9."""
+    (``mixture_cdf``).  They share only the quadrature, with its origin
+    substitution, and the incomplete gamma; each gap is held to about twice
+    the sum of their tolerances, 1e-10 and 1e-9."""
     worst = _against_oracle(composite.composite_cdf, composite.mixture_cdf, draws, points, seed)
     return _held("cdf_routes", worst, dict.fromkeys(worst, 2e-9), 2e-9)
 

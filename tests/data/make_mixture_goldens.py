@@ -30,9 +30,10 @@ The composite cdf of each family over a gamma shadow Y ~ Gamma(b, omega),
 
     F(x) = int_0^inf F_mp(x / y) y^(b-1) e^(-y/omega) / (Gamma(b) omega^b) dy,
 
-is an mpmath quadrature over y, with breakpoints at x and b omega, of the
-same Poisson-gamma F at rate rho^alpha, rho = x / y (``mixture_cdf``, which
-is cheaper per node than ``mixture``).  It is computed at ``QUAD_DPS`` and
+is an mpmath quadrature over u = y^b, in which y^(b-1) dy = du / b has no
+singularity at the origin whatever b is, with breakpoints at x^b and
+(b omega)^b, of the same Poisson-gamma F at rate rho^alpha, rho = x / y
+(``mixture_cdf``, which is cheaper per node than ``mixture``).  It is computed at ``QUAD_DPS`` and
 ``QUAD_DPS + 10`` digits, which must agree to ``AGREE_QUAD`` relative.
 The composite survival function (``composite_sf``) is the same quadrature
 of the mixture's S, summed directly above the mixture's mean, at
@@ -232,17 +233,19 @@ def composite_cdf(alpha, lam, shape, rate, b, omega, x, dps, upper=False):
     with mp.workdps(dps + 10):
         alpha, lam, shape, rate = (mp.mpf(v) for v in (alpha, lam, shape, rate))
         b, omega, x = mp.mpf(b), mp.mpf(omega), mp.mpf(x)
-        norm = mp.gamma(b) * omega**b
+        norm = mp.gamma(b + 1) * omega**b  # b Gamma(b) omega^b
 
-        def integrand(y):
+        def integrand(u):
+            y = u ** (1 / b)
             side = mixture_cdf(lam, shape, rate * (x / y) ** alpha, upper)
-            return side * y ** (b - 1) * mp.exp(-y / omega) / norm
+            return side * mp.exp(-y / omega) / norm
 
-        return +mp.quad(integrand, [0] + sorted({x, b * omega}) + [mp.inf])
+        return +mp.quad(integrand, [0] + sorted({x**b, (b * omega) ** b}) + [mp.inf])
 
 
 # The multipath families by their Poisson-gamma form (alpha, lam, shape,
-# rate); each is swept over x with one shadow of b < 1 and one of b > 1.
+# rate); each is swept over x with one shadow of b < 1 and one of b > 1,
+# and with b = 0.1, where the shadow density's power y^(b-1) is steepest.
 COMPOSITES = (
     ("am", {"alpha": 2.0, "mu": 0.5}, (2.0, 0.0, 0.5, 0.5)),
     ("am", {"alpha": 1.2, "mu": 2.5}, (1.2, 0.0, 2.5, 2.5)),
@@ -250,7 +253,7 @@ COMPOSITES = (
     ("akm", {"alpha": 2.0, "kappa": 1.0, "mu": 0.5}, (2.0, 0.5, 0.5, 1.0)),
     ("extreme", {"alpha": 2.0, "m": 1.5}, (2.0, 3.0, 0.0, 3.0)),
 )
-SHADOWS = ({"b": 0.6, "omega": 1.5}, {"b": 2.0, "omega": 0.8})
+SHADOWS = ({"b": 0.6, "omega": 1.5}, {"b": 2.0, "omega": 0.8}, {"b": 0.1, "omega": 0.9})
 COMPOSITE_X = (1e-8, 1e-5, 1e-2, 0.5, 2.0, 6.0)
 # The survival function from its body to below 1e-12 (to 8e-23).
 COMPOSITE_SF_X = (0.5, 6.0, 20.0, 60.0, 100.0)

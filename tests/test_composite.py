@@ -24,6 +24,7 @@ from compfade import (
     extreme_gamma_pdf,
     gamma_shadow_pdf,
     ln_gamma,
+    mixture_cdf,
     mixture_density,
     mixture_pdf,
     shadow_kernel_integral,
@@ -187,6 +188,30 @@ class TestMixtureOracle:
         assert mixture_pdf(model, 0.0) == 0.0
         with pytest.raises(DomainError):
             mixture_pdf(CompositeModel(AkmParams(1.0, 1.0, 0.6), GammaShadowParams(1.5, 1.0)), 0.0)
+
+    @pytest.mark.parametrize(
+        "mp", [AmParams(2.4, 1.3), AkmParams(1.5, 1.0, 2.1), ExtremeParams(2.0, 1.1)],
+        ids=["am", "akm", "extreme"],
+    )
+    def test_cdf_far_above_the_shadow_mean_is_one(self, mp):
+        # The cdf integrand's mass sits at y ~ b omega whatever x is, and
+        # there F_mp(x / y) is 1; nodes spread about y ~ x miss it.
+        m = CompositeModel(mp, GammaShadowParams(3.0, 0.5))
+        assert mixture_cdf(m, np.array([1e3, 1e6, 1e20])).tolist() == [1.0, 1.0, 1.0]
+        continuous = mixture_density(m).continuous_cdf(1e20)
+        assert continuous == pytest.approx(1.0 - composite._atom_mass(mp), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("b", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize(
+        "mp", [AkmParams(1.5, 1.0, 2.1), ExtremeParams(1.7, 1.1), AmParams(2.4, 1.3)],
+        ids=["akm", "extreme", "am"],
+    )
+    def test_cdf_routes_agree_at_a_small_shadow_shape(self, mp, b):
+        # The shadow density's y^(b-1) at the origin runs in s = y^(b/2), so
+        # the oracle cdf keeps its rel_tol where that power is steepest.
+        m = CompositeModel(mp, GammaShadowParams(b, 0.9))
+        xs = np.array([1e-3, 0.05, 0.5, 1.0, 2.5])
+        assert mixture_cdf(m, xs) == pytest.approx(composite.composite_cdf(m, xs), rel=1e-9)
 
     def test_extreme_atom_survives_averaging(self):
         model = CompositeModel(ExtremeParams(1.6, 1.1), GammaShadowParams(2.0, 0.5))

@@ -6,7 +6,8 @@ both tails included; only ``test_goldens_regenerate`` needs mpmath.  A
 value matches to 1e-10 relative, or to 1e-12 absolute below 1e-3; a
 Marcum Q value, the cdfs' upper tail, to 1e-10 relative only.  The
 composite cdf (an mpmath quadrature over the shadow, at 20 digits) matches
-to 1e-9 relative from x = 1e-8 to its upper tail on both routes,
+to 1e-9 relative from x = 1e-8 to its upper tail on both routes, at shadow
+shapes b = 0.1, 0.6 and 2,
 ``composite_cdf`` and ``mixture_cdf``; the composite survival function (the
 same quadrature of the upper side) matches ``composite_sf`` to 1e-9
 relative from 0.8 down to 1e-22; and the composite

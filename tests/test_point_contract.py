@@ -1,8 +1,9 @@
 """The point contract of every public distribution function.
 
 Each one takes a float, giving a float, or a 1-D array, giving an array of
-the float calls' values; a zero takes the origin rule; a negative, NaN or
-infinite point, or a 2-D input, raises ``DomainError``.  The table below
+the float calls' values; a zero takes the origin rule; a point far in the
+tail takes the tail limit; a negative, NaN or infinite point, or a 2-D
+input, raises ``DomainError``.  The table below
 lists every public evaluator, and a guard keeps a new one from skipping it.
 """
 
@@ -19,6 +20,7 @@ from compfade import (
     CompositeModel,
     DomainError,
     ExtremeParams,
+    NonConvergenceError,
     GammaShadowParams,
     ScaledEnvelope,
     akm_cdf,
@@ -104,6 +106,23 @@ for label, make, rel in DENSITIES:
     CASES.append((f"{label}.continuous_cdf", None,
                   lambda x, make=make: make().continuous_cdf(x), 0.0, EXACT))
 
+# The series rows cannot reach the far tail yet: the kernel raises
+# NonConvergenceError at 1e100, and ``_series_sum``'s rate * x**alpha
+# raises OverflowError at 1e300.
+SERIES_FAR = pytest.mark.xfail(
+    raises=(NonConvergenceError, OverflowError), strict=True,
+    reason="the series route raises far in the tail",
+)
+
+
+def tail_limit(case_id: str) -> float:
+    # 0 for a density or a survival function, 1 for a cdf, and 1 - atom for
+    # the continuous cdf of a model with the deep-fade atom.
+    if "cdf" not in case_id:
+        return 0.0
+    return 1.0 - ATOM if "extreme.continuous_cdf" in case_id else 1.0
+
+
 POINT_PARAMETERS = {"x", "rho", "r", "w", "y"}
 
 
@@ -156,6 +175,16 @@ class TestPointContract:
             f(bad)
         with pytest.raises(DomainError):
             f(np.array([0.3, bad, 1.7]))
+
+    def test_far_point_takes_the_tail_limit(self, case, request):
+        case_id, _, f, _, rel = case
+        if rel == SERIES:
+            request.applymarker(SERIES_FAR)
+        limit = tail_limit(case_id)
+        assert f(1e300) == pytest.approx(limit, rel=1e-15, abs=0.0)
+        got = f(np.array([0.3, 1e300]))
+        assert got[0] == pytest.approx(f(0.3), rel=rel, abs=0.0)
+        assert got[1] == pytest.approx(limit, rel=1e-15, abs=0.0)
 
     def test_2d_input_raises_domain_error(self, case):
         with pytest.raises(DomainError):

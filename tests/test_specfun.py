@@ -1,6 +1,7 @@
 """Special-function goldens, properties, and scipy cross-checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from compfade.specfun import (
     _bessel_asym_scaled,
     _bessel_series_unscaled,
     _ln_bessel_i_scaled,
+    _poisson_weights,
+    _poisson_term,
     _reg_gamma,
     poisson_gamma_cdf,
 )
@@ -378,6 +381,19 @@ class TestMarcumQ:
     def test_poisson_gamma_cdf_domain(self, lam, shape, x):
         with pytest.raises(DomainError):
             poisson_gamma_cdf(lam, shape, x, 1e-15)
+
+
+class TestPoissonWeights:
+    # Both walks from the mode stop short of the first subnormal weight: a
+    # subnormal is below every sum's rounding, and the ratio walk sticks at
+    # 5e-324, which would run it on to lam / 2 or 2 lam.
+    @pytest.mark.parametrize("tail_tol", [1e-15, 0.0])
+    @pytest.mark.parametrize("lam", [1e3, 1e4, 1e5, 1e6])
+    def test_no_weight_is_subnormal(self, lam, tail_tol):
+        lo, weights = _poisson_weights(lam, tail_tol)
+        assert min(weights) >= sys.float_info.min
+        assert weights[int(lam) - lo] == _poisson_term(float(int(lam)), lam)
+        assert math.fsum(weights) == pytest.approx(1.0, rel=1e-11)
 
 
 class TestKummer1F1:
