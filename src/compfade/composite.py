@@ -482,15 +482,20 @@ def _atoms(params) -> tuple:
 
 
 def _atom_mass(params) -> float:
-    return sum(mass for _, mass in _atoms(params))
+    return sum((mass for _, mass in _atoms(params)), 0.0)
+
+
+def _full_density(params, pdf: Callable, cdf: Callable) -> Density:
+    # Every Density built here: density ``pdf``, the atoms of ``params``, cdf ``cdf`` less them.
+    return Density(pdf, _atoms(params), vectorized=True,
+                   continuous_cdf=lambda x: cdf(x) - _atom_mass(params))
 
 
 def plain_density(params, scale: float = 1.0) -> Density:
     """Full distribution of an unshadowed model at rms scale ``scale``."""
     family = family_of(params)
-    return Density(
-        continuous=lambda x: family.pdf(params, x, scale), atoms=_atoms(params), vectorized=True,
-        continuous_cdf=lambda x: family.cdf(params, x, scale) - _atom_mass(params),
+    return _full_density(
+        params, lambda x: family.pdf(params, x, scale), lambda x: family.cdf(params, x, scale)
     )
 
 
@@ -572,11 +577,8 @@ def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
 
 def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_000) -> Density:
     """Full composite distribution on the oracle route (atoms included)."""
-    return Density(
-        continuous=lambda x: mixture_pdf(m, x, rel_tol=rel_tol, budget=budget),
-        atoms=_atoms(m.multipath), vectorized=True,
-        continuous_cdf=lambda x: mixture_cdf(m, x, rel_tol, budget) - _atom_mass(m.multipath),
-    )
+    return _full_density(m.multipath, lambda x: mixture_pdf(m, x, rel_tol, budget),
+                         lambda x: mixture_cdf(m, x, rel_tol, budget))
 
 
 # ----------------------------------------------------------------------
@@ -623,9 +625,9 @@ def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
 def composite_sf(m: CompositeModel, x):
     """Composite survival function S(x) = 1 - F(x) = int f_mp(rho) Q(b, x /
     (omega rho)) drho, at a float or a 1-D array of points, summed directly
-    so that the upper tail keeps its relative digits."""
+    so that the upper tail keeps its relative digits; at most 1 - atom."""
     rest = 1.0 - _atom_mass(m.multipath)
-    return _pointwise("x", x, lambda: rest, lambda v: _multipath_average(m, v, True))
+    return _pointwise("x", x, lambda: rest, lambda v: min(_multipath_average(m, v, True), rest))
 
 
 # ----------------------------------------------------------------------
@@ -826,9 +828,6 @@ def composite_density(
     default and the mixture oracle with ``oracle=True``."""
     if oracle:
         return mixture_density(m)
-    return Density(
-        continuous=lambda x: composite_pdf(m, x, cfg), atoms=_atoms(m.multipath), vectorized=True,
-        continuous_cdf=lambda x: _pointwise(
-            "x", x, lambda: 0.0, lambda v: _multipath_average(m, v, False)
-        ),
+    return _full_density(
+        m.multipath, lambda x: composite_pdf(m, x, cfg), lambda x: composite_cdf(m, x)
     )

@@ -74,7 +74,7 @@ def test_criterion_03_reduction_web():
 
 
 def test_criterion_04_cdf_dual_form_identity():
-    # Incomplete-gamma series vs Marcum-Q complement on 100 random points.
+    # Incomplete-gamma series cdf vs quadrature of the density on 100 random points.
     result = validation.check_cdf_dual_form(points=100)
     report(4, "cdf_dual_form", result)
 

@@ -16,6 +16,7 @@ from compfade import (
     ExtremeParams,
     GammaShadowParams,
     KernelArgs,
+    NonConvergenceError,
     SeriesConfig,
     akm_gamma_pdf_series,
     am_gamma_pdf,
@@ -212,6 +213,30 @@ class TestMixtureOracle:
         m = CompositeModel(mp, GammaShadowParams(b, 0.9))
         xs = np.array([1e-3, 0.05, 0.5, 1.0, 2.5])
         assert mixture_cdf(m, xs) == pytest.approx(composite.composite_cdf(m, xs), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "mp", [AkmParams(1.5, 1.0, 2.1), ExtremeParams(1.7, 1.1)], ids=["akm", "extreme"]
+    )
+    def test_sf_never_reads_above_one_less_the_atom(self, mp):
+        # Far below the shadow mean S is 1 - atom to the last bit, where the
+        # quadrature of Q alone rounds above it.
+        m = CompositeModel(mp, GammaShadowParams(3.0, 0.9))
+        rest = 1.0 - composite._atom_mass(mp)
+        assert composite.composite_sf(m, 1e-12) == rest
+        assert max(composite.composite_sf(m, np.array([1e-12, 1e-8])).tolist()) <= rest
+        assert composite.composite_sf(m, 1e-8) <= rest
+
+    @pytest.mark.xfail(
+        raises=NonConvergenceError, strict=True,
+        reason="the head integral of _split_quadrature walks toward w = inf "
+        "when the mass below the cut sits near the cut",
+    )
+    @pytest.mark.parametrize("x", [1e-20, 1e-30])
+    def test_cdf_routes_agree_deep_in_the_lower_tail(self, x):
+        m = CompositeModel(AkmParams(1.5, 1.0, 2.1), GammaShadowParams(1.1, 0.9))
+        want = mixture_cdf(m, x)  # 1.4475e-22 at 1e-20, 1.4475e-33 at 1e-30
+        assert composite.composite_cdf(m, x) == pytest.approx(want, rel=1e-8)
+        assert composite.composite_sf(m, x) == 1.0
 
     def test_extreme_atom_survives_averaging(self):
         model = CompositeModel(ExtremeParams(1.6, 1.1), GammaShadowParams(2.0, 0.5))
