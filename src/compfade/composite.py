@@ -60,7 +60,9 @@ from .models import (
     ExtremeParams,
     GammaShadowParams,
     ScaledEnvelope,
+    _atom_mass,
     _density,
+    _full_density,
     _mixture_cdf,
     _moment,
     _origin,
@@ -471,24 +473,6 @@ def family_of(params) -> Family:
     if family is None:
         raise DomainError(f"unsupported model: {params!r}")
     return family
-
-
-def _atoms(params) -> tuple:
-    # Component N = 0 of a zero shape is the deep-fade atom, of mass e^-lam.
-    if family_of(params) is SHADOW:
-        return ()
-    lam, shape, _ = params.poisson_gamma
-    return () if shape else ((0.0, math.exp(-lam)),)
-
-
-def _atom_mass(params) -> float:
-    return sum((mass for _, mass in _atoms(params)), 0.0)
-
-
-def _full_density(params, pdf: Callable, cdf: Callable) -> Density:
-    # Every Density built here: density ``pdf``, the atoms of ``params``, cdf ``cdf`` less them.
-    return Density(pdf, _atoms(params), vectorized=True,
-                   continuous_cdf=lambda x: cdf(x) - _atom_mass(params))
 
 
 def plain_density(params, scale: float = 1.0) -> Density:

@@ -59,8 +59,8 @@ class SampleBatch:
 class GofReport:
     """Kolmogorov-Smirnov statistic plus the atom frequency comparison.
 
-    ``ks_statistic`` is NaN when the batch has no nonzero values to test
-    against the continuous part.
+    ``ks_statistic`` is taken over the ``sample_size`` nonzero draws, against
+    the continuous part; it is NaN when there are none.
     """
 
     ks_statistic: float
@@ -239,14 +239,13 @@ def gof_compare(
     ``normalization_tol`` of one) and a violation raises ``DomainError``.
     """
     values = np.asarray(batch.values, dtype=float)
-    n_total = values.size
     zeros = values == 0.0
     atom_freq = float(np.mean(zeros))
     atom_mass = density.atom_mass
 
     nonzero = np.sort(values[~zeros])
     if nonzero.size == 0:
-        return GofReport(math.nan, n_total, atom_freq, atom_mass)
+        return GofReport(math.nan, 0, atom_freq, atom_mass)
 
     if table is None or table.x_max < float(nonzero[-1]):
         table = build_cdf_table(density, float(nonzero[-1]) * 1.05, grid_points)
@@ -262,4 +261,4 @@ def gof_compare(
     ecdf_hi = np.arange(1, k + 1) / k
     ecdf_lo = np.arange(0, k) / k
     ks = float(np.max(np.maximum(ecdf_hi - cdf_at, cdf_at - ecdf_lo)))
-    return GofReport(ks, n_total, atom_freq, atom_mass)
+    return GofReport(ks, k, atom_freq, atom_mass)

@@ -122,7 +122,7 @@ class ExtremeParams:
     @property
     def atom_mass(self) -> float:
         """Probability mass of the deep-fade point mass at zero envelope."""
-        return math.exp(-self.poisson_gamma[0])
+        return _atom_mass(self)
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ class Density:
 
     @property
     def atom_mass(self) -> float:
-        return sum(mass for _, mass in self.atoms)
+        return sum((mass for _, mass in self.atoms), 0.0)
 
     def values(self, xs) -> np.ndarray:
         """The continuous part at each point of ``xs``: one call when
@@ -181,6 +181,24 @@ class Density:
         if self.vectorized:
             return np.asarray(self.continuous(np.asarray(xs, dtype=float)), dtype=float)
         return np.array([self.continuous(float(x)) for x in xs], dtype=float)
+
+
+def _atoms(params) -> tuple:
+    # Component N = 0 of a zero shape is the deep-fade atom, of mass e^-lam.
+    if isinstance(params, GammaShadowParams):
+        return ()
+    lam, shape, _ = params.poisson_gamma
+    return () if shape else ((0.0, math.exp(-lam)),)
+
+
+def _atom_mass(params) -> float:
+    return sum((mass for _, mass in _atoms(params)), 0.0)
+
+
+def _full_density(params, pdf: Callable, cdf: Callable) -> Density:
+    # Every library Density: density ``pdf``, the atoms of ``params``, cdf ``cdf`` less them.
+    return Density(pdf, _atoms(params), vectorized=True,
+                   continuous_cdf=lambda x: cdf(x) - _atom_mass(params))
 
 
 @dataclass(frozen=True)
@@ -277,10 +295,9 @@ def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
     Ie itself underflows at a large order and a small z, where ln Ie does not.
     """
     lam, s, rate = p.poisson_gamma
-    a, ln_a = p.alpha, math.log(p.alpha / scale)
+    a, ln_a = p.alpha, math.log(p.alpha)
 
-    def positive(x):
-        rho = x if scale == 1.0 else x / scale
+    def unit(rho):
         ln_rho = np.log(rho)
         if not lam:
             ln_f = ln_a + s * math.log(rate) + (a * s - 1.0) * ln_rho - rate * rho**a
@@ -292,6 +309,7 @@ def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
             + specfun._ln_bessel_i_scaled(s - 1.0 if s else 1.0, 2.0 * math.sqrt(lam * rate) * half)
         )
 
+    positive = unit if scale == 1.0 else lambda x: unit(x / scale) / scale
     return _density(name, x, lambda: _origin_limit(p) / scale, positive, _far(a, rate, scale))
 
 
@@ -304,8 +322,7 @@ def akm_pdf_normalized(p: AkmParams, rho):
 def akm_pdf_envelope(p: AkmParams, s: ScaledEnvelope, r):
     """Envelope density at rms scale ``s``: the normalized density at
     r/rhat, divided by rhat (same floating-point path)."""
-    scaled = lambda r: akm_pdf_normalized(p, r / s.rhat) / s.rhat  # noqa: E731
-    return _density("r", r, lambda: scaled(0.0), scaled)
+    return _multipath_pdf(p, r, "r", s.rhat)
 
 
 def akm_cdf(p: AkmParams, rho):
@@ -423,10 +440,7 @@ def extreme_pdf(p: ExtremeParams, rho):
 def extreme_density(p: ExtremeParams) -> Density:
     """Complete severe-fading distribution: continuous part plus the
     deep-fade atom at zero."""
-    return Density(
-        continuous=lambda rho: extreme_pdf(p, rho), atoms=((0.0, p.atom_mass),), vectorized=True,
-        continuous_cdf=lambda rho: extreme_cdf(p, rho) - p.atom_mass,
-    )
+    return _full_density(p, lambda rho: extreme_pdf(p, rho), lambda rho: extreme_cdf(p, rho))
 
 
 def extreme_cdf(p: ExtremeParams, rho, tail_tol: float = 1e-15):

@@ -18,12 +18,14 @@ commit that does it.  Before regenerating, measure the change:
 reruns every case and compares each output with its golden: the text with
 every number masked must be identical, and it prints each file's largest
 relative gap between corresponding numbers, or else the first line whose
-text differs, from each side.  A case with no golden yet is reported as
+text differs, from each side.  A file whose numbers are all equal but not
+all spelled the same (``0`` against ``0.0``) is a spelling change, shown by
+its first differing line.  A case with no golden yet is reported as
 NEW.  With ``--figures DIR`` it also writes the figure files and compares
 them, number by number, with the files of the same names in DIR (written
 by another commit with ``compfade figure <id> --out-dir DIR --grid
-0.01:4:120``).  It exits 1 if any text, exit status or file list differs,
-or a case is NEW.
+0.01:4:120``).  It exits 1 if any text or spelling, exit status or file
+list differs, or a case is NEW.
 
 The goldens are exact for the platform that wrote them (Python 3.11,
 numpy 2.4 on x86-64): numpy's vectorized exp and log may round differently
@@ -168,29 +170,31 @@ def number_gap(new: bytes, old: bytes):
     return True, gap
 
 
-def first_differing_lines(new: bytes, old: bytes):
-    """The first line, numbers masked, at which ``new`` and ``old`` differ,
-    unmasked from each side (b"" past the end of one)."""
+def first_differing_lines(new: bytes, old: bytes, masked: bool = True):
+    """The first line, numbers masked unless not ``masked``, at which ``new``
+    and ``old`` differ, unmasked from each side (b"" past the end of one)."""
+    key = (lambda line: NUMBER.sub(b"#", line)) if masked else bytes
     new_lines, old_lines = new.splitlines(), old.splitlines()
     for i in range(max(len(new_lines), len(old_lines))):
         a = new_lines[i] if i < len(new_lines) else b""
         b = old_lines[i] if i < len(old_lines) else b""
-        if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        if key(a) != key(b):
             return a, b
     return b"", b""
 
 
 def _report(fname: str, new: bytes, old: bytes) -> bool:
-    """Print one file's comparison; true when its text differs."""
+    """Print one file's comparison; true when its text or spelling differs."""
     if new == old:
         print(f"{fname}: identical")
         return False
     same, gap = number_gap(new, old)
-    if same:
+    if same and gap:
         print(f"{fname}: max rel gap {gap:.3g}")
         return False
-    new_line, old_line = first_differing_lines(new, old)
-    print(f"{fname}: TEXT DIFFERS\n  new: {new_line.decode()}\n  old: {old_line.decode()}")
+    new_line, old_line = first_differing_lines(new, old, masked=not same)
+    kind = "NUMBER RESPELLED" if same else "TEXT DIFFERS"
+    print(f"{fname}: {kind}\n  new: {new_line.decode()}\n  old: {old_line.decode()}")
     return True
 
 

@@ -38,3 +38,11 @@ def test_compare_masks_numbers_and_measures_their_gap():
     assert same and gap == pytest.approx(1e-10, rel=1e-3)
     same, _ = goldens.number_gap(b'{"route": "series", "v": 1}', b'{"route": "oracle", "v": 1}')
     assert not same
+
+
+def test_compare_counts_a_respelled_number_as_changed(capsys):
+    # Equal numbers spelled apart are not a zero gap: the file has changed.
+    assert goldens._report("r.json", b'{"a": 0}', b'{"a": 0.0}')
+    assert capsys.readouterr().out == 'r.json: NUMBER RESPELLED\n  new: {"a": 0}\n  old: {"a": 0.0}\n'
+    assert not goldens._report("r.json", b'{"a": 1.5}', b'{"a": 1.5000001}')
+    assert "max rel gap" in capsys.readouterr().out

@@ -200,7 +200,7 @@ class TestMixtureOracle:
         m = CompositeModel(mp, GammaShadowParams(3.0, 0.5))
         assert mixture_cdf(m, np.array([1e3, 1e6, 1e20])).tolist() == [1.0, 1.0, 1.0]
         continuous = mixture_density(m).continuous_cdf(1e20)
-        assert continuous == pytest.approx(1.0 - composite._atom_mass(mp), rel=1e-15, abs=0.0)
+        assert continuous == pytest.approx(1.0 - models._atom_mass(mp), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("b", [0.05, 0.1, 0.3])
     @pytest.mark.parametrize(
@@ -221,7 +221,7 @@ class TestMixtureOracle:
         # Far below the shadow mean S is 1 - atom to the last bit, where the
         # quadrature of Q alone rounds above it.
         m = CompositeModel(mp, GammaShadowParams(3.0, 0.9))
-        rest = 1.0 - composite._atom_mass(mp)
+        rest = 1.0 - models._atom_mass(mp)
         assert composite.composite_sf(m, 1e-12) == rest
         assert max(composite.composite_sf(m, np.array([1e-12, 1e-8])).tolist()) <= rest
         assert composite.composite_sf(m, 1e-8) <= rest

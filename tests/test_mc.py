@@ -215,6 +215,23 @@ class TestGofCompare:
         assert math.isnan(report.ks_statistic)
         assert report.atom_frequency_observed == 1.0
         assert report.atom_mass_expected == pytest.approx(math.exp(-0.004), rel=1e-12)
+        assert report.sample_size == 0
+
+    def test_sample_size_counts_the_tested_draws(self):
+        # The statistic runs over the nonzero draws, so its critical value
+        # is taken at their number, not at the batch size.
+        p = ExtremeParams(2.0, 0.5)  # atom mass ~ 0.37
+        batch = sample_extreme(p, 5_000, 3)
+        report = gof_compare(batch, extreme_density(p))
+        assert report.sample_size == np.count_nonzero(batch.values) < 5_000
+
+    @pytest.mark.xfail(strict=True, reason="the cdf table clamps draws below its first node")
+    def test_draws_below_the_first_table_node(self):
+        # np.interp reads every draw below x0 = 1e-4 x_max as cum[0] = F_c(x0),
+        # so an exact sampler with 3.5% of its draws there fails at KS = F_c(x0).
+        p = AmParams(1.0, 0.5)
+        report = gof_compare(sample_plain(p, 20_000, 3), plain_density(p))
+        assert report.ks_statistic <= ks_critical_value(0.001, report.sample_size)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_batch_rejects_values_not_finite_and_non_negative(self, bad):

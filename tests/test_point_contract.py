@@ -160,11 +160,32 @@ def test_continuous_cdf_is_the_public_cdf_less_the_atoms(row):
     # Bit for bit, so no Density restates the cdf it stands for.
     _, make, cdf, _ = row
     density = make()
+    assert type(density.atom_mass) is float
     for x in [*XS.tolist(), 0.0, 1e300]:
         got = density.continuous_cdf(x)
         assert type(got) is float and got == cdf(x) - density.atom_mass
     points = np.array([*XS.tolist(), 0.0, 1e300])
     assert density.continuous_cdf(points).tolist() == (cdf(points) - density.atom_mass).tolist()
+
+
+@pytest.mark.parametrize("rhat", [0.7, 1.3, 1.7])
+def test_am_pdf_is_the_plain_density_at_its_scale(rhat):
+    # One scale rule, bit for bit: the unit-scale density at x / rhat, over rhat.
+    pdf, plain = lambda x: am_pdf(AM, ScaledEnvelope(rhat), x), plain_density(AM, rhat).continuous
+    points = [*np.linspace(0.05, 4.0, 50).tolist(), 0.0, 1e300]
+    assert [pdf(x) for x in points] == [plain(x) for x in points]
+    assert pdf(np.array(points)).tolist() == plain(np.array(points)).tolist()
+
+
+def test_extreme_density_is_the_plain_density():
+    # Both come from the one builder in ``models``, bit for bit.
+    ext, plain = extreme_density(EXT), plain_density(EXT)
+    assert ext.atoms == plain.atoms
+    points = [*XS.tolist(), 0.0, 1e300]
+    for name in ("continuous", "continuous_cdf"):
+        f, g = getattr(ext, name), getattr(plain, name)
+        assert [f(x) for x in points] == [g(x) for x in points]
+        assert f(np.array(points)).tolist() == g(np.array(points)).tolist()
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
