@@ -29,12 +29,11 @@ Two independent evaluation routes are provided for every composite family:
   block of powers (rows) on one grid in t that serves them all; the series
   sum fetches the block of a term when it reaches it.  The points of a
   batch share the Poisson mode, so they share each block's kernel call,
-  one array pass over points x rows x nodes with each point on its own
-  grid, and each point stops on its own.  The points a pass leaves
-  unconverged are grouped into passes again at half the step; a point
-  whose next grid reaches the node budget splits its rows in two.  Term l is
-  the clustering component N = l, or N = l + 1 where component 0 is an
-  atom.  The sum runs outward from the Poisson mode on both sides.
+  and each point stops on its own.  Points of like range share one grid,
+  on which every node sum of the block is one matrix product (points x
+  nodes) @ (nodes x rows).  Term l is the clustering component N = l, or
+  N = l + 1 where component 0 is an atom.  The sum runs outward from the
+  Poisson mode on both sides.
   Integrating the kernel by parts bounds every later term ratio of a side
   by one number q; with q < 1 a geometric series bounds the terms it has
   left, and the sum stops once both bounds are within rel_tol of it.
@@ -46,6 +45,7 @@ average cannot touch.  Evaluations are pure given immutable model objects.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -170,12 +170,8 @@ class KernelArgs:
 _KERNEL_REL_TOL = 1e-10
 _KERNEL_BUDGET = 60_000
 _KERNEL_BLOCK = 24  # series terms per kernel call; most points need 10 to 20
-_KERNEL_CELLS = 1 << 16  # points x rows x nodes of one array pass, 512 kB
-# Node values are taken relative to their row's maximum, so each row's sum is
-# at least 1; a value under e^-700 is far below its rounding.  Raising the
-# exponents to this floor leaves the sums as they are, and spares exp its
-# slow underflowing path.
-_EXP_FLOOR = -700.0
+_KERNEL_CELLS = 1 << 16  # points x nodes of one pass's point matrix, 512 kB
+_KERNEL_GROUP = 1.25  # most nodes of a shared grid, per node a point needs alone
 
 
 def _kernel_cut(p: float, a: float, alpha: float, omega: float, floor: float):
@@ -230,22 +226,23 @@ def _kernel_cut(p: float, a: float, alpha: float, omega: float, floor: float):
     return t, sigma, ends[0], ends[1], big_a, big_b
 
 
-def _passes(need: list, rows: int) -> list:
-    # The points (indices into ``need``, their node counts) grouped into
-    # array passes: taken by rising count, each pass within twice its first
-    # count and _KERNEL_CELLS cells unless one point alone is larger.  Each
-    # pass lists its points in index order, with its node count.
-    if len(need) == 1:
-        return [([0], need[0])]
+def _groups(todo: list) -> list:
+    # ``todo`` cut into runs (lo, hi, points) that share a grid over [lo, hi]
+    # within _KERNEL_GROUP and _KERNEL_CELLS (rounding adds up to 3 nodes).
     groups = []
-    for i in sorted(range(len(need)), key=need.__getitem__):
-        group = groups[-1] if groups else []
-        cells = (len(group) + 1) * rows * (need[i] + 1)
-        if group and need[i] <= 2 * need[group[0]] and cells <= _KERNEL_CELLS:
-            group.append(i)
-        else:
-            groups.append([i])
-    return [(sorted(group), need[group[-1]]) for group in groups]
+    for entry in todo:
+        _, _, _, left, right, _, _, intervals = entry
+        if groups:
+            lo, hi = min(run[0], left), max(run[1], right)
+            density, least = max(density, intervals / (right - left)), min(least, intervals)
+            nodes = (hi - lo) * density
+            if nodes <= _KERNEL_GROUP * least and (len(run[2]) + 1) * (nodes + 3) <= _KERNEL_CELLS:
+                run[2].append(entry)
+                run = groups[-1] = (lo, hi, run[2])
+                continue
+        run, density, least = (left, right, [entry]), intervals / (right - left), intervals
+        groups.append(run)
+    return groups
 
 
 def shadow_kernel_integral_ln(
@@ -272,25 +269,28 @@ def shadow_kernel_integral_ln(
     point, Newton's method finds the peak and width sigma =
     (-phi''(t*))^(-1/2), and the range walks out (4 sigma, then tangent
     steps) until phi - phi(t*) <= ln(rel_tol) - 5, past which concavity
-    leaves under rel_tol * e^-5 of the integral.  All rows of a point share
-    one uniform grid over both ranges, which holds every row's cut: a row's
-    peak lies between the end rows' peaks and phi_p - phi_q = alpha*(p-q)*t,
-    so at the left end each row lies at least as far below its peak as the
+    leaves under rel_tol * e^-5 of the integral.  One range of offsets s
+    from the smallest-power peak t0 holds every row's cut: a row's peak
+    lies between the end rows' peaks and phi_p - phi_q = alpha*(p-q)*t, so
+    at the left end each row lies at least as far below its peak as the
     smallest-power row does, and at the right end as the largest-power row
-    does.  Each row is taken relative to one reference node and shifted by
-    its own maximum, so none overflows or cancels.
+    does.  A point alone takes 2 * max(16, 2 * range/sigma) intervals.
 
-    Points are evaluated together, in array passes of at most _KERNEL_CELLS
-    values unless one point alone is larger: each point keeps its own range
-    and step, and a pass's points share its node count, the largest they
-    need and at most twice the least (first 2 * max(16, 2 * range/sigma)).
-    A pass evaluates each grid once and halves the step of a point whose
-    sums at steps h and 2h of some row differ by more than ``rel_tol``; such
-    points are grouped into passes again.  A point whose next grid has
-    ``budget`` or more intervals, or whose rows' peaks lie too far apart for
-    one grid, leaves the passes: its rows run in two halves, each as its
-    own call.  A single row over ``budget``, or whose peak is narrower than
-    doubles resolve, raises NonConvergenceError.
+    Points, taken by rising scale, share a uniform grid of offsets s over
+    their ranges' union at their finest node density, while it needs at
+    most _KERNEL_GROUP times the nodes of each alone.  With a point's A =
+    a*e^(-alpha*t0) and B = e^t0/omega the exponent is [alpha*p_ref*s -
+    A*expm1(-alpha*s) - B*expm1(s)] + alpha*(p - p_ref)*s: a points x nodes
+    matrix W, rows shifted by their maxima and raised to e^-400, times a
+    shared nodes x rows matrix V within e^(+-150) (rows run in blocks with
+    alpha*(p_max - p_min)*range/2 <= 300), so every node sum is a product
+    in the normal range and no raised node reaches e^-100 of its row's
+    peak.  A point whose sums at steps h and 2h (the even nodes) differ in
+    some row by more than ``rel_tol`` doubles its intervals and is grouped
+    again; one whose next grid has ``budget`` or more intervals, or whose
+    rows' peaks lie too far apart for one grid, runs its rows in two
+    halves, each as its own call.  A single row over ``budget``, or whose
+    peak is narrower than doubles resolve, raises NonConvergenceError.
     """
     given, scales = np.asarray(p, dtype=float), np.asarray(a, dtype=float)
     rows, points = given.reshape(-1), scales.reshape(-1)
@@ -299,18 +299,18 @@ def shadow_kernel_integral_ln(
     if scales.ndim > 1 or points.size == 0:
         raise DomainError(f"a must be a float or a nonempty 1-D array, got {a!r}")
     # The end rows; min and max are NaN if any row is.
-    lo_p, hi_p = float(np.minimum.reduce(rows)), float(np.maximum.reduce(rows))
+    lo_p, hi_p = ((float(rows[0]),) * 2 if rows.size == 1 else
+                  (float(np.minimum.reduce(rows)), float(np.maximum.reduce(rows))))
     finite = math.isfinite(lo_p) and math.isfinite(hi_p)
     if not (finite and 0.0 < alpha < math.inf and 0.0 < omega < math.inf):
         for q in (lo_p, hi_p):
             KernelArgs(q, 0.0, alpha, omega)  # raises DomainError
     if not 0.0 < rel_tol < 1.0:
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    ap, floor = alpha * rows, math.log(rel_tol) - 5.0
+    ap, ends, floor = alpha * rows, (alpha * lo_p, alpha * hi_p), math.log(rel_tol) - 5.0
     ln_alpha, ln_omega = math.log(alpha), math.log(omega)
     out = np.empty((points.size, rows.size))
-    # (position, grid, interval count) of each point to evaluate next; a
-    # grid is (t0, left, right, big_a, big_b).
+    # Each point to evaluate next: (a, position, t0, left, right, A, B, intervals).
     queue = []
     for i, a_i in enumerate(points.tolist()):
         if not 0.0 < a_i < math.inf:
@@ -326,59 +326,95 @@ def shadow_kernel_integral_ln(
             sigma, left, right = min(sigma, sigma1), min(left, gap + left1), max(right, gap + right1)
         # e^(t - t0) overflows at a far peak past 700: such a point splits.
         intervals = budget if right > 700.0 else 2 * max(16, math.ceil(2.0 * (right - left) / sigma))
-        queue.append((i, (t0, left, right, big_a, big_b), intervals))
+        queue.append((a_i, i, t0, left, right, big_a, big_b, intervals))
     while queue:
-        for i, _, intervals in queue:
-            if intervals >= budget:  # a point that cannot share a pass splits
+        for entry in queue:
+            if entry[7] >= budget:  # a point that cannot share a grid splits
                 if rows.size == 1:
                     raise NonConvergenceError(f"kernel budget of {budget} nodes exhausted")
-                args = (float(points[i]), alpha, omega, rel_tol, budget)
-                halves = np.array_split(rows, 2)
-                out[i] = np.concatenate([shadow_kernel_integral_ln(q, *args) for q in halves])
-        # By position, so a pass over every point is in order; the rows of a
-        # point that a pass leaves unconverged are written again later.
-        todo, queue = [t for t in sorted(queue) if t[2] < budget], []
-        for group, intervals in _passes([t[2] for t in todo], rows.size):
-            entries = [todo[g] for g in group]
-            ln_k, unfinished = _kernel_pass(ap, entries, intervals, alpha, ln_alpha, rel_tol)
-            if len(group) == points.size:  # every point, in order
+                args = (entry[0], alpha, omega, rel_tol, budget)
+                halves = [shadow_kernel_integral_ln(q, *args) for q in np.array_split(rows, 2)]
+                out[entry[1]] = np.concatenate(halves)
+        # By scale, so that the groups do not depend on the order of the points.
+        todo, queue = [entry for entry in sorted(queue) if entry[7] < budget], []
+        for lo, hi, group in _groups(todo):
+            # The rows of a point that a pass leaves unconverged are written
+            # again later.
+            ln_k, unfinished = _kernel_pass(ap, ends, lo, hi, group, alpha, ln_alpha, rel_tol)
+            if points.size == 1:
                 out = ln_k
             else:
-                out[[i for i, _, _ in entries]] = ln_k
+                for entry, row in zip(group, ln_k):
+                    out[entry[1]] = row
             queue += unfinished
     if given.ndim or scales.ndim:
         return out.reshape(scales.shape + given.shape)
     return float(out[0, 0])
 
 
-def _kernel_pass(ap, entries: list, intervals: int, alpha, ln_alpha, rel_tol):
-    # One array pass over the points of ``entries``, each on its own grid of
-    # ``intervals`` intervals about its t0.  One point's grid values go in as
-    # floats, which costs no more array calls than one row set, a group's as
-    # (points x 1) columns; arrays run rows x [points x] nodes.  Returns the
-    # (points x rows) logs and, for each point not converged, its entry at
-    # half the step.
-    cols = [
-        (t0, left, right, big_a, big_b,
-         ln_alpha + math.log((right - left) / intervals) - big_a - big_b)
-        for _, (t0, left, right, big_a, big_b), _ in entries
-    ]
-    cols = cols[0] if len(entries) == 1 else np.array(cols).T[:, :, None]
-    t0, left, right, big_a, big_b, shift = cols
-    s = left + (right - left) / intervals * np.arange(intervals + 1)
-    ex = np.multiply.outer(ap, s)  # phi_p(t0 + s) - phi_p(t0)
-    ex -= big_a * np.expm1(-alpha * s) + big_b * np.expm1(s)
-    top = np.maximum.reduce(ex, axis=-1, keepdims=True)
-    ex -= top
-    # With S the node sum at step h, the integral is h*S; the sum at step 2h
-    # is twice the even-node sum: the two agree when the half sum over S is
-    # 1/2.  NaN never converges.
-    np.exp(np.maximum(ex, _EXP_FLOOR, out=ex), out=ex)
-    total, half = np.add.reduce(ex, axis=-1), np.add.reduce(ex[..., ::2], axis=-1)
-    gaps = np.maximum.reduce(abs(half / total - 0.5), axis=0).reshape(-1).tolist()
-    unfinished = [(i, grid, 2 * intervals) for (i, grid, _), gap in zip(entries, gaps)
-                  if not gap <= 0.5 * rel_tol]
-    return t0 * ap[None, :] + shift + top[..., 0].T + np.log(total).T, unfinished
+# Nodes per product in a node sum: within the dgemm K block of the
+# scipy-openblas in numpy's wheels (384 on its Haswell kernel) every thread
+# count sums in one order.  Other BLAS builds may not.
+_GEMM_NODES = 256
+
+
+def _node_sums(w, v):
+    total = w[:, :_GEMM_NODES] @ v[:_GEMM_NODES]
+    for k in range(_GEMM_NODES, len(v), _GEMM_NODES):
+        total += w[:, k:k + _GEMM_NODES] @ v[k:k + _GEMM_NODES]
+    return total
+
+
+@functools.lru_cache(maxsize=256)  # the lone figure and box points need about 180
+def _node_numbers(m: int):
+    # 0 .. 2m, the even nodes first (read only: the cache shares them).
+    k = np.arange(0.0, 4 * m + 1, 2.0)
+    k[m + 1:] -= 2 * m + 1
+    k.flags.writeable = False
+    return k
+
+
+def _kernel_pass(ap, ends: tuple, lo: float, hi: float, group: list, alpha, ln_alpha, rel_tol):
+    # ``group`` on one grid of 2m intervals over [lo, hi]: the (points x rows)
+    # logs and each unconverged point's entry at twice its intervals.
+    m = (max([math.ceil(e[7] * ((hi - lo) / (e[4] - e[3]))) for e in group]) + 1) // 2
+    h, mid, (lo_ap, hi_ap) = (hi - lo) / (2 * m), 0.5 * (lo + hi), ends
+    blocks = max(math.ceil((hi_ap - lo_ap) * (hi - mid) / 300.0), 1)
+    width = (hi_ap - lo_ap) / blocks
+    ref = lo_ap + 0.5 * width
+    # basis: expm1(-alpha*s), expm1(s), s; cols: -A, -B, alpha*p_ref (W's
+    # exponent is their product), t0 + mid and the shift of the logs.
+    basis = np.multiply.outer((-alpha, 1.0, 1.0), lo + h * _node_numbers(m))
+    np.expm1(basis[:2], out=basis[:2])
+    cols = np.array([(-e[5], -e[6], ref, e[2] + mid,
+                      ln_alpha + math.log(h) - e[5] - e[6] - ref * mid) for e in group])
+    pick = np.minimum((ap - lo_ap) // width, blocks - 1) if blocks > 1 else None
+    ln_k = cols[:, 3:4] * ap + cols[:, 4:]
+    for j in range(1) if pick is None else np.unique(pick).tolist():  # each block with rows
+        rows = slice(None) if pick is None else pick == j
+        if j:
+            cols[:, 2] = ref = lo_ap + (j + 0.5) * width
+            ln_k[:, rows] -= j * width * mid
+        w = cols[:, :3] @ basis
+        top = np.maximum.reduce(w, axis=1, keepdims=True)
+        w -= top
+        np.exp(np.maximum(w, -400.0, out=w), out=w)
+        # With S the node sum at step h, the integral is h*S; the sum at
+        # step 2h is twice the even-node sum: the two agree when the half
+        # sum over S is 1/2.  V is 1 where every row is p_ref.
+        if width:
+            v = np.exp(np.multiply.outer(ap[rows] - ref, basis[2] - mid)).T
+            half = _node_sums(w[:, :m + 1], v[:m + 1])
+            total = half + _node_sums(w[:, m + 1:], v[m + 1:])
+        else:
+            half = np.add.reduce(w[:, :m + 1], axis=1, keepdims=True)
+            total = np.add.reduce(w, axis=1, keepdims=True)
+        g = np.maximum.reduce(abs(half / total - 0.5), axis=1)
+        gap = np.maximum(gap, g) if j else g
+        ln_k[:, rows] += np.log(total) + top
+    # NaN never converges.
+    unfinished = [e[:7] + (2 * e[7],) for e, g in zip(group, gap.tolist()) if not g <= rel_tol / 2]
+    return ln_k, unfinished
 
 
 def shadow_kernel_integral(

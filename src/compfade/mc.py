@@ -176,15 +176,17 @@ class CdfTable:
         return self.atom_mass + float(self.cum[-1]) + self.tail_mass
 
 
-def build_cdf_table(density: Density, x_max: float, grid_points: int = 2000) -> CdfTable:
+def build_cdf_table(density: Density, x_max: float, grid_points: int = 2000, *,
+                    x_min: float) -> CdfTable:
     """Trapezoid cumulative of the continuous part on an origin-dense grid.
 
-    The first cell (0, x0) is the density's ``continuous_cdf`` at x0, or an
-    adaptive quadrature where it has none.  The tail beyond ``x_max`` is
-    integrated adaptively, so the table also certifies the density's total
-    mass.
+    ``x_min`` is the smallest nonzero value the table will be read at; the
+    grid runs from x0 = min(1e-4 * x_max, x_min), and its first cell (0,
+    x0) is the density's ``continuous_cdf`` at x0, or an adaptive quadrature
+    where it has none.  The tail beyond ``x_max`` is integrated adaptively,
+    so the table also certifies the density's total mass.
     """
-    x0 = x_max * 1e-4
+    x0 = min(x_max * 1e-4, x_min)
     xs = np.unique(
         np.concatenate(
             [
@@ -233,10 +235,11 @@ def gof_compare(
     """Compare a sample batch against an analytic density.
 
     The continuous-part cdf is built by cumulative quadrature on a dense
-    grid (or taken from ``table``), renormalized by one minus the atom
-    mass, and the KS statistic of the nonzero samples is taken against it.
-    The density's normalization is verified first (total mass within
-    ``normalization_tol`` of one) and a violation raises ``DomainError``.
+    grid over the draws (or taken from a ``table`` that covers them),
+    renormalized by one minus the atom mass, and the KS statistic of the
+    nonzero samples is taken against it.  The density's normalization is
+    verified first (total mass within ``normalization_tol`` of one) and a
+    violation raises ``DomainError``.
     """
     values = np.asarray(batch.values, dtype=float)
     zeros = values == 0.0
@@ -247,8 +250,9 @@ def gof_compare(
     if nonzero.size == 0:
         return GofReport(math.nan, 0, atom_freq, atom_mass)
 
-    if table is None or table.x_max < float(nonzero[-1]):
-        table = build_cdf_table(density, float(nonzero[-1]) * 1.05, grid_points)
+    if table is None or not table.xs[0] <= nonzero[0] <= nonzero[-1] <= table.x_max:
+        table = build_cdf_table(density, float(nonzero[-1]) * 1.05, grid_points,
+                                x_min=float(nonzero[0]))
     if abs(table.total_mass - 1.0) > normalization_tol:
         raise DomainError(
             f"density is not normalized: total mass {table.total_mass!r} "

@@ -707,8 +707,9 @@ def check_monte_carlo(
         for d in range(draws):
             model, density, sampler = make(family)
             batches = [sampler(int(s) + d) for s in seeds]
-            x_max = max(float(np.max(b.values)) for b in batches) * 1.05
-            table = mc.build_cdf_table(density, x_max, grid_points)
+            values = np.concatenate([b.values for b in batches])
+            table = mc.build_cdf_table(density, float(np.max(values)) * 1.05, grid_points,
+                                       x_min=float(np.min(values[values > 0.0], initial=math.inf)))
             for batch in batches:
                 report = mc.gof_compare(batch, density, table=table)
                 critical = mc.ks_critical_value(0.001, max(report.sample_size, 1))

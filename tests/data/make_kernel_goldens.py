@@ -26,6 +26,12 @@ ln K at the powers p0 - l, l = 0 .. ``ROW_COUNT`` - 1 (p0 - l taken in
 double precision, as the series route forms it): the terms of one series
 point share a, alpha and omega, and the kernel evaluates them as one block.
 
+The ``batch`` section holds, for each ``(p0, alpha, omega)`` in ``BATCH``,
+ln K at the powers p0 - l, l = 0 .. ``BATCH_ROWS`` - 1, at every inner
+scale of ``BATCH_SCALES``: one (scales x rows) block, which the kernel
+evaluates as one array call whose points share grids.  The scales run
+from 1e-9 to 1e4, so the shared grids span wide windows of offsets.
+
 ``tests/test_kernel_goldens.py`` reads the JSON; it needs no mpmath.
 """
 
@@ -115,6 +121,12 @@ ROWS = [
     # A tiny inner scale: flat-topped kernels around p = 0.
     (3.0, 1e-6, 0.5, 10.0),
 ]
+
+# Batch blocks: (p0, alpha, omega), the README ``sample`` model's b 1.6,
+# mu 1.7 and omega 0.8 at four alphas.
+BATCH_ROWS = 24
+BATCH = [(1.6 / alpha - 1.7, alpha, 0.8) for alpha in (1.0, 2.0, 2.2, 4.0)]
+BATCH_SCALES = [10.0 ** (-9.0 + 13.0 * k / 7.0) for k in range(8)]
 
 
 def _peak(p, a, alpha, omega):
@@ -212,7 +224,12 @@ def main() -> None:
     rows = [{"p0": p0, "a": a, "alpha": alpha, "omega": omega,
              "ln_values": [checked(p0 - l, a, alpha, omega) for l in range(ROW_COUNT)]}
             for p0, a, alpha, omega in ROWS]
-    OUT.write_text(json.dumps({"dps": DPS, "cases": cases, "rows": rows}, indent=1) + "\n")
+    batch = [{"p0": p0, "alpha": alpha, "omega": omega, "scales": BATCH_SCALES,
+              "ln_values": [[checked(p0 - l, a, alpha, omega) for l in range(BATCH_ROWS)]
+                            for a in BATCH_SCALES]}
+             for p0, alpha, omega in BATCH]
+    OUT.write_text(json.dumps({"dps": DPS, "cases": cases, "rows": rows, "batch": batch},
+                              indent=1) + "\n")
 
 
 if __name__ == "__main__":

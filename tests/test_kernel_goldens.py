@@ -1,7 +1,9 @@
 """The shadow-kernel integral against mpmath goldens.
 
 ``tests/data/make_kernel_goldens.py`` wrote ``kernel_goldens.json`` with
-mpmath at 35 digits; this test needs no mpmath.
+mpmath at 35 digits; this test needs no mpmath.  The last tests check how
+one call's points share grids: against each point's own call, under a
+permutation of the points, and under one BLAS thread.
 """
 
 import json
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compfade import AmParams, CompositeModel, GammaShadowParams, composite, mc
+from compfade import AkmParams, AmParams, CompositeModel, GammaShadowParams, composite, mc
 from compfade import shadow_kernel_integral_ln
 from compfade.errors import DomainError, NonConvergenceError
 
@@ -20,6 +22,7 @@ _DATA = json.loads(
 )
 GOLDENS = _DATA["cases"]
 ROWS = _DATA["rows"]
+BATCH = _DATA["batch"]
 DEFAULT_REL_TOL = 1e-10
 
 
@@ -58,6 +61,17 @@ def test_one_array_call_matches_every_row(entry):
     assert np.max(np.abs(np.expm1(got - golden))) <= DEFAULT_REL_TOL
 
 
+@pytest.mark.parametrize("entry", BATCH, ids=lambda e: f"p0{e['p0']:g}-alpha{e['alpha']:g}")
+def test_one_batch_call_matches_every_point_and_row(entry):
+    # Scales from 1e-9 to 1e4 in one call: the points share grids over wide
+    # windows of offsets, where the powers run in blocks.
+    powers = entry["p0"] - np.arange(len(entry["ln_values"][0]))
+    got = shadow_kernel_integral_ln(powers, np.array(entry["scales"]), entry["alpha"], entry["omega"])
+    golden = np.array([[float(v) for v in row] for row in entry["ln_values"]])
+    assert got.shape == golden.shape
+    assert np.max(np.abs(np.expm1(got - golden))) <= DEFAULT_REL_TOL
+
+
 @pytest.mark.parametrize(
     "p, a, alpha, omega",
     [
@@ -84,11 +98,15 @@ def test_block_with_far_apart_end_rows_matches_one_row_calls():
     assert np.max(np.abs(np.expm1(got - rows))) <= DEFAULT_REL_TOL
 
 
+# A figure-4 block (alpha 4): its 24 rows need 288 intervals on one grid,
+# its halves 202 and 110, each row alone fewer.
+FIG4_POWERS = 1.2 / 4.0 - 1.0 - np.arange(24)
+FIG4_A, FIG4_ALPHA, FIG4_OMEGA = 2.0 * 1.1 * 3.8**4, 4.0, 0.8
+
+
 def test_block_out_of_budget_matches_one_row_calls(monkeypatch):
-    # The rows share a peak about 1e-9 wide, and the shared grid's next step
-    # would reach the node budget; each row alone does not.
-    powers = 0.22818897165230112 - np.arange(24)
-    a, alpha, omega = 2.8559842093782665e24, 0.5307178576283406, 0.00676141217688066
+    # At a budget of 280 nodes the block's grid reaches it; each half's does not.
+    args = (FIG4_A, FIG4_ALPHA, FIG4_OMEGA)
     calls, kernel = [], composite.shadow_kernel_integral_ln
 
     def recording(p, *args, **kwargs):
@@ -96,12 +114,41 @@ def test_block_out_of_budget_matches_one_row_calls(monkeypatch):
         return kernel(p, *args, **kwargs)
 
     monkeypatch.setattr(composite, "shadow_kernel_integral_ln", recording)
-    got = recording(powers, a, alpha, omega)
+    got = recording(FIG4_POWERS, *args, budget=280)
     # The block did split: straight into its two halves.
     assert calls == [24, 12, 12]
     monkeypatch.undo()
-    rows = [shadow_kernel_integral_ln(float(q), a, alpha, omega) for q in powers]
+    rows = [shadow_kernel_integral_ln(float(q), *args) for q in FIG4_POWERS]
     assert got.tolist() == pytest.approx(rows, rel=1e-12, abs=0.0)
+
+
+# Rows that share a peak about 1e-9 wide near t = 33, where ln K is about
+# -1e17: its ulp is 16, so the logs are compared, not K.
+NARROW_POWERS = 0.22818897165230112 - np.arange(24)
+NARROW_A, NARROW_ALPHA, NARROW_OMEGA = 2.8559842093782665e24, 0.5307178576283406, 0.00676141217688066
+
+
+def test_narrow_peak_block_matches_one_row_calls():
+    args = (NARROW_A, NARROW_ALPHA, NARROW_OMEGA)
+    got = shadow_kernel_integral_ln(NARROW_POWERS, *args)
+    rows = [shadow_kernel_integral_ln(float(q), *args) for q in NARROW_POWERS]
+    assert got.tolist() == pytest.approx(rows, rel=1e-12, abs=0.0)
+
+
+def test_equal_powers_give_equal_rows():
+    got = shadow_kernel_integral_ln(np.array([1.0, 1.0]), np.array([0.5, 2.0]), 2.0, 0.9)
+    assert got.shape == (2, 2) and np.array_equal(got[:, 0], got[:, 1])
+    lone = [shadow_kernel_integral_ln(1.0, a, 2.0, 0.9) for a in (0.5, 2.0)]
+    assert got[:, 0].tolist() == pytest.approx(lone, rel=1e-12, abs=0.0)
+
+
+def test_rows_far_apart_leave_empty_power_blocks():
+    # Four blocks of powers on this grid, of which only the first and last
+    # hold rows.
+    powers = np.array([0.6, -0.4, -40.0])
+    got = shadow_kernel_integral_ln(powers, 3e-16, 2.0, 0.8)
+    rows = [shadow_kernel_integral_ln(float(q), 3e-16, 2.0, 0.8) for q in powers]
+    assert np.max(np.abs(np.expm1(got - rows))) <= 1e-12
 
 
 def test_tiny_budget_raises_nonconvergence():
@@ -146,29 +193,27 @@ def test_scale_array_of_row_blocks_matches_stacked_calls(entry):
 
 
 @pytest.mark.parametrize(
-    "powers, a, alpha, omega",
+    "powers, a, alpha, omega, budget",
     [
         # Peaks too far apart for one grid: this point's rows split.
-        (15.2 - np.arange(24), 6e-82, 0.13, 0.002),
-        # Over budget on a shared grid: this point splits its rows.
-        (0.22818897165230112 - np.arange(24), 2.8559842093782665e24, 0.5307178576283406,
-         0.00676141217688066),
+        (15.2 - np.arange(24), 6e-82, 0.13, 0.002, 60_000),
+        # Over budget on its own grid: the point at a splits its rows.
+        (FIG4_POWERS, FIG4_A, FIG4_ALPHA, FIG4_OMEGA, 280),
+        (NARROW_POWERS, NARROW_A, NARROW_ALPHA, NARROW_OMEGA, 60_000),
     ],
-    ids=["split", "over-budget"],
+    ids=["split", "over-budget", "narrow-peak"],
 )
-def test_scale_array_with_a_point_of_its_own_matches_stacked_calls(powers, a, alpha, omega):
+def test_scale_array_with_a_point_of_its_own_matches_stacked_calls(powers, a, alpha, omega, budget):
     scales = np.array([2.0 * a, a, 0.5 * a])
-    got = shadow_kernel_integral_ln(powers, scales, alpha, omega)
+    got = shadow_kernel_integral_ln(powers, scales, alpha, omega, budget=budget)
     want = _stacked(powers, scales, alpha, omega)
     assert got.ravel().tolist() == pytest.approx(want.ravel().tolist(), rel=1e-12, abs=0.0)
 
 
 def test_over_budget_point_of_a_batch_splits_without_a_restart(monkeypatch):
-    # The point that reaches the budget on the shared grid goes straight to
-    # its halves; its batch's refinements are not run again.
-    powers = 0.22818897165230112 - np.arange(24)
-    a, alpha, omega = 2.8559842093782665e24, 0.5307178576283406, 0.00676141217688066
-    scales = np.array([2.0 * a, a, 0.5 * a])
+    # The point that reaches the budget goes straight to its halves; the
+    # other points' pass is not run again.
+    scales = np.array([2.0 * FIG4_A, FIG4_A, 4.0 * FIG4_A])  # 270, 288, 254 intervals
     calls, kernel = [], composite.shadow_kernel_integral_ln
 
     def recording(p, a, *args, **kwargs):
@@ -176,10 +221,10 @@ def test_over_budget_point_of_a_batch_splits_without_a_restart(monkeypatch):
         return kernel(p, a, *args, **kwargs)
 
     monkeypatch.setattr(composite, "shadow_kernel_integral_ln", recording)
-    got = recording(powers, scales, alpha, omega)
+    got = recording(FIG4_POWERS, scales, FIG4_ALPHA, FIG4_OMEGA, budget=280)
     assert calls == [(3, 24), (1, 12), (1, 12)]
     monkeypatch.undo()
-    want = _stacked(powers, scales, alpha, omega)
+    want = _stacked(FIG4_POWERS, scales, FIG4_ALPHA, FIG4_OMEGA)
     assert got.ravel().tolist() == pytest.approx(want.ravel().tolist(), rel=1e-12, abs=0.0)
 
 
@@ -201,35 +246,97 @@ def test_scale_array_halves_only_the_unconverged_points():
     assert np.max(np.abs(np.expm1(got - want))) <= 1e-12
 
 
-def test_passes_keep_the_cell_cap_and_drop_converged_points(monkeypatch):
-    # Every pass over more than one point holds at most _KERNEL_CELLS values,
-    # refinement passes included, and a point that converged is never
-    # evaluated again.
-    passes, kernel_pass = [], composite._kernel_pass
+def test_groups_keep_their_caps_and_drop_converged_points(monkeypatch):
+    # A group's shared grid needs at most _KERNEL_GROUP times the nodes of
+    # each of its points alone and, over more than one point, holds at most
+    # _KERNEL_CELLS values; a point that converged is never evaluated again.
+    passes, kernel_pass, groups = [], composite._kernel_pass, composite._groups
 
-    def recording(ap, entries, intervals, *args):
-        ln_k, unfinished = kernel_pass(ap, entries, intervals, *args)
-        left = [e[0] for e in unfinished]
-        if len(entries) > 1:  # a point leaves a group pass as it would leave one of its own
-            alone = [e[0] for e in entries if kernel_pass(ap, [e], intervals, *args)[1]]
-            assert left == alone
-        passes.append((ap, [e[0] for e in entries], intervals, left))
+    def grouping(todo):
+        out = groups(todo)
+        assert [e for _, _, group in out for e in group] == todo  # runs, in order
+        for lo, hi, group in out:
+            nodes = (hi - lo) * max(e[7] / (e[4] - e[3]) for e in group)
+            if len(group) > 1:
+                assert nodes <= composite._KERNEL_GROUP * min(e[7] for e in group)
+                assert len(group) * (nodes + 3) <= composite._KERNEL_CELLS
+        return out
+
+    def recording(ap, ends, lo, hi, group, *args):
+        ln_k, unfinished = kernel_pass(ap, ends, lo, hi, group, *args)
+        passes.append((ap, [e[1] for e in group], [e[1] for e in unfinished]))
         return ln_k, unfinished
 
+    monkeypatch.setattr(composite, "_groups", grouping)
     monkeypatch.setattr(composite, "_kernel_pass", recording)
     shadow_kernel_integral_ln(-1.55, np.array([1e-3, 0.05, 0.5, 0.05, 10.0]), 2.0, 0.9)
-    powers = 0.22818897165230112 - np.arange(24)
-    a, alpha, omega = 2.8559842093782665e24, 0.5307178576283406, 0.00676141217688066
-    shadow_kernel_integral_ln(powers, np.array([2.0 * a, a, 0.5 * a]), alpha, omega)
     model = CompositeModel(AmParams(2.0, 2.1), GammaShadowParams(1.1, 0.9))  # gof_cdf's am-gamma
-    mc.build_cdf_table(composite.composite_density(model), 4.0, 1200)
+    mc.build_cdf_table(composite.composite_density(model), 4.0, 1200, x_min=4e-4)
     converged, leaving = set(), 0
-    for ap, points, intervals, unfinished in passes:
-        if len(points) > 1:
-            assert ap.size * len(points) * (intervals + 1) <= composite._KERNEL_CELLS
-            leaving += bool(unfinished)
+    for ap, points, unfinished in passes:
+        leaving += len(points) > 1 and bool(unfinished)
         # A point is its position in one kernel call, whose powers are ap.
         keys = {(id(ap), i) for i in points}
         assert converged.isdisjoint(keys)
         converged |= keys - {(id(ap), i) for i in unfinished}
     assert leaving >= 2  # passes over several points that some points leave
+
+
+@pytest.fixture(scope="module")
+def readme_table_call():
+    # The largest kernel call of the README ``sample`` run's cdf table:
+    # about 1,200 points, 24 rows.
+    model = CompositeModel(AkmParams(2.2, 1.3, 1.7), GammaShadowParams(1.6, 0.8))
+    calls, kernel = [], composite.shadow_kernel_integral_ln
+
+    def recording(p, a, *args, **kwargs):
+        calls.append((np.array(p), np.array(a), args))
+        return kernel(p, a, *args, **kwargs)
+
+    composite.shadow_kernel_integral_ln = recording
+    try:
+        mc.gof_compare(mc.sample_composite(model, 100_000, 13), composite.composite_density(model),
+                       grid_points=1200)
+    finally:
+        composite.shadow_kernel_integral_ln = kernel
+    return max(calls, key=lambda call: call[1].size)
+
+
+def test_readme_table_call_matches_its_lone_calls(readme_table_call):
+    # Sharing a grid with its neighbours moves no point by more than 1e-12.
+    powers, scales, args = readme_table_call
+    assert scales.size > 1000 and powers.size == 24
+    got = shadow_kernel_integral_ln(powers, scales, *args)
+    lone = np.array([shadow_kernel_integral_ln(powers, float(a), *args) for a in scales])
+    assert np.max(np.abs(np.expm1(got - lone))) <= 1e-12
+
+
+def test_permuted_points_permute_the_result_bit_for_bit(readme_table_call):
+    # Groups follow the points' scales, not their order in the call.
+    powers, scales, args = readme_table_call
+    order = np.random.default_rng(29).permutation(scales.size)
+    got = shadow_kernel_integral_ln(powers, scales, *args)
+    assert shadow_kernel_integral_ln(powers, scales[order], *args).tobytes() == got[order].tobytes()
+
+
+def _digest_of_a_table_sized_call():
+    import hashlib
+
+    powers = 1.6 / 2.2 - 1.7 - np.arange(24)
+    scales = 1.3 * np.geomspace(1e-3, 4.0, 1200) ** 2.2
+    return hashlib.sha256(shadow_kernel_integral_ln(powers, scales, 2.2, 0.8).tobytes()).hexdigest()
+
+
+def test_one_blas_thread_gives_the_same_bits():
+    # The node sums are matrix products; BLAS threading must not move them.
+    import os
+    import subprocess
+    import sys
+
+    paths = [str(Path(composite.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+    code = "import test_kernel_goldens as t; print(t._digest_of_a_table_sized_call())"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           timeout=120, check=True)
+    assert child.stdout.strip() == _digest_of_a_table_sized_call()

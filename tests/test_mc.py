@@ -225,13 +225,19 @@ class TestGofCompare:
         report = gof_compare(batch, extreme_density(p))
         assert report.sample_size == np.count_nonzero(batch.values) < 5_000
 
-    @pytest.mark.xfail(strict=True, reason="the cdf table clamps draws below its first node")
     def test_draws_below_the_first_table_node(self):
-        # np.interp reads every draw below x0 = 1e-4 x_max as cum[0] = F_c(x0),
-        # so an exact sampler with 3.5% of its draws there fails at KS = F_c(x0).
+        # 3.5% of these draws lie below 1e-4 x_max; the table's grid starts at
+        # the smallest draw, so none of them reads the cdf clamped there.
         p = AmParams(1.0, 0.5)
         report = gof_compare(sample_plain(p, 20_000, 3), plain_density(p))
         assert report.ks_statistic <= ks_critical_value(0.001, report.sample_size)
+
+    def test_a_table_above_the_smallest_draw_is_rebuilt(self):
+        p = AmParams(1.0, 0.5)
+        batch, density = sample_plain(p, 20_000, 3), plain_density(p)
+        high = build_cdf_table(density, float(np.max(batch.values)) * 1.05, x_min=math.inf)
+        assert high.xs[0] > np.min(batch.values)
+        assert gof_compare(batch, density, table=high) == gof_compare(batch, density)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_batch_rejects_values_not_finite_and_non_negative(self, bad):
@@ -250,8 +256,8 @@ class TestGofCompare:
         density = Density(continuous=lambda r: akm_pdf_normalized(p, r))
         b1 = sample_akm(p, 20_000, 51)
         b2 = sample_akm(p, 20_000, 52)
-        x_max = max(float(np.max(b1.values)), float(np.max(b2.values))) * 1.05
-        table = build_cdf_table(density, x_max)
+        both = np.concatenate([b1.values, b2.values])
+        table = build_cdf_table(density, float(np.max(both)) * 1.05, x_min=float(np.min(both[both > 0])))
         fresh = gof_compare(b1, density)
         shared = gof_compare(b1, density, table=table)
         assert shared.ks_statistic == pytest.approx(fresh.ks_statistic, abs=2e-4)
@@ -273,9 +279,10 @@ class TestGofCompare:
     def test_table_head_is_the_continuous_cdf(self, density):
         # Every density the library builds gives the table its first cell;
         # without one the table integrates the density there, to the same mass.
-        table = build_cdf_table(density, 5.0, 600)
+        table = build_cdf_table(density, 5.0, 600, x_min=1e-3)
         assert table.cum[0] == density.continuous_cdf(5e-4)
-        by_quadrature = build_cdf_table(dataclasses.replace(density, continuous_cdf=None), 5.0, 600)
+        by_quadrature = build_cdf_table(dataclasses.replace(density, continuous_cdf=None), 5.0, 600,
+                                        x_min=1e-3)
         assert table.cum[0] == pytest.approx(by_quadrature.cum[0], rel=1e-7)
         assert table.total_mass == pytest.approx(1.0, abs=1e-7)
 
