@@ -368,7 +368,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     density = _density_for(model, is_composite, args, series_cfg, oracle=False)
     grid_points = 1200 if is_composite else 2000
     report = mc.gof_compare(batch, density, grid_points=grid_points)
-    critical = mc.ks_critical_value(0.001, max(report.sample_size, 1))
+    critical = report.ks_critical
     gof_ok = math.isnan(report.ks_statistic) or report.ks_statistic <= critical
     payload = {
         "model": json.loads(batch.model_descriptor),

@@ -614,13 +614,21 @@ def _multipath_average(m: CompositeModel, x: float, upper: bool) -> float:
     # and G = Q if ``upper``, else P, changes at rho ~ x/omega; X = P Y with Y ~
     # Gamma(b, omega).  Every value is positive, so both tails keep their digits.
     mp, b, z = m.multipath, m.shadow.b, x / m.shadow.omega
-    pdf, side = family_of(mp).pdf, int(upper)
+    (e, ln_c), pdf, side = _origin(mp), family_of(mp).pdf, int(upper)
 
-    def integrand(s, k):
+    def integrand(s, k):  # a subnormal rho = s^k has lost digits: there f ~ c rho^e
         rho = s**k
-        return pdf(mp, rho, 1.0) * _reg_gamma(b, z / rho)[side] * (k * rho / s)
+        low = rho < np.finfo(float).tiny
+        if not low.any():
+            return pdf(mp, rho, 1.0) * _reg_gamma(b, z / rho)[side] * (k * rho / s)
+        ln_s, out = np.log(s[low]), np.empty_like(s)
+        with np.errstate(divide="ignore", over="ignore"):  # an infinite z / rho: G's limit
+            w = np.minimum(np.exp(np.log(z) - k * ln_s), np.finfo(float).max)
+        out[low] = k * np.exp(ln_c + (k * (e + 1.0) - 1.0) * ln_s) * _reg_gamma(b, w)[side]
+        out[~low] = integrand(s[~low], k)
+        return out
 
-    return _split_quadrature(integrand, z, 1.0, _CDF_REL_TOL, 200_000, _origin(mp)[0])
+    return _split_quadrature(integrand, z, 1.0, _CDF_REL_TOL, 200_000, e)
 
 
 def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
@@ -682,17 +690,22 @@ def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> lis
     # The series at the points xs > 0, a list, or the one exact term of a
     # single component (which reads no series settings).  Every point shares
     # the Poisson mode, so the points that reach a block of terms share one
-    # kernel call for it; each point stops on its own.
+    # kernel call for it; each point stops on its own.  The ``use_gross``
+    # surrogate runs through the same loop, from term 0 and with no stop.
     if not xs:
         return []
     alpha, omega = m.multipath.alpha, m.shadow.omega
     ln_coeff, g, p0, lam, rate, top = _series_terms(m.multipath, m.shadow)
     ln_xs, inner = list(map(math.log, xs)), [rate * x**alpha for x in xs]
-    if lam == 0.0:
+    if lam == 0.0:  # apart: through the loop, a 2-D kernel call and lists cost am points 12-15%
         base, slope = ln_coeff(0)
         ln_k = shadow_kernel_integral_ln(p0, np.array(inner), alpha, omega).tolist()
         return [math.exp(base + slope * ln_x + k) for ln_x, k in zip(ln_xs, ln_k)]
-    terms = cfg.max_terms + 1 if cfg.use_gross else math.inf
+    terms, rel_tol, coeffs = math.inf, cfg.rel_tol, {}  # (base, slope) of each term, all points
+    if cfg.use_gross:  # terms 0..n, weights in the coefficients; rel_tol -inf never stops
+        n, top, terms, rel_tol = cfg.max_terms, 0, cfg.max_terms + 1, -math.inf
+        ln_c = enumerate(map(ln_coeff, range(terms)))
+        coeffs = {l: (base + _gross_ln_weight(n, l), slope) for l, (base, slope) in ln_c}
 
     def ln_kernels(start: int, points=None) -> list:
         # The block of powers that holds term ``start``, one list per point.
@@ -700,14 +713,6 @@ def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> lis
         scales = np.array(inner if points is None else [inner[i] for i in points])
         return shadow_kernel_integral_ln(powers, scales, alpha, omega).tolist()
 
-    if cfg.use_gross:
-        total = [0.0] * len(xs)
-        for start in range(0, terms, _KERNEL_BLOCK):
-            block = range(start, min(start + _KERNEL_BLOCK, terms))
-            ln_c = [(*ln_coeff(l), _gross_ln_weight(cfg.max_terms, l)) for l in block]
-            for i, (ln_x, row) in enumerate(zip(ln_xs, ln_kernels(start))):
-                total[i] += sum(math.exp(b + s * ln_x + w + k) for (b, s, w), k in zip(ln_c, row))
-        return total
     # By parts, t(l+1)/t(l) = lam (l - p0 + c_l) / g(l) with c_l the mean of
     # u^(1/alpha) / (alpha omega) under kernel row l, which falls as l rises
     # (a monotone likelihood ratio in u).  So the ratio r seen at k bounds
@@ -719,10 +724,9 @@ def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> lis
     # j - 1) q = max(R(j), R(j + 1), lam / g'(j + 1)) bounds every ratio;
     # downward (k = j) with b > 0, q = 1 / min(R(j - 1), R(0)) bounds every
     # inverse ratio.  A side then has at most t q / (1 - q) left.
-    coeffs = {}  # (base, slope) of each term read, computed once for all points
-    rel_tol, home = cfg.rel_tol, top - top % _KERNEL_BLOCK
+    home = top - top % _KERNEL_BLOCK
     first = ln_kernels(home)
-    base, slope = coeffs[top] = ln_coeff(top)
+    base, slope = coeffs[top] = coeffs.get(top) or ln_coeff(top)
     ln_top = [base + slope * ln_x + row[top - home] for ln_x, row in zip(ln_xs, first)]
     value, rest = [math.exp(v) for v in ln_top], [0.0] * len(xs)
     for step in (1, -1):
@@ -730,11 +734,11 @@ def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> lis
         # ``start`` and their last terms.
         active, rows, ln_last = range(len(xs)), first, list(ln_top)
         l, start = top + step, home
-        while active and l >= 0:
+        while active and 0 <= l < terms:
             if not start <= l < start + _KERNEL_BLOCK:
                 start += step * _KERNEL_BLOCK
                 rows = ln_kernels(start, active)
-            end = start + _KERNEL_BLOCK if step > 0 else start - 1
+            end = min(start + _KERNEL_BLOCK, terms) if step > 0 else start - 1
             going = []
             for i, row in zip(active, rows):
                 v, r_, ln_prev, ln_x = value[i], rest[i], ln_last[i], ln_xs[i]

@@ -68,6 +68,11 @@ class GofReport:
     atom_frequency_observed: float
     atom_mass_expected: float
 
+    @property
+    def ks_critical(self) -> float:
+        """The statistic's critical value at significance 0.1%."""
+        return ks_critical_value(0.001, max(self.sample_size, 1))
+
 
 def model_descriptor(model) -> str:
     """Stable JSON tag identifying a model and its parameters."""

@@ -1,6 +1,7 @@
 """Composite densities: kernel integral, mixture oracle, series routes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,75 @@ class TestMixtureOracle:
         density = mixture_density(model)
         assert density.atoms == ((0.0, math.exp(-2.2)),)
         assert density_total_mass(density, rel_tol=1e-7) == pytest.approx(1.0, abs=1e-6)
+
+
+# e = alpha mu - 1 = -0.7: F(x) ~ x^0.3, and deep in the lower tail part of
+# the multipath nodes rho = s^k of ``composite_cdf`` fall below the normal
+# range or to 0.
+E_NEGATIVE = AkmParams(1.0, 0.5, 0.3)
+
+
+@pytest.mark.parametrize("b", [1.1, 3.0])
+def test_cdf_keeps_its_origin_power_where_multipath_nodes_underflow(b):
+    # F(x) -> c x^(e+1) E[Y^-(e+1)] / (e + 1) with c = alpha rate^mu e^-(mu
+    # kappa) / Gamma(mu), rate = mu (1 + kappa), and E[Y^-a] = Gamma(b - a) /
+    # (Gamma(b) omega^a); the next order is x^alpha smaller.
+    (alpha, kappa, mu), omega, a = (1.0, 0.5, 0.3), 0.9, 0.3
+    c = alpha * (mu * (1.0 + kappa)) ** mu * math.exp(-mu * kappa) / math.gamma(mu)
+    m = CompositeModel(E_NEGATIVE, GammaShadowParams(b, omega))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deep, far = composite.composite_cdf(m, 1e-300), composite.composite_cdf(m, 1e-100)
+        assert deep == pytest.approx(far * 1e-60, rel=1e-12)
+        for x, got in ((1e-300, deep), (1e-100, far)):
+            law = c * x**a * math.gamma(b - a) / (math.gamma(b) * omega**a) / a
+            assert got == pytest.approx(law, rel=1e-12)
+        try:
+            assert 0.0 <= composite.composite_sf(m, 1e-300) <= 1.0
+        except NonConvergenceError:
+            pass
+
+
+# Each row's known fault, found by comparing the two cdf routes; the
+# extreme model's atom is 0.11080315836233387.
+_TAIL_FAULTS = {
+    ("extreme", 1.1, 1e-300): "mixture_cdf reads 0.11080314295, below its own atom",
+    ("extreme", 3.0, 1e-300): "mixture_cdf reads 0.1108031583387, below its own atom",
+    ("akm", 1.1, 1e-100): "composite_cdf 1.44750711e-110 against mixture_cdf 1.44750728e-110",
+    ("akm", 3.0, 1e-100): "composite_cdf 3.5265e-300 against mixture_cdf 3.9676e-300, 11% apart",
+    ("e<0", 1.1, 1e-300): "mixture_cdf 9.53278e-91 against the power law's 9.53289e-91",
+    ("e<0", 3.0, 1e-300): "mixture_cdf 6.01640027e-91 against the power law's 6.01640029e-91",
+}
+_TAIL_MODELS = {
+    "akm": AkmParams(1.5, 1.0, 2.1), "extreme": ExtremeParams(1.7, 1.1), "e<0": E_NEGATIVE,
+}
+
+
+def _tail_row(name, b, x):
+    fault = _TAIL_FAULTS.get((name, b, x))
+    marks = [pytest.mark.xfail(raises=AssertionError, strict=True, reason=fault)] if fault else []
+    return pytest.param(name, b, x, marks=marks, id=f"{name}-b{b}-{x:g}")
+
+
+@pytest.mark.parametrize(
+    "name, b, x",
+    [_tail_row(n, b, x) for n in _TAIL_MODELS for b in (1.1, 3.0) for x in (1e-300, 1e-100, 1e-30)],
+)
+def test_deep_lower_tail_table(name, b, x):
+    # Each route returns a value in [atom, 1] or raises NonConvergenceError,
+    # with no other error and no warning; two values agree within 2e-9.
+    mp = _TAIL_MODELS[name]
+    m, atom, got = CompositeModel(mp, GammaShadowParams(b, 0.9)), models._atom_mass(mp), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (composite.composite_cdf, mixture_cdf):
+            try:
+                got.append(route(m, x))
+            except NonConvergenceError:
+                pass
+    assert all(atom <= v <= 1.0 for v in got)
+    if len(got) == 2:
+        assert got[0] == pytest.approx(got[1], rel=2e-9, abs=0.0)
 
 
 class TestSeriesRoutes:

@@ -27,7 +27,7 @@ from compfade import (
 )
 from compfade.composite import composite_density, mixture_density, plain_density
 from compfade.mc import (
-    SampleBatch, build_cdf_table, model_descriptor, sample_plain, subsequence_seeds,
+    GofReport, SampleBatch, build_cdf_table, model_descriptor, sample_plain, subsequence_seeds,
 )
 from compfade.models import Density, akm_pdf_normalized, extreme_density
 
@@ -304,6 +304,15 @@ class TestKsCriticalValue:
     def test_domain(self, significance, n):
         with pytest.raises(DomainError):
             ks_critical_value(significance, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    def test_report_reads_the_critical_value_at_its_sample_size(self, n):
+        # A report with no nonzero draws reads the value at n = 1.
+        report = GofReport(0.01, n, 0.1, 0.1)
+        assert report.ks_critical == ks_critical_value(0.001, max(n, 1))
+        assert dataclasses.replace(report, sample_size=4).ks_critical == ks_critical_value(0.001, 4)
+        with pytest.raises(AttributeError):
+            report.ks_critical = 1.0
 
 
 class TestAmSampler:
