@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -210,13 +210,85 @@ def _density_for(model, is_composite: bool, args, series_cfg: SeriesConfig, orac
     return composite.plain_density(model, _rhat(args))
 
 
+_SPEC = ".17g"
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return format(value, _SPEC)
+
+
+@cache
+def _exponent_table() -> tuple:
+    # Per decimal exponent e in -252..252, exactly from Python ints: the least
+    # double >= 10**e and 10**(16 - e) as its double's Dekker halves (2**27 + 1
+    # splits: numpy has no fma) plus the rest; then e's line in a 32-byte slot:
+    # prefix ("0.00" or the dot), digits kept before the dot, suffix ("e+XX\n"
+    # or "\n") as words, the digits' shift in bytes and the dot's place.
+    scale, layout = [], []
+    for e in range(-252, 253):
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        hi, (a, b) = num / den, (num / den).as_integer_ratio()
+        big = hi * 134217729.0 - (hi * 134217729.0 - hi)
+        edge, (c, d) = float(f"1e{e}"), float(f"1e{e}").as_integer_ratio()  # the nearest
+        edge += math.ulp(edge) * (c * 10 ** -min(e, 0) < d * 10 ** max(e, 0))  # or the next
+        scale.append((edge, big, hi - big, (num * b - a * den) / (den * b)))
+        dot = 0 if -4 <= e < 0 else e + 1 if 0 <= e <= 16 else 1
+        prefix = b"0." + b"0" * (-e - 1) if dot == 0 else b"\0" * dot + b"."
+        suffix = b"\n" if -4 <= e <= 16 else b"e%+03d\n" % e
+        text = prefix.ljust(24, b"\0") + (b"\xff" * dot).ljust(24, b"\0") + suffix.ljust(8, b"\0")
+        layout.append((*np.frombuffer(text, np.uint64), 1 - e if dot == 0 else 1, dot))
+    return np.array(scale).T.copy(), np.array(layout, np.uint64).T.copy()
+
+
+def _line_bytes(x: np.ndarray) -> bytes:
+    # The lines of x in 32-byte slots, NUL where blank. Numpy passes write x in [1e-250, 1e250]
+    # unless its remainder is within 1e-6 of a half; the rest take _fmt's format, space-padded.
+    fast = (x >= 1e-250) & (x <= 1e250)
+    xs = np.where(fast, x, 1.0)
+    e = np.floor(np.log10(xs)).astype(np.int64)
+    scale, layout = _exponent_table()
+    e = e - (xs < scale[0, e + 252]) + (xs >= scale[0, e + 253])  # log10 may be one off
+    big, small, rest = scale[1:].take(e + 252, axis=1)
+    xb = xs * 134217729.0 - (xs * 134217729.0 - xs)  # x's Dekker halves: xb, xs - xb
+    p = xs * (big + small)  # p + t = x 10**(16 - e) by Dekker's exact product
+    t = (((xb * big - p) + xb * small) + (xs - xb) * big) + (xs - xb) * small + xs * rest
+    floor = np.floor(t)
+    t -= floor
+    n = p.astype(np.int64) + floor.astype(np.int64) + (t > 0.5)
+    e += n == 10**17  # a carry: the double just below 10**-14 is written 1e-14
+    n = np.where(n == 10**17, 10**16, n).astype(np.uint64)
+    mid, low = n // 10**8 % 10**8, n % 10**8
+    for v in (mid, low):  # 8 digits a word in place, the first in the low byte
+        top = (v * 3518437209) >> 45
+        v[:] = top | (v - top * 10000) << 32
+        top = ((v * 10486) >> 20) & 0x0000007F0000007F
+        v[:] = top | (v - 100 * top) << 16
+        top = ((v * 103) >> 10) & 0x000F000F000F000F
+        v[:] = top | (v - 10 * top) << 8
+    # Digits to the last nonzero one; bytes <= 9 keep frexp's bit length of a word exact.
+    used = np.where(low != 0, 10, 2) + (np.frexp(np.where(low != 0, low, mid))[1] - 1) // 8
+    digits = (n // 10**16 | mid << 8, mid >> 56 | low << 8, low >> 56)
+    layout = layout.take(e + 252, axis=1)
+    shift, dot = layout[7:].astype(np.int64)
+    width = np.where(used > dot, used + shift, dot)  # the bytes before the suffix
+    slots = np.empty((x.size, 4), np.uint64)
+    slots[:, 3], spill, shift = layout[6], 0, (8 * shift).astype(np.uint64)
+    for w, g in enumerate(d | 0x3030303030303030 for d in digits):
+        moved = g & ~layout[3 + w]  # the digits after the dot
+        inside = ~(~np.uint64(0) << (8 * np.clip(width - 8 * w, 0, 8)).astype(np.uint64))
+        slots[:, w] = (g & layout[3 + w] | moved << shift | spill | layout[w]) & inside
+        spill = moved >> (64 - shift)
+    slow = ~fast | (abs(t - 0.5) < 1e-6)
+    if slow.any():
+        text = (f"%-31{_SPEC}\n" * slow.sum()) % tuple(x[slow].tolist())
+        slots[slow] = np.frombuffer(text.encode(), np.uint64).reshape(-1, 4)
+    return slots.tobytes().translate(None, b"\0 ")
 
 
 def _sample_text(values: np.ndarray) -> str:
-    # One value a line as ``_fmt`` writes it, in one %-format pass.
-    return ("%.17g\n" * values.size) % tuple(values.tolist())
+    # One value a line as _fmt writes it, in exact numpy passes over 2**14.
+    blocks = (values[i : i + 2**14] for i in range(0, values.size, 2**14))
+    return b"".join(map(_line_bytes, blocks)).decode()
 
 
 def _unwritable(path, exc: OSError) -> UsageError:

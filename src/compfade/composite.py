@@ -696,7 +696,10 @@ def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> lis
         return []
     alpha, omega = m.multipath.alpha, m.shadow.omega
     ln_coeff, g, p0, lam, rate, top = _series_terms(m.multipath, m.shadow)
-    ln_xs, inner = list(map(math.log, xs)), [rate * x**alpha for x in xs]
+    try:
+        ln_xs, inner = list(map(math.log, xs)), [rate * x**alpha for x in xs]
+    except OverflowError:  # the kernel's scale A = rate x^alpha
+        raise NonConvergenceError(f"x^alpha overflows at x {max(xs)!r}, alpha {alpha!r}") from None
     if lam == 0.0:  # apart: through the loop, a 2-D kernel call and lists cost am points 12-15%
         base, slope = ln_coeff(0)
         ln_k = shadow_kernel_integral_ln(p0, np.array(inner), alpha, omega).tolist()

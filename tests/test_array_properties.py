@@ -1,7 +1,9 @@
-"""Property test: the array path of ``bessel_i_scaled`` against its float
-path, element by element."""
+"""Property tests: the array paths of ``bessel_i_scaled`` and the series
+route against their float paths, element by element, and the ``sample``
+file writer against ``_fmt``."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from compfade.specfun import bessel_i_scaled  # noqa: E402
 
@@ -41,6 +44,7 @@ def test_array_bessel_matches_float_path(case):
 # The series route on arrays: past PARAM_BOX, on unsorted points with
 # duplicates, x = 0 and x from 1e-8 to 50 mean shadow scales b*omega.
 from compfade import CompositeModel, GammaShadowParams, SeriesConfig  # noqa: E402
+from compfade import cli  # noqa: E402
 from compfade.composite import (  # noqa: E402
     FAMILIES,
     akm_gamma_pdf_series,
@@ -117,3 +121,31 @@ def test_series_empty_batch_gives_an_empty_array(family, evaluator):
     for got in (evaluator(model, np.array([])), composite_pdf(model, np.array([])),
                 composite_density(model).values([])):
         assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+# The gof_cdf models of each family; x^alpha overflows from x = 1e200 at
+# alpha 2.  The evaluators raise the typed error, never OverflowError.
+_GOF_MODELS = {
+    "akm": (FAMILIES["akm"].params(2.2, 1.3, 1.7), GammaShadowParams(1.6, 0.8), akm_gamma_pdf_series),
+    "am": (FAMILIES["am"].params(2.0, 2.1), GammaShadowParams(1.1, 0.9), am_gamma_pdf),
+    "extreme": (FAMILIES["extreme"].params(2.0, 1.1), GammaShadowParams(1.2, 0.8), extreme_gamma_pdf),
+}
+
+
+@pytest.mark.parametrize("x", [1e200, 1e300, 1.7e308])
+@pytest.mark.parametrize("family", list(_GOF_MODELS))
+def test_series_far_in_the_tail_raises_non_convergence(family, x):
+    multipath, shadow, evaluator = _GOF_MODELS[family]
+    model = CompositeModel(multipath, shadow)
+    continuous = composite_density(model).continuous
+    for f in (partial(evaluator, model), partial(composite_pdf, model), continuous):
+        for points in (x, np.array([0.7, x])):
+            with pytest.raises(NonConvergenceError):
+                f(points)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(arrays(np.float64, st.integers(0, 40),
+              elements=st.floats(width=64, allow_nan=True, allow_infinity=True)))
+def test_sample_writer_matches_fmt(values):
+    assert cli._sample_text(values) == "".join(cli._fmt(v) + "\n" for v in values.tolist())

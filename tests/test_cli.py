@@ -303,6 +303,18 @@ class TestPdfCommand:
         assert 1 <= blocks <= 3
         assert len(starts) <= math.ceil(points / batch) * blocks
 
+    @pytest.mark.parametrize(
+        "flags",
+        ["akm-gamma --alpha 2.2 --kappa 1.3 --mu 1.7 --b 1.6 --omega 0.8".split(),
+         "am-gamma --alpha 2 --mu 2.1 --b 1.1 --omega 0.9".split(),
+         "extreme-gamma --alpha 2 --m 1.1 --b 1.2 --omega 0.8".split()],
+        ids=["akm", "am", "extreme"],
+    )
+    def test_far_tail_overflow_exits_one(self, flags, capsys):
+        # x^alpha overflows past 1e154 at alpha 2: a typed error, not a traceback.
+        assert main(["pdf", "--model", *flags, "--grid", "1e299:1e300:2"]) == 1
+        assert first_err_line(capsys).startswith("convergence failure: x^alpha overflows")
+
 
 class TestCdfCommand:
     def test_akm_cdf_curve(self, capsys):
@@ -456,6 +468,54 @@ class TestFigureCommand:
         assert exc_info.value.code == 2
 
 
+def _extreme_batch():
+    # Deep-fade zeros and extreme doubles.
+    model = CompositeModel(ExtremeParams(2.0, 0.4), GammaShadowParams(1.2, 0.8))
+    values = mc.sample_composite(model, 5000, seed=3).values
+    assert (values == 0.0).sum() > 100
+    return np.concatenate([values, [5e-324, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308]])
+
+
+def _powers_of_ten():
+    tens = [float(f"1e{k}") for k in range(-300, 300)]
+    return tens + [math.nextafter(t, 0.0) for t in tens] + [math.nextafter(t, math.inf) for t in tens]
+
+
+def _ties():
+    # m / 2**k whose exact decimal has 18 significant digits, the last a 5:
+    # the least and the largest odd m for each k, and 2**-25 among them.
+    ties = []
+    for k in range(1, 26):
+        five = 5**k
+        for m in (-(-(10**17) // five) | 1, ((10**18 - 1) // five - 1) | 1):
+            if m < 2**53 and len(str(m * five)) == 18:
+                ties.append(m / 2**k)
+    assert 2.0**-25 in ties and len(ties) > 30
+    return ties
+
+
+def _bit_patterns():
+    return np.random.default_rng(31).integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+
+
+WRITER_ROWS = {
+    "extreme-gamma-batch": _extreme_batch,
+    "specials": lambda: [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                         math.inf, -math.inf, math.nan, -1.5, -5e-324, -1e-5, -123.25, 0.5, 1.0, 2.0],
+    "powers-of-two": lambda: [f(2.0**k) for k in range(-1074, 1024)
+                              for f in (float, lambda v: math.nextafter(v, 0.0))],
+    "powers-of-ten": _powers_of_ten,
+    # The notation switch points; 1e-14, 1e-79, 1e98 and 1e129 are doubles
+    # just below 10**k whose 17th digit carries into the exponent.
+    "notation-switch-and-carries": lambda: [9.9999999999999999e-5, 1e-4, 1e-5, 99999999999999999.0,
+                                            1e16, 1e17, 1e23, 1e-14, 1e-79, 1e98, 1e129],
+    "ties": _ties,
+    "bit-patterns": _bit_patterns,
+    **{f"length-{n}": (lambda n=n: np.random.default_rng(n).uniform(0.0, 3.0, n))
+       for n in (1, 16_383, 16_384, 16_385)},
+}
+
+
 class TestSampleCommand:
     def test_deterministic_sample_files(self, tmp_path):
         out1, out2 = tmp_path / "s1.txt", tmp_path / "s2.txt"
@@ -520,17 +580,13 @@ class TestSampleCommand:
         assert code == 1
         assert first_err_line(capsys).startswith("validation failure: gof failed: ks=0.5 > ")
 
-    def test_sample_file_bytes_match_one_format_per_value(self):
-        # The one-pass %-format write against the per-value join it
-        # replaced, on a batch with deep-fade zeros and extreme doubles.
+    @pytest.mark.parametrize("rows", list(WRITER_ROWS), ids=list(WRITER_ROWS))
+    def test_sample_file_bytes_match_one_format_per_value(self, rows):
+        # The numpy writer against the per-value join of ``_fmt``, byte for byte.
         from compfade import cli
-        from compfade.mc import sample_composite
 
-        model = CompositeModel(ExtremeParams(2.0, 0.4), GammaShadowParams(1.2, 0.8))
-        values = sample_composite(model, 5000, seed=3).values
-        assert (values == 0.0).sum() > 100
-        values = np.concatenate([values, [5e-324, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308]])
-        assert cli._sample_text(values) == "\n".join(cli._fmt(v) for v in values) + "\n"
+        values = np.asarray(WRITER_ROWS[rows](), dtype=np.float64)
+        assert cli._sample_text(values) == "".join(cli._fmt(v) + "\n" for v in values.tolist())
 
 
 class TestValidateCommand:

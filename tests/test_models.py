@@ -349,6 +349,26 @@ class TestAmAndShadow:
         with pytest.raises(DomainError):
             gamma_shadow_pdf(GammaShadowParams(0.8, 1.0), 0.0)
 
+    @pytest.mark.parametrize("b", [16.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7])
+    def test_shadow_density_past_b_15_against_mpmath(self, b):
+        # Near y = b omega the log form cancels; Loader's form errs only by
+        # what rounding y / omega costs: 4e-16 (16 + b |y / (b omega) - 1|)
+        # over y / (b omega) in [0.9, 1.1].
+        mpmath = pytest.importorskip("mpmath")
+        for omega in (0.05, 0.9, 7.0):
+            g = GammaShadowParams(b, omega)
+            ys = np.linspace(0.9, 1.1, 41) * b * omega
+            for y, got in zip(ys.tolist(), gamma_shadow_pdf(g, ys).tolist()):
+                with mpmath.workdps(40):
+                    B, Y, W = mpmath.mpf(b), mpmath.mpf(y), mpmath.mpf(omega)
+                    ln_ref = (B - 1) * mpmath.log(Y) - Y / W - mpmath.loggamma(B) - B * mpmath.log(W)
+                    ref = mpmath.exp(ln_ref)
+                if ref < 1e-300:
+                    continue
+                assert gamma_shadow_pdf(g, y) == got
+                bound = 4e-16 * (16.0 + b * abs(y / (b * omega) - 1.0))
+                assert abs(got - ref) <= bound * ref, (b, omega, y)
+
     def test_shadow_normalization_and_cdf(self):
         g = GammaShadowParams(1.8, 0.7)
         assert quad_mass(lambda y: gamma_shadow_pdf(g, y)) == pytest.approx(1.0, abs=1e-9)
