@@ -545,20 +545,22 @@ def _split_quadrature(f: Callable, edge, scale, rel_tol, budget, power=math.inf)
     # int_0^inf, with no absolute floor, of an integrand ~ v^power at v -> 0
     # that changes over v ~ edge.  A power below 1 runs in s = v^(1/k), k =
     # 2/(power + 1), where it goes like s: f(s, k) gives it times dv/ds.  For an
-    # edge below the first initial node, (0, cut) takes its own quadrature.
+    # edge below the first initial node, (0, cut) takes its own quadrature, in ln s.
     k = 2.0 / (power + 1.0) if power < 1.0 else 1.0
     edge, scale = edge ** (1.0 / k), scale ** (1.0 / k)
 
-    def quad(g, scale: float) -> float:
+    def quad(g, scale: float) -> float:  # 5e-324: the least positive double
         return integrate_semi_infinite(
-            g, rel_tol=rel_tol, abs_tol=1e-300, budget=budget, scale=scale, vectorized=True
+            g, rel_tol=rel_tol, abs_tol=5e-324, budget=budget, scale=scale, vectorized=True
         ).value
 
     cut = _FIRST_NODE * scale
     if edge >= cut:
         return quad(lambda s: f(s, k), scale)
-    head = quad(lambda w: f(cut * w / (1.0 + w), k) * cut / (1.0 + w) ** 2, edge / cut)
-    return head + quad(lambda s: f(cut + s, k), scale)
+    def head(w):  # s = cut e^-w, read as tiny below the normal range, times ds/dw = s
+        s = cut * np.exp(-w)
+        return f(np.maximum(s, np.finfo(float).tiny), k) * s
+    return quad(head, 1.0 + math.log(cut) - math.log(edge)) + quad(lambda s: f(cut + s, k), scale)
 
 
 def mixture_pdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
@@ -590,7 +592,8 @@ def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
             with np.errstate(divide="ignore", over="ignore"):
                 rho = v / y
             f_mp[rho < math.inf] = cdf(mp, rho[rho < math.inf], 1.0)
-            return f_mp * k * np.exp((k * b - 1.0) * np.log(s) - y / omega - ln_norm)
+            return (f_mp * gamma_shadow_pdf(m.shadow, y) if b > 15.0  # Loader's form; k = 1
+                    else f_mp * k * np.exp((k * b - 1.0) * np.log(s) - y / omega - ln_norm))
         return min(_split_quadrature(f, v, b * omega, rel_tol, budget, b - 1.0), 1.0)
     return _pointwise("x", x, lambda: cdf(mp, 0.0, 1.0), value)
 
@@ -773,9 +776,12 @@ def _series_sum(m: CompositeModel, xs: list, cfg: Optional[SeriesConfig]) -> lis
 def _series_pdf(m: CompositeModel, x, cfg: Optional[SeriesConfig]):
     # The series at x, a float or a 1-D array, and the origin rule at zero.
     def positive(x):
-        if isinstance(x, float):
-            return _series_sum(m, [x], cfg)[0]
-        return np.array(_series_sum(m, x.tolist(), cfg))
+        try:  # a kernel scale rate x^alpha is 0 here only where x^alpha underflows
+            if isinstance(x, float):
+                return _series_sum(m, [x], cfg)[0]
+            return np.array(_series_sum(m, x.tolist(), cfg))
+        except DivergentIntegralError:
+            raise NonConvergenceError(f"x^alpha underflows at x {float(np.min(x))!r}") from None
 
     return _density("x", x, lambda: _value_at_origin(m), positive)
 

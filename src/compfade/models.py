@@ -485,8 +485,12 @@ def gamma_shadow_pdf(g: GammaShadowParams, y):
 
 
 def gamma_shadow_cdf(g: GammaShadowParams, y):
-    """Distribution function of the gamma shadow model."""
-    return _pointwise("y", y, lambda: 0.0, lambda y: specfun.reg_lower_gamma(g.b, y / g.omega))
+    """Distribution function of the gamma shadow model; 1 where y / omega overflows."""
+    def value(y: float) -> float:  # where y / omega underflows, (y / omega)^b / Gamma(b + 1)
+        if y / g.omega >= np.finfo(float).tiny:
+            return specfun.reg_lower_gamma(g.b, y / g.omega)
+        return math.exp(g.b * (math.log(y) - math.log(g.omega)) - math.lgamma(g.b + 1.0))
+    return _pointwise("y", y, lambda: 0.0, value, g.omega * float(np.finfo(float).max), 1.0)
 
 
 _SPECIALIZE_TOL = 1e-9

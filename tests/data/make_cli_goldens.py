@@ -104,6 +104,12 @@ def _cases() -> dict:
             ("samples.txt", "report.json"),
         )
     cases["moments-akm-json"] = (["moments"] + _model_args("akm") + ["--format", "json"], ())
+    # The deep lower tail, where both cdf routes and the oracle pdf run the
+    # head integral below the first quadrature node: F ~ x / (omega (b - 1)).
+    deep = "--model am-gamma --alpha 1 --mu 1 --b 1.5 --omega 0.9 --grid 1e-300:1e-30:3".split()
+    cases["cdf-am-gamma-deep"] = (["cdf"] + deep, ())
+    cases["cdf-am-gamma-deep-oracle"] = (["cdf"] + deep + ["--oracle"], ())
+    cases["pdf-am-gamma-deep-oracle"] = (["pdf"] + deep + ["--oracle"], ())
     return cases
 
 

@@ -144,6 +144,27 @@ def test_series_far_in_the_tail_raises_non_convergence(family, x):
                 f(points)
 
 
+# Where rate * x^alpha underflows to 0 (am alpha 2 and extreme alpha 1.7 from
+# x = 1e-200, the README akm model from 1e-250) the kernel's a is 0: the
+# evaluators raise the typed error, not the kernel's DomainError for a = 0.
+_DEEP_MODELS = {
+    "akm": (FAMILIES["akm"].params(1.5, 1.0, 2.1), 1e-250, akm_gamma_pdf_series),
+    "am": (FAMILIES["am"].params(2.0, 1.2), 1e-200, am_gamma_pdf),
+    "extreme": (FAMILIES["extreme"].params(1.7, 1.1), 1e-200, extreme_gamma_pdf),
+}
+
+
+@pytest.mark.parametrize("family", list(_DEEP_MODELS))
+def test_series_where_x_alpha_underflows_raises_non_convergence(family):
+    multipath, x, evaluator = _DEEP_MODELS[family]
+    model = CompositeModel(multipath, GammaShadowParams(1.1, 0.9))
+    continuous = composite_density(model).continuous
+    for f in (partial(evaluator, model), partial(composite_pdf, model), continuous):
+        for points in (x, 1e-300, np.array([0.7, x])):
+            with pytest.raises(NonConvergenceError, match="x\\^alpha underflows"):
+                f(points)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(arrays(np.float64, st.integers(0, 40),
               elements=st.floats(width=64, allow_nan=True, allow_infinity=True)))

@@ -315,6 +315,12 @@ class TestPdfCommand:
         assert main(["pdf", "--model", *flags, "--grid", "1e299:1e300:2"]) == 1
         assert first_err_line(capsys).startswith("convergence failure: x^alpha overflows")
 
+    def test_deep_tail_underflow_exits_one(self, capsys):
+        # rate x^alpha underflows to 0 at alpha 2: a convergence failure, not a parameter error.
+        argv = "pdf --model am-gamma --alpha 2 --mu 1.2 --b 1.1 --omega 0.9 --grid 1e-300:1e-299:2"
+        assert main(argv.split()) == 1
+        assert first_err_line(capsys).startswith("convergence failure: x^alpha underflows")
+
 
 class TestCdfCommand:
     def test_akm_cdf_curve(self, capsys):

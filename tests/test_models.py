@@ -375,6 +375,21 @@ class TestAmAndShadow:
         ref = quad_mass(lambda y: gamma_shadow_pdf(g, y), upper=1.5)
         assert gamma_shadow_cdf(g, 1.5) == pytest.approx(ref, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "b, omega, y",
+        [(0.5, 0.5, 1.7e308), (20.0, 0.5, 1.7e308), (0.5, 7.0, 5e-324), (0.5, 7.0, 3e-320)],
+    )
+    def test_shadow_cdf_where_y_over_omega_leaves_the_doubles(self, b, omega, y):
+        # y / omega overflows at 1.7e308 / 0.5, rounds to 0 at 5e-324 / 7 and
+        # keeps a few digits at 3e-320 / 7: P(b, y / omega) is 1, or (y /
+        # omega)^b / Gamma(b + 1) in logs.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.gammainc(b, 0, mpmath.mpf(y) / omega, regularized=True))
+        g = GammaShadowParams(b, omega)
+        for got in (gamma_shadow_cdf(g, y), gamma_shadow_cdf(g, np.array([1.0, y])).tolist()[1]):
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
 
 class TestReductions:
     def test_alpha_two_collapses_to_linear_los_model(self):
