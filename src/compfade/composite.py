@@ -10,12 +10,12 @@ N ~ Poisson(lam).
 
 Two independent evaluation routes are provided for every composite family:
 
-* ``mixture_pdf`` integrates the conditional multipath density against the
-  gamma shadow density.  It is the ground-truth oracle; ``mixture_cdf``
-  does the same with the conditional cdf.  ``composite_cdf`` and
-  ``composite_sf`` average the shadow's cdf over the multipath density
-  instead, one incomplete gamma per node.  Both cdf routes integrate a
-  power law v^p, p < 1, of their integrand at 0 in s = v^((p+1)/2).
+* ``mixture_pdf`` averages the gamma shadow density over the multipath
+  density: the ground-truth oracle.  ``mixture_cdf`` averages the
+  multipath cdf over the shadow.  ``composite_cdf`` and ``composite_sf``
+  average the shadow's cdf over the multipath density, one incomplete
+  gamma per node, on ``mixture_pdf``'s integrand.  Every one integrates a
+  power law v^p, p < 1, of its integrand at 0 in s = v^((p+1)/2).
 * The series evaluators expand the Bessel factor of the conditional density
   and push the shadow average through term by term, which leaves one
   shadow-kernel integral per term:
@@ -74,7 +74,7 @@ from .models import (
     gamma_shadow_pdf,
 )
 from .numerics import _FIRST_NODE, integrate_semi_infinite
-from .specfun import _LN_MAX, _gross_ln_weight, _reg_gamma, ln_gamma
+from .specfun import _LN_MAX, _gross_ln_weight, _ln_poisson_term, _reg_gamma, ln_gamma
 from .numerics import sum_adaptive  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -205,7 +205,7 @@ def _kernel_cut(p: float, a: float, alpha: float, omega: float, floor: float):
     lo_s = (700.0 - max(ln_a - alpha * t, 0.0)) / alpha
     hi_s = 700.0 - max(t - ln_omega, 0.0)
     ends = []
-    for step in (-4.0 * sigma, 4.0 * sigma):
+    for step in (-min(4.0 * sigma, lo_s), min(4.0 * sigma, hi_s)):  # a flat peak: sigma ~ 1e62
         s = 0.0
         for _ in range(200):
             if not -lo_s <= s + step <= hi_s:
@@ -541,11 +541,12 @@ def _value_at_origin(m: CompositeModel) -> float:
 # ----------------------------------------------------------------------
 
 
-def _split_quadrature(f: Callable, edge, scale, rel_tol, budget, power=math.inf) -> float:
+def _split_quadrature(f: Callable, edge, scale, rel_tol, budget, power) -> float:
     # int_0^inf, with no absolute floor, of an integrand ~ v^power at v -> 0
     # that changes over v ~ edge.  A power below 1 runs in s = v^(1/k), k =
     # 2/(power + 1), where it goes like s: f(s, k) gives it times dv/ds.  For an
-    # edge below the first initial node, (0, cut) takes its own quadrature, in ln s.
+    # edge below the first initial node, (0, cut) takes its own quadrature, in ln s, with the
+    # edge toward t = 4/9, which no bisection makes a panel boundary: a feature on one escapes.
     k = 2.0 / (power + 1.0) if power < 1.0 else 1.0
     edge, scale = edge ** (1.0 / k), scale ** (1.0 / k)
 
@@ -560,21 +561,20 @@ def _split_quadrature(f: Callable, edge, scale, rel_tol, budget, power=math.inf)
     def head(w):  # s = cut e^-w, read as tiny below the normal range, times ds/dw = s
         s = cut * np.exp(-w)
         return f(np.maximum(s, np.finfo(float).tiny), k) * s
-    return quad(head, 1.0 + math.log(cut) - math.log(edge)) + quad(lambda s: f(cut + s, k), scale)
+    return (quad(head, 1.25 * (1.0 + math.log(cut) - math.log(edge)))
+            + quad(lambda s: f(cut + s, k), scale))
 
 
 def mixture_pdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
     """Continuous composite density by direct shadow averaging, a quadrature per point.
 
-    This is the ground-truth oracle for the series evaluators.  For extreme
-    multipath the mode-independent atom exp(-2m) is not part of this value;
-    ``mixture_density`` carries it.
+    f(x) = int f_mp(rho) f_Y(x / rho) / rho drho (``_multipath_average``): the
+    ground-truth oracle for the series evaluators, which share no quadrature with
+    it.  The extreme atom exp(-2m) is not part of this value; ``mixture_density``
+    carries it.
     """
-    mp, sh, pdf = m.multipath, m.shadow, family_of(m.multipath).pdf
-    def value(v: float) -> float:  # the integrand vanishes faster than any power of y
-        f = lambda y, k: pdf(mp, v, y) * gamma_shadow_pdf(sh, y)  # noqa: E731
-        return _split_quadrature(f, v, max(v, sh.b * sh.omega), rel_tol, budget)
-    return _pointwise("x", x, lambda: _value_at_origin(m), value)
+    return _pointwise("x", x, lambda: _value_at_origin(m),
+                      lambda v: _multipath_average(m, v, 2, rel_tol, budget))
 
 
 def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
@@ -611,27 +611,32 @@ def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_
 _CDF_REL_TOL = 1e-10
 
 
-def _multipath_average(m: CompositeModel, x: float, upper: bool) -> float:
-    # int_0^inf f(rho) G(b, x / (omega rho)) drho for x > 0: f is the unit-scale
-    # multipath density (continuous part), ~ rho^e at 0 (``models._origin``),
-    # and G = Q if ``upper``, else P, changes at rho ~ x/omega; X = P Y with Y ~
-    # Gamma(b, omega).  Every value is positive, so both tails keep their digits.
-    mp, b, z = m.multipath, m.shadow.b, x / m.shadow.omega
-    (e, ln_c), pdf, side = _origin(mp), family_of(mp).pdf, int(upper)
+def _multipath_average(m, x: float, side: int, rel_tol=_CDF_REL_TOL, budget=200_000) -> float:
+    # int_0^inf f(rho) G(w) drho, x > 0, w = x / (omega rho): f is the unit-scale multipath
+    # density (continuous part), ~ rho^e at 0 (``models._origin``), and G, by ``side``, is
+    # P(b, w), Q(b, w) or f_Y(x / rho) / rho = w^b e^-w / (Gamma(b) x), changing at rho ~
+    # x/omega; X = P Y, Y ~ Gamma(b, omega).  All values are positive: both tails keep digits.
+    mp, sh, z = m.multipath, m.shadow, x / m.shadow.omega
+    (e, ln_c), pdf, b = _origin(mp), family_of(mp).pdf, sh.b
 
     def integrand(s, k):  # a subnormal rho = s^k has lost digits: there f ~ c rho^e
         rho = s**k
         low = rho < np.finfo(float).tiny
         if not low.any():
+            if side == 2:  # drho/ds = k rho / s cancels the 1 / rho; no y = x / rho is read as 0
+                return pdf(mp, rho, 1.0) * gamma_shadow_pdf(sh, np.maximum(x / rho, 5e-324)) * (k / s)
             return pdf(mp, rho, 1.0) * _reg_gamma(b, z / rho)[side] * (k * rho / s)
         ln_s, out = np.log(s[low]), np.empty_like(s)
         with np.errstate(divide="ignore", over="ignore"):  # an infinite z / rho: G's limit
             w = np.minimum(np.exp(np.log(z) - k * ln_s), np.finfo(float).max)
-        out[low] = k * np.exp(ln_c + (k * (e + 1.0) - 1.0) * ln_s) * _reg_gamma(b, w)[side]
+        ln_f = ln_c + (k * (e + 1.0) - 1.0) * ln_s  # f drho/ds = k e^ln_f
+        if side == 2:  # G = b p(b, w) / x in logs, p Loader's Poisson term past b = 15
+            ln_f += [_ln_poisson_term(b, v) + math.log(b) - math.log(x) for v in w.tolist()]
+        out[low] = k * np.exp(ln_f) * (1.0 if side == 2 else _reg_gamma(b, w)[side])
         out[~low] = integrand(s[~low], k)
         return out
 
-    return _split_quadrature(integrand, z, 1.0, _CDF_REL_TOL, 200_000, e)
+    return _split_quadrature(integrand, z, 1.0, rel_tol, budget, e)
 
 
 def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
@@ -649,7 +654,7 @@ def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
         return mixture_cdf(m, x)
     atom = _atom_mass(m.multipath)
     return _pointwise(
-        "x", x, lambda: atom, lambda v: min(atom + _multipath_average(m, v, False), 1.0)
+        "x", x, lambda: atom, lambda v: min(atom + _multipath_average(m, v, 0), 1.0)
     )
 
 
@@ -658,7 +663,7 @@ def composite_sf(m: CompositeModel, x):
     (omega rho)) drho, at a float or a 1-D array of points, summed directly
     so that the upper tail keeps its relative digits; at most 1 - atom."""
     rest = 1.0 - _atom_mass(m.multipath)
-    return _pointwise("x", x, lambda: rest, lambda v: min(_multipath_average(m, v, True), rest))
+    return _pointwise("x", x, lambda: rest, lambda v: min(_multipath_average(m, v, 1), rest))
 
 
 # ----------------------------------------------------------------------

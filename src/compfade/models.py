@@ -302,11 +302,16 @@ def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
         if not lam:
             ln_f = ln_a + s * math.log(rate) + (a * s - 1.0) * ln_rho - rate * rho**a
             return _exp_or_zero(ln_f - math.lgamma(s))
-        half = rho ** (0.5 * a)  # sqrt(u)
+        half, nu = rho ** (0.5 * a), s - 1.0 if s else 1.0  # sqrt(u), the Bessel order
+        z = 2.0 * math.sqrt(lam * rate) * half
+        ln_ie = specfun._ln_bessel_i_scaled(nu, z)
+        if (z if type(z) is float else z.min(initial=1.0)) < 1e-300:  # z may underflow:
+            ln_z2 = 0.5 * (math.log(lam * rate) + a * ln_rho)  # Ie -> (z/2)^nu / Gamma(nu + 1)
+            ln_ie = np.where(z < 1e-300, nu * ln_z2 - math.lgamma(nu + 1.0), ln_ie)
         return _exp_or_zero(
             ln_a + 0.5 * (1.0 + s) * math.log(rate) + 0.5 * (1.0 - s) * math.log(lam)
             + (0.5 * a * (1.0 + s) - 1.0) * ln_rho - rate * (half - math.sqrt(lam / rate)) ** 2
-            + specfun._ln_bessel_i_scaled(s - 1.0 if s else 1.0, 2.0 * math.sqrt(lam * rate) * half)
+            + ln_ie
         )
 
     positive = unit if scale == 1.0 else lambda x: unit(x / scale) / scale
@@ -346,6 +351,8 @@ def akm_cdf_series(p: AkmParams, rho, tail_tol: float = 1e-15):
     """
     lam, shape, rate = p.poisson_gamma
     def value(rho: float) -> float:
+        if rho and rate * rho**p.alpha < specfun._NORMAL:  # the origin law, as ``akm_cdf``
+            return _mixture_cdf(p, rho)
         return specfun._poisson_gamma_side(lam, shape, rate * rho**p.alpha, tail_tol, upper=False)
     return _pointwise("rho", rho, lambda: value(0.0), value, _far(p.alpha, rate, 1.0), 1.0)
 
@@ -354,7 +361,12 @@ def _mixture_cdf(p, x, name: str = "rho", scale: float = 1.0, tail_tol: float = 
     # The clustering form's cdf at rms scale ``scale``, as ``_multipath_pdf``.
     lam, shape, rate = p.poisson_gamma
     def value(x: float) -> float:
-        return specfun.poisson_gamma_cdf(lam, shape, rate * (x / scale) ** p.alpha, tail_tol)
+        u = rate * (x / scale) ** p.alpha
+        if u < specfun._NORMAL and x:  # exactly the atom plus c rho^(e + 1) / (e + 1) there
+            e, ln_c = _origin(p)
+            ln_f = ln_c + (e + 1.0) * (math.log(x) - math.log(scale)) - math.log(e + 1.0)
+            return _atom_mass(p) + math.exp(ln_f)
+        return specfun.poisson_gamma_cdf(lam, shape, u, tail_tol)
     return _pointwise(name, x, lambda: value(0.0), value, _far(p.alpha, rate, scale), 1.0)
 
 

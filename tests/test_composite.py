@@ -315,6 +315,30 @@ def test_deep_lower_tail_table(name, b, x):
         assert got[0] == pytest.approx(got[1], rel=2e-9, abs=0.0)
 
 
+def test_head_integral_keeps_the_edge_off_panel_boundaries():
+    # A bump one unit wide in ln v at v ~ edge, with the double-exponential
+    # left side of f_mp(x/y) / y in y: u^2.05 e^(-4.2 u^1.5) / v, u = edge/v,
+    # plus v e^-v above.  Deep edges map to a narrow spot in the head's
+    # variable; one on a panel boundary of round 0, or of its first
+    # bisection, escapes both rules with a small error estimate.
+    p, a, r = 2.05, 1.5, 4.2
+    exact = math.gamma(p / a) / (a * r ** (p / a)) + 1.0
+    misses = []
+    for k in range(50, 301, 10):
+        edge = 10.0**-k
+
+        def f(v, _k):
+            u = edge / v
+            with np.errstate(over="ignore"):
+                bump = np.exp(p * np.log(u) - r * u**a)
+            return bump / v + v * np.exp(-v)
+
+        got = composite._split_quadrature(f, edge, 1.0, 1e-10, 200_000, 1.0)
+        if got != pytest.approx(exact, rel=1e-10, abs=0.0):
+            misses.append(f"edge 1e-{k}: {got / exact - 1.0:.1e}")
+    assert not misses
+
+
 class TestSeriesRoutes:
     def test_akm_gamma_series_vs_oracle(self):
         rng = np.random.default_rng(20)
@@ -677,15 +701,16 @@ class TestOracleArrayIntegrand:
 
     @staticmethod
     def one_node_at_a_time(m, x):
-        # The same integral with the densities called on one float per node.
-        family = composite.family_of(m.multipath)
-        return integrate_semi_infinite(
-            lambda y: family.pdf(m.multipath, x, y) * gamma_shadow_pdf(m.shadow, y),
-            rel_tol=1e-9,
-            abs_tol=1e-280,
-            budget=200_000,
-            scale=max(x, m.shadow.b * m.shadow.omega),
-        ).value
+        # The same integral in rho, f_mp(rho) f_Y(x / rho) / rho, on the same
+        # nodes, with the densities called on one float per node.
+        mp, sh = m.multipath, m.shadow
+        pdf, (e, _) = composite.family_of(mp).pdf, models._origin(mp)
+
+        def f(s, k):  # times drho/ds = k rho / s at rho = s^k
+            return np.array([pdf(mp, v**k, 1.0) * gamma_shadow_pdf(sh, x / v**k) * (k / v)
+                             for v in s.tolist()])
+
+        return composite._split_quadrature(f, x / sh.omega, 1.0, 1e-9, 200_000, e)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_matches_scalar_integrand(self, name):

@@ -4,9 +4,9 @@
 mpmath: F, S and f of X = P Y, with P ~ Exp(1) (alpha-mu at alpha 1, mu 1)
 and Y ~ Gamma(b, 0.9), in Bessel K form, at b = 0.6, 1, 1.5, 2 and 3.  The
 goldens depend on no compfade route, so they tell which route is right
-where the two cdf routes share ``_split_quadrature``'s head integral.  Each
-evaluator holds its tolerance at every point or raises
-``NonConvergenceError``; only ``test_goldens_regenerate`` needs mpmath.
+where routes share ``_split_quadrature``'s head integral.  Each evaluator
+holds its tolerance at every point; only ``test_goldens_regenerate`` needs
+mpmath.
 """
 
 import importlib.util
@@ -26,7 +26,6 @@ from compfade import (
     mixture_cdf,
     mixture_pdf,
 )
-from compfade.errors import EvaluationError, NonConvergenceError
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 _DATA = json.loads((_DATA_DIR / "origin_goldens.json").read_text())
@@ -41,7 +40,7 @@ EVALUATORS = {
     "mixture_pdf": ("f", mixture_pdf, 1e-9),
 }
 
-_OMEGA, _FAULT = _DATA["omega"], (0.6, 1e-300)  # the one row that raises, below
+_OMEGA = _DATA["omega"]
 
 
 def _model(b):
@@ -49,31 +48,15 @@ def _model(b):
 
 
 @pytest.mark.parametrize("name", EVALUATORS)
-def test_holds_its_tolerance_or_raises(name):
+def test_holds_its_tolerance(name):
     key, evaluator, rel = EVALUATORS[name]
     misses = []
     for row in _DATA["rows"]:
         b, x, want = row["b"], row["x"], float(row[key])
-        if name == "mixture_pdf" and (b, x) == _FAULT:
-            continue
-        try:
-            got = evaluator(_model(b), x)
-        except NonConvergenceError:
-            continue
+        got = evaluator(_model(b), x)
         if got != pytest.approx(want, rel=rel, abs=0.0):
             misses.append(f"b {b:g}, x {x:g}: {got!r} against {want!r}")
     assert not misses
-
-
-@pytest.mark.xfail(
-    raises=(EvaluationError, RuntimeWarning), strict=True,  # the warning where warnings raise
-    reason="f_mp(x / y) / y times the shadow's y^(b - 1) overflows at y ~ x "
-    "before its weight dy scales it",
-)
-def test_oracle_pdf_where_its_integrand_overflows():
-    b, x = _FAULT
-    want = float(next(r["f"] for r in _DATA["rows"] if (r["b"], r["x"]) == _FAULT))
-    assert mixture_pdf(_model(b), x) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("route, rel", [(composite_cdf, 1e-10), (mixture_cdf, 1e-9)])
