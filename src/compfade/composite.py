@@ -574,7 +574,7 @@ def mixture_pdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
     carries it.
     """
     return _pointwise("x", x, lambda: _value_at_origin(m),
-                      lambda v: _multipath_average(m, v, 2, rel_tol, budget))
+                      lambda v: _multipath_average(m, v, _PDF, rel_tol, budget))
 
 
 def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
@@ -609,6 +609,7 @@ def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_
 # ----------------------------------------------------------------------
 
 _CDF_REL_TOL = 1e-10
+_P, _Q, _PDF = 0, 1, 2  # the sides of ``_multipath_average``: G = P, Q or the shadow density
 
 
 def _multipath_average(m, x: float, side: int, rel_tol=_CDF_REL_TOL, budget=200_000) -> float:
@@ -618,21 +619,27 @@ def _multipath_average(m, x: float, side: int, rel_tol=_CDF_REL_TOL, budget=200_
     # x/omega; X = P Y, Y ~ Gamma(b, omega).  All values are positive: both tails keep digits.
     mp, sh, z = m.multipath, m.shadow, x / m.shadow.omega
     (e, ln_c), pdf, b = _origin(mp), family_of(mp).pdf, sh.b
+    if z == 0.0:
+        raise NonConvergenceError(f"x / omega underflows at x {x!r}, omega {sh.omega!r}")
+    rho_lo = x / np.finfo(float).max * 2.0 / min(sh.omega, 1.0)  # keeps y, y / omega < max / 2
 
     def integrand(s, k):  # a subnormal rho = s^k has lost digits: there f ~ c rho^e
         rho = s**k
         low = rho < np.finfo(float).tiny
         if not low.any():
-            if side == 2:  # drho/ds = k rho / s cancels the 1 / rho; no y = x / rho is read as 0
-                return pdf(mp, rho, 1.0) * gamma_shadow_pdf(sh, np.maximum(x / rho, 5e-324)) * (k / s)
+            if side == _PDF:  # drho/ds = k rho / s cancels the 1 / rho; no y = x / rho is read as 0
+                y = np.maximum(x / np.maximum(rho, rho_lo), 5e-324)
+                return pdf(mp, rho, 1.0) * gamma_shadow_pdf(sh, y) * (k / s)
             return pdf(mp, rho, 1.0) * _reg_gamma(b, z / rho)[side] * (k * rho / s)
         ln_s, out = np.log(s[low]), np.empty_like(s)
         with np.errstate(divide="ignore", over="ignore"):  # an infinite z / rho: G's limit
             w = np.minimum(np.exp(np.log(z) - k * ln_s), np.finfo(float).max)
         ln_f = ln_c + (k * (e + 1.0) - 1.0) * ln_s  # f drho/ds = k e^ln_f
-        if side == 2:  # G = b p(b, w) / x in logs, p Loader's Poisson term past b = 15
-            ln_f += [_ln_poisson_term(b, v) + math.log(b) - math.log(x) for v in w.tolist()]
-        out[low] = k * np.exp(ln_f) * (1.0 if side == 2 else _reg_gamma(b, w)[side])
+        if side == _PDF:  # G = b p(b, w) / x, p Loader's Poisson term, in logs with f: no overflow
+            ln_g = [_ln_poisson_term(b, v) + math.log(b) - math.log(x) for v in w.tolist()]
+            out[low] = k * np.exp(ln_f + ln_g)
+        else:
+            out[low] = k * np.exp(ln_f) * _reg_gamma(b, w)[side]
         out[~low] = integrand(s[~low], k)
         return out
 
@@ -654,7 +661,7 @@ def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
         return mixture_cdf(m, x)
     atom = _atom_mass(m.multipath)
     return _pointwise(
-        "x", x, lambda: atom, lambda v: min(atom + _multipath_average(m, v, 0), 1.0)
+        "x", x, lambda: atom, lambda v: min(atom + _multipath_average(m, v, _P), 1.0)
     )
 
 
@@ -663,7 +670,7 @@ def composite_sf(m: CompositeModel, x):
     (omega rho)) drho, at a float or a 1-D array of points, summed directly
     so that the upper tail keeps its relative digits; at most 1 - atom."""
     rest = 1.0 - _atom_mass(m.multipath)
-    return _pointwise("x", x, lambda: rest, lambda v: min(_multipath_average(m, v, 1), rest))
+    return _pointwise("x", x, lambda: rest, lambda v: min(_multipath_average(m, v, _Q), rest))
 
 
 # ----------------------------------------------------------------------

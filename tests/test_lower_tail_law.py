@@ -17,6 +17,7 @@ integrates.
 
 import math
 
+import numpy as np
 import pytest
 
 from compfade import (
@@ -25,11 +26,13 @@ from compfade import (
     CompositeModel,
     ExtremeParams,
     GammaShadowParams,
+    NonConvergenceError,
     ScaledEnvelope,
     akm_cdf_series,
     akm_pdf_normalized,
     am_cdf,
     composite_cdf,
+    composite_sf,
     mixture_cdf,
     mixture_pdf,
 )
@@ -103,3 +106,23 @@ def test_cdf_where_rate_rho_alpha_leaves_the_normal_range(rho):
     assert am_cdf(HALF_AM, ScaledEnvelope(1.0), rho) == pytest.approx(want, rel=1e-12, abs=0.0)
     akm = AkmParams(2.0, 0.0, 0.5)  # the same law as an akm model, on both akm cdfs
     assert akm_cdf_series(akm, rho) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("omega", [2.5, 0.5])
+@pytest.mark.parametrize("x", [1e300, 1e308])
+def test_far_tail_where_x_over_rho_overflows(omega, x):
+    # k = 2 / (e + 1) = 11.1: the first nodes rho = s^k lie near 1e-38, so
+    # x / rho passes the largest double; the density is 0 there.
+    m = CompositeModel(MODELS["steep-am"].multipath, GammaShadowParams(0.3, omega))
+    assert mixture_pdf(m, x) == 0.0
+    got = mixture_pdf(m, np.array([1.0, x]))
+    assert got[0] == mixture_pdf(m, 1.0)
+    assert got[1] == 0.0
+
+
+@pytest.mark.parametrize("route", [mixture_pdf, composite_cdf, composite_sf])
+def test_x_over_omega_underflow_raises_typed(route):
+    # 5e-324 / 2.5 is 0: no w = x / (omega rho) carries a digit.
+    m = CompositeModel(README_AKM, GammaShadowParams(0.6, 2.5))
+    with pytest.raises(NonConvergenceError, match="underflows"):
+        route(m, 5e-324)
