@@ -29,10 +29,12 @@ Two independent evaluation routes are provided for every composite family:
   block of powers (rows) on one grid in t that serves them all; the series
   sum fetches the block of a term when it reaches it.  The points of a
   batch share the Poisson mode, so they share each block's kernel call,
-  and each point stops on its own.  Points of like range share one grid,
-  on which every node sum of the block is one matrix product (points x
-  nodes) @ (nodes x rows).  Term l is the clustering component N = l, or
-  N = l + 1 where component 0 is an atom.  The sum runs outward from the
+  and each point stops on its own.  In a call of many points the range
+  search that bounds each point's grid runs over them all at once, as
+  array passes.  Points of like range share one grid, on which every node
+  sum of the block is one matrix product (points x nodes) @ (nodes x
+  rows).  Term l is the clustering component N = l, or N = l + 1 where
+  component 0 is an atom.  The sum runs outward from the
   Poisson mode on both sides.
   Integrating the kernel by parts bounds every later term ratio of a side
   by one number q; with q < 1 a geometric series bounds the terms it has
@@ -172,6 +174,7 @@ _KERNEL_BUDGET = 60_000
 _KERNEL_BLOCK = 24  # series terms per kernel call; most points need 10 to 20
 _KERNEL_CELLS = 1 << 16  # points x nodes of one pass's point matrix, 512 kB
 _KERNEL_GROUP = 1.25  # most nodes of a shared grid, per node a point needs alone
+_CUT_LANES = 48  # fewest lanes (points x end rows) whose range search runs as arrays
 
 
 def _kernel_cut(p: float, a: float, alpha: float, omega: float, floor: float):
@@ -226,6 +229,63 @@ def _kernel_cut(p: float, a: float, alpha: float, omega: float, floor: float):
     return t, sigma, ends[0], ends[1], big_a, big_b
 
 
+@np.errstate(all="ignore")  # inf and NaN arise silently, as in Python floats, and fail a lane
+def _kernel_cuts(p, a, alpha: float, omega: float, floor: float) -> tuple:
+    """``_kernel_cut`` at powers ``p`` and scales ``a`` that broadcast together,
+    as six arrays of their shape: every lane takes that function's steps and
+    stops by its tests, and each pass computes only the lanes still going."""
+    shape = np.broadcast_shapes(np.shape(p), np.shape(a))
+    p, a = (np.broadcast_to(v, shape).ravel() for v in (p, a))
+    ap, ln_a, ln_omega, n = alpha * p, np.log(a), math.log(omega), p.size
+    mid = (math.log(alpha) + ln_a + ln_omega) / (alpha + 1.0)
+    lo = (ln_a - np.log(np.exp(mid) / (alpha * omega) - np.minimum(p, 0.0))) / alpha
+    hi = np.log(np.maximum(ap, 0.0) * omega + np.exp(mid))
+    t, lane_a, lane_ap = np.where(p > 0.0, hi, lo), ln_a, ap
+    on, peak = np.arange(n), np.empty((5, n))  # t, A, B, slope and curvature where a lane stops
+    for i in range(200):
+        big_a, big_b = np.exp(lane_a - alpha * t), np.exp(t - ln_omega)
+        slope, curvature = lane_ap + alpha * big_a - big_b, alpha * alpha * big_a + big_b
+        lo, hi = np.where(slope > 0.0, t, lo), np.where(slope > 0.0, hi, t)
+        t_next = t + slope / curvature
+        t_next = np.where((lo < t_next) & (t_next < hi), t_next, 0.5 * (lo + hi))
+        stop = (slope * slope <= 1e-12 * curvature) | (t_next == t) | (i == 199)
+        peak[:, on[stop]] = t[stop], big_a[stop], big_b[stop], slope[stop], curvature[stop]
+        go = ~stop
+        on, t, lo, hi, lane_a, lane_ap = (v[go] for v in (on, t_next, lo, hi, lane_a, lane_ap))
+        if not on.size:
+            break
+    t, big_a, big_b, slope, curvature = peak
+    unresolved, sigma = slope * slope > curvature, 1.0 / np.sqrt(curvature)
+    # Both walks at once, lanes 0..n-1 to the left and n..2n-1 to the right,
+    # in [lo_s, hi_s], where phi(t + s) - phi(t) and its slope overflow nowhere.
+    lo_s = np.tile((np.maximum(ln_a - alpha * t, 0.0) - 700.0) / alpha, 2)
+    hi_s = np.tile(700.0 - np.maximum(t - ln_omega, 0.0), 2)
+    step = np.concatenate((np.maximum(-4.0 * sigma, lo_s[:n]), np.minimum(4.0 * sigma, hi_s[n:])))
+    on, s, ends = np.arange(2 * n), np.zeros(2 * n), np.full(2 * n, math.nan)
+    wa, wb, wap = np.tile(big_a, 2), np.tile(big_b, 2), np.tile(ap, 2)
+    for _ in range(200):
+        x = s + step
+        inside = (lo_s <= x) & (x <= hi_s)  # else the step halves
+        u = np.where(inside, x, 0.0)
+        da, db = wa * np.expm1(-alpha * u), wb * np.expm1(u)
+        drop, slope = wap * u - da - db, wap + alpha * (wa + da) - (wb + db)
+        done = inside & (drop <= floor)
+        ends[on[done]] = x[done]
+        go = ~inside | ~(done | (slope * step >= 0.0))  # no tangent to follow: the lane fails
+        on, s, x, inside, drop, slope, step, lo_s, hi_s, wa, wb, wap = (
+            v[go] for v in (on, s, x, inside, drop, slope, step, lo_s, hi_s, wa, wb, wap))
+        if not on.size:
+            break
+        s = np.where(inside, x, s)
+        step = np.where(inside, (floor - drop) / np.where(inside, slope, 1.0), 0.5 * step)
+    for bad, message in ((unresolved, "kernel peak cannot be resolved in double precision"),
+                         (np.isnan(ends[:n] + ends[n:]), "kernel range search failed")):
+        if bad.any():  # the first lane that failed, named as the float search names it
+            k = KernelArgs(float(p[np.argmax(bad)]), float(a[np.argmax(bad)]), alpha, omega)
+            raise NonConvergenceError(f"{message} for {k!r}")
+    return tuple(v.reshape(shape) for v in (t, sigma, ends[:n], ends[n:], big_a, big_b))
+
+
 def _groups(todo: list) -> list:
     # ``todo`` cut into runs (lo, hi, points) that share a grid over [lo, hi]
     # within _KERNEL_GROUP and _KERNEL_CELLS (rounding adds up to 3 nodes).
@@ -269,12 +329,15 @@ def shadow_kernel_integral_ln(
     point, Newton's method finds the peak and width sigma =
     (-phi''(t*))^(-1/2), and the range walks out (4 sigma, then tangent
     steps) until phi - phi(t*) <= ln(rel_tol) - 5, past which concavity
-    leaves under rel_tol * e^-5 of the integral.  One range of offsets s
-    from the smallest-power peak t0 holds every row's cut: a row's peak
-    lies between the end rows' peaks and phi_p - phi_q = alpha*(p-q)*t, so
-    at the left end each row lies at least as far below its peak as the
-    smallest-power row does, and at the right end as the largest-power row
-    does.  A point alone takes 2 * max(16, 2 * range/sigma) intervals.
+    leaves under rel_tol * e^-5 of the integral.  From _CUT_LANES lanes
+    (points times end rows) on, that search runs over all the points and
+    both rows at once as masked array passes, each lane stopping by the
+    float search's tests; fewer lanes take it point by point.  One range
+    of offsets s from the smallest-power peak t0 holds every row's cut: a
+    row's peak lies between the end rows' peaks and phi_p - phi_q =
+    alpha*(p-q)*t, so at the left end each row lies at least as far below
+    its peak as the smallest-power row does, and at the right end as the
+    largest-power row does.  A point alone takes 2 * max(16, 2 * range/sigma) intervals.
 
     Points, taken by rising scale, share a uniform grid of offsets s over
     their ranges' union at their finest node density, while it needs at
@@ -311,13 +374,18 @@ def shadow_kernel_integral_ln(
     ln_alpha, ln_omega = math.log(alpha), math.log(omega)
     out = np.empty((points.size, rows.size))
     # Each point to evaluate next: (a, position, t0, left, right, A, B, intervals).
-    queue = []
+    # Past _CUT_LANES the range searches of the live points run as array passes.
+    end_rows = (lo_p,) if hi_p == lo_p else (lo_p, hi_p)
+    queue, live, batch = [], [], points.size * len(end_rows) >= _CUT_LANES
     for i, a_i in enumerate(points.tolist()):
         if not 0.0 < a_i < math.inf:
             KernelArgs(lo_p, a_i, alpha, omega)  # raises DomainError unless a_i = 0
             if lo_p <= 0.0:
                 raise DivergentIntegralError(f"kernel integral diverges for a = 0 and p = {lo_p!r}")
             out[i] = ln_alpha + ap * ln_omega + np.array([math.lgamma(v) for v in ap])
+            continue
+        if batch:
+            live.append(i)
             continue
         t0, sigma, left, right, big_a, big_b = _kernel_cut(lo_p, a_i, alpha, omega, floor)
         if hi_p > lo_p:
@@ -327,6 +395,17 @@ def shadow_kernel_integral_ln(
         # e^(t - t0) overflows at a far peak past 700: such a point splits.
         intervals = budget if right > 700.0 else 2 * max(16, math.ceil(2.0 * (right - left) / sigma))
         queue.append((a_i, i, t0, left, right, big_a, big_b, intervals))
+    if live:  # row 0 of the search at the smallest power, row -1 at the largest
+        live_a = points[live]
+        t0, sigma, left, right, big_a, big_b = _kernel_cuts(
+            np.array(end_rows)[:, None], live_a, alpha, omega, floor)
+        gap = t0[-1] - t0[0]
+        sigma, left = np.minimum.reduce(sigma), np.minimum(left[0], gap + left[-1])
+        right = np.maximum(right[0], gap + right[-1])
+        intervals = np.minimum(np.ceil(2.0 * (right - left) / sigma), budget).astype(int)
+        intervals = np.where(right > 700.0, budget, 2 * np.maximum(16, intervals))
+        columns = (v.tolist() for v in (t0[0], left, right, big_a[0], big_b[0], intervals))
+        queue = list(zip(live_a.tolist(), live, *columns))
     while queue:
         for entry in queue:
             if entry[7] >= budget:  # a point that cannot share a grid splits
@@ -585,7 +664,7 @@ def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
     absolute floor the lower tail keeps ``rel_tol`` relative accuracy.
     """
     mp, b, omega, cdf = m.multipath, m.shadow.b, m.shadow.omega, family_of(m.multipath).cdf
-    ln_norm = ln_gamma(b) + b * math.log(omega)
+    ln_norm, atom = ln_gamma(b) + b * math.log(omega), cdf(mp, 0.0, 1.0)
     def value(v: float) -> float:
         def f(s, k):  # F_mp(v / y) f_Y(y) dy/ds at y = s^k; F_mp = 1 where v / y overflows
             y, f_mp = s**k, np.ones_like(s)
@@ -594,8 +673,13 @@ def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
             f_mp[rho < math.inf] = cdf(mp, rho[rho < math.inf], 1.0)
             return (f_mp * gamma_shadow_pdf(m.shadow, y) if b > 15.0  # Loader's form; k = 1
                     else f_mp * k * np.exp((k * b - 1.0) * np.log(s) - y / omega - ln_norm))
-        return min(_split_quadrature(f, v, b * omega, rel_tol, budget, b - 1.0), 1.0)
-    return _pointwise("x", x, lambda: cdf(mp, 0.0, 1.0), value)
+        f_v = min(_split_quadrature(f, v, b * omega, rel_tol, budget, b - 1.0), 1.0)
+        # v / y rounds on the subnormal grid, by up to 2.5e-324 / (v / y) relative: at the
+        # mass of f_Y (y ~ omega or y ~ v) below 1e-321 / rel_tol, F - atom misses rel_tol.
+        if min(v, v / omega) < 1e-321 / rel_tol and f_v - atom > rel_tol * f_v:
+            raise NonConvergenceError(f"x / y has too few digits for rel_tol {rel_tol} at x {v!r}")
+        return f_v
+    return _pointwise("x", x, lambda: atom, value)
 
 
 def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_000) -> Density:
@@ -617,23 +701,33 @@ def _multipath_average(m, x: float, side: int, rel_tol=_CDF_REL_TOL, budget=200_
     # density (continuous part), ~ rho^e at 0 (``models._origin``), and G, by ``side``, is
     # P(b, w), Q(b, w) or f_Y(x / rho) / rho = w^b e^-w / (Gamma(b) x), changing at rho ~
     # x/omega; X = P Y, Y ~ Gamma(b, omega).  All values are positive: both tails keep digits.
-    mp, sh, z = m.multipath, m.shadow, x / m.shadow.omega
+    # Where z = x / omega is subnormal it has lost digits: w is formed from ln x - ln omega.
+    mp, sh, z, tiny = m.multipath, m.shadow, x / m.shadow.omega, np.finfo(float).tiny
     (e, ln_c), pdf, b = _origin(mp), family_of(mp).pdf, sh.b
     if z == 0.0:
         raise NonConvergenceError(f"x / omega underflows at x {x!r}, omega {sh.omega!r}")
+    ln_z = np.log(z) if z >= tiny else math.log(x) - math.log(sh.omega)
     rho_lo = x / np.finfo(float).max * 2.0 / min(sh.omega, 1.0)  # keeps y, y / omega < max / 2
 
     def integrand(s, k):  # a subnormal rho = s^k has lost digits: there f ~ c rho^e
         rho = s**k
-        low = rho < np.finfo(float).tiny
+        low = rho < tiny
         if not low.any():
+            if z < tiny:  # w < 1; below the normal range P(b, w) = w^b / Gamma(b + 1) from ln w
+                ln_w = ln_z - k * np.log(s)
+                w, ln_p, f = np.exp(ln_w), b * ln_w - math.lgamma(b + 1.0), pdf(mp, rho, 1.0)
+                if side == _PDF:  # f_Y(omega w) = b w^(b - 1) e^-w / (Gamma(b + 1) omega)
+                    return f * np.exp(ln_p - ln_w - w + math.log(b / sh.omega)) * (k / s)
+                g = _reg_gamma(b, w)[side]  # Q = 1 - P keeps its digits
+                g = np.where(w < tiny, np.exp(ln_p), g) if side == _P else g
+                return f * g * (k * rho / s)
             if side == _PDF:  # drho/ds = k rho / s cancels the 1 / rho; no y = x / rho is read as 0
                 y = np.maximum(x / np.maximum(rho, rho_lo), 5e-324)
                 return pdf(mp, rho, 1.0) * gamma_shadow_pdf(sh, y) * (k / s)
             return pdf(mp, rho, 1.0) * _reg_gamma(b, z / rho)[side] * (k * rho / s)
         ln_s, out = np.log(s[low]), np.empty_like(s)
         with np.errstate(divide="ignore", over="ignore"):  # an infinite z / rho: G's limit
-            w = np.minimum(np.exp(np.log(z) - k * ln_s), np.finfo(float).max)
+            w = np.minimum(np.exp(ln_z - k * ln_s), np.finfo(float).max)
         ln_f = ln_c + (k * (e + 1.0) - 1.0) * ln_s  # f drho/ds = k e^ln_f
         if side == _PDF:  # G = b p(b, w) / x, p Loader's Poisson term, in logs with f: no overflow
             ln_g = [_ln_poisson_term(b, v) + math.log(b) - math.log(x) for v in w.tolist()]

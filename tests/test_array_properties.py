@@ -170,3 +170,48 @@ def test_series_where_x_alpha_underflows_raises_non_convergence(family):
               elements=st.floats(width=64, allow_nan=True, allow_infinity=True)))
 def test_sample_writer_matches_fmt(values):
     assert cli._sample_text(values) == "".join(cli._fmt(v) + "\n" for v in values.tolist())
+
+
+# The kernel's range search over the scales of a call (``_kernel_cuts``)
+# against its float path (``_kernel_cut``), lane by lane.
+from compfade import composite  # noqa: E402
+
+_FLOOR = math.log(composite._KERNEL_REL_TOL) - 5.0
+
+
+@st.composite
+def kernel_cut_lanes(draw):
+    p, alpha = draw(st.floats(-60.0, 30.0)), draw(st.floats(0.1, 16.0))
+    omega = 10.0 ** draw(st.floats(-3.0, 3.0))
+    exponents = st.lists(st.floats(-100.0, 50.0), min_size=composite._CUT_LANES, max_size=80)
+    return p, 10.0 ** np.array(draw(exponents)), alpha, omega
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kernel_cut_lanes())
+def test_array_range_search_matches_float_path(case):
+    p, a, alpha, omega = case
+    try:
+        want = np.array([composite._kernel_cut(p, ai, alpha, omega, _FLOOR) for ai in a.tolist()]).T
+    except NonConvergenceError:
+        with pytest.raises(NonConvergenceError):
+            composite._kernel_cuts(p, a, alpha, omega, _FLOOR)
+        return
+    got = np.array(composite._kernel_cuts(p, a, alpha, omega, _FLOOR))
+    assert got.shape == want.shape
+    t, _, _, _, big_a, big_b = want
+    # The peak t, a log, at least at the scale of 1; its width and the two
+    # exponentials there.
+    assert np.all(np.abs(got[0] - t) <= 1e-13 * np.maximum(np.abs(t), 1.0))
+    for k in (1, 4, 5):
+        assert np.all(np.abs(got[k] - want[k]) <= 1e-13 * np.abs(want[k])), k
+    for k in (2, 3):
+        # An end solves drop(s) = floor, drop = alpha p s - A expm1(-alpha s)
+        # - B expm1(s), whose terms cancel at a narrow peak: a rounding of
+        # the drop moves the end by its size over the slope there.
+        s = want[k]
+        da, db = big_a * np.expm1(-alpha * s), big_b * np.expm1(s)
+        slope = alpha * p + alpha * (big_a + da) - (big_b + db)
+        rounding = np.finfo(float).eps * (np.abs(alpha * p * s) + np.abs(da) + np.abs(db))
+        bound = 1e-13 * np.abs(s) + 256.0 * rounding / np.abs(slope)
+        assert np.all(np.abs(got[k] - s) <= bound), k

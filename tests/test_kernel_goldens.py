@@ -72,20 +72,52 @@ def test_one_batch_call_matches_every_point_and_row(entry):
     assert np.max(np.abs(np.expm1(got - golden))) <= DEFAULT_REL_TOL
 
 
-@pytest.mark.parametrize(
-    "p, a, alpha, omega",
-    [
-        # The trapezoid sum underflowed to 0 (ValueError from its log).
-        (-55.83347033582288, 2.4831216657844275e253, 0.0362267498629187, 0.4531338893649425),
-        # A tangent stride with zero slope (ZeroDivisionError).
-        (-153.65497718010266, 1.071854498114845e84, 1.5145914579892554, 11.04491977662344),
-    ],
-    ids=["underflowing-sum", "flat-tangent"],
-)
+UNRESOLVABLE = [
+    # The trapezoid sum underflowed to 0 (ValueError from its log).
+    (-55.83347033582288, 2.4831216657844275e253, 0.0362267498629187, 0.4531338893649425),
+    # A tangent stride with zero slope (ZeroDivisionError).
+    (-153.65497718010266, 1.071854498114845e84, 1.5145914579892554, 11.04491977662344),
+]
+
+
+@pytest.mark.parametrize("p, a, alpha, omega", UNRESOLVABLE, ids=["underflowing-sum", "flat-tangent"])
 def test_unresolvable_peak_raises_nonconvergence(p, a, alpha, omega):
     # Both peaks are narrower than the spacing of doubles near them.
     with pytest.raises(NonConvergenceError):
         shadow_kernel_integral_ln(p, a, alpha, omega)
+
+
+@pytest.mark.parametrize("entry", BATCH, ids=lambda e: f"p0{e['p0']:g}-alpha{e['alpha']:g}")
+def test_batch_golden_block_holds_among_other_scales(entry):
+    # Its scales and 56 more over their range in one call: past
+    # _CUT_LANES, so the range search runs as array passes.
+    own = np.array(entry["scales"])
+    scales = np.concatenate([own, np.geomspace(own.min(), own.max(), 64 - own.size)])
+    powers = entry["p0"] - np.arange(len(entry["ln_values"][0]))
+    got = shadow_kernel_integral_ln(powers, scales, entry["alpha"], entry["omega"])
+    golden = np.array([[float(v) for v in row] for row in entry["ln_values"]])
+    assert np.max(np.abs(np.expm1(got[:own.size] - golden))) <= DEFAULT_REL_TOL
+
+
+@pytest.mark.parametrize("p, a, alpha, omega", UNRESOLVABLE, ids=["underflowing-sum", "flat-tangent"])
+def test_unresolvable_peak_in_a_batch_raises_the_lone_error(p, a, alpha, omega):
+    with pytest.raises(NonConvergenceError) as lone:
+        shadow_kernel_integral_ln(p, a, alpha, omega)
+    scales = np.append(np.geomspace(1e-3, 1e3, 63), a)  # 63 scales that resolve
+    with pytest.raises(NonConvergenceError) as batch:
+        shadow_kernel_integral_ln(p, scales, alpha, omega)
+    assert str(batch.value) == str(lone.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
+def test_malformed_scale_in_a_batch_raises_before_any_search(monkeypatch, bad):
+    searches = []
+    for name in ("_kernel_cut", "_kernel_cuts"):
+        monkeypatch.setattr(composite, name, lambda *args: searches.append(args))
+    with pytest.raises(DomainError):
+        shadow_kernel_integral_ln(np.array([-1.0, -2.0]), np.append(np.geomspace(1e-3, 1e3, 63), bad),
+                                  2.0, 0.9)
+    assert searches == []
 
 
 def test_block_with_far_apart_end_rows_matches_one_row_calls():
@@ -309,6 +341,20 @@ def test_readme_table_call_matches_its_lone_calls(readme_table_call):
     got = shadow_kernel_integral_ln(powers, scales, *args)
     lone = np.array([shadow_kernel_integral_ln(powers, float(a), *args) for a in scales])
     assert np.max(np.abs(np.expm1(got - lone))) <= 1e-12
+
+
+def test_array_search_serves_the_table_call_and_never_a_lone_point(monkeypatch, readme_table_call):
+    counts = {"_kernel_cut": 0, "_kernel_cuts": 0}
+    for name in counts:
+        def counting(*args, name=name, search=getattr(composite, name)):
+            counts[name] += 1
+            return search(*args)
+        monkeypatch.setattr(composite, name, counting)
+    powers, scales, args = readme_table_call
+    shadow_kernel_integral_ln(powers, scales, *args)
+    assert counts == {"_kernel_cut": 0, "_kernel_cuts": 1}  # both end rows in one search
+    shadow_kernel_integral_ln(powers, float(scales[0]), *args)
+    assert counts == {"_kernel_cut": 2, "_kernel_cuts": 1}
 
 
 def test_permuted_points_permute_the_result_bit_for_bit(readme_table_call):

@@ -126,3 +126,26 @@ def test_x_over_omega_underflow_raises_typed(route):
     m = CompositeModel(README_AKM, GammaShadowParams(0.6, 2.5))
     with pytest.raises(NonConvergenceError, match="underflows"):
         route(m, 5e-324)
+
+
+# At a subnormal x, z = x / omega, the nodes' w = x / (omega rho) and
+# mixture_cdf's x / y round on the subnormal grid.
+SUBNORMAL_MODELS = {
+    "am-0.2": CompositeModel(AmParams(0.2, 3.0), GammaShadowParams(1.1, 2.5)),
+    "steep-am": CompositeModel(AmParams(0.6, 0.3), GammaShadowParams(0.6, 2.5)),
+    "akm-b0.6-omega2.5": CompositeModel(README_AKM, GammaShadowParams(0.6, 2.5)),
+}
+REL_TOL = {"mixture_pdf": 1e-9, "mixture_cdf": 1e-9, "composite_cdf": 1e-10}
+
+
+@pytest.mark.parametrize("x", [1e-316, 1e-320, 1e-323, 5e-324])
+@pytest.mark.parametrize("name", list(SUBNORMAL_MODELS))
+@pytest.mark.parametrize("route", list(REL_TOL))
+def test_subnormal_x_holds_rel_tol_or_raises_typed(route, name, x):
+    m = SUBNORMAL_MODELS[name]
+    try:
+        got = ROUTES[route](m, x)
+    except NonConvergenceError:
+        return
+    want = composite_law(m, x, cdf=route != "mixture_pdf")
+    assert got == pytest.approx(want, rel=REL_TOL[route], abs=0.0)
