@@ -15,7 +15,10 @@ Two independent evaluation routes are provided for every composite family:
   multipath cdf over the shadow.  ``composite_cdf`` and ``composite_sf``
   average the shadow's cdf over the multipath density, one incomplete
   gamma per node, on ``mixture_pdf``'s integrand.  Every one integrates a
-  power law v^p, p < 1, of its integrand at 0 in s = v^((p+1)/2).
+  power law v^p, p < 1, of its integrand at 0 in s = v^((p+1)/2).  The
+  multipath density there does not depend on x, so the points of one call
+  (or of one ``mixture_density``) share f_mp at shared nodes: every point
+  starts on the same nodes in s and refines by the same dyadic panels.
 * The series evaluators expand the Bessel factor of the conditional density
   and push the shadow average through term by term, which leaves one
   shadow-kernel integral per term:
@@ -644,16 +647,17 @@ def _split_quadrature(f: Callable, edge, scale, rel_tol, budget, power) -> float
             + quad(lambda s: f(cut + s, k), scale))
 
 
-def mixture_pdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
+def mixture_pdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000, *, _memo=None):
     """Continuous composite density by direct shadow averaging, a quadrature per point.
 
     f(x) = int f_mp(rho) f_Y(x / rho) / rho drho (``_multipath_average``): the
     ground-truth oracle for the series evaluators, which share no quadrature with
-    it.  The extreme atom exp(-2m) is not part of this value; ``mixture_density``
-    carries it.
+    it.  The points of a call share f_mp at shared nodes.  The extreme atom
+    exp(-2m) is not part of this value; ``mixture_density`` carries it.
     """
+    memo = {} if _memo is None else _memo
     return _pointwise("x", x, lambda: _value_at_origin(m),
-                      lambda v: _multipath_average(m, v, _PDF, rel_tol, budget))
+                      lambda v: _multipath_average(m, v, _PDF, memo, rel_tol, budget))
 
 
 def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
@@ -673,18 +677,29 @@ def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
             f_mp[rho < math.inf] = cdf(mp, rho[rho < math.inf], 1.0)
             return (f_mp * gamma_shadow_pdf(m.shadow, y) if b > 15.0  # Loader's form; k = 1
                     else f_mp * k * np.exp((k * b - 1.0) * np.log(s) - y / omega - ln_norm))
-        f_v = min(_split_quadrature(f, v, b * omega, rel_tol, budget, b - 1.0), 1.0)
         # v / y rounds on the subnormal grid, by up to 2.5e-324 / (v / y) relative: at the
         # mass of f_Y (y ~ omega or y ~ v) below 1e-321 / rel_tol, F - atom misses rel_tol.
-        if min(v, v / omega) < 1e-321 / rel_tol and f_v - atom > rel_tol * f_v:
+        # There a value that returns takes at most 546 evaluations a quadrature (rel_tol
+        # 1e-14 to 1e-3, 2,100 returning cases); 2,000, 3.7 times that, ends the rest.
+        deep = min(v, v / omega) < 1e-321 / rel_tol
+        try:
+            f_v = min(_split_quadrature(f, v, b * omega, rel_tol,
+                                        min(budget, 2_000) if deep else budget, b - 1.0), 1.0)
+        except NonConvergenceError:
+            if not deep:
+                raise
+            f_v = math.nan  # the short budget ran out: no value within rel_tol
+        if deep and not f_v - atom <= rel_tol * f_v:
             raise NonConvergenceError(f"x / y has too few digits for rel_tol {rel_tol} at x {v!r}")
         return f_v
     return _pointwise("x", x, lambda: atom, value)
 
 
 def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_000) -> Density:
-    """Full composite distribution on the oracle route (atoms included)."""
-    return _full_density(m.multipath, lambda x: mixture_pdf(m, x, rel_tol, budget),
+    """Full composite distribution on the oracle route (atoms included); its
+    ``continuous`` calls share f_mp at shared nodes."""
+    memo = {}
+    return _full_density(m.multipath, lambda x: mixture_pdf(m, x, rel_tol, budget, _memo=memo),
                          lambda x: mixture_cdf(m, x, rel_tol, budget))
 
 
@@ -694,14 +709,19 @@ def mixture_density(m: CompositeModel, rel_tol: float = 1e-9, budget: int = 200_
 
 _CDF_REL_TOL = 1e-10
 _P, _Q, _PDF = 0, 1, 2  # the sides of ``_multipath_average``: G = P, Q or the shadow density
+_MEMO_CAP = 8  # node arrays a memo of ``_multipath_average`` holds before it is cleared
 
 
-def _multipath_average(m, x: float, side: int, rel_tol=_CDF_REL_TOL, budget=200_000) -> float:
+def _multipath_average(m, x: float, side: int, memo: dict, rel_tol=_CDF_REL_TOL,
+                       budget=200_000) -> float:
     # int_0^inf f(rho) G(w) drho, x > 0, w = x / (omega rho): f is the unit-scale multipath
     # density (continuous part), ~ rho^e at 0 (``models._origin``), and G, by ``side``, is
     # P(b, w), Q(b, w) or f_Y(x / rho) / rho = w^b e^-w / (Gamma(b) x), changing at rho ~
     # x/omega; X = P Y, Y ~ Gamma(b, omega).  All values are positive: both tails keep digits.
     # Where z = x / omega is subnormal it has lost digits: w is formed from ln x - ln omega.
+    # ``memo`` maps the bytes of a node array s to f(s^k), read only, for the points of one
+    # model: the round-0 nodes are the same at every x.  A full memo is cleared, not iterated,
+    # so threads may share it.
     mp, sh, z, tiny = m.multipath, m.shadow, x / m.shadow.omega, np.finfo(float).tiny
     (e, ln_c), pdf, b = _origin(mp), family_of(mp).pdf, sh.b
     if z == 0.0:
@@ -713,9 +733,15 @@ def _multipath_average(m, x: float, side: int, rel_tol=_CDF_REL_TOL, budget=200_
         rho = s**k
         low = rho < tiny
         if not low.any():
+            f = memo.get(key := s.tobytes())
+            if f is None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                f = memo[key] = pdf(mp, rho, 1.0)
+                f.flags.writeable = False
             if z < tiny:  # w < 1; below the normal range P(b, w) = w^b / Gamma(b + 1) from ln w
                 ln_w = ln_z - k * np.log(s)
-                w, ln_p, f = np.exp(ln_w), b * ln_w - math.lgamma(b + 1.0), pdf(mp, rho, 1.0)
+                w, ln_p = np.exp(ln_w), b * ln_w - math.lgamma(b + 1.0)
                 if side == _PDF:  # f_Y(omega w) = b w^(b - 1) e^-w / (Gamma(b + 1) omega)
                     return f * np.exp(ln_p - ln_w - w + math.log(b / sh.omega)) * (k / s)
                 g = _reg_gamma(b, w)[side]  # Q = 1 - P keeps its digits
@@ -723,8 +749,8 @@ def _multipath_average(m, x: float, side: int, rel_tol=_CDF_REL_TOL, budget=200_
                 return f * g * (k * rho / s)
             if side == _PDF:  # drho/ds = k rho / s cancels the 1 / rho; no y = x / rho is read as 0
                 y = np.maximum(x / np.maximum(rho, rho_lo), 5e-324)
-                return pdf(mp, rho, 1.0) * gamma_shadow_pdf(sh, y) * (k / s)
-            return pdf(mp, rho, 1.0) * _reg_gamma(b, z / rho)[side] * (k * rho / s)
+                return f * gamma_shadow_pdf(sh, y) * (k / s)
+            return f * _reg_gamma(b, z / rho)[side] * (k * rho / s)
         ln_s, out = np.log(s[low]), np.empty_like(s)
         with np.errstate(divide="ignore", over="ignore"):  # an infinite z / rho: G's limit
             w = np.minimum(np.exp(ln_z - k * ln_s), np.finfo(float).max)
@@ -753,9 +779,9 @@ def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
     """
     if oracle:
         return mixture_cdf(m, x)
-    atom = _atom_mass(m.multipath)
+    atom, memo = _atom_mass(m.multipath), {}
     return _pointwise(
-        "x", x, lambda: atom, lambda v: min(atom + _multipath_average(m, v, _P), 1.0)
+        "x", x, lambda: atom, lambda v: min(atom + _multipath_average(m, v, _P, memo), 1.0)
     )
 
 
@@ -763,8 +789,8 @@ def composite_sf(m: CompositeModel, x):
     """Composite survival function S(x) = 1 - F(x) = int f_mp(rho) Q(b, x /
     (omega rho)) drho, at a float or a 1-D array of points, summed directly
     so that the upper tail keeps its relative digits; at most 1 - atom."""
-    rest = 1.0 - _atom_mass(m.multipath)
-    return _pointwise("x", x, lambda: rest, lambda v: min(_multipath_average(m, v, _Q), rest))
+    rest, memo = 1.0 - _atom_mass(m.multipath), {}
+    return _pointwise("x", x, lambda: rest, lambda v: min(_multipath_average(m, v, _Q, memo), rest))
 
 
 # ----------------------------------------------------------------------

@@ -376,7 +376,7 @@ class TestCdfCommand:
                 )
 
     def test_nonconvergence_exits_one(self, monkeypatch, capsys):
-        def fails(model, x, upper):
+        def fails(*args, **kwargs):
             raise NonConvergenceError("quadrature did not converge")
 
         monkeypatch.setattr(composite, "_multipath_average", fails)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -717,6 +718,70 @@ class TestOracleArrayIntegrand:
         m = self.MODELS[name]
         for x in (1e-4, 0.05, 0.4, 1.0, 2.2, 6.0):
             assert mixture_pdf(m, x) == pytest.approx(self.one_node_at_a_time(m, x), rel=1e-14)
+
+    # The points of one call, or of one mixture_density, share f_mp at shared
+    # nodes (a memo keyed by the node array).  From 1e-4 down (1e-30 for the
+    # extreme model) the edge x / omega lies below the first node (the head/tail
+    # split); at 1e-310 x / omega is subnormal; from 1e-30 down the extreme
+    # model's nodes reach a subnormal rho.
+    SHARED_XS = np.array([1e-310, 1e-300, 1e-30, 1e-4, 0.05, 0.4, 1.0, 2.2, 6.0])
+
+    @pytest.mark.parametrize("route", [mixture_pdf, composite.composite_cdf, composite.composite_sf])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_curve_matches_lone_points(self, name, route):
+        m = self.MODELS[name]
+        assert route(m, self.SHARED_XS).tolist() == [route(m, float(x)) for x in self.SHARED_XS]
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_density_points_in_any_order_match_lone_points(self, name):
+        m, xs = self.MODELS[name], self.SHARED_XS.tolist()
+        density = mixture_density(m)
+        order = np.random.default_rng(35).permutation(len(xs)).tolist()
+        got = {i: density.continuous(xs[i]) for i in order + order[::-1]}
+        assert [got[i] for i in range(len(xs))] == [mixture_pdf(m, x) for x in xs]
+
+    def test_readme_curve_evaluates_few_node_arrays(self, monkeypatch):
+        # One quadrature per point would evaluate f_mp on 216 node arrays.
+        arrays = []
+
+        def counting(p, rho):
+            arrays.append(np.size(rho))
+            return akm_pdf_normalized(p, rho)
+
+        monkeypatch.setattr(composite, "akm_pdf_normalized", counting)
+        mixture_pdf(self.MODELS["akm"], np.linspace(0.01, 4.0, 200))
+        assert 0 < len(arrays) <= 5
+
+    def test_memo_holds_no_more_than_its_cap(self, monkeypatch):
+        memos = set()
+        average = composite._multipath_average
+
+        def recording(m, x, side, memo, *args):
+            memos.add(id(memo))
+            recording.memo = memo
+            return average(m, x, side, memo, *args)
+
+        monkeypatch.setattr(composite, "_multipath_average", recording)
+        density = mixture_density(self.MODELS["am"])
+        for x in np.geomspace(1e-3, 20.0, 2000).tolist():
+            density.continuous(x)
+        assert len(memos) == 1
+        assert 0 < len(recording.memo) <= composite._MEMO_CAP
+
+    def test_threads_sharing_a_density_get_the_serial_bits(self):
+        m = self.MODELS["akm"]
+        xs = np.geomspace(1e-3, 8.0, 120).tolist()
+        serial = [mixture_pdf(m, x) for x in xs]
+        density = mixture_density(m)
+
+        def run(seed):
+            order = np.random.default_rng(seed).permutation(len(xs)).tolist()
+            got = {i: density.continuous(xs[i]) for i in order}
+            return [got[i] for i in range(len(xs))]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, range(4)))
+        assert all(r == serial for r in results)
 
 
 class TestOriginLimit:

@@ -36,7 +36,7 @@ from compfade import (
     mixture_cdf,
     mixture_pdf,
 )
-from compfade import models
+from compfade import composite, models
 
 README_AKM = AkmParams(1.5, 1.0, 2.1)
 # Inside PARAM_BOX: its Bessel argument underflows at rho ~ 1e-170.
@@ -149,3 +149,25 @@ def test_subnormal_x_holds_rel_tol_or_raises_typed(route, name, x):
         return
     want = composite_law(m, x, cdf=route != "mixture_pdf")
     assert got == pytest.approx(want, rel=REL_TOL[route], abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["am-0.2", "akm-b0.6-omega2.5"])
+def test_mixture_cdf_below_the_digit_floor_raises_on_a_short_budget(monkeypatch, name):
+    # Below 1e-321 / rel_tol a returning x takes at most a few hundred
+    # evaluations a quadrature; the rest stop at 2,000, not at the budget.
+    evaluations = []
+    quad = composite.integrate_semi_infinite
+
+    def counting(*args, **kwargs):
+        try:
+            result = quad(*args, **kwargs)
+        except NonConvergenceError as err:
+            evaluations.append(err.result.evaluations)
+            raise
+        evaluations.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(composite, "integrate_semi_infinite", counting)
+    with pytest.raises(NonConvergenceError, match="too few digits"):
+        mixture_cdf(SUBNORMAL_MODELS[name], 1e-320)
+    assert 0 < sum(evaluations) <= 4_000
