@@ -79,7 +79,7 @@ from .models import (
     gamma_shadow_pdf,
 )
 from .numerics import _FIRST_NODE, integrate_semi_infinite
-from .specfun import _LN_MAX, _gross_ln_weight, _ln_poisson_term, _reg_gamma, ln_gamma
+from .specfun import _LN_MAX, _gross_ln_weight, _ln_poisson_terms, _reg_gamma, ln_gamma
 from .numerics import sum_adaptive  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -623,14 +623,14 @@ def _value_at_origin(m: CompositeModel) -> float:
 # ----------------------------------------------------------------------
 
 
-def _split_quadrature(f: Callable, edge, scale, rel_tol, budget, power) -> float:
+def _split_quadrature(f: Callable, ln_edge: float, scale, rel_tol, budget, power) -> float:
     # int_0^inf, with no absolute floor, of an integrand ~ v^power at v -> 0
-    # that changes over v ~ edge.  A power below 1 runs in s = v^(1/k), k =
+    # that changes over v ~ edge, given as ln edge.  A power below 1 runs in s = v^(1/k), k =
     # 2/(power + 1), where it goes like s: f(s, k) gives it times dv/ds.  For an
     # edge below the first initial node, (0, cut) takes its own quadrature, in ln s, with the
     # edge toward t = 4/9, which no bisection makes a panel boundary: a feature on one escapes.
     k = 2.0 / (power + 1.0) if power < 1.0 else 1.0
-    edge, scale = edge ** (1.0 / k), scale ** (1.0 / k)
+    ln_edge, scale = ln_edge / k, scale ** (1.0 / k)
 
     def quad(g, scale: float) -> float:  # 5e-324: the least positive double
         return integrate_semi_infinite(
@@ -638,12 +638,12 @@ def _split_quadrature(f: Callable, edge, scale, rel_tol, budget, power) -> float
         ).value
 
     cut = _FIRST_NODE * scale
-    if edge >= cut:
+    if ln_edge >= math.log(cut):
         return quad(lambda s: f(s, k), scale)
     def head(w):  # s = cut e^-w, read as tiny below the normal range, times ds/dw = s
         s = cut * np.exp(-w)
         return f(np.maximum(s, np.finfo(float).tiny), k) * s
-    return (quad(head, 1.25 * (1.0 + math.log(cut) - math.log(edge)))
+    return (quad(head, 1.25 * (1.0 + math.log(cut) - ln_edge))
             + quad(lambda s: f(cut + s, k), scale))
 
 
@@ -668,30 +668,20 @@ def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
     absolute floor the lower tail keeps ``rel_tol`` relative accuracy.
     """
     mp, b, omega, cdf = m.multipath, m.shadow.b, m.shadow.omega, family_of(m.multipath).cdf
-    ln_norm, atom = ln_gamma(b) + b * math.log(omega), cdf(mp, 0.0, 1.0)
+    ln_norm, atom, (e, ln_c) = ln_gamma(b) + b * math.log(omega), cdf(mp, 0.0, 1.0), _origin(mp)
     def value(v: float) -> float:
-        def f(s, k):  # F_mp(v / y) f_Y(y) dy/ds at y = s^k; F_mp = 1 where v / y overflows
-            y, f_mp = s**k, np.ones_like(s)
-            with np.errstate(divide="ignore", over="ignore"):
-                rho = v / y
-            f_mp[rho < math.inf] = cdf(mp, rho[rho < math.inf], 1.0)
-            return (f_mp * gamma_shadow_pdf(m.shadow, y) if b > 15.0  # Loader's form; k = 1
-                    else f_mp * k * np.exp((k * b - 1.0) * np.log(s) - y / omega - ln_norm))
-        # v / y rounds on the subnormal grid, by up to 2.5e-324 / (v / y) relative: at the
-        # mass of f_Y (y ~ omega or y ~ v) below 1e-321 / rel_tol, F - atom misses rel_tol.
-        # There a value that returns takes at most 546 evaluations a quadrature (rel_tol
-        # 1e-14 to 1e-3, 2,100 returning cases); 2,000, 3.7 times that, ends the rest.
-        deep = min(v, v / omega) < 1e-321 / rel_tol
-        try:
-            f_v = min(_split_quadrature(f, v, b * omega, rel_tol,
-                                        min(budget, 2_000) if deep else budget, b - 1.0), 1.0)
-        except NonConvergenceError:
-            if not deep:
-                raise
-            f_v = math.nan  # the short budget ran out: no value within rel_tol
-        if deep and not f_v - atom <= rel_tol * f_v:
-            raise NonConvergenceError(f"x / y has too few digits for rel_tol {rel_tol} at x {v!r}")
-        return f_v
+        ln_v = math.log(v)
+        def f(s, k):  # F_mp(v / y) f_Y(y) dy/ds at y = s^k, with rho = v / y from ln v - k ln s
+            ln_s = np.log(s)
+            ln_rho = ln_v - k * ln_s
+            rho = np.exp(np.minimum(ln_rho, _LN_MAX))  # F_mp = 1 past the doubles
+            low, f_mp = rho < np.finfo(float).tiny, np.empty_like(s)
+            f_mp[~low] = cdf(mp, rho[~low], 1.0)
+            # Below the normal range F_mp = atom + c rho^(e+1) / (e+1) (``models._origin``).
+            f_mp[low] = atom + np.exp(ln_c + (e + 1.0) * ln_rho[low] - math.log(e + 1.0))
+            return (f_mp * gamma_shadow_pdf(m.shadow, s) if b > 15.0  # Loader's form; k = 1
+                    else f_mp * k * np.exp((k * b - 1.0) * ln_s - s**k / omega - ln_norm))
+        return min(_split_quadrature(f, ln_v, b * omega, rel_tol, budget, b - 1.0), 1.0)
     return _pointwise("x", x, lambda: atom, value)
 
 
@@ -715,55 +705,41 @@ _MEMO_CAP = 8  # node arrays a memo of ``_multipath_average`` holds before it is
 def _multipath_average(m, x: float, side: int, memo: dict, rel_tol=_CDF_REL_TOL,
                        budget=200_000) -> float:
     # int_0^inf f(rho) G(w) drho, x > 0, w = x / (omega rho): f is the unit-scale multipath
-    # density (continuous part), ~ rho^e at 0 (``models._origin``), and G, by ``side``, is
-    # P(b, w), Q(b, w) or f_Y(x / rho) / rho = w^b e^-w / (Gamma(b) x), changing at rho ~
-    # x/omega; X = P Y, Y ~ Gamma(b, omega).  All values are positive: both tails keep digits.
-    # Where z = x / omega is subnormal it has lost digits: w is formed from ln x - ln omega.
-    # ``memo`` maps the bytes of a node array s to f(s^k), read only, for the points of one
-    # model: the round-0 nodes are the same at every x.  A full memo is cleared, not iterated,
-    # so threads may share it.
-    mp, sh, z, tiny = m.multipath, m.shadow, x / m.shadow.omega, np.finfo(float).tiny
-    (e, ln_c), pdf, b = _origin(mp), family_of(mp).pdf, sh.b
-    if z == 0.0:
-        raise NonConvergenceError(f"x / omega underflows at x {x!r}, omega {sh.omega!r}")
-    ln_z = np.log(z) if z >= tiny else math.log(x) - math.log(sh.omega)
-    rho_lo = x / np.finfo(float).max * 2.0 / min(sh.omega, 1.0)  # keeps y, y / omega < max / 2
+    # density (continuous part), ~ c rho^e at 0 (``models._origin``), and G, by ``side``, is
+    # P(b, w), Q(b, w) or f_Y(x / rho) / rho = b p(b, w) / x, p the Poisson term w^b e^-w /
+    # Gamma(b + 1), changing at rho ~ x/omega; X = P Y, Y ~ Gamma(b, omega).  All values are
+    # positive: both tails keep digits.  Every node reads x, w and rho from logs, so a
+    # subnormal x, w or rho keeps its digits.  ``memo`` maps the bytes of a node array s to
+    # ln(f(rho) drho/ds), read only, for the points of one model: the round-0 nodes are the
+    # same at every x.  A full memo is cleared, not iterated, so threads may share it.
+    mp, b, tiny = m.multipath, m.shadow.b, np.finfo(float).tiny
+    (e, ln_c), pdf = _origin(mp), family_of(mp).pdf
+    ln_x = math.log(x)
+    ln_z, ln_bx = ln_x - math.log(m.shadow.omega), math.log(b) - ln_x
 
-    def integrand(s, k):  # a subnormal rho = s^k has lost digits: there f ~ c rho^e
-        rho = s**k
-        low = rho < tiny
-        if not low.any():
-            f = memo.get(key := s.tobytes())
-            if f is None:
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                f = memo[key] = pdf(mp, rho, 1.0)
-                f.flags.writeable = False
-            if z < tiny:  # w < 1; below the normal range P(b, w) = w^b / Gamma(b + 1) from ln w
-                ln_w = ln_z - k * np.log(s)
-                w, ln_p = np.exp(ln_w), b * ln_w - math.lgamma(b + 1.0)
-                if side == _PDF:  # f_Y(omega w) = b w^(b - 1) e^-w / (Gamma(b + 1) omega)
-                    return f * np.exp(ln_p - ln_w - w + math.log(b / sh.omega)) * (k / s)
-                g = _reg_gamma(b, w)[side]  # Q = 1 - P keeps its digits
-                g = np.where(w < tiny, np.exp(ln_p), g) if side == _P else g
-                return f * g * (k * rho / s)
-            if side == _PDF:  # drho/ds = k rho / s cancels the 1 / rho; no y = x / rho is read as 0
-                y = np.maximum(x / np.maximum(rho, rho_lo), 5e-324)
-                return f * gamma_shadow_pdf(sh, y) * (k / s)
-            return f * _reg_gamma(b, z / rho)[side] * (k * rho / s)
-        ln_s, out = np.log(s[low]), np.empty_like(s)
-        with np.errstate(divide="ignore", over="ignore"):  # an infinite z / rho: G's limit
-            w = np.minimum(np.exp(ln_z - k * ln_s), np.finfo(float).max)
-        ln_f = ln_c + (k * (e + 1.0) - 1.0) * ln_s  # f drho/ds = k e^ln_f
-        if side == _PDF:  # G = b p(b, w) / x, p Loader's Poisson term, in logs with f: no overflow
-            ln_g = [_ln_poisson_term(b, v) + math.log(b) - math.log(x) for v in w.tolist()]
-            out[low] = k * np.exp(ln_f + ln_g)
-        else:
-            out[low] = k * np.exp(ln_f) * _reg_gamma(b, w)[side]
-        out[~low] = integrand(s[~low], k)
-        return out
+    def integrand(s, k):
+        ln_s = np.log(s)
+        ln_f = memo.get(key := s.tobytes())
+        if ln_f is None:  # f drho/ds = k rho f / s; where rho = s^k has lost digits, f ~ c rho^e
+            rho = s**k
+            normal = rho >= tiny
+            ln_f = math.log(k) + ln_c + (k * (e + 1.0) - 1.0) * ln_s
+            with np.errstate(divide="ignore"):  # f is 0 far out
+                ln_f[normal] = np.log(k * rho[normal] * pdf(mp, rho[normal], 1.0) / s[normal])
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = ln_f
+            ln_f.flags.writeable = False
+        ln_w = ln_z - k * ln_s
+        w = np.exp(np.minimum(ln_w, _LN_MAX))  # G's limit past the doubles
+        if side == _PDF:
+            return np.exp(ln_f + ln_bx + _ln_poisson_terms(b, ln_w, w))
+        g = _reg_gamma(b, w)[side]  # Q = 1 - P keeps its digits
+        if side == _P and (low := w < tiny).any():  # there P(b, w) = w^b / Gamma(b + 1)
+            g[low] = np.exp(b * ln_w[low] - math.lgamma(b + 1.0))
+        return np.exp(ln_f) * g
 
-    return _split_quadrature(integrand, z, 1.0, rel_tol, budget, e)
+    return _split_quadrature(integrand, ln_z, 1.0, rel_tol, budget, e)
 
 
 def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
@@ -775,7 +751,8 @@ def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
     the shadow shape b per node, to relative accuracy 1e-10 in either tail.
     ``oracle=True`` runs ``mixture_cdf`` at each point instead, which
     averages the multipath cdf over the shadow; the two routes share only
-    ``_split_quadrature`` and the incomplete gamma.
+    ``_split_quadrature``, the incomplete gamma and, where rho leaves the
+    normal range, the multipath origin law of ``models._origin``.
     """
     if oracle:
         return mixture_cdf(m, x)

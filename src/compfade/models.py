@@ -476,8 +476,9 @@ def am_cdf(p: AmParams, s: ScaledEnvelope, r):
 
 
 def gamma_shadow_pdf(g: GammaShadowParams, y):
-    """Gamma shadow density y^(b-1) exp(-y/omega) / (Gamma(b) omega^b); past
-    b = 15, b P(b, y/omega) / y with Loader's Poisson term P, point by point."""
+    """Gamma shadow density y^(b-1) exp(-y/omega) / (Gamma(b) omega^b), as
+    b p(b, y/omega) / y with p the Poisson term u^b e^-u / Gamma(b + 1), in
+    Loader's form past b = 15, where the log form cancels near y = b omega."""
     b, omega = g.b, g.omega
 
     def at_origin():
@@ -487,13 +488,11 @@ def gamma_shadow_pdf(g: GammaShadowParams, y):
             return 1.0 / omega
         raise DomainError("shadow density diverges at y = 0 for b < 1")
 
-    if b > 15.0:  # the log form cancels near y = b omega
-        def loader(y: float) -> float:  # 0 where y / omega under- or overflows
-            u = y / omega
-            return b * math.exp(specfun._ln_poisson_term(b, u)) / y if 0.0 < u < math.inf else 0.0
-        return _pointwise("y", y, at_origin, loader)
-    return _density("y", y, at_origin, lambda y: np.exp(
-        (b - 1.0) * np.log(y) - y / omega - specfun.ln_gamma(b) - b * math.log(omega)))
+    @np.errstate(over="ignore")  # y / omega past the doubles
+    def formula(y):
+        ln_p = specfun._ln_poisson_terms(b, np.log(y) - math.log(omega), y / omega)
+        return b * np.exp(ln_p) / y
+    return _density("y", y, at_origin, formula)
 
 
 def gamma_shadow_cdf(g: GammaShadowParams, y):

@@ -413,6 +413,20 @@ def _ln_poisson_term(n: float, x: float) -> float:
     return -stirling - (n * ln_ratio - d) - 0.5 * math.log(2.0 * math.pi * n)
 
 
+def _ln_poisson_terms(n: float, ln_x: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # ``_ln_poisson_term`` at each x of an array, given with its log ln_x, in numpy
+    # passes; x stops at the largest double.  ln_x keeps the digits of a subnormal
+    # or zero x: where n / x overflows, ln(n / x) is ln n - ln x.
+    x = np.minimum(x, sys.float_info.max)
+    if n <= 15.0:
+        return n * ln_x - x - math.lgamma(n + 1.0)
+    with np.errstate(divide="ignore", over="ignore"):  # n / x at a zero or subnormal x
+        d, ratio = n - x, n / x
+        ln_ratio = np.where(ratio < math.inf, np.log(ratio), math.log(n) - ln_x)
+        ln_ratio = np.where(abs(d) < 0.5 * x, np.log1p(d / x), ln_ratio)
+    return _ln_poisson_term(n, n) - (n * ln_ratio - d)  # Loader's form at x = n less the deviance
+
+
 @functools.lru_cache(maxsize=8)
 def _poisson_weights(lam: float, tail_tol: float) -> tuple[int, tuple]:
     # (lo, w): the Poisson(lam) weights w[i - lo], from the mode in logs

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from compfade.specfun import (
     _bessel_asym_scaled,
     _bessel_series_unscaled,
     _ln_bessel_i_scaled,
+    _ln_poisson_term,
+    _ln_poisson_terms,
     _poisson_weights,
     _poisson_term,
     _reg_gamma,
@@ -394,6 +397,39 @@ class TestPoissonWeights:
         assert min(weights) >= sys.float_info.min
         assert weights[int(lam) - lo] == _poisson_term(float(int(lam)), lam)
         assert math.fsum(weights) == pytest.approx(1.0, rel=1e-11)
+
+
+class TestLnPoissonTerms:
+    # The array term against the float term, element by element, within
+    # 4 eps max(1, |value|).  x runs on both sides of Loader's switch |n - x|
+    # < x / 2 past n = 15, from 1e-300 up to the largest double.
+    NS = [0.3, 1.0, 15.0, 15.5, 40.0, 1e4, 1e6]
+
+    @staticmethod
+    def assert_close(got, want):
+        bad = [(g, w) for g, w in zip(got, want)
+               if not abs(g - w) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(w))]
+        assert not bad
+
+    @pytest.mark.parametrize("n", NS)
+    def test_matches_the_float_term(self, n):
+        xs = np.array([1e-300, 1e-10, 0.5, 0.6 * n, 0.7 * n, n, 1.9 * n, 2.1 * n, 50.0 * n,
+                       1e300, sys.float_info.max])
+        got = _ln_poisson_terms(n, np.log(xs), xs)
+        self.assert_close(got, [_ln_poisson_term(n, x) for x in xs])
+        assert math.isfinite(got[-1])
+
+    @pytest.mark.parametrize("n", NS)
+    def test_subnormal_and_zero_x_through_ln_x(self, n):
+        # Past n = 15 the float term's n / x overflows at a subnormal x; there
+        # the log form n ln x - ln Gamma(n + 1) holds to the last digits.
+        xs = np.array([1e-310, 1e-320, 5e-324])
+        want = [_ln_poisson_term(n, x) if n <= 15.0 else n * math.log(x) - math.lgamma(n + 1.0)
+                for x in xs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_close(_ln_poisson_terms(n, np.log(xs), xs), want)
+            assert _ln_poisson_terms(n, np.array([-math.inf]), np.zeros(1))[0] == -math.inf
 
 
 class TestKummer1F1:
