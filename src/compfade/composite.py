@@ -668,14 +668,17 @@ def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
     absolute floor the lower tail keeps ``rel_tol`` relative accuracy.
     """
     mp, b, omega, cdf = m.multipath, m.shadow.b, m.shadow.omega, family_of(m.multipath).cdf
-    ln_norm, atom, (e, ln_c) = ln_gamma(b) + b * math.log(omega), cdf(mp, 0.0, 1.0), _origin(mp)
+    ln_norm = ln_gamma(b) + b * math.log(omega)
+    atom = cdf(mp, 0.0, 1.0)
+    e, ln_c = _origin(mp)
     def value(v: float) -> float:
         ln_v = math.log(v)
         def f(s, k):  # F_mp(v / y) f_Y(y) dy/ds at y = s^k, with rho = v / y from ln v - k ln s
             ln_s = np.log(s)
             ln_rho = ln_v - k * ln_s
             rho = np.exp(np.minimum(ln_rho, _LN_MAX))  # F_mp = 1 past the doubles
-            low, f_mp = rho < np.finfo(float).tiny, np.empty_like(s)
+            low = rho < np.finfo(float).tiny
+            f_mp = np.empty_like(s)
             f_mp[~low] = cdf(mp, rho[~low], 1.0)
             # Below the normal range F_mp = atom + c rho^(e+1) / (e+1) (``models._origin``).
             f_mp[low] = atom + np.exp(ln_c + (e + 1.0) * ln_rho[low] - math.log(e + 1.0))
@@ -715,7 +718,8 @@ def _multipath_average(m, x: float, side: int, memo: dict, rel_tol=_CDF_REL_TOL,
     mp, b, tiny = m.multipath, m.shadow.b, np.finfo(float).tiny
     (e, ln_c), pdf = _origin(mp), family_of(mp).pdf
     ln_x = math.log(x)
-    ln_z, ln_bx = ln_x - math.log(m.shadow.omega), math.log(b) - ln_x
+    ln_z = ln_x - math.log(m.shadow.omega)
+    ln_bx = math.log(b) - ln_x
 
     def integrand(s, k):
         ln_s = np.log(s)
@@ -725,7 +729,9 @@ def _multipath_average(m, x: float, side: int, memo: dict, rel_tol=_CDF_REL_TOL,
             normal = rho >= tiny
             ln_f = math.log(k) + ln_c + (k * (e + 1.0) - 1.0) * ln_s
             with np.errstate(divide="ignore"):  # f is 0 far out
-                ln_f[normal] = np.log(k * rho[normal] * pdf(mp, rho[normal], 1.0) / s[normal])
+                # k rho f / s = k s^(k-1) f: rho f, ~ rho^(e+1), would underflow before f
+                ln_f[normal] = (math.log(k) + np.log(pdf(mp, rho[normal], 1.0))
+                                + (k - 1.0) * ln_s[normal])
             if len(memo) >= _MEMO_CAP:
                 memo.clear()
             memo[key] = ln_f
@@ -735,8 +741,10 @@ def _multipath_average(m, x: float, side: int, memo: dict, rel_tol=_CDF_REL_TOL,
         if side == _PDF:
             return np.exp(ln_f + ln_bx + _ln_poisson_terms(b, ln_w, w))
         g = _reg_gamma(b, w)[side]  # Q = 1 - P keeps its digits
-        if side == _P and (low := w < tiny).any():  # there P(b, w) = w^b / Gamma(b + 1)
-            g[low] = np.exp(b * ln_w[low] - math.lgamma(b + 1.0))
+        if side == _P:  # below the normal range P(b, w) = w^b / Gamma(b + 1)
+            low = w < tiny
+            if low.any():
+                g[low] = np.exp(b * ln_w[low] - math.lgamma(b + 1.0))
         return np.exp(ln_f) * g
 
     return _split_quadrature(integrand, ln_z, 1.0, rel_tol, budget, e)

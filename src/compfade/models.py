@@ -490,8 +490,9 @@ def gamma_shadow_pdf(g: GammaShadowParams, y):
 
     @np.errstate(over="ignore")  # y / omega past the doubles
     def formula(y):
-        ln_p = specfun._ln_poisson_terms(b, np.log(y) - math.log(omega), y / omega)
-        return b * np.exp(ln_p) / y
+        ln_y = np.log(y)  # b / y in logs too: y^b underflows long before y^(b-1)
+        ln_p = specfun._ln_poisson_terms(b, ln_y - math.log(omega), y / omega)
+        return np.exp(ln_p + math.log(b) - ln_y)
     return _density("y", y, at_origin, formula)
 
 

@@ -421,7 +421,8 @@ def _ln_poisson_terms(n: float, ln_x: np.ndarray, x: np.ndarray) -> np.ndarray:
     if n <= 15.0:
         return n * ln_x - x - math.lgamma(n + 1.0)
     with np.errstate(divide="ignore", over="ignore"):  # n / x at a zero or subnormal x
-        d, ratio = n - x, n / x
+        d = n - x
+        ratio = n / x
         ln_ratio = np.where(ratio < math.inf, np.log(ratio), math.log(n) - ln_x)
         ln_ratio = np.where(abs(d) < 0.5 * x, np.log1p(d / x), ln_ratio)
     return _ln_poisson_term(n, n) - (n * ln_ratio - d)  # Loader's form at x = n less the deviance

@@ -52,6 +52,10 @@ MODELS = {
         SMALL_Z_AKM, GammaShadowParams(2.9390595272370503, 2.90116052886853)
     ),
     "half-am": CompositeModel(HALF_AM, GammaShadowParams(3.0, 0.9)),
+    # 0 < e < b - 1: the mass lies at rho ~ x / omega, where rho f, ~ rho^(e+1), underflows
+    # before f does.
+    "am-b3": CompositeModel(AmParams(2.0, 1.2), GammaShadowParams(3.0, 0.9)),
+    "root-am-b3": CompositeModel(AmParams(1.5, 1.0), GammaShadowParams(3.0, 0.9)),  # e = 0.5
     # e = -0.82, s = rho^0.09: the far nodes rho = s^k reach past x / 5e-324.
     "steep-am": CompositeModel(AmParams(0.6, 0.3), GammaShadowParams(0.3, 2.5)),
 }
@@ -79,6 +83,8 @@ ROWS = (
     + [(route, "half-am", x) for route in ("composite_cdf", "mixture_cdf")
        for x in (1e-160, 1e-200, 1e-300)]
     + [("mixture_pdf", "steep-am", x) for x in (1e-200, 1e-300, 1e-307)]
+    + [("mixture_pdf", "am-b3", x) for x in (1e-150, 1e-200)]
+    + [("mixture_pdf", "root-am-b3", x) for x in (1e-250, 1e-300, 1e-307)]
 )
 ROUTES = {"mixture_pdf": mixture_pdf, "composite_cdf": composite_cdf, "mixture_cdf": mixture_cdf}
 

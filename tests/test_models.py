@@ -369,6 +369,15 @@ class TestAmAndShadow:
                 bound = 4e-16 * (16.0 + b * abs(y / (b * omega) - 1.0))
                 assert abs(got - ref) <= bound * ref, (b, omega, y)
 
+    @pytest.mark.parametrize("b, y", [(1.8, 1e-300), (2.0, 1e-300), (5.0, 1e-75), (16.0, 3e-20)])
+    def test_shadow_density_where_y_to_the_b_underflows(self, b, y):
+        # y^b leaves the normal range while the density, ~ y^(b-1), is still normal.
+        omega = 0.7
+        ln_want = (b - 1.0) * math.log(y) - y / omega - math.lgamma(b) - b * math.log(omega)
+        assert y**b < np.finfo(float).tiny < math.exp(ln_want)
+        got = gamma_shadow_pdf(GammaShadowParams(b, omega), y)
+        assert got == pytest.approx(math.exp(ln_want), rel=1e-12, abs=0.0)
+
     def test_shadow_normalization_and_cdf(self):
         g = GammaShadowParams(1.8, 0.7)
         assert quad_mass(lambda y: gamma_shadow_pdf(g, y)) == pytest.approx(1.0, abs=1e-9)
