@@ -67,7 +67,9 @@ from .models import (
     ScaledEnvelope,
     _atom_mass,
     _density,
+    _far,
     _full_density,
+    _ln_multipath_pdf,
     _mixture_cdf,
     _moment,
     _origin,
@@ -533,8 +535,8 @@ class Family:
     double as CLI flags, descriptor keys and ``PARAM_BOX`` keys.
 
     ``pdf(p, x, scale)`` and ``cdf(p, x, scale)`` evaluate the family at
-    rms scale ``scale``: the CLI's plain curves at ``--rhat`` and the
-    oracle's conditional density and cdf at shadow scale y.  ``cdf`` and the
+    rms scale ``scale``: the CLI's plain curves at ``--rhat`` and, for
+    ``cdf``, the oracle's conditional cdf at shadow scale y.  ``cdf`` and the
     unit-scale sampler ``sample(p, count, rng)`` default to the clustering form.
     Multipath families also carry ``route(m, x, cfg)``, which calls the
     family's public series evaluator by its module-level name, so a wrapper
@@ -551,8 +553,10 @@ class Family:
 
 
 # The entries call the model functions by their names in this module, so a
-# wrapper installed on one of those names sees the call.  Each ``pdf`` and
-# ``cdf`` takes a float or a 1-D array for x or for the scale.
+# wrapper installed on one of those names sees the call; the oracle's
+# ``_multipath_average`` reads ln f_mp from ``models._ln_multipath_pdf``
+# instead of ``pdf``.  Each ``pdf`` and ``cdf`` takes a float or a 1-D array
+# for x or for the scale.
 _UNIT = ScaledEnvelope(1.0)
 FAMILIES = {
     f.name: f
@@ -712,11 +716,12 @@ def _multipath_average(m, x: float, side: int, memo: dict, rel_tol=_CDF_REL_TOL,
     # P(b, w), Q(b, w) or f_Y(x / rho) / rho = b p(b, w) / x, p the Poisson term w^b e^-w /
     # Gamma(b + 1), changing at rho ~ x/omega; X = P Y, Y ~ Gamma(b, omega).  All values are
     # positive: both tails keep digits.  Every node reads x, w and rho from logs, so a
-    # subnormal x, w or rho keeps its digits.  ``memo`` maps the bytes of a node array s to
+    # subnormal x, w or rho keeps its digits; ln f comes straight from the log-density
+    # ``models._ln_multipath_pdf``.  ``memo`` maps the bytes of a node array s to
     # ln(f(rho) drho/ds), read only, for the points of one model: the round-0 nodes are the
     # same at every x.  A full memo is cleared, not iterated, so threads may share it.
     mp, b, tiny = m.multipath, m.shadow.b, np.finfo(float).tiny
-    (e, ln_c), pdf = _origin(mp), family_of(mp).pdf
+    e, ln_c = _origin(mp)
     ln_x = math.log(x)
     ln_z = ln_x - math.log(m.shadow.omega)
     ln_bx = math.log(b) - ln_x
@@ -725,13 +730,13 @@ def _multipath_average(m, x: float, side: int, memo: dict, rel_tol=_CDF_REL_TOL,
         ln_s = np.log(s)
         ln_f = memo.get(key := s.tobytes())
         if ln_f is None:  # f drho/ds = k rho f / s; where rho = s^k has lost digits, f ~ c rho^e
-            rho = s**k
-            normal = rho >= tiny
+            rho, far = s**k, _far(mp.alpha, mp.poisson_gamma[2], 1.0)
+            normal = (rho >= tiny) & (rho < far)
             ln_f = math.log(k) + ln_c + (k * (e + 1.0) - 1.0) * ln_s
-            with np.errstate(divide="ignore"):  # f is 0 far out
-                # k rho f / s = k s^(k-1) f: rho f, ~ rho^(e+1), would underflow before f
-                ln_f[normal] = (math.log(k) + np.log(pdf(mp, rho[normal], 1.0))
-                                + (k - 1.0) * ln_s[normal])
+            # k rho f / s = k s^(k-1) f: rho f, ~ rho^(e+1), would underflow before f
+            ln_f[normal] = (math.log(k) + _ln_multipath_pdf(mp, rho[normal])
+                            + (k - 1.0) * ln_s[normal])
+            ln_f[rho >= far] = -math.inf  # f is 0 far out
             if len(memo) >= _MEMO_CAP:
                 memo.clear()
             memo[key] = ln_f

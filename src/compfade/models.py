@@ -280,10 +280,10 @@ def _far(alpha: float, rate: float, scale: float) -> float:
     return scale * math.exp(t if t < specfun._LN_MAX else specfun._LN_MAX)
 
 
-def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
-    """Density at rms scale ``scale`` (the unit-scale density at x / scale,
-    divided by scale) of a multipath family with clustering form (lam, s,
-    rate).  The Poisson sum of the gamma densities of u = rho^alpha is
+def _ln_multipath_pdf(p, rho):
+    """ln of the unit-scale density of a multipath family with clustering
+    form (lam, s, rate), at a float or 1-D array rho in (0, ``_far``).  The
+    Poisson sum of the gamma densities of u = rho^alpha is
 
         f(rho) = alpha rho^(alpha (1 + s)/2 - 1) rate^((1 + s)/2)
                  lam^((1 - s)/2) e^(-(sqrt(rate u) - sqrt(lam))^2) Ie_{s-1}(z)
@@ -296,26 +296,31 @@ def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
     """
     lam, s, rate = p.poisson_gamma
     a, ln_a = p.alpha, math.log(p.alpha)
+    ln_rho = np.log(rho)
+    if not lam:
+        ln_f = ln_a + s * math.log(rate) + (a * s - 1.0) * ln_rho - rate * rho**a
+        return ln_f - math.lgamma(s)
+    half, nu = rho ** (0.5 * a), s - 1.0 if s else 1.0  # sqrt(u), the Bessel order
+    z = 2.0 * math.sqrt(lam * rate) * half
+    ln_ie = specfun._ln_bessel_i_scaled(nu, z)
+    if (z if type(z) is float else z.min(initial=1.0)) < 1e-300:  # z may underflow:
+        ln_z2 = 0.5 * (math.log(lam * rate) + a * ln_rho)  # Ie -> (z/2)^nu / Gamma(nu + 1)
+        ln_ie = np.where(z < 1e-300, nu * ln_z2 - math.lgamma(nu + 1.0), ln_ie)
+    return (
+        ln_a + 0.5 * (1.0 + s) * math.log(rate) + 0.5 * (1.0 - s) * math.log(lam)
+        + (0.5 * a * (1.0 + s) - 1.0) * ln_rho - rate * (half - math.sqrt(lam / rate)) ** 2
+        + ln_ie
+    )
 
+
+def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
+    # Density at rms scale ``scale``: the unit-scale density at x / scale, divided by scale.
     def unit(rho):
-        ln_rho = np.log(rho)
-        if not lam:
-            ln_f = ln_a + s * math.log(rate) + (a * s - 1.0) * ln_rho - rate * rho**a
-            return _exp_or_zero(ln_f - math.lgamma(s))
-        half, nu = rho ** (0.5 * a), s - 1.0 if s else 1.0  # sqrt(u), the Bessel order
-        z = 2.0 * math.sqrt(lam * rate) * half
-        ln_ie = specfun._ln_bessel_i_scaled(nu, z)
-        if (z if type(z) is float else z.min(initial=1.0)) < 1e-300:  # z may underflow:
-            ln_z2 = 0.5 * (math.log(lam * rate) + a * ln_rho)  # Ie -> (z/2)^nu / Gamma(nu + 1)
-            ln_ie = np.where(z < 1e-300, nu * ln_z2 - math.lgamma(nu + 1.0), ln_ie)
-        return _exp_or_zero(
-            ln_a + 0.5 * (1.0 + s) * math.log(rate) + 0.5 * (1.0 - s) * math.log(lam)
-            + (0.5 * a * (1.0 + s) - 1.0) * ln_rho - rate * (half - math.sqrt(lam / rate)) ** 2
-            + ln_ie
-        )
+        return _exp_or_zero(_ln_multipath_pdf(p, rho))
 
     positive = unit if scale == 1.0 else lambda x: unit(x / scale) / scale
-    return _density(name, x, lambda: _origin_limit(p) / scale, positive, _far(a, rate, scale))
+    return _density(name, x, lambda: _origin_limit(p) / scale, positive,
+                    _far(p.alpha, p.poisson_gamma[2], scale))
 
 
 def akm_pdf_normalized(p: AkmParams, rho):

@@ -162,41 +162,39 @@ def _bessel_columns(nu: float, width: int) -> tuple:
 
 def _bessel_rows(nu: float, xs: np.ndarray, xa: np.ndarray) -> np.ndarray:
     # The ascending series (times e^-x) at each of xs > 0 and the asymptotic
-    # expansion at each of xa, one row per argument and one column per term:
-    # the row holds its first term and then the term ratios.  cumprod and
-    # cumsum accumulate in order, so every row repeats the float loop's
-    # roundings.  NaN where the loop does not stop within the columns (the
-    # series stops within x + 16 terms and a converged expansion within 31,
-    # for nu <= 60) or the expansion does not converge.
-    ns = xs.size
-    width = max(math.ceil(xs.max()) + 17 if ns else 0, 32 if xa.size else 0)
-    series_den, asym_den, asym_num = _bessel_columns(nu, width)
-    half = 0.5 * xs
-    # libm's log, as on the float path: an ulp of log(half) would grow nu-fold.
-    ln_half = np.fromiter(map(math.log, half.tolist()), float, ns)
-    terms = np.empty((ns + xa.size, width + 1))
-    terms[:ns, 0] = np.exp(nu * ln_half - math.lgamma(nu + 1.0))
-    ratio = np.divide((half * half)[:, None], series_den, out=terms[:ns, 1:])
-    below = ratio < 1.0
-    terms[ns:, 0] = 1.0
-    np.multiply(asym_den, xa[:, None], out=terms[ns:, 1:])
-    np.divide(asym_num, terms[ns:, 1:], out=terms[ns:, 1:])
-    np.cumprod(terms, axis=1, out=terms)
-    totals = np.cumsum(terms, axis=1)
-    mags = np.abs(terms)
-    stop = mags[:, 1:] <= np.abs(totals[:, 1:]) * 1e-17
-    stop[:ns] &= below
-    grew = mags[ns:, 1:] >= mags[ns:, :-1]
-    stop[ns:] |= grew
-    rows, col = np.arange(terms.shape[0]), stop.argmax(axis=1)
-    end = col + 1
-    end[ns:] -= grew[rows[ns:] - ns, col[ns:]]  # a term that grows is not added
-    value = totals[rows, end]
-    done = stop[rows, col]
-    done[ns:] &= mags[rows[ns:], end[ns:]] <= np.abs(value[ns:]) * 1e-13
-    value[:ns] *= np.exp(-xs)
-    value[ns:] /= np.sqrt(2.0 * math.pi * xa)
-    value[~done] = math.nan
+    # expansion at each of xa, as two matrices of one row per argument and
+    # one column per term: the row holds its first term and then the term
+    # ratios.  cumprod and cumsum accumulate in order, so every row repeats
+    # the float loop's roundings.  A series row takes its total at its last
+    # term: past the loop's stop each term is at most 1e-17 of the sum, under
+    # half an ulp, and leaves it as it is.  An expansion row stops where the
+    # loop does.  NaN where a row has not converged in its columns (the series
+    # stops within x + 16 terms and a converged expansion within 31, for nu <= 60).
+    value = np.empty(xs.size + xa.size)
+    if xs.size:
+        width, half = math.ceil(xs.max()) + 17, 0.5 * xs
+        # libm's log, as on the float path: an ulp of log(half) would grow nu-fold.
+        ln_half = np.fromiter(map(math.log, half.tolist()), float, xs.size)
+        terms = np.empty((xs.size, width + 1))
+        terms[:, 0] = np.exp(nu * ln_half - math.lgamma(nu + 1.0))
+        np.divide((half * half)[:, None], _bessel_columns(nu, width)[0], out=terms[:, 1:])
+        below = terms[:, -1] < 1.0
+        total = np.cumsum(np.cumprod(terms, axis=1, out=terms), axis=1)[:, -1]
+        done = below & (terms[:, -1] <= total * 1e-17)
+        value[: xs.size] = np.where(done, total * np.exp(-xs), math.nan)
+    if xa.size:
+        _, den, num = _bessel_columns(nu, 32)
+        terms = np.ones((xa.size, 33))
+        np.divide(num, den * xa[:, None], out=terms[:, 1:])
+        totals = np.cumsum(np.cumprod(terms, axis=1, out=terms), axis=1)
+        mags = np.abs(terms)
+        grew = mags[:, 1:] >= mags[:, :-1]
+        stop = (mags[:, 1:] <= np.abs(totals[:, 1:]) * 1e-17) | grew
+        rows, col = np.arange(xa.size), stop.argmax(axis=1)
+        end = col + 1 - grew[rows, col]  # a term that grows is not added
+        total = totals[rows, end]
+        done = stop[rows, col] & (mags[rows, end] <= np.abs(total) * 1e-13)
+        value[xs.size :] = np.where(done, total / np.sqrt(2.0 * math.pi * xa), math.nan)
     return value
 
 

@@ -41,6 +41,17 @@ def test_array_bessel_matches_float_path(case):
             assert abs(value - want) <= 1e-14 * want, xi
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(orders_and_arguments())
+def test_array_bessel_element_matches_its_lone_call(case):
+    # A row never depends on its neighbours: a series row's width follows
+    # the call's largest argument, yet each element of a mixed series and
+    # expansion call is its one-element call, bit for bit.
+    nu, x = case
+    lone = np.concatenate([bessel_i_scaled(nu, x[i : i + 1]) for i in range(x.size)])
+    assert bessel_i_scaled(nu, x).tobytes() == lone.tobytes()
+
+
 # The series route on arrays: past PARAM_BOX, on unsorted points with
 # duplicates, x = 0 and x from 1e-8 to 50 mean shadow scales b*omega.
 from compfade import CompositeModel, GammaShadowParams, SeriesConfig  # noqa: E402

@@ -734,13 +734,13 @@ class TestOracleArrayIntegrand:
 
     def test_readme_curve_evaluates_few_node_arrays(self, monkeypatch):
         # One quadrature per point would evaluate f_mp on 216 node arrays.
-        arrays = []
+        arrays, ln_pdf = [], models._ln_multipath_pdf
 
         def counting(p, rho):
             arrays.append(np.size(rho))
-            return akm_pdf_normalized(p, rho)
+            return ln_pdf(p, rho)
 
-        monkeypatch.setattr(composite, "akm_pdf_normalized", counting)
+        monkeypatch.setattr(composite, "_ln_multipath_pdf", counting)
         mixture_pdf(self.MODELS["akm"], np.linspace(0.01, 4.0, 200))
         assert 0 < len(arrays) <= 5
 
@@ -774,6 +774,57 @@ class TestOracleArrayIntegrand:
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(run, range(4)))
         assert all(r == serial for r in results)
+
+
+class TestOracleLogDensity:
+    # The oracle reads ln f_mp from models._ln_multipath_pdf, never through
+    # the public pdf: on node arrays whose rho = s^k runs from the least
+    # subnormal to past _far, the two must agree.
+    MULTIPATH = {
+        "akm-kappa0": AkmParams(2.0, 0.0, 1.3),
+        "akm": AkmParams(1.5, 2.0, 1.7),
+        "am": AmParams(2.0, 0.4),
+        "extreme": ExtremeParams(1.7, 1.1),
+    }
+
+    @staticmethod
+    def memo_of(mp, s, k):
+        # The memo entry that the pdf side of _multipath_average writes for the
+        # node array s in rho = s^k.
+        memo, m = {}, CompositeModel(mp, GammaShadowParams(1.5, 0.8))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(composite, "_split_quadrature", lambda f, *_: f(s, k))
+            composite._multipath_average(m, 1.0, composite._PDF, memo)
+        return memo[s.tobytes()]
+
+    @pytest.mark.parametrize("name", sorted(MULTIPATH))
+    def test_memo_is_the_public_pdf_in_logs(self, name):
+        mp = self.MULTIPATH[name]
+        pdf, (e, ln_c) = composite.family_of(mp).pdf, models._origin(mp)
+        far, tiny = models._far(mp.alpha, mp.poisson_gamma[2], 1.0), np.finfo(float).tiny
+        k = 2.0 / (e + 1.0) if e < 1.0 else 1.0
+        # Nodes spaced in s, so that a subnormal rho = s^k has lost digits.
+        edges = np.array([5e-324, tiny / 2, tiny, math.nextafter(far, 0.0), far, 2.0 * far])
+        s = np.concatenate([np.geomspace(5e-324 ** (1.0 / k), (1e3 * far) ** (1.0 / k), 400),
+                            edges ** (1.0 / k)])
+        ln_f, rho = self.memo_of(mp, s, k), s**k
+        inside = (rho > 0.0) & (rho < far)
+        # the public pdf is the exponential of the log-density, bit for bit
+        ln_pdf = models._ln_multipath_pdf(mp, rho[inside])
+        assert models._exp_or_zero(ln_pdf).tobytes() == pdf(mp, rho[inside], 1.0).tobytes()
+        # ln(k rho f / s) = ln(k s^(k-1) f) wherever the pdf is normal
+        checked = 0
+        for si, ri, got in zip(s.tolist(), rho.tolist(), ln_f.tolist()):
+            if ri >= far:
+                assert got == -math.inf, ri
+            elif ri < tiny:  # the origin law f ~ c rho^e
+                want = math.log(k) + ln_c + (k * (e + 1.0) - 1.0) * math.log(si)
+                assert abs(got - want) <= 4 * 2.0**-52 * max(1.0, abs(want)), ri
+            elif (f := pdf(mp, ri, 1.0)) >= tiny:
+                want = math.log(k) + (k - 1.0) * math.log(si) + math.log(f)
+                assert abs(got - want) <= 4 * 2.0**-52 * max(1.0, abs(want)), ri
+                checked += 1
+        assert checked > 50
 
 
 class TestOriginLimit:
