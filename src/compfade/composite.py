@@ -72,6 +72,7 @@ from .models import (
     _ln_multipath_pdf,
     _mixture_cdf,
     _moment,
+    _multipath_cdf,
     _origin,
     _pointwise,
     akm_pdf_normalized,
@@ -534,10 +535,9 @@ class Family:
     ``fields`` are the constructor arguments of ``params`` in order, which
     double as CLI flags, descriptor keys and ``PARAM_BOX`` keys.
 
-    ``pdf(p, x, scale)`` and ``cdf(p, x, scale)`` evaluate the family at
-    rms scale ``scale``: the CLI's plain curves at ``--rhat`` and, for
-    ``cdf``, the oracle's conditional cdf at shadow scale y.  ``cdf`` and the
-    unit-scale sampler ``sample(p, count, rng)`` default to the clustering form.
+    ``pdf(p, x, scale)`` and ``cdf(p, x, scale)`` evaluate the family at x
+    and a float rms scale, the CLI's ``--rhat``; ``cdf`` and the unit-scale
+    sampler ``sample(p, count, rng)`` default to the clustering form.
     Multipath families also carry ``route(m, x, cfg)``, which calls the
     family's public series evaluator by its module-level name, so a wrapper
     installed on that name sees every call.
@@ -547,17 +547,13 @@ class Family:
     params: type
     fields: tuple
     pdf: Callable
-    cdf: Callable = lambda p, x, scale: _mixture_cdf(p, x / scale)
+    cdf: Callable = lambda p, x, scale: _mixture_cdf(p, x, "x", scale)
     sample: Callable = _clustering_draws
     route: Optional[Callable] = None
 
 
-# The entries call the model functions by their names in this module, so a
-# wrapper installed on one of those names sees the call; the oracle's
-# ``_multipath_average`` reads ln f_mp from ``models._ln_multipath_pdf``
-# instead of ``pdf``.  Each ``pdf`` and ``cdf`` takes a float or a 1-D array
-# for x or for the scale.
-_UNIT = ScaledEnvelope(1.0)
+# The entries call the model functions by their names here, so a wrapper on one of those names
+# sees the call.  Each ``pdf`` and ``cdf`` takes x as a float or a 1-D array, and a float scale.
 FAMILIES = {
     f.name: f
     for f in (
@@ -568,7 +564,7 @@ FAMILIES = {
         ),
         Family(
             "am", AmParams, ("alpha", "mu"),
-            pdf=lambda p, x, s: am_pdf(p, _UNIT, x / s) / s,
+            pdf=lambda p, x, s: am_pdf(p, ScaledEnvelope(s), x),
             route=lambda m, x, cfg: am_gamma_pdf(m, x),
         ),
         Family(
@@ -667,25 +663,21 @@ def mixture_pdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_0
 def mixture_cdf(m: CompositeModel, x, rel_tol: float = 1e-9, budget: int = 200_000):
     """Composite distribution function F(x) = E_Y[F_mp(x / Y)], atoms included.
 
-    The family's closed multipath cdf averaged over the shadow density, in s
+    The multipath cdf of ``models`` averaged over the shadow density, in s
     = y^(b/2) below b = 2; every F_mp(0) holds the deep-fade atom.  With no
     absolute floor the lower tail keeps ``rel_tol`` relative accuracy.
     """
-    mp, b, omega, cdf = m.multipath, m.shadow.b, m.shadow.omega, family_of(m.multipath).cdf
+    mp, b, omega = m.multipath, m.shadow.b, m.shadow.omega
     ln_norm = ln_gamma(b) + b * math.log(omega)
-    atom = cdf(mp, 0.0, 1.0)
-    e, ln_c = _origin(mp)
+    atom, far = _atom_mass(mp), _far(mp.alpha, mp.poisson_gamma[2], 1.0)
     def value(v: float) -> float:
         ln_v = math.log(v)
         def f(s, k):  # F_mp(v / y) f_Y(y) dy/ds at y = s^k, with rho = v / y from ln v - k ln s
             ln_s = np.log(s)
             ln_rho = ln_v - k * ln_s
             rho = np.exp(np.minimum(ln_rho, _LN_MAX))  # F_mp = 1 past the doubles
-            low = rho < np.finfo(float).tiny
-            f_mp = np.empty_like(s)
-            f_mp[~low] = cdf(mp, rho[~low], 1.0)
-            # Below the normal range F_mp = atom + c rho^(e+1) / (e+1) (``models._origin``).
-            f_mp[low] = atom + np.exp(ln_c + (e + 1.0) * ln_rho[low] - math.log(e + 1.0))
+            f_mp = np.array([_multipath_cdf(mp, r, ln_r, 1e-15) if r < far else 1.0
+                             for r, ln_r in zip(rho.tolist(), ln_rho.tolist())])
             return (f_mp * gamma_shadow_pdf(m.shadow, s) if b > 15.0  # Loader's form; k = 1
                     else f_mp * k * np.exp((k * b - 1.0) * ln_s - s**k / omega - ln_norm))
         return min(_split_quadrature(f, ln_v, b * omega, rel_tol, budget, b - 1.0), 1.0)
@@ -715,28 +707,26 @@ def _multipath_average(m, x: float, side: int, memo: dict, rel_tol=_CDF_REL_TOL,
     # density (continuous part), ~ c rho^e at 0 (``models._origin``), and G, by ``side``, is
     # P(b, w), Q(b, w) or f_Y(x / rho) / rho = b p(b, w) / x, p the Poisson term w^b e^-w /
     # Gamma(b + 1), changing at rho ~ x/omega; X = P Y, Y ~ Gamma(b, omega).  All values are
-    # positive: both tails keep digits.  Every node reads x, w and rho from logs, so a
-    # subnormal x, w or rho keeps its digits; ln f comes straight from the log-density
-    # ``models._ln_multipath_pdf``.  ``memo`` maps the bytes of a node array s to
-    # ln(f(rho) drho/ds), read only, for the points of one model: the round-0 nodes are the
-    # same at every x.  A full memo is cleared, not iterated, so threads may share it.
-    mp, b, tiny = m.multipath, m.shadow.b, np.finfo(float).tiny
-    e, ln_c = _origin(mp)
-    ln_x = math.log(x)
-    ln_z = ln_x - math.log(m.shadow.omega)
-    ln_bx = math.log(b) - ln_x
+    # positive and read from logs, so both tails and a subnormal x, w or rho keep their digits.
+    # ``memo`` maps a node array's bytes to ln(f(rho) drho/ds) at one model's points (round-0
+    # nodes recur at every x); it is read only, and cleared when full, so threads may share it.
+    mp, b, e = m.multipath, m.shadow.b, _origin(m.multipath)[0]
+    ln_x, ln_omega = math.log(x), math.log(m.shadow.omega)
+    ln_z = ln_x - ln_omega
+    # Below z = 1 the density goes like z^min(e, b - 1) / omega, and the pdf side's nodes up to
+    # z^-(e+1)/2 times it: past e^300 the nodes carry it over 2^n, the normal result times 2^n.
+    ln_top = min(e, b - 1.0) * ln_z - ln_omega if side == _PDF and ln_z < 0.0 else 0.0
+    n = max(0, math.ceil((ln_top - 300.0) / math.log(2.0)))
+    ln_bx = math.log(b) - ln_x - n * math.log(2.0)
 
     def integrand(s, k):
         ln_s = np.log(s)
         ln_f = memo.get(key := s.tobytes())
-        if ln_f is None:  # f drho/ds = k rho f / s; where rho = s^k has lost digits, f ~ c rho^e
-            rho, far = s**k, _far(mp.alpha, mp.poisson_gamma[2], 1.0)
-            normal = (rho >= tiny) & (rho < far)
-            ln_f = math.log(k) + ln_c + (k * (e + 1.0) - 1.0) * ln_s
-            # k rho f / s = k s^(k-1) f: rho f, ~ rho^(e+1), would underflow before f
-            ln_f[normal] = (math.log(k) + _ln_multipath_pdf(mp, rho[normal])
-                            + (k - 1.0) * ln_s[normal])
-            ln_f[rho >= far] = -math.inf  # f is 0 far out
+        if ln_f is None:  # f drho/ds = k s^(k-1) f, as rho f, ~ rho^(e+1), underflows before f
+            inside = s**k < _far(mp.alpha, mp.poisson_gamma[2], 1.0)  # f is 0 from _far on
+            ln_f = np.full_like(s, -math.inf)
+            ln_f[inside] = (math.log(k) + _ln_multipath_pdf(mp, s[inside]**k, k * ln_s[inside])
+                            + (k - 1.0) * ln_s[inside])
             if len(memo) >= _MEMO_CAP:
                 memo.clear()
             memo[key] = ln_f
@@ -746,13 +736,11 @@ def _multipath_average(m, x: float, side: int, memo: dict, rel_tol=_CDF_REL_TOL,
         if side == _PDF:
             return np.exp(ln_f + ln_bx + _ln_poisson_terms(b, ln_w, w))
         g = _reg_gamma(b, w)[side]  # Q = 1 - P keeps its digits
-        if side == _P:  # below the normal range P(b, w) = w^b / Gamma(b + 1)
-            low = w < tiny
-            if low.any():
-                g[low] = np.exp(b * ln_w[low] - math.lgamma(b + 1.0))
+        if side == _P and (low := w < np.finfo(float).tiny).any():  # P = w^b / Gamma(b + 1)
+            g[low] = np.exp(b * ln_w[low] - math.lgamma(b + 1.0))
         return np.exp(ln_f) * g
 
-    return _split_quadrature(integrand, ln_z, 1.0, rel_tol, budget, e)
+    return _split_quadrature(integrand, ln_z, 1.0, rel_tol, budget, e) * 2.0**n
 
 
 def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
@@ -764,8 +752,7 @@ def composite_cdf(m: CompositeModel, x, *, oracle: bool = False):
     the shadow shape b per node, to relative accuracy 1e-10 in either tail.
     ``oracle=True`` runs ``mixture_cdf`` at each point instead, which
     averages the multipath cdf over the shadow; the two routes share only
-    ``_split_quadrature``, the incomplete gamma and, where rho leaves the
-    normal range, the multipath origin law of ``models._origin``.
+    ``_split_quadrature``, the incomplete gamma and the multipath law.
     """
     if oracle:
         return mixture_cdf(m, x)

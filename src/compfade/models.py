@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,7 +80,7 @@ class AkmParams:
         )
         _require(_finite_pos(self.mu), f"mu must be finite and > 0, got {self.mu!r}")
 
-    @property
+    @cached_property
     def poisson_gamma(self) -> tuple:
         """Clustering form (lam, shape, rate): P^alpha ~ Gamma(shape + N, rate)
         for the unit-rms power, given N ~ Poisson(lam) dominant clusters."""
@@ -97,7 +98,7 @@ class AmParams:
         _require(_finite_pos(self.alpha), f"alpha must be finite and > 0, got {self.alpha!r}")
         _require(_finite_pos(self.mu), f"mu must be finite and > 0, got {self.mu!r}")
 
-    @property
+    @cached_property
     def poisson_gamma(self) -> tuple:
         """Clustering form (lam, shape, rate), as for ``AkmParams``."""
         return 0.0, self.mu, self.mu
@@ -114,7 +115,7 @@ class ExtremeParams:
         _require(_finite_pos(self.alpha), f"alpha must be finite and > 0, got {self.alpha!r}")
         _require(_finite_pos(self.m), f"m must be finite and > 0, got {self.m!r}")
 
-    @property
+    @cached_property
     def poisson_gamma(self) -> tuple:
         """Clustering form (lam, shape, rate); N = 0 is the deep-fade atom."""
         return 2.0 * self.m, 0.0, 2.0 * self.m
@@ -280,10 +281,18 @@ def _far(alpha: float, rate: float, scale: float) -> float:
     return scale * math.exp(t if t < specfun._LN_MAX else specfun._LN_MAX)
 
 
-def _ln_multipath_pdf(p, rho):
+def _power(rho, ln_rho, c):
+    # rho^c from rho where it is a normal double, else from its log: a rounded rho lost digits.
+    if isinstance(rho, float):
+        return rho**c if rho >= specfun._NORMAL else math.exp(c * ln_rho)
+    low = rho < specfun._NORMAL
+    return np.where(low, np.exp(c * ln_rho), rho**c) if low.any() else rho**c
+
+
+def _ln_multipath_pdf(p, rho, ln_rho):
     """ln of the unit-scale density of a multipath family with clustering
-    form (lam, s, rate), at a float or 1-D array rho in (0, ``_far``).  The
-    Poisson sum of the gamma densities of u = rho^alpha is
+    form (lam, s, rate), at a float or 1-D array rho in [0, ``_far``) of log
+    ln_rho.  The Poisson sum of the gamma densities of u = rho^alpha is
 
         f(rho) = alpha rho^(alpha (1 + s)/2 - 1) rate^((1 + s)/2)
                  lam^((1 - s)/2) e^(-(sqrt(rate u) - sqrt(lam))^2) Ie_{s-1}(z)
@@ -296,11 +305,10 @@ def _ln_multipath_pdf(p, rho):
     """
     lam, s, rate = p.poisson_gamma
     a, ln_a = p.alpha, math.log(p.alpha)
-    ln_rho = np.log(rho)
+    power = _power(rho, ln_rho, 0.5 * a if lam else a)  # u, or sqrt(u) for the Bessel form
     if not lam:
-        ln_f = ln_a + s * math.log(rate) + (a * s - 1.0) * ln_rho - rate * rho**a
-        return ln_f - math.lgamma(s)
-    half, nu = rho ** (0.5 * a), s - 1.0 if s else 1.0  # sqrt(u), the Bessel order
+        return ln_a + s * math.log(rate) + (a * s - 1.0) * ln_rho - rate * power - math.lgamma(s)
+    half, nu = power, s - 1.0 if s else 1.0  # sqrt(u), the Bessel order
     z = 2.0 * math.sqrt(lam * rate) * half
     ln_ie = specfun._ln_bessel_i_scaled(nu, z)
     if (z if type(z) is float else z.min(initial=1.0)) < 1e-300:  # z may underflow:
@@ -314,13 +322,23 @@ def _ln_multipath_pdf(p, rho):
 
 
 def _multipath_pdf(p, x, name: str = "rho", scale: float = 1.0):
-    # Density at rms scale ``scale``: the unit-scale density at x / scale, divided by scale.
-    def unit(rho):
-        return _exp_or_zero(_ln_multipath_pdf(p, rho))
-
-    positive = unit if scale == 1.0 else lambda x: unit(x / scale) / scale
+    # The density at rms scale ``scale``: x is checked and cut at ``_far`` on its own scale, then
+    # the unit-scale density reads x / scale (the origin limit where that rounds to 0) over scale.
+    positive = ((lambda rho: _exp_or_zero(_ln_multipath_pdf(p, rho, np.log(rho)))) if scale == 1.0
+                else lambda x: _multipath_pdf(p, x / scale, name) / scale)
     return _density(name, x, lambda: _origin_limit(p) / scale, positive,
                     _far(p.alpha, p.poisson_gamma[2], scale))
+
+
+def _multipath_cdf(p, rho: float, ln_rho: float, tail_tol: float) -> float:
+    # The unit-scale cdf at a float rho in [0, ``_far``) of log ln_rho, as ``_ln_multipath_pdf``;
+    # where rate rho^alpha leaves the normal range, the atom plus c rho^(e + 1) / (e + 1).
+    lam, shape, rate = p.poisson_gamma
+    u = rate * _power(rho, ln_rho, p.alpha)
+    if u < specfun._NORMAL:
+        e, ln_c = _origin(p)
+        return _atom_mass(p) + math.exp(ln_c + (e + 1.0) * ln_rho - math.log(e + 1.0))
+    return specfun.poisson_gamma_cdf(lam, shape, u, tail_tol)
 
 
 def akm_pdf_normalized(p: AkmParams, rho):
@@ -356,23 +374,18 @@ def akm_cdf_series(p: AkmParams, rho, tail_tol: float = 1e-15):
     """
     lam, shape, rate = p.poisson_gamma
     def value(rho: float) -> float:
-        if rho and rate * rho**p.alpha < specfun._NORMAL:  # the origin law, as ``akm_cdf``
-            return _mixture_cdf(p, rho)
-        return specfun._poisson_gamma_side(lam, shape, rate * rho**p.alpha, tail_tol, upper=False)
-    return _pointwise("rho", rho, lambda: value(0.0), value, _far(p.alpha, rate, 1.0), 1.0)
+        if (u := rate * rho**p.alpha) < specfun._NORMAL:  # the origin law, as ``akm_cdf``
+            return _multipath_cdf(p, rho, math.log(rho), tail_tol)
+        return specfun._poisson_gamma_side(lam, shape, u, tail_tol, upper=False)
+    return _pointwise("rho", rho, lambda: 0.0, value, _far(p.alpha, rate, 1.0), 1.0)
 
 
 def _mixture_cdf(p, x, name: str = "rho", scale: float = 1.0, tail_tol: float = 1e-15):
-    # The clustering form's cdf at rms scale ``scale``, as ``_multipath_pdf``.
-    lam, shape, rate = p.poisson_gamma
-    def value(x: float) -> float:
-        u = rate * (x / scale) ** p.alpha
-        if u < specfun._NORMAL and x:  # exactly the atom plus c rho^(e + 1) / (e + 1) there
-            e, ln_c = _origin(p)
-            ln_f = ln_c + (e + 1.0) * (math.log(x) - math.log(scale)) - math.log(e + 1.0)
-            return _atom_mass(p) + math.exp(ln_f)
-        return specfun.poisson_gamma_cdf(lam, shape, u, tail_tol)
-    return _pointwise(name, x, lambda: value(0.0), value, _far(p.alpha, rate, scale), 1.0)
+    # The cdf at rms scale ``scale``: ``_multipath_cdf`` at x / scale, of log ln x - ln scale.
+    ln_scale = math.log(scale)
+    return _pointwise(name, x, lambda: _atom_mass(p),
+                      lambda x: _multipath_cdf(p, x / scale, math.log(x) - ln_scale, tail_tol),
+                      _far(p.alpha, p.poisson_gamma[2], scale), 1.0)
 
 
 def akm_power_pdf(p: AkmParams, w):

@@ -736,9 +736,9 @@ class TestOracleArrayIntegrand:
         # One quadrature per point would evaluate f_mp on 216 node arrays.
         arrays, ln_pdf = [], models._ln_multipath_pdf
 
-        def counting(p, rho):
+        def counting(p, rho, *args):
             arrays.append(np.size(rho))
-            return ln_pdf(p, rho)
+            return ln_pdf(p, rho, *args)
 
         monkeypatch.setattr(composite, "_ln_multipath_pdf", counting)
         mixture_pdf(self.MODELS["akm"], np.linspace(0.01, 4.0, 200))
@@ -810,7 +810,7 @@ class TestOracleLogDensity:
         ln_f, rho = self.memo_of(mp, s, k), s**k
         inside = (rho > 0.0) & (rho < far)
         # the public pdf is the exponential of the log-density, bit for bit
-        ln_pdf = models._ln_multipath_pdf(mp, rho[inside])
+        ln_pdf = models._ln_multipath_pdf(mp, rho[inside], np.log(rho[inside]))
         assert models._exp_or_zero(ln_pdf).tobytes() == pdf(mp, rho[inside], 1.0).tobytes()
         # ln(k rho f / s) = ln(k s^(k-1) f) wherever the pdf is normal
         checked = 0

@@ -177,6 +177,18 @@ def test_am_pdf_is_the_plain_density_at_its_scale(rhat):
     assert pdf(np.array(points)).tolist() == plain(np.array(points)).tolist()
 
 
+@pytest.mark.parametrize("p, pdf", [(AKM, akm_pdf_envelope), (AM, am_pdf)], ids=["akm", "am"])
+def test_scaled_pdf_checks_r_before_dividing(p, pdf):
+    # r itself is checked and cut at the far tail of its scale: 1e308 over rhat 0.5 is
+    # past it, where r / rhat would overflow, and -5e-324 is no point, where r / rhat
+    # rounds to -0.
+    assert pdf(p, ScaledEnvelope(0.5), 1e308) == 0.0
+    assert pdf(p, ScaledEnvelope(0.5), np.array([0.3, 1e308]))[1] == 0.0
+    for bad in (-5e-324, np.array([0.3, -5e-324])):
+        with pytest.raises(DomainError, match="r must be finite"):
+            pdf(p, ScaledEnvelope(2.5), bad)
+
+
 def test_extreme_density_is_the_plain_density():
     # Both come from the one builder in ``models``, bit for bit.
     ext, plain = extreme_density(EXT), plain_density(EXT)
